@@ -4,11 +4,12 @@ The user of a k-message database already holds m messages and wants n
 others without revealing which ones.  This package provides the
 closed-form minimum download (:func:`compute_plan`), the randomized
 partition-and-MDS scheme achieving it (:mod:`pirsi.scheme`), exact
-rational-arithmetic privacy verification (:mod:`pirsi.privacy`), and a
-brute-force optimality oracle (:mod:`pirsi.oracle`).
+rational-arithmetic privacy verification (:mod:`pirsi.privacy`), a
+brute-force optimality oracle (:mod:`pirsi.oracle`), and one full round
+over canonical bytes (:func:`simulate_round`).
 """
 
-from .field import DEFAULT_PRIME, FieldElement, PrimeField, is_prime
+from .field import DEFAULT_PRIME, PrimeField, is_prime
 from .mds import CodeMatrix, check_mds, decode, encode, vandermonde
 from .oracle import CandidateSolution, argmin_solutions, brute_force_rate, subspace_cost
 from .privacy import (
@@ -33,7 +34,6 @@ from .scheme import (
     client_decode,
     make_query,
     server_answer,
-    simulate_round,
 )
 from .wire import (
     canonical,
@@ -41,15 +41,13 @@ from .wire import (
     parse_query_doc,
     read_db,
     serve_query_bytes,
-    serve_stream,
+    simulate_round,
     transcript_doc,
-    wire_round,
     write_db,
 )
 
 __all__ = [
     "DEFAULT_PRIME",
-    "FieldElement",
     "PrimeField",
     "is_prime",
     "CodeMatrix",
@@ -89,9 +87,7 @@ __all__ = [
     "parse_query_doc",
     "read_db",
     "serve_query_bytes",
-    "serve_stream",
     "transcript_doc",
-    "wire_round",
     "write_db",
 ]
 

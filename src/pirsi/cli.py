@@ -110,11 +110,6 @@ def _cmd_simulate(args, parser) -> int:
         parser.error(f"cannot read database: {err}")
     if db.k != params.k:
         parser.error(f"database holds {db.k} messages but --k is {params.k}")
-    widest = max(compute_plan(params).size_profile)
-    if db.field.p <= widest:
-        parser.error(
-            f"database modulus {db.field.p} must exceed the widest subspace ({widest})"
-        )
     try:
         spec = DemandSpec(
             demands=args.demands,
@@ -127,7 +122,7 @@ def _cmd_simulate(args, parser) -> int:
 
     seed = _resolve_seed(args.seed)
     started = time.perf_counter()
-    result = wire.wire_round(params, spec, db, random.Random(seed))
+    result = wire.simulate_round(params, spec, db, random.Random(seed))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     print(wire.canonical(wire.transcript_doc(params, seed, result)))
     print(f"timing_ms={elapsed_ms:.3f}", file=sys.stderr)

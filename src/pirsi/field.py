@@ -1,23 +1,34 @@
 """Prime-field arithmetic.
 
-Elements of GF(p) are stored as canonical representatives in [0, p).
-``FieldElement`` is immutable and hashable; every operation returns a new
-element, so values can be shared freely across threads.
+Elements of GF(p) are plain ``int``s in [0, p).  ``PrimeField`` carries the
+modulus, proves it prime once, and checks values where they enter the
+program (databases, code matrices, wire documents); arithmetic inside the
+program is ordinary integer arithmetic reduced mod p.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 DEFAULT_PRIME = 65537
 
-# Witnesses making Miller-Rabin deterministic for all n < 3.3 * 10**24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first 13 primes as bases is deterministic below this
+# bound (Sorenson & Webster, 2015); with the first 12 it is not, since
+# 318665857834031151167461 is a strong pseudoprime to all of them.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test (valid for n < 2**64)."""
+    """Deterministic Miller-Rabin primality test, proven for n < 3317044064679887385961981.
+
+    Raises ValueError for larger n, where these witnesses prove nothing.
+    """
+    if n >= MR_BOUND:
+        raise ValueError(f"primality is only proven below {MR_BOUND}, got {n}")
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:
         if n % small == 0:
             return n == small
     d = n - 1
@@ -38,66 +49,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class FieldElement:
-    """A residue modulo a fixed prime, with exact arithmetic."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value: int, modulus: int):
-        self.value = value % modulus
-        self.modulus = modulus
-
-    def _check(self, other: "FieldElement") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"incompatible moduli: {self.modulus} vs {other.modulus}"
-            )
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value + other.value, self.modulus)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value - other.value, self.modulus)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.value * other.value, self.modulus)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(-self.value, self.modulus)
-
-    def inverse(self) -> "FieldElement":
-        """Multiplicative inverse via Fermat's little theorem."""
-        if self.value == 0:
-            raise ValueError("zero has no multiplicative inverse")
-        return FieldElement(pow(self.value, self.modulus - 2, self.modulus), self.modulus)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.value == other.value and self.modulus == other.modulus
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.modulus))
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.value}, mod {self.modulus})"
-
-
 class PrimeField:
-    """Factory for elements of GF(p).
-
-    The modulus is validated once here; elements carry it along so that
-    cross-field operations fail loudly instead of silently mixing moduli.
-    """
+    """The modulus of GF(p), validated once, and the check for its values."""
 
     __slots__ = ("p",)
 
@@ -106,14 +59,23 @@ class PrimeField:
             raise ValueError(f"modulus must be prime, got {p}")
         self.p = p
 
-    def element(self, value: int) -> FieldElement:
-        return FieldElement(value, self.p)
+    def element(self, value: int) -> int:
+        """The canonical representative of ``value`` mod p."""
+        return value % self.p
 
-    def zero(self) -> FieldElement:
-        return FieldElement(0, self.p)
+    def check(self, values: Iterable[int]) -> tuple[int, ...]:
+        """``values`` as a tuple, if every one is an ``int`` in [0, p).
 
-    def one(self) -> FieldElement:
-        return FieldElement(1, self.p)
+        Anything else, a ``bool`` or a ``float`` included, raises ValueError:
+        values crossing into the program are accepted exactly or not at all.
+        """
+        values = tuple(values)
+        if values and (
+            set(map(type, values)) != {int} or min(values) < 0 or max(values) >= self.p
+        ):
+            bad = next(v for v in values if type(v) is not int or not 0 <= v < self.p)
+            raise ValueError(f"field value {bad!r} is not an int in [0, {self.p})")
+        return values
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PrimeField):

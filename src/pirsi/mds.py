@@ -10,35 +10,32 @@ evaluation points 1..n realises this for any 1 <= r <= n <= p - 1.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .field import FieldElement, PrimeField
+from .field import PrimeField
 
 
 @dataclass(frozen=True)
 class CodeMatrix:
     """An r x n coding matrix with entries in a common prime field."""
 
-    rows: tuple[tuple[FieldElement, ...], ...]
+    rows: tuple[tuple[int, ...], ...]
     field: PrimeField
 
     def __post_init__(self):
-        r = len(self.rows)
+        rows = tuple(self.field.check(row) for row in self.rows)
+        object.__setattr__(self, "rows", rows)
+        r = len(rows)
         if r == 0:
             raise ValueError("matrix needs at least one row")
-        n = len(self.rows[0])
+        n = len(rows[0])
         if not 1 <= r <= n <= self.field.p - 1:
             raise ValueError(f"need 1 <= r <= n <= p - 1, got r={r}, n={n}, p={self.field.p}")
-        for row in self.rows:
-            if len(row) != n:
-                raise ValueError("ragged matrix")
-            for entry in row:
-                if entry.modulus != self.field.p:
-                    raise ValueError(
-                        f"incompatible moduli: {entry.modulus} vs {self.field.p}"
-                    )
+        if any(len(row) != n for row in rows):
+            raise ValueError("ragged matrix")
 
     @property
     def r(self) -> int:
@@ -63,31 +60,23 @@ def vandermonde(r: int, n: int, field: PrimeField) -> CodeMatrix:
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     p = field.p
-    rows = tuple(
-        tuple(FieldElement(pow(j + 1, i, p), p) for j in range(n))
-        for i in range(r)
-    )
+    rows = tuple(tuple(pow(j + 1, i, p) for j in range(n)) for i in range(r))
     return CodeMatrix(rows, field)
 
 
-def encode(matrix: CodeMatrix, messages: Sequence[FieldElement]) -> list[FieldElement]:
+def encode(matrix: CodeMatrix, messages: Sequence[int]) -> list[int]:
     """Matrix-vector product: n message symbols -> r coded symbols."""
     if len(messages) != matrix.n:
         raise ValueError(f"expected {matrix.n} message symbols, got {len(messages)}")
-    out = []
-    for row in matrix.rows:
-        acc = matrix.field.zero()
-        for coeff, msg in zip(row, messages):
-            acc = acc + coeff * msg
-        out.append(acc)
-    return out
+    p = matrix.field.p
+    return [sum(map(operator.mul, row, messages)) % p for row in matrix.rows]
 
 
 def decode(
     matrix: CodeMatrix,
-    codeword: Sequence[FieldElement],
-    known: Mapping[int, FieldElement],
-) -> list[FieldElement]:
+    codeword: Sequence[int],
+    known: Mapping[int, int],
+) -> list[int]:
     """Recover the full message vector from r coded symbols plus known symbols.
 
     ``known`` maps column positions (0-based) to their message values.  The
@@ -98,7 +87,7 @@ def decode(
     Raises ValueError if fewer than n - r symbols are known (the system is
     underdetermined) or if the inputs are inconsistent with any codeword.
     """
-    r, n = matrix.r, matrix.n
+    r, n, p = matrix.r, matrix.n, matrix.field.p
     if len(codeword) != r:
         raise ValueError(f"expected {r} coded symbols, got {len(codeword)}")
     for j in known:
@@ -112,37 +101,31 @@ def decode(
     if not unknown:
         return [known[j] for j in range(n)]
 
-    # Residual right-hand side after removing known columns.
-    rhs = []
-    for i in range(r):
-        acc = codeword[i]
-        for j, val in known.items():
-            acc = acc - matrix.rows[i][j] * val
-        rhs.append(acc)
-
-    # Augmented system restricted to unknown columns.
-    aug = [[matrix.rows[i][j] for j in unknown] + [rhs[i]] for i in range(r)]
+    # Augmented system restricted to unknown columns; the right-hand side is
+    # the codeword minus the known columns' contributions.
+    aug = []
+    for row, coded in zip(matrix.rows, codeword):
+        rhs = (coded - sum(row[j] * val for j, val in known.items())) % p
+        aug.append([row[j] for j in unknown] + [rhs])
     u = len(unknown)
-    zero = matrix.field.zero()
 
     pivot_row = 0
     for col in range(u):
-        sel = next((i for i in range(pivot_row, r) if aug[i][col] != zero), None)
+        sel = next((i for i in range(pivot_row, r) if aug[i][col]), None)
         if sel is None:
             raise ValueError("singular system: coding matrix columns are dependent")
         aug[pivot_row], aug[sel] = aug[sel], aug[pivot_row]
-        inv = aug[pivot_row][col].inverse()
-        aug[pivot_row] = [entry * inv for entry in aug[pivot_row]]
+        inv = pow(aug[pivot_row][col], -1, p)
+        pivot = aug[pivot_row] = [entry * inv % p for entry in aug[pivot_row]]
         for i in range(r):
-            if i != pivot_row and aug[i][col] != zero:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[pivot_row])]
+            factor = aug[i][col]
+            if i != pivot_row and factor:
+                aug[i] = [(a - factor * b) % p for a, b in zip(aug[i], pivot)]
         pivot_row += 1
 
     # Any leftover equations must have reduced to 0 = 0.
-    for i in range(u, r):
-        if aug[i][u] != zero:
-            raise ValueError("inconsistent codeword for the given known symbols")
+    if any(aug[i][u] for i in range(u, r)):
+        raise ValueError("inconsistent codeword for the given known symbols")
 
     solution = dict(known)
     for row_idx, col in enumerate(unknown):
@@ -150,25 +133,24 @@ def decode(
     return [solution[j] for j in range(n)]
 
 
-def _determinant(rows: list[list[FieldElement]], field: PrimeField) -> FieldElement:
-    """Determinant by fraction-free Gaussian elimination (destructive)."""
+def _determinant(rows: list[list[int]], p: int) -> int:
+    """Determinant mod p by Gaussian elimination (destructive)."""
     size = len(rows)
-    det = field.one()
-    zero = field.zero()
+    det = 1
     for col in range(size):
-        sel = next((i for i in range(col, size) if rows[i][col] != zero), None)
+        sel = next((i for i in range(col, size) if rows[i][col]), None)
         if sel is None:
-            return zero
+            return 0
         if sel != col:
             rows[col], rows[sel] = rows[sel], rows[col]
             det = -det
-        det = det * rows[col][col]
-        inv = rows[col][col].inverse()
+        det = det * rows[col][col] % p
+        inv = pow(rows[col][col], -1, p)
         for i in range(col + 1, size):
-            if rows[i][col] != zero:
-                factor = rows[i][col] * inv
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
-    return det
+            if rows[i][col]:
+                factor = rows[i][col] * inv % p
+                rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[col])]
+    return det % p
 
 
 def check_mds(matrix: CodeMatrix) -> bool:
@@ -178,9 +160,8 @@ def check_mds(matrix: CodeMatrix) -> bool:
     around 16).
     """
     r, n = matrix.r, matrix.n
-    zero = matrix.field.zero()
     for cols in combinations(range(n), r):
         square = [[matrix.rows[i][j] for j in cols] for i in range(r)]
-        if _determinant(square, matrix.field) == zero:
+        if _determinant(square, matrix.field.p) == 0:
             return False
     return True

@@ -37,37 +37,18 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 from statistics import fmean, pstdev
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
-from .rate import ProblemParams, compute_plan
+from .rate import ProblemParams, RatePlan, compute_plan
 from .scheme import DemandSpec, Layout, build_layout
 
 DEFAULT_BRANCH_CAP = 1_000_000
 
 
-def _validate_demands(params: ProblemParams, demands: Iterable[int]) -> frozenset[int]:
-    demand_set = frozenset(demands)
-    if len(demand_set) != params.n:
-        raise ValueError(f"expected {params.n} distinct demands")
-    for idx in demand_set:
-        if not 1 <= idx <= params.k:
-            raise ValueError(f"index {idx} outside 1..{params.k}")
-    return demand_set
-
-
-def _validate_sets(params: ProblemParams, demands: Iterable[int], side: Iterable[int]):
-    demand_set = frozenset(demands)
-    side_set = frozenset(side)
-    if len(demand_set) != params.n:
-        raise ValueError(f"expected {params.n} distinct demands")
-    if len(side_set) != params.m:
-        raise ValueError(f"expected {params.m} distinct side indices")
-    if demand_set & side_set:
-        raise ValueError("demand and side sets overlap")
-    for idx in demand_set | side_set:
-        if not 1 <= idx <= params.k:
-            raise ValueError(f"index {idx} outside 1..{params.k}")
-    return demand_set, side_set
+def _valid_spec(params: ProblemParams, demands: Iterable[int], side: Iterable[int]) -> DemandSpec:
+    spec = DemandSpec(tuple(demands), frozenset(side))
+    spec.validate_against(params)
+    return spec
 
 
 def _check_layout(layout: Layout, params: ProblemParams):
@@ -89,8 +70,18 @@ def layout_probability(
     for layouts the drawing procedure cannot produce for them (some
     demand-bearing block contains fewer side indices than its quota).
     """
-    demand_set, side_set = _validate_sets(params, demands, side)
-    plan = _check_layout(layout, params)
+    spec = _valid_spec(params, demands, side)
+    return _probability(layout, _check_layout(layout, params), spec.demands, spec.side, params)
+
+
+def _probability(
+    layout: Layout,
+    plan: RatePlan,
+    demands: Sequence[int],
+    side: Collection[int],
+    params: ProblemParams,
+) -> Fraction:
+    """``layout_probability`` for valid inputs: ``demands`` ascending, layout on ``plan``."""
     if plan.l_star == 1:
         return Fraction(1)
 
@@ -100,7 +91,7 @@ def layout_probability(
 
     # Demand placement factor.
     placed = [0] * plan.l_star
-    for j, idx in enumerate(sorted(demand_set), start=1):
+    for j, idx in enumerate(demands, start=1):
         u = block_of[idx]
         prob *= Fraction(plan.size_profile[u] - placed[u], k - j + 1)
         placed[u] += 1
@@ -111,7 +102,7 @@ def layout_probability(
         if placed[i] == 0:
             continue
         quota = plan.side_profile[i]
-        held = sum(1 for idx in block if idx in side_set)
+        held = sum(1 for idx in block if idx in side)
         if held < quota:
             return Fraction(0)
         prob *= Fraction(comb(held, quota), comb(undrawn, quota))
@@ -141,7 +132,7 @@ def enumerate_randomness(
     at a time with their exact probabilities, summing per resulting layout.
     Raises if the branch count exceeds ``branch_cap`` (meant for k <= 7).
     """
-    demand_set, side_set = _validate_sets(params, demands, side)
+    spec = _valid_spec(params, demands, side)
     plan = compute_plan(params)
     k = params.k
     if plan.l_star == 1:
@@ -151,11 +142,11 @@ def enumerate_randomness(
     count = plan.l_star
     dist: dict[tuple[tuple[int, ...], ...], Fraction] = {}
     leaves = 0
-    ordered_demands = sorted(demand_set)
+    ordered_demands = spec.demands
 
     def place_demands(j: int, blocks, demand_count, prob: Fraction):
         if j == len(ordered_demands):
-            draw_side(0, blocks, demand_count, sorted(side_set), prob)
+            draw_side(0, blocks, demand_count, sorted(spec.side), prob)
             return
         idx = ordered_demands[j]
         denom = k - j  # k - (j + 1) + 1 placements remain possible
@@ -243,13 +234,15 @@ def posterior(layout: Layout, params: ProblemParams) -> PosteriorReport:
     layout is unreachable (zero total probability).
     """
     k, m, n = params.k, params.m, params.n
-    _check_layout(layout, params)
+    plan = _check_layout(layout, params)
     weights: dict[tuple[int, ...], Fraction] = {}
+    # Every (w, s) pair below is valid by construction, so the layout is
+    # the only input checked.
     for w in combinations(range(1, k + 1), n):
         rest = [i for i in range(1, k + 1) if i not in set(w)]
         total = Fraction(0)
         for s in combinations(rest, m):
-            total += layout_probability(layout, w, s, params)
+            total += _probability(layout, plan, w, s, params)
         weights[w] = total
     norm = sum(weights.values())
     if norm == 0:
@@ -288,7 +281,9 @@ class TvdReport:
 
 def _sample_query_key(params: ProblemParams, demands: Sequence[int], rng: random.Random):
     complement = [i for i in range(1, params.k + 1) if i not in set(demands)]
-    side = rng.sample(complement, params.m)
+    # Only too many demands leave fewer than m candidates; build_layout then
+    # rejects the spec by its demand count.
+    side = rng.sample(complement, min(params.m, len(complement)))
     spec = DemandSpec(tuple(demands), frozenset(side))
     # The query's observable content is exactly the ordered supports; the
     # coefficient matrices are determined by the block shapes.
@@ -311,14 +306,13 @@ def monte_carlo_tvd(
 ) -> TvdReport:
     """Sample queries for two demand sets and compare their distributions.
 
-    Side information is drawn uniformly per trial.  Meant for instances too
-    large for exact enumeration; see :class:`TvdReport` for how to read the
-    result.
+    Side information is drawn uniformly per trial.  Every sample goes
+    through ``build_layout``, which validates its demand and side sets.
+    Meant for instances too large for exact enumeration; see
+    :class:`TvdReport` for how to read the result.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    _validate_demands(params, demands_a)
-    _validate_demands(params, demands_b)
     keys_a = [_sample_query_key(params, demands_a, rng) for _ in range(trials)]
     keys_b = [_sample_query_key(params, demands_b, rng) for _ in range(trials)]
     observed = _empirical_tvd(Counter(keys_a), Counter(keys_b), trials)

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Mapping
 
 from . import mds
-from .field import FieldElement, PrimeField
+from .field import PrimeField
 from .rate import ProblemParams, RatePlan, compute_plan
 
 
@@ -50,7 +50,7 @@ class DemandSpec:
 
     demands: tuple[int, ...]
     side: frozenset[int]
-    side_values: Mapping[int, FieldElement] = dc_field(default_factory=dict)
+    side_values: Mapping[int, int] = dc_field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "demands", tuple(sorted(self.demands)))
@@ -61,6 +61,7 @@ class DemandSpec:
             raise ValueError("demand and side-information indices overlap")
 
     def validate_against(self, params: ProblemParams) -> None:
+        """Raise ValueError unless this spec fits the instance: counts and range."""
         if len(self.demands) != params.n:
             raise ValueError(f"expected {params.n} demands, got {len(self.demands)}")
         if len(self.side) != params.m:
@@ -114,26 +115,24 @@ class Query:
 class Answer:
     """The server's coded symbols, one vector per query block."""
 
-    blocks: tuple[tuple[FieldElement, ...], ...]
+    blocks: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
 class Database:
     """k message values over a common prime field, indexed from 1."""
 
-    values: tuple[FieldElement, ...]
+    values: tuple[int, ...]
     field: PrimeField
 
     def __post_init__(self):
-        for v in self.values:
-            if v.modulus != self.field.p:
-                raise ValueError(f"incompatible moduli: {v.modulus} vs {self.field.p}")
+        object.__setattr__(self, "values", self.field.check(self.values))
 
     @property
     def k(self) -> int:
         return len(self.values)
 
-    def __getitem__(self, index: int) -> FieldElement:
+    def __getitem__(self, index: int) -> int:
         if not 1 <= index <= len(self.values):
             raise ValueError(f"index {index} outside 1..{len(self.values)}")
         return self.values[index - 1]
@@ -228,7 +227,7 @@ def server_answer(query: Query, db: Database) -> Answer:
     return Answer(tuple(out))
 
 
-def client_decode(query: Query, answer: Answer, spec: DemandSpec) -> dict[int, FieldElement]:
+def client_decode(query: Query, answer: Answer, spec: DemandSpec) -> dict[int, int]:
     """Solve every demand-bearing block using held side information.
 
     Returns a map from demanded index to its recovered value.  Raises if a
@@ -238,13 +237,13 @@ def client_decode(query: Query, answer: Answer, spec: DemandSpec) -> dict[int, F
     if len(answer.blocks) != len(query.blocks):
         raise ValueError("answer block count differs from query")
     wanted = set(spec.demands)
-    recovered: dict[int, FieldElement] = {}
+    recovered: dict[int, int] = {}
     for block, coded in zip(query.blocks, answer.blocks):
         support = block.support
         demand_positions = [p for p, idx in enumerate(support) if idx in wanted]
         if not demand_positions:
             continue
-        known: dict[int, FieldElement] = {}
+        known: dict[int, int] = {}
         for p, idx in enumerate(support):
             if idx in spec.side:
                 try:
@@ -273,20 +272,4 @@ class RoundResult:
     layout: Layout
     query: Query
     answer: Answer
-    decoded: dict[int, FieldElement]
-
-
-def simulate_round(
-    params: ProblemParams,
-    spec: DemandSpec,
-    db: Database,
-    rng: random.Random,
-) -> RoundResult:
-    """Run one complete round against an in-memory database."""
-    if db.k != params.k:
-        raise ValueError(f"database holds {db.k} messages, expected {params.k}")
-    layout = build_layout(params, spec, rng)
-    query = make_query(layout, db.field)
-    answer = server_answer(query, db)
-    decoded = client_decode(query, answer, spec)
-    return RoundResult(layout, query, answer, decoded)
+    decoded: dict[int, int]

@@ -6,21 +6,19 @@ stay decimal; exact rationals are rendered as "numerator/denominator"
 strings.  Field moduli travel once per document header, never per element.
 
 The client/server split is realised as two roles exchanging these
-documents over byte streams: the server role reads a query document and
-writes an answer document, seeing nothing else.  A socket transport can be
-layered on the same functions.
+documents as bytes: the server role reads a query document and writes an
+answer document, seeing nothing else.  ``simulate_round`` runs one whole
+round through that interface.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import random
 from fractions import Fraction
-from typing import BinaryIO
 
 from . import mds
-from .field import FieldElement, PrimeField
+from .field import PrimeField
 from .privacy import PosteriorReport, TvdReport
 from .rate import ProblemParams, RatePlan
 from .scheme import (
@@ -80,7 +78,7 @@ def layout_doc(layout: Layout) -> dict:
 def query_doc(query: Query) -> dict:
     blocks = []
     for block in query.blocks:
-        entries = [e.value for row in block.matrix.rows for e in row]
+        entries = [e for row in block.matrix.rows for e in row]
         blocks.append(
             {"support": list(block.support), "r": block.matrix.r, "entries": entries}
         )
@@ -97,24 +95,17 @@ def parse_query_doc(doc: dict) -> Query:
         entries = raw["entries"]
         if len(entries) != r * n:
             raise ValueError(f"expected {r * n} matrix entries, got {len(entries)}")
-        rows = tuple(
-            tuple(FieldElement(entries[i * n + j], field.p) for j in range(n))
-            for i in range(r)
-        )
+        rows = tuple(entries[i * n:(i + 1) * n] for i in range(r))
         blocks.append(QueryBlock(support, mds.CodeMatrix(rows, field)))
     return Query(tuple(blocks), field)
 
 
 def answer_doc(answer: Answer) -> dict:
-    return {"blocks": [[e.value for e in block] for block in answer.blocks]}
+    return {"blocks": [list(block) for block in answer.blocks]}
 
 
 def parse_answer_doc(doc: dict, field: PrimeField) -> Answer:
-    return Answer(
-        tuple(
-            tuple(FieldElement(v, field.p) for v in block) for block in doc["blocks"]
-        )
-    )
+    return Answer(tuple(field.check(block) for block in doc["blocks"]))
 
 
 def transcript_doc(
@@ -129,7 +120,7 @@ def transcript_doc(
         "layout": layout_doc(result.layout),
         "query": query_doc(result.query),
         "answer": answer_doc(result.answer),
-        "decoded": {str(idx): val.value for idx, val in sorted(result.decoded.items())},
+        "decoded": {str(idx): val for idx, val in sorted(result.decoded.items())},
     }
 
 
@@ -164,7 +155,7 @@ def tvd_doc(report: TvdReport) -> dict:
 def write_db(stream, db: Database) -> None:
     stream.write(f"{DB_MAGIC} {DB_VERSION} p={db.field.p} k={db.k}\n")
     for value in db.values:
-        stream.write(f"{value.value}\n")
+        stream.write(f"{value}\n")
 
 
 def read_db(stream) -> Database:
@@ -186,12 +177,14 @@ def read_db(stream) -> Database:
         line = stream.readline()
         if not line:
             raise ValueError(f"database ends after {i} of {k} values")
-        values.append(FieldElement(int(line.strip()), p))
+        values.append(int(line))
+    if stream.read():
+        raise ValueError(f"database has data after its {k} values")
     return Database(tuple(values), field)
 
 
 # ---------------------------------------------------------------------------
-# Byte-stream transport
+# The round over bytes
 
 
 def serve_query_bytes(query_bytes: bytes, db: Database) -> bytes:
@@ -208,37 +201,22 @@ def serve_query_bytes(query_bytes: bytes, db: Database) -> bytes:
     return canonical(answer_doc(answer)).encode("ascii")
 
 
-def serve_stream(rstream: BinaryIO, wstream: BinaryIO, db: Database) -> None:
-    """Read one newline-terminated query document, write one answer document."""
-    line = rstream.readline()
-    if not line:
-        raise ValueError("no query document on stream")
-    wstream.write(serve_query_bytes(line.rstrip(b"\n"), db) + b"\n")
-
-
-def wire_round(
+def simulate_round(
     params: ProblemParams,
     spec: DemandSpec,
     db: Database,
     rng: random.Random,
 ) -> RoundResult:
-    """One full round with query and answer passed as canonical bytes.
+    """One full round with the query and the answer carried as canonical bytes.
 
-    Exercises exactly what a socket transport would carry: the client emits
-    query bytes, the server role turns them into answer bytes, and the
-    client decodes from the parsed answer.
+    The client emits query bytes, the server role turns them into answer
+    bytes, and the client decodes from the parsed answer.
     """
     if db.k != params.k:
         raise ValueError(f"database holds {db.k} messages, expected {params.k}")
     layout = build_layout(params, spec, rng)
     query = make_query(layout, db.field)
-
-    client_to_server = io.BytesIO(canonical(query_doc(query)).encode("ascii") + b"\n")
-    server_to_client = io.BytesIO()
-    serve_stream(client_to_server, server_to_client, db)
-    server_to_client.seek(0)
-    answer_bytes = server_to_client.readline().rstrip(b"\n")
-
+    answer_bytes = serve_query_bytes(canonical(query_doc(query)).encode("ascii"), db)
     answer = parse_answer_doc(json.loads(answer_bytes.decode("ascii")), db.field)
     decoded = client_decode(query, answer, spec)
     return RoundResult(layout, query, answer, decoded)

@@ -1,5 +1,6 @@
 """Command-line surface: canonical output, determinism, exit codes."""
 
+import hashlib
 import io
 import json
 import random
@@ -11,14 +12,31 @@ from pirsi.cli import main
 from pirsi.wire import read_db, write_db
 from conftest import WORKED_VALUES
 
+# Transcripts pinned byte for byte, so a given seed keeps its round across
+# refactors: layout, query, answer and decoded values.
+GOLDEN_WORKED = (
+    '{"answer":{"blocks":[[8,4],[12,0],[6,2]]},"decoded":{"2":7,"5":9},'
+    '"layout":{"subspaces":[[3,8,10,12,13],[2,7,9,11],[1,4,5,6]]},'
+    '"params":{"k":13,"m":5,"n":2},'
+    '"plan":{"k":13,"l_star":3,"m":5,"m_bar":2,"n":2,"r_star":6,"side_profile":[3,2,2],'
+    '"size_profile":[5,4,4],"t":1,"trivial":false},'
+    '"query":{"blocks":[{"entries":[1,1,1,1,1,1,2,3,4,5],"r":2,"support":[3,8,10,12,13]},'
+    '{"entries":[1,1,1,1,1,2,3,4],"r":2,"support":[2,7,9,11]},'
+    '{"entries":[1,1,1,1,1,2,3,4],"r":2,"support":[1,4,5,6]}],"p":13},"seed":11}\n'
+)
+GOLDEN_SINGLE_BLOCK_SHA256 = "9bb0e5ec8708354f48b61a276a5df827b5210ae2a9ba4fbd0aeeb316fff3f5b2"
+
+
+def db_file(tmp_path, name, values, field):
+    path = tmp_path / name
+    with open(path, "w") as fh:
+        write_db(fh, Database(tuple(values), field))
+    return str(path)
+
 
 @pytest.fixture
 def worked_db_file(tmp_path, gf13):
-    values = tuple(gf13.element(WORKED_VALUES[i]) for i in range(1, 14))
-    path = tmp_path / "worked.db"
-    with open(path, "w") as fh:
-        write_db(fh, Database(values, gf13))
-    return str(path)
+    return db_file(tmp_path, "worked.db", (WORKED_VALUES[i] for i in range(1, 14)), gf13)
 
 
 def run_cli(capsys, *argv):
@@ -137,6 +155,42 @@ def test_simulate_usage_errors(capsys, worked_db_file):
     assert exc.value.code == 2
 
 
+def test_simulate_golden_worked_transcript(capsys, worked_db_file):
+    code, out, _ = run_cli(
+        capsys, "simulate", "--k", "13", "--m", "5", "--n", "2",
+        "--demands", "2,5", "--side", "1,4,6,7,9", "--db", worked_db_file, "--seed", "11",
+    )
+    assert code == 0
+    assert out == GOLDEN_WORKED
+
+
+def test_simulate_golden_single_block_transcript(capsys, tmp_path):
+    field = PrimeField(2**31 - 1)
+    rng = random.Random("golden")
+    path = db_file(tmp_path, "single.db", [rng.randrange(field.p) for _ in range(56)], field)
+    code, out, _ = run_cli(
+        capsys, "simulate", "--k", "56", "--m", "7", "--n", "7",
+        "--demands", "1,9,17,25,33,41,49", "--side", "2,10,18,26,34,42,50",
+        "--db", path, "--seed", "3",
+    )
+    assert code == 0
+    assert len(out.encode()) == 26687
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SINGLE_BLOCK_SHA256
+
+
+def test_simulate_field_too_small_is_runtime_error(capsys, tmp_path):
+    # The widest (13,5,2) subspace has 5 members, so GF(5) lacks the
+    # evaluation points; make_query refuses and the CLI exits 1.
+    path = db_file(tmp_path, "small.db", [i % 5 for i in range(13)], PrimeField(5))
+    code, out, err = run_cli(
+        capsys, "simulate", "--k", "13", "--m", "5", "--n", "2",
+        "--demands", "2,5", "--side", "1,4,6,7,9", "--db", path,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: field too small")
+
+
 def test_privacy_exact_small_instance(capsys):
     code, out, _ = run_cli(
         capsys, "privacy-exact", "--k", "5", "--m", "1", "--n", "1", "--seed", "4"
@@ -168,11 +222,17 @@ def test_privacy_mc_reports(capsys):
     assert isinstance(doc["consistent"], bool)
 
 
-def test_privacy_mc_validates_demand_sets():
-    with pytest.raises(SystemExit) as exc:
-        main(["privacy-mc", "--k", "7", "--m", "3", "--n", "1",
-              "--wa", "2,3", "--wb", "5", "--trials", "10"])
-    assert exc.value.code == 2
+def test_privacy_mc_validates_demand_sets(capsys):
+    for wa, wb, message in (
+        ("2,3", "5", "expected 1 demands, got 2"),
+        ("1,2,3,4,5", "6", "expected 1 demands, got 5"),  # fewer than m candidates left
+        ("2", "9", "index 9 outside 1..7"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["privacy-mc", "--k", "7", "--m", "3", "--n", "1",
+                  "--wa", wa, "--wb", wb, "--trials", "10"])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_oracle_sweep(capsys):
@@ -203,7 +263,7 @@ def test_oracle_rejects_out_of_range(capsys):
 
 def test_db_file_round_trip(tmp_path):
     gf = PrimeField(23)
-    db = Database(tuple(gf.element(v) for v in (5, 0, 17, 22)), gf)
+    db = Database((5, 0, 17, 22), gf)
     path = tmp_path / "round.db"
     with open(path, "w") as fh:
         write_db(fh, db)
@@ -219,3 +279,11 @@ def test_db_file_rejects_malformed():
         read_db(io.StringIO("not-a-db 1 2 3\n"))
     with pytest.raises(ValueError, match="ends after"):
         read_db(io.StringIO("pir-db v1 p=23 k=4\n5\n0\n"))
+    # Values are stored exactly or refused, never reduced mod p.
+    for bad in ("99", "-4", "23", "1.5"):
+        with pytest.raises(ValueError):
+            read_db(io.StringIO(f"pir-db v1 p=23 k=2\n5\n{bad}\n"))
+    with pytest.raises(ValueError, match="after its 2 values"):
+        read_db(io.StringIO("pir-db v1 p=23 k=2\n5\n0\n7\n"))
+    with pytest.raises(ValueError, match="prime"):
+        read_db(io.StringIO("pir-db v1 p=318665857834031151167461 k=1\n5\n"))

@@ -1,41 +1,17 @@
-"""Prime-field arithmetic: exact identities and randomized algebra checks."""
-
-import random
+"""Prime fields: the primality proof, canonical values, and the boundary check."""
 
 import pytest
 
-from pirsi import FieldElement, PrimeField, is_prime
-
-
-def test_small_field_arithmetic():
-    gf7 = PrimeField(7)
-    two, three = gf7.element(2), gf7.element(3)
-    assert (two + three).value == 5
-    assert (two * three).value == 6
-    assert (two - three).value == 6
-    assert (-three).value == 4
-    assert (gf7.element(6) + gf7.element(6)).value == 5
+from pirsi import Database, PrimeField, is_prime
+from pirsi.field import MR_BOUND
 
 
 def test_canonical_representatives():
-    assert FieldElement(-1, 13).value == 12
-    assert FieldElement(13, 13).value == 0
-    assert FieldElement(27, 13).value == 1
-
-
-def test_inverse_examples():
-    gf7 = PrimeField(7)
-    assert gf7.element(3).inverse().value == 5
-    assert gf7.element(1).inverse().value == 1
     gf13 = PrimeField(13)
-    for a in range(1, 13):
-        elem = gf13.element(a)
-        assert (elem * elem.inverse()) == gf13.one()
-
-
-def test_zero_has_no_inverse():
-    with pytest.raises(ValueError, match="zero"):
-        PrimeField(7).zero().inverse()
+    assert gf13.element(-1) == 12
+    assert gf13.element(13) == 0
+    assert gf13.element(27) == 1
+    assert type(gf13.element(27)) is int
 
 
 @pytest.mark.parametrize("bad", [0, 1, 4, 6, 65536, 100])
@@ -59,37 +35,49 @@ def test_is_prime_agrees_with_trial_division():
         assert is_prime(n) == slow(n), n
 
 
+def test_strong_pseudoprime_to_first_twelve_primes_rejected():
+    # 399165290221 * 798330580441 passes Miller-Rabin for every base up to
+    # 37; base 41 exposes it.
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441
+    assert not is_prime(n)
+    with pytest.raises(ValueError, match="prime"):
+        PrimeField(n)
+
+
+def test_primality_proof_bound():
+    assert MR_BOUND == 3317044064679887385961981
+    assert is_prime(2**61 - 1)
+    assert not is_prime(MR_BOUND - 1)
+    for n in (MR_BOUND, MR_BOUND + 2, 2**89 - 1):
+        with pytest.raises(ValueError, match="proven below"):
+            is_prime(n)
+        with pytest.raises(ValueError, match="proven below"):
+            PrimeField(n)
+
+
+def test_check_accepts_exactly_canonical_ints():
+    gf7 = PrimeField(7)
+    assert gf7.check([0, 3, 6]) == (0, 3, 6)
+    assert gf7.check(()) == ()
+    for bad in (7, -1, 2.0, True, False, "3", None):
+        with pytest.raises(ValueError, match=r"not an int in \[0, 7\)"):
+            gf7.check([1, bad, 2])
+
+
 def test_mismatched_moduli_raise():
-    a = PrimeField(7).element(3)
-    b = PrimeField(13).element(3)
-    for op in (lambda: a + b, lambda: a - b, lambda: a * b):
-        with pytest.raises(ValueError, match="incompatible moduli"):
-            op()
+    # Values are plain ints, so a residue of GF(13) is refused by GF(7)'s
+    # boundary check rather than mixed in silently.
+    with pytest.raises(ValueError, match=r"12 is not an int in \[0, 7\)"):
+        PrimeField(7).check([12])
+    with pytest.raises(ValueError, match=r"\[0, 7\)"):
+        Database(tuple(PrimeField(13).element(v) for v in (3, 12)), PrimeField(7))
 
 
 def test_equality_and_hashing():
     gf = PrimeField(13)
+    assert gf == PrimeField(13)
+    assert gf != PrimeField(7)
+    assert hash(gf) == hash(PrimeField(13))
     assert gf.element(5) == gf.element(18)
-    assert gf.element(5) != PrimeField(7).element(5)
-    assert hash(gf.element(5)) == hash(gf.element(5))
-    assert int(gf.element(5)) == 5
-    assert not gf.zero()
-    assert gf.one()
-
-
-def test_field_algebra_randomized():
-    # Exact algebra over 10**4 random triples in the default field.
-    gf = PrimeField(65537)
-    rng = random.Random(20240817)
-    for _ in range(10_000):
-        a = gf.element(rng.randrange(gf.p))
-        b = gf.element(rng.randrange(gf.p))
-        c = gf.element(rng.randrange(gf.p))
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a + b) - b == a
-        if a.value:
-            assert a * a.inverse() == gf.one()
+    assert Database((5, 0), gf) == Database([5, 0], PrimeField(13))

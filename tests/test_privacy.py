@@ -43,7 +43,7 @@ def test_trivial_plan_has_one_certain_layout():
 def test_layout_probability_validates_inputs():
     params = ProblemParams(k=5, m=1, n=1)
     layout = Layout(((1, 2), (3, 4), (5,)), compute_plan(params))
-    with pytest.raises(ValueError, match="distinct demands"):
+    with pytest.raises(ValueError, match="expected 1 demands"):
         layout_probability(layout, (1, 2), (3,), params)
     with pytest.raises(ValueError, match="overlap"):
         layout_probability(layout, (1,), (1,), params)
