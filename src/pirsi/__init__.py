@@ -10,7 +10,7 @@ over canonical bytes (:func:`simulate_round`).
 """
 
 from .field import DEFAULT_PRIME, PrimeField, is_prime
-from .mds import CodeMatrix, check_mds, decode, encode, vandermonde
+from .mds import CodeMatrix, check_mds, decode, encode, solve_vandermonde, vandermonde
 from .oracle import CandidateSolution, argmin_solutions, brute_force_rate, subspace_cost
 from .privacy import (
     PosteriorReport,
@@ -54,6 +54,7 @@ __all__ = [
     "check_mds",
     "decode",
     "encode",
+    "solve_vandermonde",
     "vandermonde",
     "CandidateSolution",
     "argmin_solutions",

@@ -6,12 +6,21 @@ matrix lets a receiver who already knows any n - r of the message symbols
 recover all the rest; knowing fewer leaves every missing symbol completely
 undetermined.  The Vandermonde construction over distinct nonzero
 evaluation points 1..n realises this for any 1 <= r <= n <= p - 1.
+
+There are two decoders.  ``solve_vandermonde`` is the one the client uses:
+it knows the code is Vandermonde on the points 1..n, so it recovers just the
+wanted coordinates through the master polynomial of the unknown points
+(Bjorck & Pereyra, "Solution of Vandermonde systems of equations", Math.
+Comp. 24, 1970), in O(u^2) for u unknowns, without building the matrix.
+``decode`` is generic Gauss-Jordan elimination over any code matrix, O(u^3);
+it is kept as the independent oracle the tests check the fast path against.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -20,7 +29,7 @@ from .field import PrimeField
 
 @dataclass(frozen=True)
 class CodeMatrix:
-    """An r x n coding matrix with entries in a common prime field."""
+    """An r x n coding matrix over a prime field."""
 
     rows: tuple[tuple[int, ...], ...]
     field: PrimeField
@@ -46,12 +55,15 @@ class CodeMatrix:
         return len(self.rows[0])
 
 
+@lru_cache(maxsize=16)
 def vandermonde(r: int, n: int, field: PrimeField) -> CodeMatrix:
     """Build the r x n Vandermonde matrix with entry (i, j) = (j + 1)**i.
 
     Evaluation points are the first n nonzero residues, so the matrix is
     deterministic for a given shape and field.  Raises if the field is too
-    small to supply n distinct nonzero points.
+    small to supply n distinct nonzero points.  A round uses only a few
+    block shapes and ``CodeMatrix`` is immutable, so recent shapes are
+    cached and shared.
     """
     if n > field.p - 1:
         raise ValueError(
@@ -131,6 +143,74 @@ def decode(
     for row_idx, col in enumerate(unknown):
         solution[col] = aug[row_idx][u]
     return [solution[j] for j in range(n)]
+
+
+def solve_vandermonde(
+    codeword: Sequence[int],
+    n: int,
+    known: Mapping[int, int],
+    wanted: Sequence[int],
+    field: PrimeField,
+) -> list[int]:
+    """The message coordinates at positions ``wanted`` behind a Vandermonde codeword.
+
+    ``codeword`` holds the r coded symbols of ``vandermonde(r, n, field)``
+    with r = len(codeword); ``known`` maps column positions (0-based) to
+    their message values.  With x_l = l + 1 for the u unknown columns, the
+    coded symbols minus the known columns' contributions give
+    b_i = sum_l x_l**i * z_l.  The master polynomial P(t) = prod_l (t - x_l)
+    solves this: for an unknown column l, q = P / (t - x_l) vanishes on
+    every other unknown point, so z_l = <q, b> / q(x_l).  P also checks rows
+    beyond the u-th: sum_k P_k * b[i + k] = 0 for i = 0..r-u-1, which holds
+    exactly when the codeword is consistent with the known symbols.
+
+    Raises ValueError if fewer than n - r symbols are known or if the inputs
+    are inconsistent with any codeword.
+    """
+    r, p = len(codeword), field.p
+    if not 1 <= r <= n <= p - 1:
+        raise ValueError(f"need 1 <= r <= n <= p - 1, got r={r}, n={n}, p={p}")
+    for j in list(known) + list(wanted):
+        if not 0 <= j < n:
+            raise ValueError(f"column {j} out of range")
+    unknown = [j for j in range(n) if j not in known]
+    if len(unknown) > r:
+        raise ValueError(
+            f"insufficient side information: {len(unknown)} unknowns but only {r} equations"
+        )
+
+    # b_i: subtract the known columns' terms v_j * x_j**i, kept as running products.
+    points = [j + 1 for j in known]
+    terms = list(known.values())
+    rhs = []
+    for coded in codeword:
+        rhs.append((coded - sum(terms)) % p)
+        terms = [t * x % p for t, x in zip(terms, points)]
+
+    # P's coefficients, lowest degree first: multiply by (t - x) per point.
+    poly = [1]
+    for j in unknown:
+        x = j + 1
+        poly = [(a - x * b) % p for a, b in zip([0] + poly, poly + [0])]
+    u = len(unknown)
+    if any(sum(map(operator.mul, poly, rhs[i:i + u + 1])) % p for i in range(r - u)):
+        raise ValueError("inconsistent codeword for the given known symbols")
+
+    values = []
+    for j in wanted:
+        if j in known:
+            values.append(known[j])
+            continue
+        # Synthetic division: q_{u-1} = 1, q_{i-1} = P_i + x * q_i.
+        x = j + 1
+        q = [1] * u
+        for i in range(u - 1, 0, -1):
+            q[i - 1] = (poly[i] + x * q[i]) % p
+        at_x = 0
+        for coeff in reversed(q):
+            at_x = (at_x * x + coeff) % p
+        values.append(sum(map(operator.mul, q, rhs)) * pow(at_x, -1, p) % p)
+    return values
 
 
 def _determinant(rows: list[list[int]], p: int) -> int:

@@ -95,10 +95,15 @@ class Layout:
 
 @dataclass(frozen=True)
 class QueryBlock:
-    """One subspace's request: which indices, combined how."""
+    """One subspace's request: its indices and how many coded rows of them.
+
+    The coefficients are, by definition, ``mds.vandermonde(r, len(support),
+    field)``: they depend only on the block's shape, so they are never stored
+    or sent.
+    """
 
     support: tuple[int, ...]
-    matrix: mds.CodeMatrix
+    r: int
 
 
 @dataclass(frozen=True)
@@ -108,7 +113,7 @@ class Query:
 
     @property
     def total_rows(self) -> int:
-        return sum(b.matrix.r for b in self.blocks)
+        return sum(b.r for b in self.blocks)
 
 
 @dataclass(frozen=True)
@@ -197,9 +202,10 @@ def build_layout(params: ProblemParams, spec: DemandSpec, rng: random.Random) ->
 def make_query(layout: Layout, field: PrimeField) -> Query:
     """Vandermonde query blocks for every subspace, demand-free by design.
 
-    Block i requests size_i - quota_i coded combinations of its subspace.
-    The coefficients depend only on the block shape and the field, never on
-    the demands, so the query reveals nothing beyond the layout itself.
+    Block i requests the first size_i - quota_i Vandermonde rows over its
+    subspace.  The coefficients depend only on the block shape and the
+    field, never on the demands, so the query reveals nothing beyond the
+    layout itself.
     """
     plan = layout.plan
     biggest = max(plan.size_profile)
@@ -207,11 +213,11 @@ def make_query(layout: Layout, field: PrimeField) -> Query:
         raise ValueError(
             f"field too small: subspace of size {biggest} needs p > {biggest}, got {field.p}"
         )
-    blocks = []
-    for block, size, quota in zip(layout.subspaces, plan.size_profile, plan.side_profile):
-        rows = size - quota
-        blocks.append(QueryBlock(block, mds.vandermonde(rows, size, field)))
-    return Query(tuple(blocks), field)
+    blocks = tuple(
+        QueryBlock(block, size - quota)
+        for block, size, quota in zip(layout.subspaces, plan.size_profile, plan.side_profile)
+    )
+    return Query(blocks, field)
 
 
 def server_answer(query: Query, db: Database) -> Answer:
@@ -223,7 +229,8 @@ def server_answer(query: Query, db: Database) -> Answer:
     out = []
     for block in query.blocks:
         values = [db[idx] for idx in block.support]
-        out.append(tuple(mds.encode(block.matrix, values)))
+        matrix = mds.vandermonde(block.r, len(values), query.field)
+        out.append(tuple(mds.encode(matrix, values)))
     return Answer(tuple(out))
 
 
@@ -232,7 +239,8 @@ def client_decode(query: Query, answer: Answer, spec: DemandSpec) -> dict[int, i
 
     Returns a map from demanded index to its recovered value.  Raises if a
     block serving a demand does not contain enough known side information
-    to determine its unknowns (a violated retrieval condition).
+    to determine its unknowns (a violated retrieval condition), or if its
+    coded symbols are inconsistent with the held side information.
     """
     if len(answer.blocks) != len(query.blocks):
         raise ValueError("answer block count differs from query")
@@ -250,15 +258,17 @@ def client_decode(query: Query, answer: Answer, spec: DemandSpec) -> dict[int, i
                     known[p] = spec.side_values[idx]
                 except KeyError:
                     raise ValueError(f"missing side-information value for index {idx}") from None
-        needed = block.matrix.n - block.matrix.r
+        needed = len(support) - block.r
         if len(known) < needed:
             raise ValueError(
                 "retrieval condition violated: block holds "
                 f"{len(known)} known symbols but needs {needed}"
             )
-        full = mds.decode(block.matrix, list(coded), known)
-        for p in demand_positions:
-            recovered[support[p]] = full[p]
+        if len(coded) != block.r:
+            raise ValueError(f"expected {block.r} coded symbols, got {len(coded)}")
+        values = mds.solve_vandermonde(coded, len(support), known, demand_positions, query.field)
+        for p, value in zip(demand_positions, values):
+            recovered[support[p]] = value
     missing = wanted - recovered.keys()
     if missing:
         raise ValueError(f"demands {sorted(missing)} absent from every query block")

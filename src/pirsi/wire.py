@@ -5,6 +5,12 @@ whitespace, so identical inputs always produce identical bytes.  Integers
 stay decimal; exact rationals are rendered as "numerator/denominator"
 strings.  Field moduli travel once per document header, never per element.
 
+A query document (version 2) carries each block's support and row count
+only; its coefficients are implied by (support, r, p), so the server
+regenerates them.  Documents that cross to the server role or back are
+checked strictly: exact key sets, exact ``int``s, and every range; any
+failure raises ValueError.
+
 The client/server split is realised as two roles exchanging these
 documents as bytes: the server role reads a query document and writes an
 answer document, seeing nothing else.  ``simulate_round`` runs one whole
@@ -15,9 +21,9 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 
-from . import mds
 from .field import PrimeField
 from .privacy import PosteriorReport, TvdReport
 from .rate import ProblemParams, RatePlan
@@ -37,6 +43,12 @@ from .scheme import (
 
 DB_MAGIC = "pir-db"
 DB_VERSION = "v1"
+QUERY_VERSION = 2
+
+_DECIMAL = "0|[1-9][0-9]*"
+_DB_HEADER = re.compile(rf"{DB_MAGIC} {DB_VERSION} p=({_DECIMAL}) k=({_DECIMAL})\n?")
+_DB_VALUE = re.compile(_DECIMAL)
+_DB_VALUES = re.compile(rf"(?:(?:{_DECIMAL})\n)*(?:{_DECIMAL})\n?")
 
 
 def canonical(doc) -> str:
@@ -76,27 +88,61 @@ def layout_doc(layout: Layout) -> dict:
 
 
 def query_doc(query: Query) -> dict:
-    blocks = []
-    for block in query.blocks:
-        entries = [e for row in block.matrix.rows for e in row]
-        blocks.append(
-            {"support": list(block.support), "r": block.matrix.r, "entries": entries}
-        )
-    return {"p": query.field.p, "blocks": blocks}
+    blocks = [{"support": list(block.support), "r": block.r} for block in query.blocks]
+    return {"version": QUERY_VERSION, "p": query.field.p, "blocks": blocks}
+
+
+def _require_keys(doc, keys: set, what: str) -> None:
+    if type(doc) is not dict or doc.keys() != keys:
+        got = sorted(doc) if type(doc) is dict else type(doc).__name__
+        raise ValueError(f"{what} needs exactly the keys {sorted(keys)}, got {got}")
+
+
+def _int(value, what: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an int, got {value!r}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if type(value) is not list:
+        raise ValueError(f"{what} must be a list, got {value!r}")
+    return value
 
 
 def parse_query_doc(doc: dict) -> Query:
-    field = PrimeField(doc["p"])
+    """A version-2 query document as a Query, or ValueError.
+
+    Requires exactly the keys version, p and blocks; a non-empty block list;
+    exactly support and r per block; exact ints; supports strictly
+    increasing from 1 up and pairwise disjoint; and 1 <= r <= len(support)
+    <= p - 1.  Indices beyond the database are refused by the server.
+    """
+    _require_keys(doc, {"version", "p", "blocks"}, "query document")
+    version = _int(doc["version"], "query version")
+    if version != QUERY_VERSION:
+        raise ValueError(f"unsupported query version {version}, expected {QUERY_VERSION}")
+    field = PrimeField(_int(doc["p"], "modulus p"))
+    raw_blocks = _list(doc["blocks"], "query blocks")
+    if not raw_blocks:
+        raise ValueError("query has no blocks")
     blocks = []
-    for raw in doc["blocks"]:
-        support = tuple(raw["support"])
-        r = raw["r"]
-        n = len(support)
-        entries = raw["entries"]
-        if len(entries) != r * n:
-            raise ValueError(f"expected {r * n} matrix entries, got {len(entries)}")
-        rows = tuple(entries[i * n:(i + 1) * n] for i in range(r))
-        blocks.append(QueryBlock(support, mds.CodeMatrix(rows, field)))
+    seen: set[int] = set()
+    for raw in raw_blocks:
+        _require_keys(raw, {"support", "r"}, "query block")
+        support = tuple(_int(idx, "support index") for idx in _list(raw["support"], "support"))
+        r = _int(raw["r"], "row count r")
+        if not 1 <= r <= len(support) <= field.p - 1:
+            raise ValueError(
+                f"need 1 <= r <= len(support) <= p - 1, got r={r}, "
+                f"len(support)={len(support)}, p={field.p}"
+            )
+        if support[0] < 1 or any(a >= b for a, b in zip(support, support[1:])):
+            raise ValueError(f"support must be strictly increasing indices >= 1, got {list(support)}")
+        if not seen.isdisjoint(support):
+            raise ValueError(f"supports overlap at {sorted(seen.intersection(support))}")
+        seen.update(support)
+        blocks.append(QueryBlock(support, r))
     return Query(tuple(blocks), field)
 
 
@@ -105,7 +151,10 @@ def answer_doc(answer: Answer) -> dict:
 
 
 def parse_answer_doc(doc: dict, field: PrimeField) -> Answer:
-    return Answer(tuple(field.check(block) for block in doc["blocks"]))
+    """An answer document as an Answer of field values, or ValueError."""
+    _require_keys(doc, {"blocks"}, "answer document")
+    blocks = _list(doc["blocks"], "answer blocks")
+    return Answer(tuple(field.check(_list(block, "answer block")) for block in blocks))
 
 
 def transcript_doc(
@@ -159,28 +208,32 @@ def write_db(stream, db: Database) -> None:
 
 
 def read_db(stream) -> Database:
-    header = stream.readline().strip()
-    parts = header.split()
-    if (
-        len(parts) != 4
-        or parts[0] != DB_MAGIC
-        or parts[1] != DB_VERSION
-        or not parts[2].startswith("p=")
-        or not parts[3].startswith("k=")
-    ):
-        raise ValueError(f"malformed database header: {header!r}")
-    p = int(parts[2][2:])
-    k = int(parts[3][2:])
-    field = PrimeField(p)
-    values = []
-    for i in range(k):
-        line = stream.readline()
-        if not line:
-            raise ValueError(f"database ends after {i} of {k} values")
-        values.append(int(line))
-    if stream.read():
+    """A database file, or ValueError.
+
+    The header and every value must be canonical decimals (no sign, no
+    leading zeros, no spaces or underscores), one value per line, with
+    k >= 1 values in [0, p) and nothing after the k-th.
+    """
+    header = stream.readline()
+    match = _DB_HEADER.fullmatch(header)
+    if match is None:
+        raise ValueError(f"malformed database header: {header.strip()!r}")
+    field = PrimeField(int(match[1]))
+    k = int(match[2])
+    if k < 1:
+        raise ValueError("database needs k >= 1 values")
+    body = stream.read()
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < k:
+        raise ValueError(f"database ends after {len(lines)} of {k} values")
+    if len(lines) > k:
         raise ValueError(f"database has data after its {k} values")
-    return Database(tuple(values), field)
+    if _DB_VALUES.fullmatch(body) is None:
+        bad = next(i for i, line in enumerate(lines) if _DB_VALUE.fullmatch(line) is None)
+        raise ValueError(f"database value {bad + 1} is not a canonical decimal: {lines[bad]!r}")
+    return Database(tuple(map(int, lines)), field)
 
 
 # ---------------------------------------------------------------------------

@@ -13,18 +13,17 @@ from pirsi.wire import read_db, write_db
 from conftest import WORKED_VALUES
 
 # Transcripts pinned byte for byte, so a given seed keeps its round across
-# refactors: layout, query, answer and decoded values.
+# refactors: layout, query (a version-2 document), answer and decoded values.
 GOLDEN_WORKED = (
     '{"answer":{"blocks":[[8,4],[12,0],[6,2]]},"decoded":{"2":7,"5":9},'
     '"layout":{"subspaces":[[3,8,10,12,13],[2,7,9,11],[1,4,5,6]]},'
     '"params":{"k":13,"m":5,"n":2},'
     '"plan":{"k":13,"l_star":3,"m":5,"m_bar":2,"n":2,"r_star":6,"side_profile":[3,2,2],'
     '"size_profile":[5,4,4],"t":1,"trivial":false},'
-    '"query":{"blocks":[{"entries":[1,1,1,1,1,1,2,3,4,5],"r":2,"support":[3,8,10,12,13]},'
-    '{"entries":[1,1,1,1,1,2,3,4],"r":2,"support":[2,7,9,11]},'
-    '{"entries":[1,1,1,1,1,2,3,4],"r":2,"support":[1,4,5,6]}],"p":13},"seed":11}\n'
+    '"query":{"blocks":[{"r":2,"support":[3,8,10,12,13]},{"r":2,"support":[2,7,9,11]},'
+    '{"r":2,"support":[1,4,5,6]}],"p":13,"version":2},"seed":11}\n'
 )
-GOLDEN_SINGLE_BLOCK_SHA256 = "9bb0e5ec8708354f48b61a276a5df827b5210ae2a9ba4fbd0aeeb316fff3f5b2"
+GOLDEN_SINGLE_BLOCK_SHA256 = "c53b8edd0a5c9c70f3403b252c755157afdc6e69e964aae65b6c243a2301d5c1"
 
 
 def db_file(tmp_path, name, values, field):
@@ -114,7 +113,7 @@ def test_simulate_query_document_is_demand_free(capsys, worked_db_file):
             for value in node:
                 yield from keys_of(value)
 
-    assert set(keys_of(query)) <= {"p", "blocks", "support", "r", "entries"}
+    assert set(keys_of(query)) == {"version", "p", "blocks", "support", "r"}
 
 
 def test_simulate_seed_env_fallback(capsys, worked_db_file, monkeypatch):
@@ -174,7 +173,7 @@ def test_simulate_golden_single_block_transcript(capsys, tmp_path):
         "--db", path, "--seed", "3",
     )
     assert code == 0
-    assert len(out.encode()) == 26687
+    assert len(out.encode()) == 1237
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SINGLE_BLOCK_SHA256
 
 
@@ -279,8 +278,14 @@ def test_db_file_rejects_malformed():
         read_db(io.StringIO("not-a-db 1 2 3\n"))
     with pytest.raises(ValueError, match="ends after"):
         read_db(io.StringIO("pir-db v1 p=23 k=4\n5\n0\n"))
-    # Values are stored exactly or refused, never reduced mod p.
-    for bad in ("99", "-4", "23", "1.5"):
+    for header in ("pir-db v1 p=23 k=-3", "pir-db v1 p=23  k=1", "pir-db v1 p=023 k=1"):
+        with pytest.raises(ValueError, match="malformed database header"):
+            read_db(io.StringIO(f"{header}\n5\n"))
+    with pytest.raises(ValueError, match="k >= 1"):
+        read_db(io.StringIO("pir-db v1 p=23 k=0\n"))
+    # Values are canonical decimals stored exactly or refused, never reduced
+    # mod p or read with Python's int() leniency.
+    for bad in ("99", "-4", "23", "1.5", "1_0", " 5", "5 ", "05", "+5", ""):
         with pytest.raises(ValueError):
             read_db(io.StringIO(f"pir-db v1 p=23 k=2\n5\n{bad}\n"))
     with pytest.raises(ValueError, match="after its 2 values"):

@@ -2,8 +2,9 @@
 
 The expected values here are recomputed by independent means inside the
 tests: plain-integer dot products for encodings, cofactor-expansion
-determinants for the MDS property, and exhaustive solution enumeration for
-the threshold sharpness check.
+determinants for the MDS property, exhaustive solution enumeration for
+the threshold sharpness check, and generic elimination (``decode``) for the
+structured Vandermonde solve.
 """
 
 import random
@@ -11,7 +12,15 @@ from itertools import combinations, product
 
 import pytest
 
-from pirsi import CodeMatrix, PrimeField, check_mds, decode, encode, vandermonde
+from pirsi import (
+    CodeMatrix,
+    PrimeField,
+    check_mds,
+    decode,
+    encode,
+    solve_vandermonde,
+    vandermonde,
+)
 
 
 def test_vandermonde_worked_example_rows(gf13):
@@ -135,6 +144,68 @@ def test_decode_round_trip_randomized():
         known_cols = rng.sample(range(n), known_count)
         known = {j: msgs[j] for j in known_cols}
         assert decode(matrix, codeword, known) == msgs
+
+
+@pytest.mark.parametrize("p, n_max", [(13, 12), (2**31 - 1, 30)])
+def test_solve_vandermonde_agrees_with_decode(p, n_max):
+    # Random shapes, known sets and wanted positions; half the codewords are
+    # random, so most of those with spare rows are inconsistent and both
+    # decoders must refuse them.
+    gf = PrimeField(p)
+    rng = random.Random(p)
+    shapes = {"spare rows": 0, "square": 0, "one wanted": 0, "refused": 0}
+    for _ in range(600):
+        n = rng.randrange(1, n_max + 1)
+        r = rng.randrange(1, n + 1)
+        matrix = vandermonde(r, n, gf)
+        msgs = [rng.randrange(p) for _ in range(n)]
+        known_cols = rng.sample(range(n), rng.randrange(n - r, n))
+        known = {j: msgs[j] for j in known_cols}
+        unknown = [j for j in range(n) if j not in known]
+        wanted = sorted(rng.sample(unknown, rng.randrange(1, len(unknown) + 1)))
+        if rng.random() < 0.5:
+            codeword = encode(matrix, msgs)
+        else:
+            codeword = [rng.randrange(p) for _ in range(r)]
+        try:
+            full = decode(matrix, codeword, known)
+        except ValueError:
+            with pytest.raises(ValueError, match="inconsistent"):
+                solve_vandermonde(codeword, n, known, wanted, gf)
+            shapes["refused"] += 1
+            continue
+        assert solve_vandermonde(codeword, n, known, wanted, gf) == [full[j] for j in wanted]
+        shapes["spare rows" if len(unknown) < r else "square"] += 1
+        shapes["one wanted"] += len(wanted) == 1
+    assert min(shapes.values()) >= 30, shapes
+
+
+def test_solve_vandermonde_worked_block(gf13):
+    # The worked block again: unknown columns 1 and 4, no spare rows.
+    assert solve_vandermonde([2, 7], 5, {0: 3, 2: 2, 3: 5}, [1, 4], gf13) == [7, 11]
+    assert solve_vandermonde([2, 7], 5, {0: 3, 2: 2, 3: 5}, [4], gf13) == [11]
+
+
+def test_solve_vandermonde_all_known_checks_every_row(gf13):
+    matrix = vandermonde(2, 3, gf13)
+    known = {0: 4, 1: 5, 2: 6}
+    codeword = encode(matrix, [4, 5, 6])
+    assert solve_vandermonde(codeword, 3, known, [0, 2], gf13) == [4, 6]
+    with pytest.raises(ValueError, match="inconsistent"):
+        solve_vandermonde([codeword[0], (codeword[1] + 1) % 13], 3, known, [0], gf13)
+
+
+def test_solve_vandermonde_validation(gf13):
+    with pytest.raises(ValueError, match="insufficient side information"):
+        solve_vandermonde([2, 7], 5, {0: 3, 2: 2}, [1], gf13)
+    with pytest.raises(ValueError, match="out of range"):
+        solve_vandermonde([2, 7], 5, {0: 3, 2: 2, 3: 5}, [5], gf13)
+    with pytest.raises(ValueError, match="out of range"):
+        solve_vandermonde([2, 7], 5, {0: 3, 2: 2, 7: 5}, [1], gf13)
+    with pytest.raises(ValueError, match="r <= n"):
+        solve_vandermonde([1, 2, 3], 2, {}, [0], gf13)
+    with pytest.raises(ValueError, match="p - 1"):
+        solve_vandermonde([1], 13, {j: 0 for j in range(1, 13)}, [0], gf13)
 
 
 def _cofactor_det(rows, p):

@@ -21,7 +21,6 @@ from pirsi import (
     make_query,
     server_answer,
     simulate_round,
-    vandermonde,
 )
 from conftest import WORKED_SIDE, WORKED_VALUES
 
@@ -107,12 +106,11 @@ def test_trivial_plan_consumes_no_randomness():
 def test_make_query_worked_example(worked_layout, gf13):
     query = make_query(worked_layout, gf13)
     assert query.total_rows == 6
-    supports = [block.support for block in query.blocks]
-    assert supports == [(1, 2, 4, 6, 8), (3, 10, 11, 13), (5, 7, 9, 12)]
-    first = query.blocks[0].matrix
-    assert first.rows == ((1, 1, 1, 1, 1), (1, 2, 3, 4, 5))
-    for block in query.blocks[1:]:
-        assert block.matrix.rows == ((1, 1, 1, 1), (1, 2, 3, 4))
+    assert query.blocks == (
+        QueryBlock((1, 2, 4, 6, 8), 2),
+        QueryBlock((3, 10, 11, 13), 2),
+        QueryBlock((5, 7, 9, 12), 2),
+    )
 
 
 def test_make_query_needs_large_enough_field(worked_layout):
@@ -159,8 +157,7 @@ def test_client_decode_retrieval_condition():
     # A block with one coded symbol for three messages needs two known
     # values; give it one and decoding must refuse.
     gf = PrimeField(7)
-    matrix = vandermonde(1, 3, gf)
-    query = Query((QueryBlock((1, 2, 3), matrix),), gf)
+    query = Query((QueryBlock((1, 2, 3), 1),), gf)
     answer_vec = (6,)
     spec = DemandSpec((1,), frozenset({2}), {2: 2})
     with pytest.raises(ValueError, match="retrieval condition violated"):
@@ -169,11 +166,45 @@ def test_client_decode_retrieval_condition():
 
 def test_client_decode_demand_absent():
     gf = PrimeField(7)
-    query = Query((QueryBlock((1, 2), vandermonde(2, 2, gf)),), gf)
+    query = Query((QueryBlock((1, 2), 2),), gf)
     answer = Answer(((1, 2),))
     spec = DemandSpec((3,), frozenset())
     with pytest.raises(ValueError, match="absent from every query block"):
         client_decode(query, answer, spec)
+
+
+def test_client_decode_rejects_tampered_answer():
+    # One block of 8 messages, 6 coded rows, 4 demands and 4 known: two
+    # spare rows, so changing any single coded symbol must be caught.
+    gf = PrimeField(65537)
+    rng = random.Random(8)
+    params = ProblemParams(k=8, m=4, n=4)
+    db = random_db(params, gf, rng)
+    spec = DemandSpec((1, 3, 5, 7), frozenset({2, 4, 6, 8}), {i: db[i] for i in (2, 4, 6, 8)})
+    query = Query((QueryBlock(tuple(range(1, 9)), 6),), gf)
+    coded = server_answer(query, db).blocks[0]
+    assert client_decode(query, Answer((coded,)), spec) == {i: db[i] for i in spec.demands}
+    for row in range(6):
+        tampered = list(coded)
+        tampered[row] = (tampered[row] + rng.randrange(1, gf.p)) % gf.p
+        with pytest.raises(ValueError, match="inconsistent"):
+            client_decode(query, Answer((tuple(tampered),)), spec)
+    with pytest.raises(ValueError, match="expected 6 coded symbols"):
+        client_decode(query, Answer((coded[:5],)), spec)
+
+
+def test_single_subspace_round_400_40_20_decodes_exactly():
+    # One block of 400 with 360 unknowns: cubic elimination took seconds
+    # here, the structured solve is quadratic.
+    params = ProblemParams(k=400, m=40, n=20)
+    assert compute_plan(params).l_star == 1
+    field = PrimeField(2**31 - 1)
+    rng = random.Random(400)
+    db = random_db(params, field, rng)
+    spec = random_spec(params, db, rng)
+    result = simulate_round(params, spec, db, rng)
+    assert result.query.total_rows == 360
+    assert result.decoded == {i: db[i] for i in spec.demands}
 
 
 def test_simulate_round_worked_instance(worked_db, worked_spec):
