@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import random
+import re
 import sys
 import time
 
@@ -23,23 +24,51 @@ from .privacy import monte_carlo_tvd, posterior
 from .rate import ProblemParams, compute_plan
 from .scheme import DemandSpec, build_layout
 
-EXACT_K_CAP = 13
+# privacy-exact prints one posterior per demand set; refuse tables larger
+# than this many sets, or than this many printed indices in all.
+EXACT_SETS_CAP = 20_000
+EXACT_INDICES_CAP = 1_000_000
+
+_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _decimal(text: str) -> int:
+    """A canonical decimal integer: no spaces, ``+``, ``_``, leading zeros or ``-0``."""
+    if not _DECIMAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}")
+    return int(text)
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
+    parts = text.split(",")
+    if not all(_DECIMAL.fullmatch(part) for part in parts):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return tuple(int(part) for part in parts)
 
 
-def _resolve_seed(value: int | None) -> int:
+def _resolve_seed(value: int | None, parser) -> int:
     if value is not None:
         return value
     env = os.environ.get("PIR_SEED")
-    if env is not None:
-        return int(env)
-    return 0
+    if env is None:
+        return 0
+    if not _DECIMAL.fullmatch(env):
+        parser.error(f"PIR_SEED must be a decimal integer, got {env!r}")
+    return int(env)
+
+
+def _count_sets(k: int, n: int, cap: int) -> int:
+    """C(k, n), or the first partial value above ``cap`` once it is exceeded.
+
+    C(k, i) grows with i up to k / 2, so the walk can stop there without
+    computing a huge binomial.
+    """
+    count = 1
+    for i in range(min(n, k - n)):
+        count = count * (k - i) // (i + 1)
+        if count > cap:
+            break
+    return count
 
 
 def _params_from(args, parser) -> ProblemParams:
@@ -50,9 +79,9 @@ def _params_from(args, parser) -> ProblemParams:
 
 
 def _add_instance_flags(sub):
-    sub.add_argument("--k", type=int, required=True, help="total message count")
-    sub.add_argument("--m", type=int, required=True, help="side-information count")
-    sub.add_argument("--n", type=int, required=True, help="demand count")
+    sub.add_argument("--k", type=_decimal, required=True, help="total message count")
+    sub.add_argument("--m", type=_decimal, required=True, help="side-information count")
+    sub.add_argument("--n", type=_decimal, required=True, help="demand count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,22 +99,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--demands", type=_parse_indices, required=True, help="e.g. 2,5")
     p_sim.add_argument("--side", type=_parse_indices, default=(), help="e.g. 1,4,6,7,9")
     p_sim.add_argument("--db", required=True, help="database file path")
-    p_sim.add_argument("--seed", type=int, default=None, help="RNG seed (default: $PIR_SEED or 0)")
+    p_sim.add_argument("--seed", type=_decimal, default=None, help="RNG seed (default: $PIR_SEED or 0)")
 
     p_exact = subs.add_parser("privacy-exact", help="exact posterior-uniformity check")
     _add_instance_flags(p_exact)
-    p_exact.add_argument("--seed", type=int, default=None, help="seed for the sampled layout")
+    p_exact.add_argument("--seed", type=_decimal, default=None, help="seed for the sampled layout")
 
     p_mc = subs.add_parser("privacy-mc", help="sampled query-distribution comparison")
     _add_instance_flags(p_mc)
     p_mc.add_argument("--wa", type=_parse_indices, required=True, help="first demand set")
     p_mc.add_argument("--wb", type=_parse_indices, required=True, help="second demand set")
-    p_mc.add_argument("--trials", type=int, default=10000)
-    p_mc.add_argument("--null-rounds", type=int, default=20)
-    p_mc.add_argument("--seed", type=int, default=None)
+    p_mc.add_argument("--trials", type=_decimal, default=10000)
+    p_mc.add_argument("--null-rounds", type=_decimal, default=20)
+    p_mc.add_argument("--seed", type=_decimal, default=None)
 
     p_oracle = subs.add_parser("oracle", help="brute force vs closed form sweep")
-    p_oracle.add_argument("--k-max", type=int, required=True)
+    p_oracle.add_argument("--k-max", type=_decimal, required=True)
     p_oracle.add_argument(
         "--exhaustive",
         action="store_true",
@@ -120,7 +149,7 @@ def _cmd_simulate(args, parser) -> int:
     except ValueError as err:
         parser.error(str(err))
 
-    seed = _resolve_seed(args.seed)
+    seed = _resolve_seed(args.seed, parser)
     started = time.perf_counter()
     result = wire.simulate_round(params, spec, db, random.Random(seed))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -143,12 +172,14 @@ def _cmd_simulate(args, parser) -> int:
 
 def _cmd_privacy_exact(args, parser) -> int:
     params = _params_from(args, parser)
-    if params.k > EXACT_K_CAP:
+    sets = _count_sets(params.k, params.n, EXACT_SETS_CAP)
+    if sets > EXACT_SETS_CAP or sets * params.n > EXACT_INDICES_CAP:
         parser.error(
-            f"exact mode enumerates all C({params.k},{params.n}) demand sets and is "
-            f"capped at k <= {EXACT_K_CAP}; use privacy-mc for larger instances"
+            f"exact mode prints all C({params.k},{params.n}) demand sets and is capped at "
+            f"{EXACT_SETS_CAP} sets and {EXACT_INDICES_CAP} printed indices; "
+            f"use privacy-mc for larger instances"
         )
-    rng = random.Random(_resolve_seed(args.seed))
+    rng = random.Random(_resolve_seed(args.seed, parser))
     demands = tuple(sorted(rng.sample(range(1, params.k + 1), params.n)))
     complement = [i for i in range(1, params.k + 1) if i not in demands]
     side = frozenset(rng.sample(complement, params.m))
@@ -174,7 +205,7 @@ def _cmd_privacy_mc(args, parser) -> int:
             args.wa,
             args.wb,
             trials=args.trials,
-            rng=random.Random(_resolve_seed(args.seed)),
+            rng=random.Random(_resolve_seed(args.seed, parser)),
             null_rounds=args.null_rounds,
         )
     except ValueError as err:

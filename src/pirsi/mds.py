@@ -110,11 +110,10 @@ def decode(
         raise ValueError(
             f"insufficient side information: {len(unknown)} unknowns but only {r} equations"
         )
-    if not unknown:
-        return [known[j] for j in range(n)]
 
     # Augmented system restricted to unknown columns; the right-hand side is
-    # the codeword minus the known columns' contributions.
+    # the codeword minus the known columns' contributions.  With no unknowns
+    # every row is left over and checked below.
     aug = []
     for row, coded in zip(matrix.rows, codeword):
         rhs = (coded - sum(row[j] * val for j, val in known.items())) % p

@@ -9,23 +9,46 @@ can be asserted with zero tolerance.
 
 The probability that the construction emits a fixed layout, given demands
 ``w`` and side information ``s``, factors into three pieces mirroring the
-drawing stages:
+drawing stages.  Write d_u = |w ∩ block u|, D for the blocks with d_u > 0,
+and q_u for block u's side quota:
 
 * demand placement: walking w in ascending order, the j-th index lands in
   its block with probability (block size - demands already there) /
-  (k - j + 1);
+  (k - j + 1), giving prod_u falling(size_u, d_u) / falling(k, n);
 * side-information draws: a demand-bearing block with quota q must have
-  drawn q of the |s ∩ block| side indices it ends up containing, out of
-  the side indices still undrawn, giving C(|s ∩ block|, q) / C(remaining, q)
-  (zero if the block holds fewer than q side indices);
+  drawn q of the h = |s ∩ block| side indices it ends up containing, out of
+  the ``undrawn`` side indices still left (m, less the quotas of earlier
+  blocks in D), giving C(h, q) / C(undrawn, q) (zero if h < q);
 * fill: the leftover indices are shuffled uniformly into the remaining
-  slots, so a given arrangement has probability (prod of e_i!) / E!, where
-  e_i counts block i's slots left open after the first two stages and
-  E = sum e_i.
+  slots, so a given arrangement has probability (prod of e_u!) / E!, where
+  e_u = size_u - d_u - q_u [u in D] counts block u's slots left open after
+  the first two stages and E = sum e_u = k - n - Q, Q = sum_{u in D} q_u.
 
-``enumerate_randomness`` recomputes the same distribution by walking every
-branch of the drawing procedure, which is the independent cross-check used
-by the tests.
+Posterior in closed form.  Demands and side sets are uniform a priori, so
+the posterior weight W of a demand set is the sum of that probability over
+its C(k - n, m) side sets.  Only the side term depends on s, through h_u on
+the blocks in D; with c_u = size_u - d_u, the identity
+sum_h C(c, h) C(h, q) x^h = C(c, q) x^q (1 + x)^(c - q) collapses the sum to
+
+    W = prod_u falling(size_u, d_u) / falling(k, n)
+        * prod_{u in D} C(c_u, q_u) / C(undrawn_u, q_u)
+        * prod_u e_u! / E!  *  C(E, m - Q).
+
+Per block, falling(size_u, d_u) C(c_u, q_u) e_u! = size_u! / q_u!, and
+q_u! C(undrawn_u, q_u) telescopes over D to m! / (m - Q)!, so
+
+    W = prod_u size_u! / (falling(k, n) * m! * (k - n - m)!)
+
+for every *feasible* demand set (each block in D keeps c_u >= q_u, and
+Q <= m), and W = 0 otherwise.  The weight does not depend on which
+feasible set it is, so the posterior is uniform over the feasible sets:
+``posterior`` decides feasibility once per demand profile and never sums
+over side sets.  Under the paper's plan every demand set is feasible, which
+is the scheme's privacy.
+
+``enumerate_randomness`` recomputes the layout law by walking every branch
+of the drawing procedure, and the tests sum ``_probability`` over every
+(w, s) pair; both are the independent cross-checks.
 """
 
 from __future__ import annotations
@@ -228,34 +251,61 @@ class PosteriorReport:
 def posterior(layout: Layout, params: ProblemParams) -> PosteriorReport:
     """Posterior over every demand set given the observed layout.
 
-    Demands and side information are taken uniform a priori; both priors
-    are constant, so the posterior is the per-demand-set sum of layout
-    probabilities over all compatible side sets, normalised.  Raises if the
-    layout is unreachable (zero total probability).
+    Demands and side information are taken uniform a priori, so a demand
+    set's posterior is its layout probability summed over all side sets,
+    normalised.  By the closed form in the module docstring that sum is one
+    constant for every feasible demand set and 0 for the rest, so each set
+    gets 1 / (number of feasible sets) or 0.  Feasibility depends only on
+    the blocks the set's members fall in, and is decided once per such
+    profile.  Raises if the layout is unreachable (no feasible demand set).
     """
+    _check_layout(layout, params)
+    return _posterior(layout, params)
+
+
+def _posterior(layout: Layout, params: ProblemParams) -> PosteriorReport:
+    """``posterior`` on ``layout.plan``, which need not be the instance's own plan."""
     k, m, n = params.k, params.m, params.n
-    plan = _check_layout(layout, params)
-    weights: dict[tuple[int, ...], Fraction] = {}
-    # Every (w, s) pair below is valid by construction, so the layout is
-    # the only input checked.
+    plan = layout.plan
+    block_of = [0] * (k + 1)
+    for u, block in enumerate(layout.subspaces):
+        for idx in block:
+            block_of[idx] = u
+    feasible_profile: dict[tuple[int, ...], bool] = {}
+    feasible: dict[tuple[int, ...], bool] = {}
     for w in combinations(range(1, k + 1), n):
-        rest = [i for i in range(1, k + 1) if i not in set(w)]
-        total = Fraction(0)
-        for s in combinations(rest, m):
-            total += _probability(layout, plan, w, s, params)
-        weights[w] = total
-    norm = sum(weights.values())
-    if norm == 0:
+        profile = tuple(sorted(block_of[idx] for idx in w))
+        ok = feasible_profile.get(profile)
+        if ok is None:
+            ok = feasible_profile[profile] = _feasible(plan, m, profile)
+        feasible[w] = ok
+    count = sum(feasible.values())
+    if count == 0:
         raise ValueError("layout unreachable: zero probability under every demand set")
-    probabilities = {w: v / norm for w, v in weights.items()}
+    share, zero = Fraction(1, count), Fraction(0)
     prior = Fraction(1, comb(k, n))
-    max_dev = max(abs(p - prior) for p in probabilities.values())
+    max_dev = max(abs(share - prior), prior if count < len(feasible) else zero)
     return PosteriorReport(
-        probabilities=probabilities,
+        probabilities={w: share if ok else zero for w, ok in feasible.items()},
         prior=prior,
         max_deviation=max_dev,
         uniform=(max_dev == 0),
     )
+
+
+def _feasible(plan: RatePlan, m: int, profile: Sequence[int]) -> bool:
+    """Whether demands in the blocks ``profile`` (one entry per demand) can yield a layout.
+
+    Every demand-bearing block must keep room for its side quota, and the
+    quotas of those blocks must fit in the m side indices.
+    """
+    drawn = 0
+    for u, demands in Counter(profile).items():
+        quota = plan.side_profile[u]
+        if plan.size_profile[u] - demands < quota:
+            return False
+        drawn += quota
+    return drawn <= m
 
 
 @dataclass(frozen=True)

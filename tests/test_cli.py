@@ -24,6 +24,9 @@ GOLDEN_WORKED = (
     '{"r":2,"support":[1,4,5,6]}],"p":13,"version":2},"seed":11}\n'
 )
 GOLDEN_SINGLE_BLOCK_SHA256 = "c53b8edd0a5c9c70f3403b252c755157afdc6e69e964aae65b6c243a2301d5c1"
+# `privacy-exact --k 13 --m 5 --n 2 --seed 11`, as printed when the posterior
+# was still summed over every (demand set, side set) pair.
+GOLDEN_PRIVACY_EXACT_SHA256 = "c21c17e1721078ed29fd5a1a2b74efec2327e7a1c17afe9b648cd8d70b010428"
 
 
 def db_file(tmp_path, name, values, field):
@@ -154,6 +157,41 @@ def test_simulate_usage_errors(capsys, worked_db_file):
     assert exc.value.code == 2
 
 
+def test_integer_flags_accept_only_canonical_decimals(capsys, worked_db_file):
+    base = ["simulate", "--k", "13", "--m", "5", "--n", "2", "--db", worked_db_file]
+    for extra in (
+        ["--demands", " 2,5_0", "--side", "1,4,6,7,9"],
+        ["--demands", "2,05", "--side", "1,4,6,7,9"],
+        ["--demands", "2,+5", "--side", "1,4,6,7,9"],
+        ["--demands", "2,5", "--side", "1,4,6,7,9,"],
+        ["--demands", "2,5", "--side", "1,4,6,7,9", "--seed", " 7"],
+        ["--demands", "2,5", "--side", "1,4,6,7,9", "--seed", "1_1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(base + extra)
+        assert exc.value.code == 2
+        assert "expected" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["rate", "--k", "1_3", "--m", "5", "--n", "2"])
+    assert exc.value.code == 2
+
+
+def test_bad_seed_variable_is_usage_error(capsys, worked_db_file, monkeypatch):
+    args = [
+        "simulate", "--k", "13", "--m", "5", "--n", "2",
+        "--demands", "2,5", "--side", "1,4,6,7,9", "--db", worked_db_file,
+    ]
+    for bad in ("abc", " 7", "1_1", "07", ""):
+        monkeypatch.setenv("PIR_SEED", bad)
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "PIR_SEED must be a decimal integer" in capsys.readouterr().err
+    monkeypatch.setenv("PIR_SEED", "-7")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and json.loads(out)["seed"] == -7
+
+
 def test_simulate_golden_worked_transcript(capsys, worked_db_file):
     code, out, _ = run_cli(
         capsys, "simulate", "--k", "13", "--m", "5", "--n", "2",
@@ -203,10 +241,34 @@ def test_privacy_exact_small_instance(capsys):
     assert all(v == "1/5" for v in doc["posteriors"].values())
 
 
+def test_privacy_exact_golden_worked_instance(capsys):
+    code, out, _ = run_cli(
+        capsys, "privacy-exact", "--k", "13", "--m", "5", "--n", "2", "--seed", "11"
+    )
+    assert code == 0
+    assert len(out.encode()) == 1192
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PRIVACY_EXACT_SHA256
+
+
 def test_privacy_exact_enforces_cap(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["privacy-exact", "--k", "14", "--m", "5", "--n", "2"])
-    assert exc.value.code == 2
+    # C(300, 2) = 44,850 demand sets is above the 20,000-set table cap, and
+    # C(2000, 1999) = 2,000 sets of 1,999 indices is above the printed-index cap.
+    for k, m, n in ((300, 50, 2), (2000, 1, 1999)):
+        with pytest.raises(SystemExit) as exc:
+            main(["privacy-exact", "--k", str(k), "--m", str(m), "--n", str(n)])
+        assert exc.value.code == 2
+        assert f"C({k},{n})" in capsys.readouterr().err
+
+
+def test_privacy_exact_beyond_k_13(capsys):
+    code, out, _ = run_cli(
+        capsys, "privacy-exact", "--k", "30", "--m", "10", "--n", "2", "--seed", "5"
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["uniform"] is True
+    assert len(doc["posteriors"]) == 435
+    assert set(doc["posteriors"].values()) == {"1/435"}
 
 
 def test_privacy_mc_reports(capsys):

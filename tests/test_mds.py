@@ -105,6 +105,18 @@ def test_decode_all_known_passthrough(gf13):
     assert decode(matrix, codeword, known) == [4, 5, 6]
 
 
+def test_decode_all_known_checks_every_row(gf13):
+    # With no unknowns every row is a leftover equation, so a codeword that
+    # disagrees with the known values in any row is refused.
+    matrix = vandermonde(2, 3, gf13)
+    codeword = encode(matrix, [4, 5, 6])
+    for row in range(2):
+        tampered = list(codeword)
+        tampered[row] = (tampered[row] + 1) % 13
+        with pytest.raises(ValueError, match="inconsistent"):
+            decode(matrix, tampered, {0: 4, 1: 5, 2: 6})
+
+
 def test_decode_square_full_inversion():
     gf = PrimeField(65537)
     rng = random.Random(5)

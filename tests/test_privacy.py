@@ -1,8 +1,10 @@
 """Exact privacy law: closed form vs enumeration, posteriors, sampling check."""
 
 import random
+import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from math import comb, factorial, perm, prod
 
 import pytest
 
@@ -10,6 +12,7 @@ from pirsi import (
     DemandSpec,
     Layout,
     ProblemParams,
+    build_layout,
     compute_plan,
     enumerate_randomness,
     iter_layouts,
@@ -17,6 +20,64 @@ from pirsi import (
     monte_carlo_tvd,
     posterior,
 )
+from pirsi.privacy import _posterior, _probability
+from pirsi.rate import RatePlan
+
+
+def posterior_by_enumeration(layout, params):
+    """The posterior the slow way: every (demand set, side set) pair's layout probability.
+
+    Returns the per-demand-set weights (layout probability summed over side
+    sets) and their normalised posterior.  ``layout.plan`` may be any plan.
+    """
+    k, m, n = params.k, params.m, params.n
+    weights = {}
+    for w in combinations(range(1, k + 1), n):
+        rest = [i for i in range(1, k + 1) if i not in w]
+        weights[w] = sum(
+            (_probability(layout, layout.plan, w, s, params) for s in combinations(rest, m)),
+            Fraction(0),
+        )
+    norm = sum(weights.values())
+    return weights, {w: v / norm for w, v in weights.items()}
+
+
+def assert_posterior_matches_enumeration(layout, params):
+    """Closed form == enumeration per demand set, and the weights are as derived.
+
+    The module docstring's derivation says every demand set's weight is
+    either 0 or prod(size_u!) / (falling(k, n) m! (k - n - m)!).
+    """
+    k, m, n = params.k, params.m, params.n
+    weights, expected = posterior_by_enumeration(layout, params)
+    report = _posterior(layout, params)
+    assert report.probabilities == expected
+    assert sum(report.probabilities.values()) == 1
+    common = Fraction(
+        prod(factorial(size) for size in layout.plan.size_profile),
+        perm(k, n) * factorial(m) * factorial(k - n - m),
+    )
+    assert set(weights.values()) <= {Fraction(0), common}
+    return report
+
+
+def random_layout(plan, rng):
+    """A uniformly drawn ordered partition of 1..k with the plan's block sizes."""
+    indices = list(range(1, sum(plan.size_profile) + 1))
+    rng.shuffle(indices)
+    blocks, start = [], 0
+    for size in plan.size_profile:
+        blocks.append(tuple(sorted(indices[start:start + size])))
+        start += size
+    return Layout(tuple(blocks), plan)
+
+
+def skewed_plan(sizes, side):
+    """A plan with hand-picked profiles, not the closed-form optimum."""
+    return RatePlan(
+        m_bar=0, t=0, l_star=len(sizes), size_profile=sizes, side_profile=side,
+        r_star=sum(sizes) - sum(side), trivial=False,
+    )
 
 
 def test_pinned_layout_probability():
@@ -135,6 +196,89 @@ def test_posterior_uniform_on_pinned_instances():
             assert report.prior == Fraction(1, len(report.probabilities))
             assert sum(report.probabilities.values()) == 1
             assert report.max_deviation == 0
+
+
+@pytest.mark.parametrize(
+    "kmn, layouts",
+    [((5, 1, 1), 30), ((6, 2, 1), 20), ((7, 3, 1), 35), ((7, 2, 2), 140),
+     ((8, 3, 2), 280), ((6, 0, 1), 720), ((5, 0, 2), 30)],
+)
+def test_posterior_matches_enumeration_on_every_small_layout(kmn, layouts):
+    params = ProblemParams(*kmn)
+    seen = 0
+    for layout in iter_layouts(params):
+        report = assert_posterior_matches_enumeration(layout, params)
+        assert report == posterior(layout, params)
+        assert report.uniform, (kmn, layout.subspaces)
+        seen += 1
+    assert seen == layouts
+
+
+def test_posterior_matches_enumeration_on_seeded_worked_layouts(worked_params):
+    for seed in (1, 2):
+        rng = random.Random(seed)
+        demands = tuple(sorted(rng.sample(range(1, 14), 2)))
+        side = frozenset(rng.sample([i for i in range(1, 14) if i not in demands], 5))
+        layout = build_layout(worked_params, DemandSpec(demands, side), rng)
+        assert assert_posterior_matches_enumeration(layout, worked_params).uniform
+
+
+@pytest.mark.parametrize(
+    "kmn, sizes, side, layouts, uniform",
+    [
+        # A demand pair in the middle block leaves 2 slots for a quota of 3.
+        ((13, 5, 2), (5, 4, 4), (2, 3, 2), 1, False),
+        # A demand in the last block leaves 1 slot for a quota of 2.
+        ((9, 3, 1), (4, 3, 2), (2, 1, 2), 40, False),
+        # Demands in both blocks need 2 + 2 side indices, but m = 3.
+        ((8, 3, 2), (4, 4), (2, 2), 20, False),
+        # Skewed, yet every block keeps room for its quota: still uniform.
+        ((9, 3, 1), (4, 3, 2), (2, 1, 0), 20, True),
+    ],
+)
+def test_posterior_matches_enumeration_on_skewed_plans(kmn, sizes, side, layouts, uniform):
+    # Hand-made plans let some demand sets fail to produce the layout, so the
+    # posterior is not uniform and the per-set comparison has something to catch.
+    params = ProblemParams(*kmn)
+    plan = skewed_plan(sizes, side)
+    rng = random.Random(f"skewed {kmn} {sizes} {side}")
+    for _ in range(layouts):
+        report = assert_posterior_matches_enumeration(random_layout(plan, rng), params)
+        assert report.uniform is uniform
+        if not uniform:
+            assert report.max_deviation > 0
+            assert Fraction(0) in report.probabilities.values()
+
+
+def test_posterior_unreachable_layout_raises():
+    # Every demand set needs 2 side indices in its block, but m = 1.
+    params = ProblemParams(k=4, m=1, n=1)
+    layout = Layout(((1, 2, 3), (4,)), skewed_plan((3, 1), (2, 2)))
+    with pytest.raises(ValueError, match="unreachable"):
+        _posterior(layout, params)
+
+
+def test_posterior_uniform_sweep():
+    # One seeded layout of every (k, m, n) with k <= 40 and C(k, n) <= 2000:
+    # 2,304 instances and 761,494 demand sets, about 2 s; budget 20 s.
+    started = time.perf_counter()
+    instances = 0
+    for k in range(1, 41):
+        for n in range(1, k + 1):
+            if comb(k, n) > 2000:
+                continue
+            for m in range(0, k - n + 1):
+                params = ProblemParams(k=k, m=m, n=n)
+                rng = random.Random(f"sweep {k} {m} {n}")
+                demands = tuple(sorted(rng.sample(range(1, k + 1), n)))
+                side = frozenset(rng.sample([i for i in range(1, k + 1) if i not in demands], m))
+                layout = build_layout(params, DemandSpec(demands, side), rng)
+                report = posterior(layout, params)
+                assert report.uniform, (k, m, n, layout.subspaces)
+                assert len(report.probabilities) == comb(k, n)
+                instances += 1
+    assert instances == 2304
+    assert time.perf_counter() - started < 20.0
 
 
 def test_posterior_on_worked_layout(worked_layout, worked_params):
