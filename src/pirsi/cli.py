@@ -197,8 +197,6 @@ def _cmd_privacy_exact(args, parser) -> int:
 
 def _cmd_privacy_mc(args, parser) -> int:
     params = _params_from(args, parser)
-    if args.trials < 1:
-        parser.error("--trials must be positive")
     try:
         report = monte_carlo_tvd(
             params,

@@ -46,9 +46,11 @@ feasible set it is, so the posterior is uniform over the feasible sets:
 over side sets.  Under the paper's plan every demand set is feasible, which
 is the scheme's privacy.
 
-``enumerate_randomness`` recomputes the layout law by walking every branch
-of the drawing procedure, and the tests sum ``_probability`` over every
-(w, s) pair; both are the independent cross-checks.
+The independent cross-checks run the shipped sampler itself.
+``enumerate_randomness`` drives ``scheme.build_layout`` with a scripted
+generator, once per sequence of draws, so the law it returns is the law of
+the code that builds real queries, not of a copy of it; and the tests sum
+``_probability`` over every (w, s) pair.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
 from statistics import fmean, pstdev
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -68,10 +70,33 @@ from .scheme import DemandSpec, Layout, build_layout
 DEFAULT_BRANCH_CAP = 1_000_000
 
 
-def _valid_spec(params: ProblemParams, demands: Iterable[int], side: Iterable[int]) -> DemandSpec:
-    spec = DemandSpec(tuple(demands), frozenset(side))
-    spec.validate_against(params)
-    return spec
+class _Branch(Exception):
+    """``randrange(n)`` was called past the scripted prefix; ``args[0]`` is n."""
+
+
+class _Script:
+    """A generator with only ``build_layout``'s two draws, replaying a fixed prefix.
+
+    ``randrange(n)`` returns the prefix's next value and records ``n`` in
+    ``bounds``, or raises ``_Branch(n)`` once the prefix is used up;
+    ``shuffle`` is Fisher-Yates over it, as in ``random.Random``.  Any other
+    kind of draw has no method here, so it fails instead of going unwalked.
+    """
+
+    def __init__(self, prefix: tuple[int, ...]):
+        self.prefix = prefix
+        self.bounds: list[int] = []
+
+    def randrange(self, n: int) -> int:
+        if len(self.bounds) == len(self.prefix):
+            raise _Branch(n)
+        self.bounds.append(n)
+        return self.prefix[len(self.bounds) - 1]
+
+    def shuffle(self, x: list) -> None:
+        for i in reversed(range(1, len(x))):
+            j = self.randrange(i + 1)
+            x[i], x[j] = x[j], x[i]
 
 
 def _check_layout(layout: Layout, params: ProblemParams):
@@ -93,7 +118,8 @@ def layout_probability(
     for layouts the drawing procedure cannot produce for them (some
     demand-bearing block contains fewer side indices than its quota).
     """
-    spec = _valid_spec(params, demands, side)
+    spec = DemandSpec(tuple(demands), frozenset(side))
+    spec.validate_against(params)
     return _probability(layout, _check_layout(layout, params), spec.demands, spec.side, params)
 
 
@@ -105,9 +131,6 @@ def _probability(
     params: ProblemParams,
 ) -> Fraction:
     """``layout_probability`` for valid inputs: ``demands`` ascending, layout on ``plan``."""
-    if plan.l_star == 1:
-        return Fraction(1)
-
     block_of = {idx: i for i, block in enumerate(layout.subspaces) for idx in block}
     k = params.k
     prob = Fraction(1)
@@ -149,77 +172,31 @@ def enumerate_randomness(
     side: Iterable[int],
     branch_cap: int = DEFAULT_BRANCH_CAP,
 ) -> dict[Layout, Fraction]:
-    """Walk every branch of the drawing procedure; exact layout distribution.
+    """Exact layout distribution of ``build_layout``, by running it on every draw sequence.
 
-    Expands demand placements, side-information draws, and fills one branch
-    at a time with their exact probabilities, summing per resulting layout.
-    Raises if the branch count exceeds ``branch_cap`` (meant for k <= 7).
+    Each run replays a prefix of draws through a scripted generator; a draw
+    past the prefix forks the walk into one prefix per possible value.  A
+    completed run has probability 1 / (product of its draws' ranges), summed
+    per resulting layout.  ``build_layout`` validates the spec.  Raises if
+    the completed runs exceed ``branch_cap`` (meant for k <= 7).
     """
-    spec = _valid_spec(params, demands, side)
-    plan = compute_plan(params)
-    k = params.k
-    if plan.l_star == 1:
-        only = Layout((tuple(range(1, k + 1)),), plan)
-        return {only: Fraction(1)}
-
-    count = plan.l_star
-    dist: dict[tuple[tuple[int, ...], ...], Fraction] = {}
-    leaves = 0
-    ordered_demands = spec.demands
-
-    def place_demands(j: int, blocks, demand_count, prob: Fraction):
-        if j == len(ordered_demands):
-            draw_side(0, blocks, demand_count, sorted(spec.side), prob)
-            return
-        idx = ordered_demands[j]
-        denom = k - j  # k - (j + 1) + 1 placements remain possible
-        for u in range(count):
-            cap = plan.size_profile[u] - demand_count[u]
-            if cap <= 0:
-                continue
-            new_blocks = list(blocks)
-            new_blocks[u] = blocks[u] + (idx,)
-            new_counts = list(demand_count)
-            new_counts[u] += 1
-            place_demands(j + 1, new_blocks, new_counts, prob * Fraction(cap, denom))
-
-    def draw_side(i: int, blocks, demand_count, pool, prob: Fraction):
-        if i == count:
-            fill(0, blocks, demand_count, None, prob)
-            return
-        if demand_count[i] == 0:
-            draw_side(i + 1, blocks, demand_count, pool, prob)
-            return
-        quota = plan.side_profile[i]
-        total = comb(len(pool), quota)
-        for chosen in combinations(pool, quota):
-            rest = [x for x in pool if x not in set(chosen)]
-            new_blocks = list(blocks)
-            new_blocks[i] = blocks[i] + chosen
-            draw_side(i + 1, new_blocks, demand_count, rest, prob * Fraction(1, total))
-
-    def fill(i: int, blocks, demand_count, remaining, prob: Fraction):
-        nonlocal leaves
-        if remaining is None:
-            placed = {idx for block in blocks for idx in block}
-            remaining = tuple(idx for idx in range(1, k + 1) if idx not in placed)
-        if i == count:
-            leaves += 1
-            if leaves > branch_cap:
-                raise ValueError(f"branch cap {branch_cap} exceeded; instance too large")
-            key = tuple(tuple(sorted(block)) for block in blocks)
-            dist[key] = dist.get(key, Fraction(0)) + prob
-            return
-        need = plan.size_profile[i] - len(blocks[i])
-        total = comb(len(remaining), need)
-        for chosen in combinations(remaining, need):
-            rest = tuple(x for x in remaining if x not in set(chosen))
-            new_blocks = list(blocks)
-            new_blocks[i] = blocks[i] + chosen
-            fill(i + 1, new_blocks, demand_count, rest, prob * Fraction(1, total))
-
-    place_demands(0, [()] * count, [0] * count, Fraction(1))
-    return {Layout(key, plan): p for key, p in dist.items()}
+    spec = DemandSpec(tuple(demands), frozenset(side))
+    dist: dict[Layout, Fraction] = {}
+    runs = 0
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
+        script = _Script(prefix)
+        try:
+            layout = build_layout(params, spec, script)
+        except _Branch as branch:
+            stack.extend(prefix + (value,) for value in range(branch.args[0]))
+            continue
+        runs += 1
+        if runs > branch_cap:
+            raise ValueError(f"branch cap {branch_cap} exceeded; instance too large")
+        dist[layout] = dist.get(layout, Fraction(0)) + Fraction(1, prod(script.bounds))
+    return dist
 
 
 def iter_layouts(params: ProblemParams) -> Iterator[Layout]:
@@ -363,6 +340,8 @@ def monte_carlo_tvd(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    if null_rounds < 1:
+        raise ValueError("null_rounds must be positive")
     keys_a = [_sample_query_key(params, demands_a, rng) for _ in range(trials)]
     keys_b = [_sample_query_key(params, demands_b, rng) for _ in range(trials)]
     observed = _empirical_tvd(Counter(keys_a), Counter(keys_b), trials)
@@ -374,8 +353,8 @@ def monte_carlo_tvd(
         null_values.append(
             float(_empirical_tvd(Counter(pooled[:trials]), Counter(pooled[trials:]), trials))
         )
-    null_mean = fmean(null_values) if null_values else 0.0
-    null_std = pstdev(null_values) if len(null_values) > 1 else 0.0
+    null_mean = fmean(null_values)
+    null_std = pstdev(null_values)
     consistent = float(observed) <= null_mean + 3.0 * null_std + 1e-12
     return TvdReport(
         tvd=observed,

@@ -240,13 +240,24 @@ def read_db(stream) -> Database:
 # The round over bytes
 
 
+def _unique_keys(pairs: list) -> dict:
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        raise ValueError(f"duplicate keys in {sorted(key for key, _ in pairs)}")
+    return doc
+
+
 def serve_query_bytes(query_bytes: bytes, db: Database) -> bytes:
     """The server role: canonical query bytes in, canonical answer bytes out.
 
     This is the entire interface the server needs; it never sees demand or
-    side-information structure.
+    side-information structure.  Bytes that are not one JSON document with
+    unique keys, including nesting too deep to parse, raise ValueError.
     """
-    doc = json.loads(query_bytes.decode("ascii"))
+    try:
+        doc = json.loads(query_bytes.decode("ascii"), object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("query document nests too deeply") from None
     query = parse_query_doc(doc)
     if query.field.p != db.field.p:
         raise ValueError(f"incompatible moduli: {query.field.p} vs {db.field.p}")

@@ -296,6 +296,24 @@ def test_privacy_mc_validates_demand_sets(capsys):
         assert message in capsys.readouterr().err
 
 
+def test_privacy_mc_validates_counts(capsys):
+    base = ["privacy-mc", "--k", "7", "--m", "3", "--n", "1", "--wa", "2", "--wb", "5"]
+    for trials, null_rounds, message in (
+        ("10", "0", "null_rounds must be positive"),
+        ("10", "-3", "null_rounds must be positive"),
+        ("0", "20", "trials must be positive"),
+        ("-3", "20", "trials must be positive"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["--trials", trials, "--null-rounds", null_rounds])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+    # One null round is enough for a band: its spread is exactly 0.
+    code, out, _ = run_cli(capsys, *base, "--trials", "10", "--null-rounds", "1", "--seed", "4")
+    assert code == 0
+    assert json.loads(out)["null_std"] == 0.0
+
+
 def test_oracle_sweep(capsys):
     code, out, err = run_cli(capsys, "oracle", "--k-max", "7")
     assert code == 0

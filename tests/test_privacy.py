@@ -148,6 +148,60 @@ def test_branch_cap_guards_enumeration():
         enumerate_randomness(ProblemParams(k=6, m=0, n=1), (1,), (), branch_cap=10)
 
 
+def leaky_build_layout(params, spec, rng):
+    """The real sampler, then every demand it can is swapped into the earliest block.
+
+    Each demand outside block 0 trades places with a non-demand of block 0
+    while block 0 has one, so the layout's law depends on the demands.
+    """
+    layout = build_layout(params, spec, rng)
+    first, *rest = [list(block) for block in layout.subspaces]
+    for block in rest:
+        for pos, idx in enumerate(block):
+            trade = next((i for i in first if i not in spec.demands), None)
+            if idx in spec.demands and trade is not None:
+                first[first.index(trade)], block[pos] = idx, trade
+    return Layout(tuple(tuple(sorted(block)) for block in [first, *rest]), layout.plan)
+
+
+def test_enumeration_rejects_leaky_sampler(monkeypatch):
+    # Criterion 7's instances: the law walked over a sampler that leaks the
+    # demands must differ from the closed form wherever the plan partitions.
+    monkeypatch.setattr("pirsi.privacy.build_layout", leaky_build_layout)
+    rng = random.Random(5)
+    instances = [
+        ProblemParams(k=k, m=m, n=n)
+        for k in range(1, 7) for n in range(1, k + 1) for m in range(0, k - n + 1)
+    ] + [ProblemParams(k=7, m=3, n=1)]
+    partitioned = 0
+    for params in instances:
+        if compute_plan(params).l_star == 1:
+            continue
+        k, m, n = params.k, params.m, params.n
+        demands = tuple(sorted(rng.sample(range(1, k + 1), n)))
+        side = tuple(rng.sample([i for i in range(1, k + 1) if i not in demands], m))
+        dist = enumerate_randomness(params, demands, side)
+        assert sum(dist.values()) == 1
+        assert any(
+            layout_probability(layout, demands, side, params) != prob
+            for layout, prob in dist.items()
+        ), (k, m, n, demands, side)
+        partitioned += 1
+    assert partitioned == 19
+
+
+def test_enumeration_refuses_unscripted_draws(monkeypatch):
+    # A draw the walker does not script has no method on its generator, so
+    # the enumeration fails instead of returning a law that ignores it.
+    def sampler(params, spec, rng):
+        rng.random()
+        return build_layout(params, spec, rng)
+
+    monkeypatch.setattr("pirsi.privacy.build_layout", sampler)
+    with pytest.raises(AttributeError, match="random"):
+        enumerate_randomness(ProblemParams(k=5, m=1, n=1), (1,), (2,))
+
+
 def test_probabilities_cover_every_layout_exactly_once():
     # Summing the closed form over all shape-compatible layouts gives 1.
     params = ProblemParams(k=6, m=1, n=2)

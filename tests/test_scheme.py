@@ -254,7 +254,9 @@ def test_round_downloads_exactly_r_star_everywhere():
 
 def test_layout_frequencies_match_exact_law():
     # Empirical distribution of layouts vs the exact enumeration, within a
-    # 4-sigma binomial envelope per layout.
+    # 4-sigma binomial envelope per layout.  The enumeration runs
+    # build_layout on a scripted generator; this is the check that a real
+    # random.Random draws what that script assumes.
     params = ProblemParams(k=4, m=1, n=1)
     demands, side = (2,), (4,)
     exact = enumerate_randomness(params, demands, side)

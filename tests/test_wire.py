@@ -108,6 +108,24 @@ def test_parse_query_doc_rejects_non_documents():
             parse_query_doc(doc)
 
 
+def test_serve_query_bytes_refuses_deep_nesting_and_repeated_keys(worked_query_doc, worked_db):
+    # Deep nesting and repeated keys cannot come out of canonical(), so the
+    # fuzz test never sends them; json.loads alone would overflow the stack
+    # or keep the last value of a repeated key.
+    text = canonical(worked_query_doc)
+    assert serve_query_bytes(text.encode("ascii"), worked_db)
+    cases = {
+        "nested arrays": b"[" * 100_000,
+        "nested objects": b'{"a":' * 100_000,
+        "repeated version": text.replace('"version":2', '"version":2,"version":2').encode("ascii"),
+        "repeated r": text.replace('"r":2', '"r":1,"r":2', 1).encode("ascii"),
+    }
+    for name, raw in cases.items():
+        assert raw != text.encode("ascii"), name
+        with pytest.raises(ValueError, match="nests too deeply|duplicate keys"):
+            serve_query_bytes(raw, worked_db)
+
+
 def test_serve_query_bytes_rejects_other_modulus(worked_query_doc, worked_db):
     worked_query_doc["p"] = 17
     with pytest.raises(ValueError, match="incompatible moduli"):
