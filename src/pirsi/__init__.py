@@ -11,7 +11,13 @@ over canonical bytes (:func:`simulate_round`).
 
 from .field import DEFAULT_PRIME, PrimeField, is_prime
 from .mds import CodeMatrix, check_mds, decode, encode, solve_vandermonde, vandermonde
-from .oracle import CandidateSolution, argmin_solutions, brute_force_rate, subspace_cost
+from .oracle import (
+    CandidateSolution,
+    argmin_solutions,
+    brute_force_rate,
+    brute_force_sweep,
+    subspace_cost,
+)
 from .privacy import (
     PosteriorReport,
     TvdReport,
@@ -59,6 +65,7 @@ __all__ = [
     "CandidateSolution",
     "argmin_solutions",
     "brute_force_rate",
+    "brute_force_sweep",
     "subspace_cost",
     "PosteriorReport",
     "TvdReport",

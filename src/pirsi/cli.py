@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import wire
-from .oracle import DEFAULT_K_CAP, argmin_solutions, brute_force_rate
+from .oracle import DEFAULT_K_CAP, brute_force_sweep
 from .privacy import monte_carlo_tvd, posterior
 from .rate import ProblemParams, compute_plan
 from .scheme import DemandSpec, build_layout
@@ -40,10 +40,14 @@ def _decimal(text: str) -> int:
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
+    """Comma-separated canonical decimals, each index at most once."""
     parts = text.split(",")
     if not all(_DECIMAL.fullmatch(part) for part in parts):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    return tuple(int(part) for part in parts)
+    indices = tuple(int(part) for part in parts)
+    if len(set(indices)) != len(indices):
+        raise argparse.ArgumentTypeError(f"expected distinct indices, got {text!r}")
+    return indices
 
 
 def _resolve_seed(value: int | None, parser) -> int:
@@ -220,13 +224,11 @@ def _cmd_oracle(args, parser) -> int:
     print("k m n oracle formula match")
     for k in range(1, args.k_max + 1):
         for n in range(1, k + 1):
-            for m in range(0, k - n + 1):
-                params = ProblemParams(k=k, m=m, n=n)
-                plan = compute_plan(params)
-                found = brute_force_rate(params)
+            for m, sols in enumerate(brute_force_sweep(k, n)):
+                plan = compute_plan(ProblemParams(k=k, m=m, n=n))
+                found = sols[0].cost
                 match = found == plan.r_star
                 if match and args.exhaustive:
-                    sols = argmin_solutions(params)
                     match = any(
                         s.parts == plan.size_profile and s.m_vector == plan.side_profile
                         for s in sols

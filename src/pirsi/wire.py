@@ -8,8 +8,8 @@ strings.  Field moduli travel once per document header, never per element.
 A query document (version 2) carries each block's support and row count
 only; its coefficients are implied by (support, r, p), so the server
 regenerates them.  Documents that cross to the server role or back are
-checked strictly: exact key sets, exact ``int``s, and every range; any
-failure raises ValueError.
+checked strictly: one JSON document with unique keys, exact key sets,
+exact ``int``s, and every range; any failure raises ValueError.
 
 The client/server split is realised as two roles exchanging these
 documents as bytes: the server role reads a query document and writes an
@@ -247,6 +247,18 @@ def _unique_keys(pairs: list) -> dict:
     return doc
 
 
+def _read_doc(data: bytes, what: str):
+    """Bytes from the other role as one JSON document with unique keys.
+
+    Anything else, including nesting too deep to parse, raises ValueError;
+    plain ``json.loads`` would keep the last value of a repeated key.
+    """
+    try:
+        return json.loads(data.decode("ascii"), object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError(f"{what} nests too deeply") from None
+
+
 def serve_query_bytes(query_bytes: bytes, db: Database) -> bytes:
     """The server role: canonical query bytes in, canonical answer bytes out.
 
@@ -254,11 +266,7 @@ def serve_query_bytes(query_bytes: bytes, db: Database) -> bytes:
     side-information structure.  Bytes that are not one JSON document with
     unique keys, including nesting too deep to parse, raise ValueError.
     """
-    try:
-        doc = json.loads(query_bytes.decode("ascii"), object_pairs_hook=_unique_keys)
-    except RecursionError:
-        raise ValueError("query document nests too deeply") from None
-    query = parse_query_doc(doc)
+    query = parse_query_doc(_read_doc(query_bytes, "query document"))
     if query.field.p != db.field.p:
         raise ValueError(f"incompatible moduli: {query.field.p} vs {db.field.p}")
     answer = server_answer(query, db)
@@ -281,6 +289,6 @@ def simulate_round(
     layout = build_layout(params, spec, rng)
     query = make_query(layout, db.field)
     answer_bytes = serve_query_bytes(canonical(query_doc(query)).encode("ascii"), db)
-    answer = parse_answer_doc(json.loads(answer_bytes.decode("ascii")), db.field)
+    answer = parse_answer_doc(_read_doc(answer_bytes, "answer document"), db.field)
     decoded = client_decode(query, answer, spec)
     return RoundResult(layout, query, answer, decoded)

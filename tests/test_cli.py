@@ -27,6 +27,10 @@ GOLDEN_SINGLE_BLOCK_SHA256 = "c53b8edd0a5c9c70f3403b252c755157afdc6e69e964aae65b
 # `privacy-exact --k 13 --m 5 --n 2 --seed 11`, as printed when the posterior
 # was still summed over every (demand set, side set) pair.
 GOLDEN_PRIVACY_EXACT_SHA256 = "c21c17e1721078ed29fd5a1a2b74efec2327e7a1c17afe9b648cd8d70b010428"
+# `oracle --k-max 14` and `oracle --k-max 9 --exhaustive`, as printed when
+# brute force still walked every quota vector once per (k, m, n).
+GOLDEN_ORACLE_K14_SHA256 = "512615bdb65d6ddd61fc6a501a30d4767643180360f08cf22821c4a8b434362b"
+GOLDEN_ORACLE_K9_EXHAUSTIVE_SHA256 = "a89f30295144dfd45d8770a93476f5de7fb5b2d408787609ee017c24b1c3704c"
 
 
 def db_file(tmp_path, name, values, field):
@@ -139,6 +143,8 @@ def test_simulate_usage_errors(capsys, worked_db_file):
         ["--demands", "2", "--side", "1,4,6,7,9"],      # wrong demand count
         ["--demands", "2,5", "--side", "1,4"],          # wrong side count
         ["--demands", "2,5", "--side", "2,4,6,7,9"],    # overlap
+        ["--demands", "2,5", "--side", "1,4,6,7,9,9"],  # repeated side index
+        ["--demands", "2,2", "--side", "1,4,6,7,9"],    # repeated demand
     ):
         with pytest.raises(SystemExit) as exc:
             main(base + extra)
@@ -331,6 +337,20 @@ def test_oracle_exhaustive_small(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--k-max", "5", "--exhaustive")
     assert code == 0
     assert all(line.endswith(" true") for line in out.strip().splitlines()[1:])
+
+
+def test_oracle_golden_tables(capsys):
+    code, out, err = run_cli(capsys, "oracle", "--k-max", "14")
+    assert code == 0
+    assert len(out.encode()) == 9187
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ORACLE_K14_SHA256
+    assert "checked 560 instances, 0 mismatches" in err
+
+    code, out, err = run_cli(capsys, "oracle", "--k-max", "9", "--exhaustive")
+    assert code == 0
+    assert len(out.encode()) == 2502
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ORACLE_K9_EXHAUSTIVE_SHA256
+    assert "checked 165 instances, 0 mismatches" in err
 
 
 def test_oracle_rejects_out_of_range(capsys):

@@ -1,5 +1,7 @@
 """Brute-force search: pinned values, canonical argmins, and the sweep."""
 
+from itertools import product
+
 import pytest
 
 from pirsi import (
@@ -7,10 +9,40 @@ from pirsi import (
     ProblemParams,
     argmin_solutions,
     brute_force_rate,
+    brute_force_sweep,
     compute_plan,
     subspace_cost,
 )
-from pirsi.oracle import _min_solutions
+
+
+def _partitions(total, largest):
+    if total == 0:
+        yield ()
+    for first in range(min(total, largest), 0, -1):
+        for rest in _partitions(total - first, first):
+            yield (first,) + rest
+
+
+def naive_minimum(k, m, n):
+    """The minimum and its winners over every quota assignment, unsorted and unpruned.
+
+    Each part p takes any quota in 0..max(p - n, 0); the budget m applies to
+    the largest min(len(parts), n) quotas.  ``m=None`` drops the budget.
+    Winners are reported with their quotas re-sorted non-increasing.
+    """
+    best, winners = None, set()
+    for parts in _partitions(k, k):
+        window = min(len(parts), n)
+        for quotas in product(*(range(max(p - n, 0) + 1) for p in parts)):
+            ordered = tuple(sorted(quotas, reverse=True))
+            if m is not None and sum(ordered[:window]) > m:
+                continue
+            cost = k - sum(quotas)
+            if best is None or cost < best:
+                best, winners = cost, set()
+            if cost == best:
+                winners.add((parts, ordered))
+    return best, winners
 
 
 def test_subspace_cost_examples():
@@ -85,13 +117,45 @@ def test_argmin_solutions_are_canonical_and_costed():
             assert recomputed == sol.cost == brute_force_rate(params)
 
 
+def test_sweep_matches_naive_assignments():
+    # The walk visits only non-increasing quota vectors; the naive search
+    # tries every assignment, so equal argmin sets confirm that sorting the
+    # quotas loses nothing.
+    for k in range(1, 9):
+        for n in range(1, k + 1):
+            for m, sols in enumerate(brute_force_sweep(k, n)):
+                best, winners = naive_minimum(k, m, n)
+                assert {s.cost for s in sols} == {best}, (k, m, n)
+                assert {(s.parts, s.m_vector) for s in sols} == winners, (k, m, n)
+                assert len(sols) == len(winners), (k, m, n)
+
+
+def test_sweep_matches_per_budget_search():
+    for k in range(1, 13):
+        for n in range(1, k + 1):
+            sweep = brute_force_sweep(k, n)
+            assert len(sweep) == k - n + 1
+            for m, sols in enumerate(sweep):
+                params = ProblemParams(k=k, m=m, n=n)
+                assert sols[0].cost == brute_force_rate(params), (k, m, n)
+                if k <= 9:
+                    assert sols == argmin_solutions(params), (k, m, n)
+
+
+def test_sweep_guards_inputs():
+    with pytest.raises(ValueError, match="closed form"):
+        brute_force_sweep(15, 1)
+    with pytest.raises(ValueError, match="n must be positive"):
+        brute_force_sweep(5, 0)
+    assert [sols[0].cost for sols in brute_force_sweep(15, 14, k_cap=15)] == [15, 14]
+
+
 def test_budget_relaxation_only_helps():
     for k in range(1, 9):
         for n in range(1, k + 1):
-            for m in range(0, k - n + 1):
-                params = ProblemParams(k=k, m=m, n=n)
-                relaxed, _ = _min_solutions(params, enforce_budget=False)
-                assert relaxed <= brute_force_rate(params), (k, m, n)
+            minima = [sols[0].cost for sols in brute_force_sweep(k, n)]
+            assert minima == sorted(minima, reverse=True), (k, n)
+            assert minima[-1] == naive_minimum(k, None, n)[0], (k, n)
 
 
 def test_matches_closed_form_small_sweep():

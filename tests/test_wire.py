@@ -6,7 +6,15 @@ import random
 
 import pytest
 
-from pirsi import canonical, make_query, parse_answer_doc, parse_query_doc, serve_query_bytes
+from pirsi import (
+    canonical,
+    make_query,
+    parse_answer_doc,
+    parse_query_doc,
+    serve_query_bytes,
+    simulate_round,
+)
+from pirsi import wire
 from pirsi.wire import query_doc
 from conftest import WORKED_BLOCKS, WORKED_K, WORKED_VALUES
 
@@ -124,6 +132,23 @@ def test_serve_query_bytes_refuses_deep_nesting_and_repeated_keys(worked_query_d
         assert raw != text.encode("ascii"), name
         with pytest.raises(ValueError, match="nests too deeply|duplicate keys"):
             serve_query_bytes(raw, worked_db)
+
+
+def test_simulate_round_refuses_deep_nesting_and_repeated_keys_in_answers(
+    worked_params, worked_spec, worked_db, monkeypatch
+):
+    # The client reads answer bytes as strictly as the server reads queries:
+    # plain json.loads would take the second "blocks" here.
+    assert simulate_round(worked_params, worked_spec, worked_db, random.Random(1)).decoded
+    cases = {
+        "nested arrays": b'{"blocks":' + b"[" * 100_000,
+        "nested objects": b'{"a":' * 100_000,
+        "repeated blocks": b'{"blocks":[[1]],"blocks":[[2]]}',
+    }
+    for name, raw in cases.items():
+        monkeypatch.setattr(wire, "serve_query_bytes", lambda query_bytes, db, raw=raw: raw)
+        with pytest.raises(ValueError, match="nests too deeply|duplicate keys"):
+            simulate_round(worked_params, worked_spec, worked_db, random.Random(1))
 
 
 def test_serve_query_bytes_rejects_other_modulus(worked_query_doc, worked_db):
