@@ -163,7 +163,7 @@ def argmin_solutions(params: ProblemParams, k_cap: int = DEFAULT_K_CAP) -> list[
     return _argmins_by_budget(best, winners)[-1]
 
 
-def brute_force_sweep(k: int, n: int, k_cap: int = DEFAULT_K_CAP) -> list[list[CandidateSolution]]:
+def brute_force_sweep(k: int, n: int) -> list[list[CandidateSolution]]:
     """The argmins of every budget m = 0..k-n from one exhaustive walk.
 
     A vector's window sum never exceeds k - n, so the walk at budget k - n
@@ -172,6 +172,6 @@ def brute_force_sweep(k: int, n: int, k_cap: int = DEFAULT_K_CAP) -> list[list[C
     every argmin costs the minimum, so entry m's first cost is
     ``brute_force_rate(ProblemParams(k, m, n))``.
     """
-    _check_cap(ProblemParams(k, 0, n), k_cap)
+    _check_cap(ProblemParams(k, 0, n), DEFAULT_K_CAP)
     best, winners = _walk(k, n, k - n)
     return _argmins_by_budget(best, winners)
