@@ -115,10 +115,10 @@ def _walk(k: int, n: int, budget: int) -> tuple[list[int], list[list[CandidateSo
     return best, winners
 
 
-def _check_cap(params: ProblemParams, k_cap: int) -> None:
-    if params.k > k_cap:
+def _check_cap(params: ProblemParams) -> None:
+    if params.k > DEFAULT_K_CAP:
         raise ValueError(
-            f"k={params.k} exceeds the brute-force cap {k_cap}; "
+            f"k={params.k} exceeds the brute-force cap {DEFAULT_K_CAP}; "
             "use the closed form for larger instances"
         )
 
@@ -145,20 +145,20 @@ def _argmins_by_budget(
     return out
 
 
-def brute_force_rate(params: ProblemParams, k_cap: int = DEFAULT_K_CAP) -> int:
+def brute_force_rate(params: ProblemParams) -> int:
     """Minimum download found by exhaustive search (small k only)."""
-    _check_cap(params, k_cap)
+    _check_cap(params)
     best, _ = _walk(params.k, params.n, params.m)
     return params.k - max(best)
 
 
-def argmin_solutions(params: ProblemParams, k_cap: int = DEFAULT_K_CAP) -> list[CandidateSolution]:
+def argmin_solutions(params: ProblemParams) -> list[CandidateSolution]:
     """Every canonical (partition, quotas) pair achieving the minimum.
 
     Distinct pairings that coincide after sorting are reported once, since
     cost and feasibility depend only on the sorted form.
     """
-    _check_cap(params, k_cap)
+    _check_cap(params)
     best, winners = _walk(params.k, params.n, params.m)
     return _argmins_by_budget(best, winners)[-1]
 
@@ -172,6 +172,6 @@ def brute_force_sweep(k: int, n: int) -> list[list[CandidateSolution]]:
     every argmin costs the minimum, so entry m's first cost is
     ``brute_force_rate(ProblemParams(k, m, n))``.
     """
-    _check_cap(ProblemParams(k, 0, n), DEFAULT_K_CAP)
+    _check_cap(ProblemParams(k, 0, n))
     best, winners = _walk(k, n, k - n)
     return _argmins_by_budget(best, winners)

@@ -46,6 +46,18 @@ feasible set it is, so the posterior is uniform over the feasible sets:
 over side sets.  Under the paper's plan every demand set is feasible, which
 is the scheme's privacy.
 
+Divided by the C(k - n, m) side sets, W is the layout's probability given
+the demands alone, with the side set uniform:
+
+    P(layout | w) = prod_u size_u! / k!,
+
+the same for every w.  So the layout is uniform over the k! / prod_u size_u!
+ordered partitions with the plan's sizes, whatever is demanded.
+``monte_carlo_tvd`` tests sampled layouts against two marginals of this law:
+block u is a uniform size_u-subset of 1..k, so a fixed index lies in it with
+probability size_u / k, and two fixed indices share a block with probability
+sum_u size_u (size_u - 1) / (k (k - 1)).
+
 The independent cross-checks run the shipped sampler itself.
 ``enumerate_randomness`` drives ``scheme.build_layout`` with a scripted
 generator, once per sequence of draws, so the law it returns is the law of
@@ -57,17 +69,19 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, prod
-from statistics import fmean, pstdev
+from math import ceil, comb, factorial, inf, prod, sqrt
+from statistics import NormalDist
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .rate import ProblemParams, RatePlan, compute_plan
 from .scheme import DemandSpec, Layout, build_layout
 
 DEFAULT_BRANCH_CAP = 1_000_000
+ALPHA = 1e-6  # monte_carlo_tvd's chance of refusing an honest sampler
+MIN_EXPECTED = 5  # expected hits, and misses, that each varying cell needs
 
 
 class _Branch(Exception):
@@ -287,40 +301,36 @@ def _feasible(plan: RatePlan, m: int, profile: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class TvdReport:
-    """Empirical distance between the query distributions of two demand sets.
+    """``monte_carlo_tvd``'s verdict: the worst |z| over ``cells`` against ``threshold``."""
 
-    ``tvd`` is the exact total-variation distance between the two empirical
-    layout distributions.  Because two finite samples from the *same* law
-    rarely coincide, the observed value is compared against a permutation
-    null band: ``null_mean`` and ``null_std`` describe the TVD obtained by
-    re-splitting the pooled samples at random, and ``consistent`` reports
-    whether the observation sits within three standard deviations of that
-    band, i.e. is statistically indistinguishable from perfect privacy.
-    """
-
-    tvd: Fraction
     trials: int
     distinct_queries: int
-    null_mean: float
-    null_std: float
+    cells: int
+    max_z: float
+    threshold: float
     consistent: bool
 
 
-def _sample_query_key(params: ProblemParams, demands: Sequence[int], rng: random.Random):
-    complement = [i for i in range(1, params.k + 1) if i not in set(demands)]
-    # Only too many demands leave fewer than m candidates; build_layout then
-    # rejects the spec by its demand count.
-    side = rng.sample(complement, min(params.m, len(complement)))
-    spec = DemandSpec(tuple(demands), frozenset(side))
-    # The query's observable content is exactly the ordered supports; the
-    # coefficient matrices are determined by the block shapes.
-    return build_layout(params, spec, rng).subspaces
+def _sample_counts(params, demands, trials, rng, layouts: set) -> list[int]:
+    """Hits per block, then pair hits, over ``trials`` layouts drawn for ``demands``.
 
-
-def _empirical_tvd(counts_a: Counter, counts_b: Counter, trials: int) -> Fraction:
-    keys = set(counts_a) | set(counts_b)
-    diff = sum(abs(counts_a.get(q, 0) - counts_b.get(q, 0)) for q in keys)
-    return Fraction(diff, 2 * trials)
+    Each sample draws a uniform side set from the other indices and runs
+    ``build_layout``; its layout joins ``layouts``.
+    """
+    demands = tuple(sorted(demands))
+    wanted, pair = frozenset(demands), demands[:2]
+    complement = [i for i in range(1, params.k + 1) if i not in wanted]
+    counts = [0] * (compute_plan(params).l_star + 1)
+    for _ in range(trials):
+        spec = DemandSpec(demands, frozenset(rng.sample(complement, params.m)))
+        # A query is its ordered supports; the block shapes fix the rest.
+        subspaces = build_layout(params, spec, rng).subspaces
+        layouts.add(subspaces)
+        for u, block in enumerate(subspaces):
+            hits = wanted.intersection(block)
+            counts[u] += len(hits)
+            counts[-1] += hits.issuperset(pair)
+    return counts
 
 
 def monte_carlo_tvd(
@@ -329,38 +339,50 @@ def monte_carlo_tvd(
     demands_b: Sequence[int],
     trials: int,
     rng: random.Random,
-    null_rounds: int = 20,
 ) -> TvdReport:
-    """Sample queries for two demand sets and compare their distributions.
+    """Sample ``trials`` layouts per demand set and test them against the uniform law.
 
-    Side information is drawn uniformly per trial.  Every sample goes
-    through ``build_layout``, which validates its demand and side sets.
-    Meant for instances too large for exact enumeration; see
-    :class:`TvdReport` for how to read the result.
+    Each set has a cell per block, counting its indices there over all its
+    samples, and for n >= 2 one counting the samples that put its two
+    smallest indices in one block; the module docstring gives their laws.
+    The result is consistent iff every cell's |z| is at most the two-sided
+    normal quantile at ``ALPHA`` split evenly over the cells; a cell with
+    no variance (a single-block plan) must equal its mean.  Raises
+    ValueError for an invalid demand set, or for fewer trials than give
+    every varying cell ``MIN_EXPECTED`` expected hits and misses.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if null_rounds < 1:
-        raise ValueError("null_rounds must be positive")
-    keys_a = [_sample_query_key(params, demands_a, rng) for _ in range(trials)]
-    keys_b = [_sample_query_key(params, demands_b, rng) for _ in range(trials)]
-    observed = _empirical_tvd(Counter(keys_a), Counter(keys_b), trials)
-
-    pooled = keys_a + keys_b
-    null_values = []
-    for _ in range(null_rounds):
-        rng.shuffle(pooled)
-        null_values.append(
-            float(_empirical_tvd(Counter(pooled[:trials]), Counter(pooled[trials:]), trials))
+    for demands in (demands_a, demands_b):
+        # The demands alone must fit; the side sets drawn for them always do.
+        DemandSpec(tuple(demands), frozenset()).validate_against(replace(params, m=0))
+    k, n = params.k, params.n
+    sizes = compute_plan(params).size_profile
+    # Per cell and trial: outcomes, hit probability, variance factor (the
+    # hypergeometric one for blocks; at k = 1 the block has no variance).
+    factor = Fraction(k - n, k - 1) if k > 1 else Fraction(0)
+    laws = [(n, Fraction(size, k), factor) for size in sizes]
+    if n >= 2:
+        laws.append((1, Fraction(sum(s * (s - 1) for s in sizes), k * (k - 1)), Fraction(1)))
+    rarest = [draws * min(p, 1 - p) for draws, p, _ in laws if 0 < p < 1]
+    needed = max((ceil(MIN_EXPECTED / rate) for rate in rarest), default=1)
+    if trials < needed:
+        raise ValueError(
+            f"{trials} trials leave a cell expecting fewer than {MIN_EXPECTED} "
+            f"hits or misses; use at least {needed}"
         )
-    null_mean = fmean(null_values)
-    null_std = pstdev(null_values)
-    consistent = float(observed) <= null_mean + 3.0 * null_std + 1e-12
-    return TvdReport(
-        tvd=observed,
-        trials=trials,
-        distinct_queries=len(set(pooled)),
-        null_mean=null_mean,
-        null_std=null_std,
-        consistent=consistent,
-    )
+    layouts: set = set()
+    max_z = 0.0
+    for demands in (demands_a, demands_b):
+        counts = _sample_counts(params, demands, trials, rng, layouts)
+        # zip drops the pair count when n = 1, which has no pair cell.
+        for count, (draws, p, scale) in zip(counts, laws):
+            mean = trials * draws * p
+            variance = mean * (1 - p) * scale
+            if variance:
+                max_z = max(max_z, float(abs(count - mean)) / sqrt(variance))
+            elif count != mean:
+                max_z = inf
+    cells = 2 * len(laws)
+    threshold = NormalDist().inv_cdf(1 - ALPHA / (2 * cells))
+    return TvdReport(trials, len(layouts), cells, max_z, threshold, max_z <= threshold)

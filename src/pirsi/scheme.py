@@ -237,9 +237,9 @@ def server_answer(query: Query, db: Database) -> Answer:
 def client_decode(query: Query, answer: Answer, spec: DemandSpec) -> dict[int, int]:
     """Solve every demand-bearing block using held side information.
 
-    Returns a map from demanded index to its recovered value.  Raises if a
-    block serving a demand does not contain enough known side information
-    to determine its unknowns (a violated retrieval condition), or if its
+    Returns a map from demanded index to its recovered value.  Raises if an
+    answer block's length is not its r, if a block serving a demand holds
+    too few known side values (a violated retrieval condition), or if its
     coded symbols are inconsistent with the held side information.
     """
     if len(answer.blocks) != len(query.blocks):
@@ -247,6 +247,8 @@ def client_decode(query: Query, answer: Answer, spec: DemandSpec) -> dict[int, i
     wanted = set(spec.demands)
     recovered: dict[int, int] = {}
     for block, coded in zip(query.blocks, answer.blocks):
+        if len(coded) != block.r:
+            raise ValueError(f"expected {block.r} coded symbols, got {len(coded)}")
         support = block.support
         demand_positions = [p for p, idx in enumerate(support) if idx in wanted]
         if not demand_positions:
@@ -264,8 +266,6 @@ def client_decode(query: Query, answer: Answer, spec: DemandSpec) -> dict[int, i
                 "retrieval condition violated: block holds "
                 f"{len(known)} known symbols but needs {needed}"
             )
-        if len(coded) != block.r:
-            raise ValueError(f"expected {block.r} coded symbols, got {len(coded)}")
         values = mds.solve_vandermonde(coded, len(support), known, demand_positions, query.field)
         for p, value in zip(demand_positions, values):
             recovered[support[p]] = value

@@ -64,23 +64,8 @@ def frac_str(value: Fraction) -> str:
 # Documents
 
 
-def params_doc(params: ProblemParams) -> dict:
-    return {"k": params.k, "m": params.m, "n": params.n}
-
-
 def plan_doc(params: ProblemParams, plan: RatePlan) -> dict:
-    return {
-        "k": params.k,
-        "m": params.m,
-        "n": params.n,
-        "m_bar": plan.m_bar,
-        "t": plan.t,
-        "l_star": plan.l_star,
-        "size_profile": list(plan.size_profile),
-        "side_profile": list(plan.side_profile),
-        "r_star": plan.r_star,
-        "trivial": plan.trivial,
-    }
+    return vars(params) | vars(plan)
 
 
 def layout_doc(layout: Layout) -> dict:
@@ -163,7 +148,7 @@ def transcript_doc(
     result: RoundResult,
 ) -> dict:
     return {
-        "params": params_doc(params),
+        "params": dict(vars(params)),
         "seed": seed,
         "plan": plan_doc(params, result.layout.plan),
         "layout": layout_doc(result.layout),
@@ -187,14 +172,7 @@ def posterior_doc(report: PosteriorReport, layout: Layout) -> dict:
 
 
 def tvd_doc(report: TvdReport) -> dict:
-    return {
-        "tvd": frac_str(report.tvd),
-        "trials": report.trials,
-        "distinct_queries": report.distinct_queries,
-        "null_mean": report.null_mean,
-        "null_std": report.null_std,
-        "consistent": report.consistent,
-    }
+    return dict(vars(report))
 
 
 # ---------------------------------------------------------------------------

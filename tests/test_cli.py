@@ -10,7 +10,7 @@ import pytest
 from pirsi import Database, PrimeField, ProblemParams
 from pirsi.cli import main
 from pirsi.wire import read_db, write_db
-from conftest import WORKED_VALUES
+from conftest import WORKED_VALUES, leaky_build_layout
 
 # Transcripts pinned byte for byte, so a given seed keeps its round across
 # refactors: layout, query (a version-2 document), answer and decoded values.
@@ -278,15 +278,30 @@ def test_privacy_exact_beyond_k_13(capsys):
 
 
 def test_privacy_mc_reports(capsys):
-    code, out, _ = run_cli(
-        capsys, "privacy-mc", "--k", "7", "--m", "3", "--n", "1",
-        "--wa", "2", "--wb", "5", "--trials", "400", "--seed", "9",
-    )
-    assert code == 0
+    argv = ("privacy-mc", "--k", "13", "--m", "5", "--n", "2",
+            "--wa", "1,2", "--wb", "12,13", "--trials", "400", "--seed", "9")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
     doc = json.loads(out)
+    assert set(doc) == {"cells", "consistent", "distinct_queries", "max_z", "threshold", "trials"}
     assert doc["trials"] == 400
-    assert "/" in doc["tvd"]
-    assert isinstance(doc["consistent"], bool)
+    # Three blocks and one pair cell per demand set.
+    assert doc["cells"] == 8
+    assert doc["consistent"] is True
+    assert 0 < doc["max_z"] <= doc["threshold"]
+    assert run_cli(capsys, *argv)[1] == out
+
+
+def test_privacy_mc_refusal_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr("pirsi.privacy.build_layout", leaky_build_layout)
+    code, out, err = run_cli(
+        capsys, "privacy-mc", "--k", "13", "--m", "5", "--n", "2",
+        "--wa", "1,2", "--wb", "12,13", "--trials", "200", "--seed", "0",
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["consistent"] is False and doc["max_z"] > doc["threshold"]
+    assert "deviate from the uniform law" in err
 
 
 def test_privacy_mc_validates_demand_sets(capsys):
@@ -304,20 +319,21 @@ def test_privacy_mc_validates_demand_sets(capsys):
 
 def test_privacy_mc_validates_counts(capsys):
     base = ["privacy-mc", "--k", "7", "--m", "3", "--n", "1", "--wa", "2", "--wb", "5"]
-    for trials, null_rounds, message in (
-        ("10", "0", "null_rounds must be positive"),
-        ("10", "-3", "null_rounds must be positive"),
-        ("0", "20", "trials must be positive"),
-        ("-3", "20", "trials must be positive"),
+    for extra, message in (
+        (["--trials", "0"], "trials must be positive"),
+        (["--trials", "-3"], "trials must be positive"),
+        # The plan's blocks hold 4 and 3 of the 7 indices: 11 trials expect
+        # 11 * 3 / 7 < 5 hits in the smaller one.
+        (["--trials", "11"], "use at least 12"),
+        (["--trials", "100", "--null-rounds", "20"], "unrecognized arguments: --null-rounds"),
     ):
         with pytest.raises(SystemExit) as exc:
-            main(base + ["--trials", trials, "--null-rounds", null_rounds])
+            main(base + extra)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
-    # One null round is enough for a band: its spread is exactly 0.
-    code, out, _ = run_cli(capsys, *base, "--trials", "10", "--null-rounds", "1", "--seed", "4")
+    code, out, _ = run_cli(capsys, *base, "--trials", "12", "--seed", "4")
     assert code == 0
-    assert json.loads(out)["null_std"] == 0.0
+    assert json.loads(out)["trials"] == 12
 
 
 def test_oracle_sweep(capsys):

@@ -76,8 +76,6 @@ def test_cap_guards_runtime():
         brute_force_rate(ProblemParams(k=15, m=1, n=1))
     with pytest.raises(ValueError, match="closed form"):
         argmin_solutions(ProblemParams(k=20, m=4, n=2))
-    # the cap is adjustable for the patient
-    assert brute_force_rate(ProblemParams(k=15, m=13, n=1), k_cap=15) == 2
 
 
 def test_argmin_contains_planned_profile():

@@ -3,7 +3,7 @@
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import comb, factorial, perm, prod
 
 import pytest
@@ -21,6 +21,7 @@ from pirsi import (
     posterior,
 )
 from pirsi.privacy import _posterior, _probability
+from conftest import leaky_build_layout
 from pirsi.rate import RatePlan
 
 
@@ -146,22 +147,6 @@ def test_branch_cap_guards_enumeration():
     # (6, 0, 1) expands to 720 leaves, far beyond a cap of 10.
     with pytest.raises(ValueError, match="branch cap"):
         enumerate_randomness(ProblemParams(k=6, m=0, n=1), (1,), (), branch_cap=10)
-
-
-def leaky_build_layout(params, spec, rng):
-    """The real sampler, then every demand it can is swapped into the earliest block.
-
-    Each demand outside block 0 trades places with a non-demand of block 0
-    while block 0 has one, so the layout's law depends on the demands.
-    """
-    layout = build_layout(params, spec, rng)
-    first, *rest = [list(block) for block in layout.subspaces]
-    for block in rest:
-        for pos, idx in enumerate(block):
-            trade = next((i for i in first if i not in spec.demands), None)
-            if idx in spec.demands and trade is not None:
-                first[first.index(trade)], block[pos] = idx, trade
-    return Layout(tuple(tuple(sorted(block)) for block in [first, *rest]), layout.plan)
 
 
 def test_enumeration_rejects_leaky_sampler(monkeypatch):
@@ -354,31 +339,152 @@ def test_posterior_rejects_foreign_layout(worked_params):
         posterior(foreign, worked_params)
 
 
+def placing_sampler(place):
+    """A sampler that puts each demand, in ascending order, in the block ``place`` picks.
+
+    ``place(plan, members, rng)`` sees the blocks filled so far and returns
+    one with room.  The other indices then fill the free slots in ascending
+    order.  The Monte-Carlo cells read only the blocks the demands land in,
+    so this fixed fill leaves their law unchanged and keeps large k cheap.
+    """
+
+    def sampler(params, spec, rng):
+        plan = compute_plan(params)
+        members = [[] for _ in plan.size_profile]
+        for idx in spec.demands:
+            members[place(plan, members, rng)].append(idx)
+        wanted = set(spec.demands)
+        rest = (i for i in range(1, params.k + 1) if i not in wanted)
+        for block, size in zip(members, plan.size_profile):
+            block.extend(islice(rest, size - len(block)))
+        return Layout(tuple(tuple(sorted(block)) for block in members), plan)
+
+    return sampler
+
+
+def by_capacity(plan, members, rng):
+    """The shipped rule: block u with probability proportional to its free room."""
+    free = [size - len(block) for size, block in zip(plan.size_profile, members)]
+    return rng.choices(range(len(free)), weights=free)[0]
+
+
+def uniform_over_blocks(plan, members, rng):
+    """Leaky: every block with room is equally likely, whatever its size."""
+    return rng.choice([u for u, size in enumerate(plan.size_profile) if len(members[u]) < size])
+
+
+def block_zero(plan, members, rng):
+    """Leaky: every demand in the first block."""
+    return 0
+
+
+def all_together(plan, members, rng):
+    """Leaky in co-location only: the first demand by capacity, the rest beside it.
+
+    Each demand alone still lands in block u with probability size_u / k.
+    """
+    filled = [u for u, block in enumerate(members) if block]
+    return filled[0] if filled else by_capacity(plan, members, rng)
+
+
+def far_demand_sets(params):
+    n = params.n
+    return tuple(range(1, n + 1)), tuple(range(params.k - n + 1, params.k + 1))
+
+
+@pytest.mark.parametrize("kmn, trials, seeds", [
+    ((13, 5, 2), 200, 20),
+    ((7, 3, 1), 200, 10),
+    ((30, 10, 2), 200, 5),
+    ((20, 6, 3), 200, 5),
+    ((1000, 300, 5), 80, 1),
+])
+def test_monte_carlo_passes_honest_sampler(kmn, trials, seeds):
+    params = ProblemParams(*kmn)
+    cells = 2 * (compute_plan(params).l_star + (params.n >= 2))
+    for seed in range(seeds):
+        report = monte_carlo_tvd(params, *far_demand_sets(params), trials, random.Random(seed))
+        assert report.consistent, (seed, report)
+        assert report.cells == cells and report.trials == trials
+        assert 0 < report.max_z <= report.threshold
+
+
+def test_monte_carlo_passes_capacity_placement_with_fixed_fill(monkeypatch):
+    # The test samplers' fixed fill is invisible to the cells: with the
+    # shipped placement rule it passes, so refusals below are the leaks'.
+    monkeypatch.setattr("pirsi.privacy.build_layout", placing_sampler(by_capacity))
+    for kmn, trials in (((13, 5, 2), 2000), ((30, 10, 2), 200), ((1000, 300, 5), 300)):
+        params = ProblemParams(*kmn)
+        report = monte_carlo_tvd(params, *far_demand_sets(params), trials, random.Random(0))
+        assert report.consistent, (kmn, report)
+
+
+@pytest.mark.parametrize("place, kmn, trials", [
+    (block_zero, (13, 5, 2), 200),
+    (block_zero, (30, 10, 2), 200),
+    (block_zero, (1000, 300, 5), 80),
+    (block_zero, (5000, 1000, 10), 231),
+    # Block sizes differ at each of these, so uniform over blocks is a leak.
+    (uniform_over_blocks, (13, 5, 2), 4000),
+    (uniform_over_blocks, (30, 10, 2), 200),
+    (uniform_over_blocks, (1000, 300, 5), 300),
+    (uniform_over_blocks, (5000, 1000, 10), 400),
+    (all_together, (13, 5, 2), 200),
+    (all_together, (1000, 300, 5), 80),
+])
+def test_monte_carlo_refuses_leaky_samplers(monkeypatch, place, kmn, trials):
+    monkeypatch.setattr("pirsi.privacy.build_layout", placing_sampler(place))
+    params = ProblemParams(*kmn)
+    report = monte_carlo_tvd(params, *far_demand_sets(params), trials, random.Random(0))
+    assert not report.consistent
+    assert report.max_z > report.threshold
+
+
+@pytest.mark.parametrize("kmn", [(13, 5, 2), (30, 10, 2)])
+def test_monte_carlo_refuses_block_zero_wrapper(monkeypatch, kmn):
+    # The leaky wrapper over the real sampler that the exact enumeration
+    # refuses.  A comparison of whole layouts calls it consistent at
+    # (30,10,2), where 2,000 samples per set never repeat a layout.
+    monkeypatch.setattr("pirsi.privacy.build_layout", leaky_build_layout)
+    params = ProblemParams(*kmn)
+    report = monte_carlo_tvd(params, *far_demand_sets(params), 2000, random.Random(0))
+    assert not report.consistent
+
+
 def test_monte_carlo_identical_demands_consistent():
     params = ProblemParams(k=7, m=3, n=1)
     report = monte_carlo_tvd(params, (2,), (2,), trials=1500, rng=random.Random(1))
     assert report.consistent
     assert report.trials == 1500
-    assert isinstance(report.tvd, Fraction)
+    assert report.cells == 4  # two blocks per demand set, no pair cell at n = 1
 
 
 def test_monte_carlo_different_demands_consistent():
+    # (7,3,1) splits into blocks of 4 and 3: C(7, 4) = 35 layouts, and
+    # 6,000 samples see every one.
     params = ProblemParams(k=7, m=3, n=1)
     report = monte_carlo_tvd(params, (2,), (5,), trials=3000, rng=random.Random(2))
     assert report.consistent
-    assert report.distinct_queries >= 1
-    assert report.null_std >= 0.0
+    assert report.distinct_queries == 35
 
 
 def test_monte_carlo_trivial_instance_is_exact_zero():
-    params = ProblemParams(k=5, m=3, n=2)
-    report = monte_carlo_tvd(params, (1, 2), (4, 5), trials=200, rng=random.Random(3))
-    assert report.tvd == 0
-    assert report.distinct_queries == 1
-    assert report.consistent
+    # One block: every layout is 1..k, so every cell has zero variance and
+    # must equal its mean exactly; any trial count is enough.
+    for kmn in ((5, 3, 2), (400, 40, 20)):
+        params = ProblemParams(*kmn)
+        assert compute_plan(params).l_star == 1
+        report = monte_carlo_tvd(params, *far_demand_sets(params), 3, random.Random(3))
+        assert report.max_z == 0.0
+        assert report.consistent
+        assert report.distinct_queries == 1
+        assert report.cells == 4
 
 
 def test_monte_carlo_rejects_bad_trials():
-    params = ProblemParams(k=5, m=1, n=1)
+    params = ProblemParams(k=13, m=5, n=2)
     with pytest.raises(ValueError, match="positive"):
-        monte_carlo_tvd(params, (1,), (2,), trials=0, rng=random.Random(0))
+        monte_carlo_tvd(params, (1, 2), (3, 4), trials=0, rng=random.Random(0))
+    with pytest.raises(ValueError, match="use at least 18$"):
+        monte_carlo_tvd(params, (1, 2), (3, 4), trials=17, rng=random.Random(0))
+    assert monte_carlo_tvd(params, (1, 2), (3, 4), trials=18, rng=random.Random(0)).trials == 18

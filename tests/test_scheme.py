@@ -153,6 +153,20 @@ def test_client_decode_missing_side_value(worked_layout, worked_db, gf13):
         client_decode(query, answer, starved)
 
 
+def test_client_decode_checks_length_of_demand_free_blocks(worked_layout, worked_db, worked_spec, gf13):
+    # Block 1 ({3,10,11,13}) holds no demand, so its symbols are never
+    # solved; a padded or truncated block must still be refused.
+    query = make_query(worked_layout, gf13)
+    blocks = server_answer(query, worked_db).blocks
+    assert not set(worked_layout.subspaces[1]) & set(worked_spec.demands)
+    padded = blocks[:1] + (blocks[1] + (0, 0, 0),) + blocks[2:]
+    with pytest.raises(ValueError, match="expected 2 coded symbols, got 5"):
+        client_decode(query, Answer(padded), worked_spec)
+    truncated = blocks[:1] + (blocks[1][:1],) + blocks[2:]
+    with pytest.raises(ValueError, match="expected 2 coded symbols, got 1"):
+        client_decode(query, Answer(truncated), worked_spec)
+
+
 def test_client_decode_retrieval_condition():
     # A block with one coded symbol for three messages needs two known
     # values; give it one and decoding must refuse.
