@@ -5,19 +5,14 @@ others without revealing which ones.  This package provides the
 closed-form minimum download (:func:`compute_plan`), the randomized
 partition-and-MDS scheme achieving it (:mod:`pirsi.scheme`), exact
 rational-arithmetic privacy verification (:mod:`pirsi.privacy`), a
-brute-force optimality oracle (:mod:`pirsi.oracle`), and one full round
-over canonical bytes (:func:`simulate_round`).
+brute-force minimum and a check of the plan's profile
+(:mod:`pirsi.oracle`), and one full round over canonical bytes
+(:func:`simulate_round`).
 """
 
 from .field import DEFAULT_PRIME, PrimeField, is_prime
 from .mds import CodeMatrix, check_mds, decode, encode, solve_vandermonde, vandermonde
-from .oracle import (
-    CandidateSolution,
-    argmin_solutions,
-    brute_force_rate,
-    brute_force_sweep,
-    subspace_cost,
-)
+from .oracle import brute_force_rate, brute_force_sweep, is_feasible_plan, subspace_cost
 from .privacy import (
     PosteriorReport,
     TvdReport,
@@ -62,10 +57,9 @@ __all__ = [
     "encode",
     "solve_vandermonde",
     "vandermonde",
-    "CandidateSolution",
-    "argmin_solutions",
     "brute_force_rate",
     "brute_force_sweep",
+    "is_feasible_plan",
     "subspace_cost",
     "PosteriorReport",
     "TvdReport",

@@ -19,7 +19,7 @@ import sys
 import time
 
 from . import wire
-from .oracle import DEFAULT_K_CAP, brute_force_sweep
+from .oracle import K_CAP, brute_force_sweep, is_feasible_plan
 from .privacy import monte_carlo_tvd, posterior
 from .rate import ProblemParams, compute_plan
 from .scheme import DemandSpec, build_layout
@@ -118,11 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = subs.add_parser("oracle", help="brute force vs closed form sweep")
     p_oracle.add_argument("--k-max", type=_decimal, required=True)
-    p_oracle.add_argument(
-        "--exhaustive",
-        action="store_true",
-        help="also require the plan profile among the brute-force argmins",
-    )
     return parser
 
 
@@ -214,22 +209,19 @@ def _cmd_privacy_mc(args, parser) -> int:
 
 
 def _cmd_oracle(args, parser) -> int:
-    if not 1 <= args.k_max <= DEFAULT_K_CAP:
-        parser.error(f"--k-max must be in 1..{DEFAULT_K_CAP}")
+    if not 1 <= args.k_max <= K_CAP:
+        parser.error(f"--k-max must be in 1..{K_CAP}")
     failures = 0
     instances = 0
     print("k m n oracle formula match")
     for k in range(1, args.k_max + 1):
         for n in range(1, k + 1):
-            for m, sols in enumerate(brute_force_sweep(k, n)):
-                plan = compute_plan(ProblemParams(k=k, m=m, n=n))
-                found = sols[0].cost
-                match = found == plan.r_star
-                if match and args.exhaustive:
-                    match = any(
-                        s.parts == plan.size_profile and s.m_vector == plan.side_profile
-                        for s in sols
-                    )
+            for m, found in enumerate(brute_force_sweep(k, n)):
+                params = ProblemParams(k=k, m=m, n=n)
+                plan = compute_plan(params)
+                match = found == plan.r_star and is_feasible_plan(
+                    params, plan.size_profile, plan.side_profile
+                )
                 instances += 1
                 if not match:
                     failures += 1

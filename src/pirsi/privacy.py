@@ -79,7 +79,7 @@ from typing import Collection, Iterable, Iterator, Sequence
 from .rate import ProblemParams, RatePlan, compute_plan
 from .scheme import DemandSpec, Layout, build_layout
 
-DEFAULT_BRANCH_CAP = 1_000_000
+BRANCH_CAP = 1_000_000
 ALPHA = 1e-6  # monte_carlo_tvd's chance of refusing an honest sampler
 MIN_EXPECTED = 5  # expected hits, and misses, that each varying cell needs
 
@@ -184,7 +184,6 @@ def enumerate_randomness(
     params: ProblemParams,
     demands: Iterable[int],
     side: Iterable[int],
-    branch_cap: int = DEFAULT_BRANCH_CAP,
 ) -> dict[Layout, Fraction]:
     """Exact layout distribution of ``build_layout``, by running it on every draw sequence.
 
@@ -192,7 +191,7 @@ def enumerate_randomness(
     past the prefix forks the walk into one prefix per possible value.  A
     completed run has probability 1 / (product of its draws' ranges), summed
     per resulting layout.  ``build_layout`` validates the spec.  Raises if
-    the completed runs exceed ``branch_cap`` (meant for k <= 7).
+    the completed runs exceed ``BRANCH_CAP`` (meant for k <= 7).
     """
     spec = DemandSpec(tuple(demands), frozenset(side))
     dist: dict[Layout, Fraction] = {}
@@ -207,8 +206,8 @@ def enumerate_randomness(
             stack.extend(prefix + (value,) for value in range(branch.args[0]))
             continue
         runs += 1
-        if runs > branch_cap:
-            raise ValueError(f"branch cap {branch_cap} exceeded; instance too large")
+        if runs > BRANCH_CAP:
+            raise ValueError(f"branch cap {BRANCH_CAP} exceeded; instance too large")
         dist[layout] = dist.get(layout, Fraction(0)) + Fraction(1, prod(script.bounds))
     return dist
 

@@ -4,10 +4,11 @@ import hashlib
 import io
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
-from pirsi import Database, PrimeField, ProblemParams
+from pirsi import Database, PrimeField, ProblemParams, compute_plan
 from pirsi.cli import main
 from pirsi.wire import read_db, write_db
 from conftest import WORKED_VALUES, leaky_build_layout
@@ -27,10 +28,10 @@ GOLDEN_SINGLE_BLOCK_SHA256 = "c53b8edd0a5c9c70f3403b252c755157afdc6e69e964aae65b
 # `privacy-exact --k 13 --m 5 --n 2 --seed 11`, as printed when the posterior
 # was still summed over every (demand set, side set) pair.
 GOLDEN_PRIVACY_EXACT_SHA256 = "c21c17e1721078ed29fd5a1a2b74efec2327e7a1c17afe9b648cd8d70b010428"
-# `oracle --k-max 14` and `oracle --k-max 9 --exhaustive`, as printed when
-# brute force still walked every quota vector once per (k, m, n).
+# `oracle --k-max 14` and `oracle --k-max 9` (then with `--exhaustive`), as
+# printed when brute force still walked every quota vector once per (k, m, n).
 GOLDEN_ORACLE_K14_SHA256 = "512615bdb65d6ddd61fc6a501a30d4767643180360f08cf22821c4a8b434362b"
-GOLDEN_ORACLE_K9_EXHAUSTIVE_SHA256 = "a89f30295144dfd45d8770a93476f5de7fb5b2d408787609ee017c24b1c3704c"
+GOLDEN_ORACLE_K9_SHA256 = "a89f30295144dfd45d8770a93476f5de7fb5b2d408787609ee017c24b1c3704c"
 
 
 def db_file(tmp_path, name, values, field):
@@ -349,10 +350,35 @@ def test_oracle_sweep(capsys):
     assert "0 mismatches" in err
 
 
-def test_oracle_exhaustive_small(capsys):
-    code, out, _ = run_cli(capsys, "oracle", "--k-max", "5", "--exhaustive")
-    assert code == 0
-    assert all(line.endswith(" true") for line in out.strip().splitlines()[1:])
+@pytest.mark.parametrize(
+    "sizes, quotas",
+    [
+        ((4, 5, 4), (2, 3, 2)),  # out of order
+        ((6, 5, 2), (4, 3, 0)),  # window sum 7 over m = 5
+        ((6, 4, 3), (3, 2, 2)),  # quota 2 over the cap 3 - 2
+    ],
+)
+def test_oracle_refuses_bad_plan_profile(capsys, monkeypatch, sizes, quotas):
+    # Each profile keeps r_star = 6 at (13, 5, 2), so only the profile check
+    # can catch it.
+    def skewed_plan(params):
+        plan = compute_plan(params)
+        if (params.k, params.m, params.n) != (13, 5, 2):
+            return plan
+        return replace(plan, size_profile=sizes, side_profile=quotas)
+
+    monkeypatch.setattr("pirsi.cli.compute_plan", skewed_plan)
+    code, out, err = run_cli(capsys, "oracle", "--k-max", "13")
+    assert code == 1
+    assert [line for line in out.splitlines() if line.endswith(" false")] == ["13 5 2 6 6 false"]
+    assert "1 mismatches" in err
+
+
+def test_oracle_rejects_exhaustive_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "--k-max", "5", "--exhaustive"])
+    assert exc.value.code == 2
+    assert "--exhaustive" in capsys.readouterr().err
 
 
 def test_oracle_golden_tables(capsys):
@@ -362,10 +388,10 @@ def test_oracle_golden_tables(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ORACLE_K14_SHA256
     assert "checked 560 instances, 0 mismatches" in err
 
-    code, out, err = run_cli(capsys, "oracle", "--k-max", "9", "--exhaustive")
+    code, out, err = run_cli(capsys, "oracle", "--k-max", "9")
     assert code == 0
     assert len(out.encode()) == 2502
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ORACLE_K9_EXHAUSTIVE_SHA256
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_ORACLE_K9_SHA256
     assert "checked 165 instances, 0 mismatches" in err
 
 

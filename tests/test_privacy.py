@@ -143,10 +143,11 @@ def test_enumeration_matches_closed_form_medium_instance():
             assert layout_probability(layout, demands, side, params) == 0
 
 
-def test_branch_cap_guards_enumeration():
+def test_branch_cap_guards_enumeration(monkeypatch):
     # (6, 0, 1) expands to 720 leaves, far beyond a cap of 10.
-    with pytest.raises(ValueError, match="branch cap"):
-        enumerate_randomness(ProblemParams(k=6, m=0, n=1), (1,), (), branch_cap=10)
+    monkeypatch.setattr("pirsi.privacy.BRANCH_CAP", 10)
+    with pytest.raises(ValueError, match="branch cap 10 exceeded"):
+        enumerate_randomness(ProblemParams(k=6, m=0, n=1), (1,), ())
 
 
 def test_enumeration_rejects_leaky_sampler(monkeypatch):
