@@ -16,8 +16,8 @@ The budget ``m`` only decides which vectors count, so one exhaustive walk
 per ``(k, n)`` answers every ``m`` (:func:`brute_force_sweep`): it records
 the best quota total for each window sum.  No window sum exceeds ``k - n``,
 since each window quota is at most its part's size minus ``n`` and the
-parts sum to ``k``; so the walk with budget ``k - n`` visits every vector
-any ``m`` can use.
+parts sum to ``k``; so the walk needs no budget of its own, and
+:func:`brute_force_rate` reads one ``m``'s entry from it.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def subspace_cost(size: int, quota: int, n_demands: int) -> int:
 
 
 def is_feasible_plan(params: ProblemParams, sizes: Sequence[int], quotas: Sequence[int]) -> bool:
-    """True when the walk at budget ``params.m`` visits this (sizes, quotas) pair.
+    """True when the walk visits this (sizes, quotas) pair and budget ``params.m`` admits it.
 
     That is: positive, non-increasing sizes summing to k; non-increasing
     quotas, each within its subspace's cap; and the first min(len, n)
@@ -82,22 +82,22 @@ def _partitions(total: int, max_part: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _walk(k: int, n: int, budget: int) -> list[int]:
-    """Exhaustive walk over every (partition, quota vector) pair within a budget.
+def _walk(k: int, n: int) -> list[int]:
+    """Exhaustive walk over every (partition, quota vector) pair of a (k, n).
 
     Quota vectors are non-increasing, which loses no solutions: caps are
     monotone in part size, so any feasible assignment of a quota multiset
     can be re-paired in sorted order, and both the cost and the budget
     depend only on the multiset.  The budget window is the first
-    min(len(parts), n) positions; branches exceeding it are pruned as soon
-    as they commit.
+    min(len(parts), n) positions; its sum, the window sum, is at most k - n
+    (module docstring).
 
     Returns ``best``: ``best[ws]`` is the largest quota total of any vector
-    whose window sum is ``ws`` (-1 if none).  Per-subspace costs telescope,
-    since quotas never exceed the size excess, so a solution costs k minus
-    its quota total (matching subspace_cost).
+    whose window sum is ``ws`` (-1 if none), for ws = 0..k-n.  Per-subspace
+    costs telescope, since quotas never exceed the size excess, so a
+    solution costs k minus its quota total (matching subspace_cost).
     """
-    best = [-1] * (budget + 1)
+    best = [-1] * (k - n + 1)
     for parts in _partitions(k, k):
         caps = [quota_cap(p, n) for p in parts]
         window = min(len(parts), n)
@@ -105,14 +105,12 @@ def _walk(k: int, n: int, budget: int) -> list[int]:
 
         def extend(idx: int, prev: int, ws: int, total: int) -> None:
             hi = min(caps[idx], prev)
-            inside = idx < window
-            if inside:
-                hi = min(hi, budget - ws)
             if hi == 0:
                 # Quotas never rise, so every later one is 0 too: the one
                 # completion is all zeros.
                 best[ws] = max(best[ws], total)
                 return
+            inside = idx < window
             for q in range(hi, -1, -1):
                 at = ws + q if inside else ws
                 if idx < last:
@@ -124,26 +122,21 @@ def _walk(k: int, n: int, budget: int) -> list[int]:
     return best
 
 
-def _check_cap(params: ProblemParams) -> None:
-    if params.k > K_CAP:
-        raise ValueError(
-            f"k={params.k} exceeds the brute-force cap {K_CAP}; "
-            "use the closed form for larger instances"
-        )
-
-
 def brute_force_rate(params: ProblemParams) -> int:
-    """Minimum download found by exhaustive search (small k only)."""
-    _check_cap(params)
-    return params.k - max(_walk(params.k, params.n, params.m))
+    """Minimum download found by exhaustive search (small k only): the sweep's entry m."""
+    return brute_force_sweep(params.k, params.n)[params.m]
 
 
 def brute_force_sweep(k: int, n: int) -> list[int]:
     """The minimum download of every budget m = 0..k-n from one exhaustive walk.
 
-    A vector's window sum never exceeds k - n, so the walk at budget k - n
-    visits every vector any m can use, and budget m keeps those with window
-    sum at most m.  Entry m equals ``brute_force_rate(ProblemParams(k, m, n))``.
+    The walk visits every vector, and budget m keeps those with window sum
+    at most m.  Raises ValueError for an invalid (k, n) or k above ``K_CAP``.
     """
-    _check_cap(ProblemParams(k, 0, n))
-    return [k - top for top in accumulate(_walk(k, n, k - n), max)]
+    ProblemParams(k, 0, n)  # validates k and n
+    if k > K_CAP:
+        raise ValueError(
+            f"k={k} exceeds the brute-force cap {K_CAP}; "
+            "use the closed form for larger instances"
+        )
+    return [k - top for top in accumulate(_walk(k, n), max)]

@@ -7,62 +7,35 @@ demand sets given the layout equals the uniform prior 1 / C(k, n),
 exactly.  Everything here is computed in rational arithmetic so equality
 can be asserted with zero tolerance.
 
-The probability that the construction emits a fixed layout, given demands
-``w`` and side information ``s``, factors into three pieces mirroring the
-drawing stages.  Write d_u = |w ∩ block u|, D for the blocks with d_u > 0,
-and q_u for block u's side quota:
+The layout law.  ``build_layout`` places the demands w by capacity, draws
+side quotas from s into the blocks holding demands, and shuffles the rest
+in.  With d_u = |w ∩ block u|, D the blocks with d_u > 0, c_u = size_u -
+d_u, h_u = |s ∩ block u|, q_u block u's side quota and Q = sum_{u in D}
+q_u, the three stages multiply to
 
-* demand placement: walking w in ascending order, the j-th index lands in
-  its block with probability (block size - demands already there) /
-  (k - j + 1), giving prod_u falling(size_u, d_u) / falling(k, n);
-* side-information draws: a demand-bearing block with quota q must have
-  drawn q of the h = |s ∩ block| side indices it ends up containing, out of
-  the ``undrawn`` side indices still left (m, less the quotas of earlier
-  blocks in D), giving C(h, q) / C(undrawn, q) (zero if h < q);
-* fill: the leftover indices are shuffled uniformly into the remaining
-  slots, so a given arrangement has probability (prod of e_u!) / E!, where
-  e_u = size_u - d_u - q_u [u in D] counts block u's slots left open after
-  the first two stages and E = sum e_u = k - n - Q, Q = sum_{u in D} q_u.
+    P(layout | w, s) = U * perm(k - n, Q) / perm(m, Q)
+                         * prod_{u in D} perm(h_u, q_u) / perm(c_u, q_u)
 
-Posterior in closed form.  Demands and side sets are uniform a priori, so
-the posterior weight W of a demand set is the sum of that probability over
-its C(k - n, m) side sets.  Only the side term depends on s, through h_u on
-the blocks in D; with c_u = size_u - d_u, the identity
-sum_h C(c, h) C(h, q) x^h = C(c, q) x^q (1 + x)^(c - q) collapses the sum to
+with U = prod_u size_u! / k!, or 0 if some block in D has h_u < q_u; else
+h_u <= c_u and sum h_u <= m keep every denominator positive.
 
-    W = prod_u falling(size_u, d_u) / falling(k, n)
-        * prod_{u in D} C(c_u, q_u) / C(undrawn_u, q_u)
-        * prod_u e_u! / E!  *  C(E, m - Q).
+Averaging over s.  For fixed w and uniform s, prod_{u in D} perm(h_u, q_u)
+counts the ordered choices of q_u side indices among each block's c_u
+non-demand slots; each of the prod_{u in D} perm(c_u, q_u) such choices
+lies in s with probability perm(m, Q) / perm(k - n, Q).  So the correction
+averages to 1: P(layout | w) = U for every *feasible* w (each block in D
+keeps c_u >= q_u, and Q <= m) and 0 for the rest, and the posterior is
+uniform over the feasible sets.  Under the paper's plan every demand set
+is feasible: whatever is demanded, the layout is uniform over the
+k! / prod_u size_u! ordered partitions with the plan's sizes, which is the
+scheme's privacy.  ``monte_carlo_tvd`` tests samples against two
+marginals of this law: block u is a uniform size_u-subset of 1..k, so a
+fixed index lies in it with probability size_u / k, and two fixed indices
+share a block with probability sum_u size_u (size_u - 1) / (k (k - 1)).
 
-Per block, falling(size_u, d_u) C(c_u, q_u) e_u! = size_u! / q_u!, and
-q_u! C(undrawn_u, q_u) telescopes over D to m! / (m - Q)!, so
-
-    W = prod_u size_u! / (falling(k, n) * m! * (k - n - m)!)
-
-for every *feasible* demand set (each block in D keeps c_u >= q_u, and
-Q <= m), and W = 0 otherwise.  The weight does not depend on which
-feasible set it is, so the posterior is uniform over the feasible sets:
-``posterior`` decides feasibility once per demand profile and never sums
-over side sets.  Under the paper's plan every demand set is feasible, which
-is the scheme's privacy.
-
-Divided by the C(k - n, m) side sets, W is the layout's probability given
-the demands alone, with the side set uniform:
-
-    P(layout | w) = prod_u size_u! / k!,
-
-the same for every w.  So the layout is uniform over the k! / prod_u size_u!
-ordered partitions with the plan's sizes, whatever is demanded.
-``monte_carlo_tvd`` tests sampled layouts against two marginals of this law:
-block u is a uniform size_u-subset of 1..k, so a fixed index lies in it with
-probability size_u / k, and two fixed indices share a block with probability
-sum_u size_u (size_u - 1) / (k (k - 1)).
-
-The independent cross-checks run the shipped sampler itself.
-``enumerate_randomness`` drives ``scheme.build_layout`` with a scripted
-generator, once per sequence of draws, so the law it returns is the law of
-the code that builds real queries, not of a copy of it; and the tests sum
-``_probability`` over every (w, s) pair.
+The independent cross-check runs the shipped sampler: ``enumerate_randomness``
+drives ``scheme.build_layout`` with a scripted generator, once per sequence
+of draws, so its law is that of the code that builds real queries.
 """
 
 from __future__ import annotations
@@ -72,7 +45,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, comb, factorial, inf, prod, sqrt
+from math import ceil, comb, factorial, inf, perm, prod, sqrt
 from statistics import NormalDist
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -126,11 +99,16 @@ def layout_probability(
     side: Iterable[int],
     params: ProblemParams,
 ) -> Fraction:
-    """Exact probability that the construction outputs ``layout``.
+    """Exact probability that the construction outputs ``layout`` for these demands and side.
 
-    Conditioned on the given demand and side-information sets.  Returns 0
-    for layouts the drawing procedure cannot produce for them (some
-    demand-bearing block contains fewer side indices than its quota).
+    It is 0 when some demand-bearing block holds fewer side indices than its
+    quota.  At (5,1,1), U = 2! 2! 1! / 5! = 1/30 and the correction is
+    perm(4,1) / perm(1,1):
+
+    >>> params = ProblemParams(k=5, m=1, n=1)
+    >>> layout = Layout(((1, 2), (3, 4), (5,)), compute_plan(params))
+    >>> layout_probability(layout, demands=(1,), side=(2,), params=params)
+    Fraction(2, 15)
     """
     spec = DemandSpec(tuple(demands), frozenset(side))
     spec.validate_against(params)
@@ -144,40 +122,22 @@ def _probability(
     side: Collection[int],
     params: ProblemParams,
 ) -> Fraction:
-    """``layout_probability`` for valid inputs: ``demands`` ascending, layout on ``plan``."""
-    block_of = {idx: i for i, block in enumerate(layout.subspaces) for idx in block}
-    k = params.k
-    prob = Fraction(1)
-
-    # Demand placement factor.
-    placed = [0] * plan.l_star
-    for j, idx in enumerate(demands, start=1):
-        u = block_of[idx]
-        prob *= Fraction(plan.size_profile[u] - placed[u], k - j + 1)
-        placed[u] += 1
-
-    # Side-information draw factor.
-    undrawn = params.m
-    for i, block in enumerate(layout.subspaces):
-        if placed[i] == 0:
+    """``layout_probability`` for valid inputs on ``plan``: the module docstring's product."""
+    wanted = set(demands)
+    numer, denom, quotas = 1, 1, 0
+    for block, size, quota in zip(layout.subspaces, plan.size_profile, plan.side_profile):
+        held_demands = sum(idx in wanted for idx in block)
+        if held_demands == 0:
             continue
-        quota = plan.side_profile[i]
-        held = sum(1 for idx in block if idx in side)
+        held = sum(idx in side for idx in block)
         if held < quota:
             return Fraction(0)
-        prob *= Fraction(comb(held, quota), comb(undrawn, quota))
-        undrawn -= quota
-
-    # Fill factor.
-    open_slots = [
-        plan.size_profile[i] - placed[i] - (plan.side_profile[i] if placed[i] else 0)
-        for i in range(plan.l_star)
-    ]
-    numer = 1
-    for e in open_slots:
-        numer *= factorial(e)
-    prob *= Fraction(numer, factorial(sum(open_slots)))
-    return prob
+        numer *= perm(held, quota)
+        denom *= perm(size - held_demands, quota)
+        quotas += quota
+    k, m, n = params.k, params.m, params.n
+    uniform = Fraction(prod(map(factorial, plan.size_profile)), factorial(k))
+    return uniform * Fraction(numer * perm(k - n, quotas), denom * perm(m, quotas))
 
 
 def enumerate_randomness(
@@ -243,9 +203,9 @@ def posterior(layout: Layout, params: ProblemParams) -> PosteriorReport:
 
     Demands and side information are taken uniform a priori, so a demand
     set's posterior is its layout probability summed over all side sets,
-    normalised.  By the closed form in the module docstring that sum is one
-    constant for every feasible demand set and 0 for the rest, so each set
-    gets 1 / (number of feasible sets) or 0.  Feasibility depends only on
+    normalised.  By the module docstring that sum is C(k - n, m) U for
+    every feasible demand set and 0 for the rest, so each set gets
+    1 / (number of feasible sets) or 0.  Feasibility depends only on
     the blocks the set's members fall in, and is decided once per such
     profile.  Raises if the layout is unreachable (no feasible demand set).
     """
@@ -300,7 +260,10 @@ def _feasible(plan: RatePlan, m: int, profile: Sequence[int]) -> bool:
 
 @dataclass(frozen=True)
 class TvdReport:
-    """``monte_carlo_tvd``'s verdict: the worst |z| over ``cells`` against ``threshold``."""
+    """``monte_carlo_tvd``'s verdict: the worst |z| over ``cells`` against ``threshold``.
+
+    ``distinct_queries`` counts layout hashes: short only on a 64-bit collision.
+    """
 
     trials: int
     distinct_queries: int
@@ -314,7 +277,7 @@ def _sample_counts(params, demands, trials, rng, layouts: set) -> list[int]:
     """Hits per block, then pair hits, over ``trials`` layouts drawn for ``demands``.
 
     Each sample draws a uniform side set from the other indices and runs
-    ``build_layout``; its layout joins ``layouts``.
+    ``build_layout``; its layout's hash joins ``layouts``.
     """
     demands = tuple(sorted(demands))
     wanted, pair = frozenset(demands), demands[:2]
@@ -324,7 +287,7 @@ def _sample_counts(params, demands, trials, rng, layouts: set) -> list[int]:
         spec = DemandSpec(demands, frozenset(rng.sample(complement, params.m)))
         # A query is its ordered supports; the block shapes fix the rest.
         subspaces = build_layout(params, spec, rng).subspaces
-        layouts.add(subspaces)
+        layouts.add(hash(subspaces))
         for u, block in enumerate(subspaces):
             hits = wanted.intersection(block)
             counts[u] += len(hits)

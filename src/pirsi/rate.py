@@ -116,7 +116,6 @@ def compute_plan(params: ProblemParams) -> RatePlan:
         - max(l_formula - 1 - n, 0) * m_bar
         - max(k - (l_formula - 1) * (m_bar + n) - t - n, 0)
     )
-    assert r_star == sum(sizes) - sum(side), "profile/cost mismatch"
     return RatePlan(
         m_bar=m_bar,
         t=t,

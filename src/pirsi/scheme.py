@@ -165,7 +165,7 @@ def build_layout(params: ProblemParams, spec: DemandSpec, rng: random.Random) ->
     # placement the free capacities sum to k - j + 1, so a single uniform
     # draw over that range, walked through the cumulative capacities,
     # selects subspace u with probability (size_u - placed_u) / (k - j + 1).
-    for j, idx in enumerate(sorted(spec.demands), start=1):
+    for j, idx in enumerate(spec.demands, start=1):
         draw = rng.randrange(k - j + 1)
         acc = 0
         chosen = -1

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, islice, permutations
 from math import comb, factorial, perm, prod
@@ -15,6 +16,7 @@ from pirsi import (
     build_layout,
     compute_plan,
     enumerate_randomness,
+    is_feasible_plan,
     iter_layouts,
     layout_probability,
     monte_carlo_tvd,
@@ -188,6 +190,32 @@ def test_enumeration_refuses_unscripted_draws(monkeypatch):
         enumerate_randomness(ProblemParams(k=5, m=1, n=1), (1,), (2,))
 
 
+@pytest.mark.parametrize("kmn, sizes, side", [
+    ((7, 2, 1), (3, 2, 2), (1, 1, 1)),
+    ((8, 3, 2), (5, 3), (3, 0)),
+    ((8, 4, 2), (4, 4), (2, 2)),
+    ((9, 3, 1), (5, 4), (3, 3)),
+])
+def test_enumeration_matches_product_on_hand_made_plans(monkeypatch, kmn, sizes, side):
+    # Criterion 7 sees only closed-form plans.  These pass the oracle's plan
+    # check but are not the closed form's, so the sampler runs on other
+    # profiles and the product must still be its law.
+    params = ProblemParams(*kmn)
+    plan = skewed_plan(sizes, side)
+    assert is_feasible_plan(params, sizes, side) and plan != compute_plan(params)
+    monkeypatch.setattr("pirsi.scheme.compute_plan", lambda _: plan)
+    rng = random.Random(f"hand-made {kmn} {sizes} {side}")
+    demands = tuple(sorted(rng.sample(range(1, params.k + 1), params.n)))
+    rest = [i for i in range(1, params.k + 1) if i not in demands]
+    spec_side = frozenset(rng.sample(rest, params.m))
+    dist = enumerate_randomness(params, demands, spec_side)
+    assert sum(dist.values()) == 1
+    for layout, prob in dist.items():
+        assert layout.plan == plan
+        assert _probability(layout, plan, demands, spec_side, params) == prob
+    assert len(set(dist.values())) > 1  # the per-block correction is not always 1
+
+
 def test_probabilities_cover_every_layout_exactly_once():
     # Summing the closed form over all shape-compatible layouts gives 1.
     params = ProblemParams(k=6, m=1, n=2)
@@ -200,9 +228,9 @@ def test_probabilities_cover_every_layout_exactly_once():
 
 
 def test_demand_placement_order_invariance():
-    # The probability law walks demands in ascending order.  The placement
-    # factor is the only order-dependent piece, and re-deriving it in every
-    # other order gives the same value, so the full law is order-invariant.
+    # The sampler places demands in ascending order.  Its placement factor
+    # is the only order-dependent piece of the law, and re-deriving it in
+    # every other order gives the same value, so the law is order-invariant.
     params = ProblemParams(k=7, m=1, n=2)
     plan = compute_plan(params)
     layout = Layout(((1, 2, 4), (3, 5), (6, 7)), plan)
@@ -467,6 +495,20 @@ def test_monte_carlo_different_demands_consistent():
     report = monte_carlo_tvd(params, (2,), (5,), trials=3000, rng=random.Random(2))
     assert report.consistent
     assert report.distinct_queries == 35
+
+
+def test_monte_carlo_memory_does_not_grow_with_layouts():
+    # No layout repeats at (1000,300,5), so keeping whole layouts to count
+    # the distinct ones held 160 of 1,000 indices each (a 4.2 MB peak).
+    params = ProblemParams(k=1000, m=300, n=5)
+    tracemalloc.start()
+    try:
+        report = monte_carlo_tvd(params, *far_demand_sets(params), 80, random.Random(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.distinct_queries == 160
+    assert peak < 1_000_000, peak
 
 
 def test_monte_carlo_trivial_instance_is_exact_zero():
