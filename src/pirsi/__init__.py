@@ -4,15 +4,21 @@ The user of a k-message database already holds m messages and wants n
 others without revealing which ones.  This package provides the
 closed-form minimum download (:func:`compute_plan`), the randomized
 partition-and-MDS scheme achieving it (:mod:`pirsi.scheme`), exact
-rational-arithmetic privacy verification (:mod:`pirsi.privacy`), a
-brute-force minimum and a check of the plan's profile
-(:mod:`pirsi.oracle`), and one full round over canonical bytes
+rational-arithmetic privacy verification (:mod:`pirsi.privacy`), an
+exact rate search with its brute-force check and a check of the plan's
+profile (:mod:`pirsi.oracle`), and one full round over canonical bytes
 (:func:`simulate_round`).
 """
 
 from .field import DEFAULT_PRIME, PrimeField, is_prime
 from .mds import CodeMatrix, check_mds, decode, encode, solve_vandermonde, vandermonde
-from .oracle import brute_force_rate, brute_force_sweep, is_feasible_plan, subspace_cost
+from .oracle import (
+    brute_force_rate,
+    brute_force_sweep,
+    is_feasible_plan,
+    search_sweep,
+    subspace_cost,
+)
 from .privacy import (
     PosteriorReport,
     TvdReport,
@@ -60,6 +66,7 @@ __all__ = [
     "brute_force_rate",
     "brute_force_sweep",
     "is_feasible_plan",
+    "search_sweep",
     "subspace_cost",
     "PosteriorReport",
     "TvdReport",

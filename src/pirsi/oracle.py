@@ -1,16 +1,27 @@
-"""Brute-force search over every partition plan, as an independent check.
+"""The minimum download over partition plans, found two ways, and the plan check.
 
 The closed form in :mod:`pirsi.rate` makes two claims: the minimum download
 ``r_star``, and that its plan is a valid partition-and-MDS assignment.
-This module checks the first by exhaustive enumeration on small instances
-(:func:`brute_force_rate`, :func:`brute_force_sweep`) and the second by
-testing the plan's profile directly (:func:`is_feasible_plan`).
+This module checks the first with an exact memoised search that reaches
+large k (:func:`search_sweep`), itself checked by exhaustive enumeration
+on small instances (:func:`brute_force_rate`, :func:`brute_force_sweep`),
+and the second by testing the plan's profile directly
+(:func:`is_feasible_plan`).  Both searches are minima over
+partition-and-MDS plans only; neither is the paper's converse over all
+linear schemes.
 
 Feasibility of a quota vector: each quota is at most the subspace's size
 excess over the demand count (:func:`quota_cap`), and since at most ``n``
 subspaces ever serve demands, only the largest ``min(len(parts), n)``
 quotas draw on the user's side information, so their sum (the vector's
 window sum) must not exceed ``m``.
+
+The search rests on one lemma: some optimal plan gives each positive quota
+``q`` a part of size exactly ``q + n``.  Leftover size can join any part,
+since that only raises the part's cap, and parts with quota 0 merge into
+another part without changing the window.  So the minimum is k minus the
+largest quota total over non-increasing positive quota vectors with
+``sum(q + n) <= k`` whose first n quotas sum to at most m.
 
 The budget ``m`` only decides which vectors count, so one exhaustive walk
 per ``(k, n)`` answers every ``m`` (:func:`brute_force_sweep`): it records
@@ -53,12 +64,12 @@ def subspace_cost(size: int, quota: int, n_demands: int) -> int:
 
 
 def is_feasible_plan(params: ProblemParams, sizes: Sequence[int], quotas: Sequence[int]) -> bool:
-    """True when the walk visits this (sizes, quotas) pair and budget ``params.m`` admits it.
+    """True when ``(sizes, quotas)`` is a canonical plan that budget ``params.m`` admits.
 
     That is: positive, non-increasing sizes summing to k; non-increasing
     quotas, each within its subspace's cap; and the first min(len, n)
     quotas summing to at most m.  A plan passing this whose cost is the
-    brute-force minimum is one of the minimum's canonical achievers.
+    minimum is one of the minimum's canonical achievers.
     """
     if len(sizes) != len(quotas) or sum(sizes) != params.k or min(sizes) < 1:
         return False
@@ -140,3 +151,32 @@ def brute_force_sweep(k: int, n: int) -> list[int]:
             "use the closed form for larger instances"
         )
     return [k - top for top in accumulate(_walk(k, n), max)]
+
+
+def search_sweep(k: int, n: int) -> list[int]:
+    """The minimum download of every budget m = 0..k-n, by the lemma's search.
+
+    Same result as :func:`brute_force_sweep`, with no cap on k: the search
+    is polynomial in k.  Raises ValueError for an invalid (k, n).
+    """
+    ProblemParams(k, 0, n)  # validates k and n
+
+    @lru_cache(maxsize=None)
+    def best(size: int, slots: int, budget: int, cap: int) -> int:
+        """Largest quota total of parts fitting in ``size``, each quota at most
+        ``cap``, the next ``slots`` quotas summing to at most ``budget``."""
+        top = 0
+        for q in range(min(cap, size - n, budget), 0, -1):
+            left = size - q - n
+            # Past the window the budget no longer binds; inside it, neither
+            # does any excess over what the remaining slots can take.
+            after = min(budget - q, (slots - 1) * q, left) if slots > 1 else left
+            top = max(top, q + best(left, max(slots - 1, 0), after, q))
+        return top
+
+    try:
+        return [k - best(k, n, m, k) for m in range(k - n + 1)]
+    finally:
+        # The closure and its cache form a reference cycle; clearing the
+        # cache frees the memo now instead of at the next collection.
+        best.cache_clear()

@@ -338,16 +338,16 @@ def test_privacy_mc_validates_counts(capsys):
 
 
 def test_oracle_sweep(capsys):
-    code, out, err = run_cli(capsys, "oracle", "--k-max", "7")
+    code, out, err = run_cli(capsys, "oracle", "--k-max", "40")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "k m n oracle formula match"
     assert all(line.endswith(" true") for line in lines[1:])
-    # one row per instance with 1 <= n, 0 <= m, n + m <= k <= 7
-    assert len(lines) - 1 == sum(
-        1 for k in range(1, 8) for n in range(1, k + 1) for m in range(0, k - n + 1)
+    # one row per instance with 1 <= n, 0 <= m, n + m <= k <= 40
+    assert len(lines) - 1 == 11_480 == sum(
+        1 for k in range(1, 41) for n in range(1, k + 1) for m in range(0, k - n + 1)
     )
-    assert "0 mismatches" in err
+    assert "checked 11480 instances, 0 mismatches" in err
 
 
 @pytest.mark.parametrize(
@@ -396,10 +396,11 @@ def test_oracle_golden_tables(capsys):
 
 
 def test_oracle_rejects_out_of_range(capsys):
-    for bad in ("0", "15"):
+    for bad in ("0", "81"):
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "--k-max", bad])
         assert exc.value.code == 2
+        assert "--k-max must be in 1..80" in capsys.readouterr().err
 
 
 def test_db_file_round_trip(tmp_path):

@@ -1,5 +1,7 @@
-"""Brute-force search: pinned minima, the sweep, and the plan check."""
+"""Rate searches: the exact search against brute force, pinned minima, the plan check."""
 
+import gc
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -10,6 +12,7 @@ from pirsi import (
     brute_force_sweep,
     compute_plan,
     is_feasible_plan,
+    search_sweep,
     subspace_cost,
 )
 
@@ -194,3 +197,40 @@ def test_planned_profile_passes_plan_check_to_k60():
                 )
                 instances += 1
     assert instances == 37_820
+
+
+def test_search_matches_brute_force():
+    # The lemma: parts of size q + n for the positive quotas lose nothing,
+    # so the search finds the exhaustive walk's minimum at every budget.
+    instances = 0
+    for k in range(1, 15):
+        for n in range(1, k + 1):
+            found = search_sweep(k, n)
+            assert found == brute_force_sweep(k, n), (k, n)
+            instances += len(found)
+    assert instances == 560
+
+
+def test_search_guards_inputs():
+    with pytest.raises(ValueError, match="n must be positive"):
+        search_sweep(5, 0)
+    with pytest.raises(ValueError, match="k must be positive"):
+        search_sweep(0, 1)
+    with pytest.raises(ValueError, match="exceed database"):
+        search_sweep(3, 4)
+
+
+def test_search_frees_its_memo():
+    # The memo lives on a closure that refers to itself, a reference cycle
+    # only a collection would free; the sweep clears the memo before it
+    # returns.  The first call warms the interpreter's own buffers.
+    search_sweep(40, 4)
+    gc.disable()
+    tracemalloc.start()
+    try:
+        search_sweep(40, 4)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 20_000  # over 200 kB when the memo is kept

@@ -4,7 +4,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, islice, permutations
+from itertools import combinations, islice
 from math import comb, factorial, perm, prod
 
 import pytest
@@ -228,31 +228,21 @@ def test_probabilities_cover_every_layout_exactly_once():
 
 
 def test_demand_placement_order_invariance():
-    # The sampler places demands in ascending order.  Its placement factor
-    # is the only order-dependent piece of the law, and re-deriving it in
-    # every other order gives the same value, so the law is order-invariant.
+    # The shipped sampler places demands in ascending order; the closed-form
+    # law is an order-free product.  Enumerating every draw of the sampler
+    # must give that law on every layout the sampler reaches.
     params = ProblemParams(k=7, m=1, n=2)
-    plan = compute_plan(params)
-    layout = Layout(((1, 2, 4), (3, 5), (6, 7)), plan)
-    block_of = {idx: i for i, block in enumerate(layout.subspaces) for idx in block}
-
-    def placement_factor(order):
-        placed = [0] * plan.l_star
-        factor = Fraction(1)
-        for j, idx in enumerate(order, start=1):
-            u = block_of[idx]
-            factor *= Fraction(plan.size_profile[u] - placed[u], params.k - j + 1)
-            placed[u] += 1
-        return factor
-
     checked = 0
     for demands in [(1, 2), (2, 6), (6, 7), (1, 7), (3, 5)]:
-        ascending = placement_factor(sorted(demands))
-        assert ascending > 0
-        for order in permutations(demands):
-            assert placement_factor(order) == ascending
-        checked += 1
-    assert checked == 5
+        side = (min(set(range(1, 8)) - set(demands)),)
+        dist = enumerate_randomness(params, demands, side)
+        assert sum(dist.values()) == 1
+        for layout, prob in dist.items():
+            assert prob == layout_probability(layout, demands, side, params), (
+                demands, layout.subspaces,
+            )
+        checked += len(dist)
+    assert checked == 570
 
 
 def test_posterior_uniform_on_pinned_instances():
