@@ -22,8 +22,12 @@ MR_BOUND = 3317044064679887385961981
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test, proven for n < 3317044064679887385961981.
 
-    Raises ValueError for larger n, where these witnesses prove nothing.
+    Raises ValueError for larger n, where these witnesses prove nothing, and
+    for any n whose type is not exactly ``int`` (``bool`` and ``7.0``
+    included): a modulus is accepted exactly or not at all.
     """
+    if type(n) is not int:
+        raise ValueError(f"modulus must be an int, got {n!r}")
     if n >= MR_BOUND:
         raise ValueError(f"primality is only proven below {MR_BOUND}, got {n}")
     if n < 2:

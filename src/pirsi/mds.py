@@ -9,9 +9,12 @@ evaluation points 1..n realises this for any 1 <= r <= n <= p - 1.
 
 There are two decoders.  ``solve_vandermonde`` is the one the client uses:
 it knows the code is Vandermonde on the points 1..n, so it recovers just the
-wanted coordinates through the master polynomial of the unknown points
+wanted coordinates through the master polynomial of the u unknown points
 (Bjorck & Pereyra, "Solution of Vandermonde systems of equations", Math.
-Comp. 24, 1970), in O(u^2) for u unknowns, without building the matrix.
+Comp. 24, 1970), without building the matrix.  It gets that polynomial by
+the cheaper of two routes: multiplying in the unknown points, O(u^2), or
+dividing the known points out of the product over all n points,
+O(|known| * n), which is cached per (n, p) and built once in O(n^2).
 ``decode`` is generic Gauss-Jordan elimination over any code matrix, O(u^3);
 it is kept as the independent oracle the tests check the fast path against.
 """
@@ -144,6 +147,39 @@ def decode(
     return [solution[j] for j in range(n)]
 
 
+def _from_roots(points: Sequence[int], p: int) -> list[int]:
+    """The coefficients of prod_x (t - x) over ``points`` mod p, lowest degree first."""
+    poly = [1]
+    for x in points:
+        poly = [(a - x * b) % p for a, b in zip([0] + poly, poly + [0])]
+    return poly
+
+
+@lru_cache(maxsize=16)
+def _all_points(n: int, p: int) -> tuple[int, ...]:
+    """The coefficients of prod_{x=1..n} (t - x) mod p, highest degree first.
+
+    Built once per (n, p) in O(n^2); ``solve_vandermonde`` divides the known
+    points out of it.  It vanishes on 1..n and is (-1)**n * n! at 0:
+
+    >>> from math import factorial
+    >>> def at(coeffs, x, p):
+    ...     value = 0
+    ...     for coeff in coeffs:
+    ...         value = (value * x + coeff) % p
+    ...     return value
+    >>> all(at(_all_points(n, 13), x, 13) == 0 for n in range(1, 13) for x in range(1, n + 1))
+    True
+    >>> all(at(_all_points(n, 13), 0, 13) == (-1) ** n * factorial(n) % 13 for n in range(1, 13))
+    True
+    >>> _all_points(3, 13)  # t^3 - 6t^2 + 11t - 6
+    (1, 7, 11, 7)
+    >>> _all_points.cache_info().maxsize
+    16
+    """
+    return tuple(reversed(_from_roots(range(1, n + 1), p)))
+
+
 def solve_vandermonde(
     codeword: Sequence[int],
     n: int,
@@ -162,6 +198,12 @@ def solve_vandermonde(
     every other unknown point, so z_l = <q, b> / q(x_l).  P also checks rows
     beyond the u-th: sum_k P_k * b[i + k] = 0 for i = 0..r-u-1, which holds
     exactly when the codeword is consistent with the known symbols.
+
+    P is built by multiplying in (t - x_l) for each unknown point, O(u^2),
+    when u**2 <= len(known) * n, and otherwise by dividing (t - x_j) for
+    each known point exactly out of prod_{x=1..n} (t - x), O(len(known) * n).
+    That product is cached per (n, p); its first build costs O(n^2).  Both
+    routes give the same P, so the result does not depend on the route.
 
     Raises ValueError if fewer than n - r symbols are known or if the inputs
     are inconsistent with any codeword.
@@ -186,12 +228,24 @@ def solve_vandermonde(
         rhs.append((coded - sum(terms)) % p)
         terms = [t * x % p for t, x in zip(terms, points)]
 
-    # P's coefficients, lowest degree first: multiply by (t - x) per point.
-    poly = [1]
-    for j in unknown:
-        x = j + 1
-        poly = [(a - x * b) % p for a, b in zip([0] + poly, poly + [0])]
+    # P's coefficients, lowest degree first.  Either multiply in (t - x) per
+    # unknown point, O(u^2), or divide (t - x) per known point exactly out of
+    # the product over all n points, O(|known| * n): whichever is less work.
     u = len(unknown)
+    if u * u <= len(known) * n:
+        poly = _from_roots([j + 1 for j in unknown], p)
+    else:
+        high = _all_points(n, p)
+        for j in known:
+            # Synthetic division, highest degree first; x is a root, so the
+            # remainder high[-1] + x * acc is zero and is dropped.
+            x = j + 1
+            acc, quotient = 0, []
+            for coeff in high[:-1]:
+                acc = (acc * x + coeff) % p
+                quotient.append(acc)
+            high = quotient
+        poly = high[::-1]
     if any(sum(map(operator.mul, poly, rhs[i:i + u + 1])) % p for i in range(r - u)):
         raise ValueError("inconsistent codeword for the given known symbols")
 

@@ -20,6 +20,14 @@ def test_nonprime_modulus_rejected(bad):
         PrimeField(bad)
 
 
+@pytest.mark.parametrize("bad", [13.0, 7.0, 2.0, True, "13"])
+def test_non_int_modulus_rejected(bad):
+    with pytest.raises(ValueError, match="must be an int"):
+        is_prime(bad)
+    with pytest.raises(ValueError, match="must be an int"):
+        PrimeField(bad)
+
+
 @pytest.mark.parametrize("good", [2, 3, 13, 65537, 2**61 - 1])
 def test_prime_moduli_accepted(good):
     assert PrimeField(good).p == good

@@ -21,6 +21,7 @@ from pirsi import (
     solve_vandermonde,
     vandermonde,
 )
+from pirsi.mds import _all_points
 
 
 def test_vandermonde_worked_example_rows(gf13):
@@ -158,20 +159,37 @@ def test_decode_round_trip_randomized():
         assert decode(matrix, codeword, known) == msgs
 
 
+def _all_points_calls():
+    info = _all_points.cache_info()
+    return info.hits + info.misses
+
+
 @pytest.mark.parametrize("p, n_max", [(13, 12), (2**31 - 1, 30)])
 def test_solve_vandermonde_agrees_with_decode(p, n_max):
     # Random shapes, known sets and wanted positions; half the codewords are
     # random, so most of those with spare rows are inconsistent and both
-    # decoders must refuse them.
+    # decoders must refuse them.  The last 100 cases use every row and know
+    # at most a quarter of the columns, often none: the division route, with
+    # spare rows whenever some column is known.
+    # Each master-polynomial route is tallied by whether it read the cached
+    # product over all n points, and must be the one the size rule picks.
     gf = PrimeField(p)
     rng = random.Random(p)
-    shapes = {"spare rows": 0, "square": 0, "one wanted": 0, "refused": 0}
-    for _ in range(600):
+    shapes = dict.fromkeys(
+        ["spare rows", "square", "one wanted", "refused", "no known columns",
+         "multiply-in", "division", "refused, multiply-in", "refused, division"],
+        0,
+    )
+    for trial in range(700):
         n = rng.randrange(1, n_max + 1)
-        r = rng.randrange(1, n + 1)
+        r = n if trial >= 600 else rng.randrange(1, n + 1)
         matrix = vandermonde(r, n, gf)
         msgs = [rng.randrange(p) for _ in range(n)]
-        known_cols = rng.sample(range(n), rng.randrange(n - r, n))
+        if trial >= 600:
+            known_count = rng.randrange(0, n // 4 + 1)
+        else:
+            known_count = rng.randrange(n - r, n)
+        known_cols = rng.sample(range(n), known_count)
         known = {j: msgs[j] for j in known_cols}
         unknown = [j for j in range(n) if j not in known]
         wanted = sorted(rng.sample(unknown, rng.randrange(1, len(unknown) + 1)))
@@ -179,16 +197,22 @@ def test_solve_vandermonde_agrees_with_decode(p, n_max):
             codeword = encode(matrix, msgs)
         else:
             codeword = [rng.randrange(p) for _ in range(r)]
+        route = "division" if len(unknown) ** 2 > len(known) * n else "multiply-in"
+        calls = _all_points_calls()
         try:
             full = decode(matrix, codeword, known)
         except ValueError:
             with pytest.raises(ValueError, match="inconsistent"):
                 solve_vandermonde(codeword, n, known, wanted, gf)
             shapes["refused"] += 1
-            continue
-        assert solve_vandermonde(codeword, n, known, wanted, gf) == [full[j] for j in wanted]
-        shapes["spare rows" if len(unknown) < r else "square"] += 1
-        shapes["one wanted"] += len(wanted) == 1
+            shapes["refused, " + route] += 1
+        else:
+            assert solve_vandermonde(codeword, n, known, wanted, gf) == [full[j] for j in wanted]
+            shapes["spare rows" if len(unknown) < r else "square"] += 1
+            shapes["one wanted"] += len(wanted) == 1
+            shapes["no known columns"] += not known
+        assert (_all_points_calls() > calls) == (route == "division")
+        shapes[route] += 1
     assert min(shapes.values()) >= 30, shapes
 
 
