@@ -33,6 +33,7 @@ EXACT_INDICES_CAP = 1_000_000
 ORACLE_K_CAP = 80
 
 _DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
+_INDICES = re.compile(rf"(?:{_DECIMAL.pattern})(?:,(?:{_DECIMAL.pattern}))*")
 
 
 def _decimal(text: str) -> int:
@@ -44,10 +45,9 @@ def _decimal(text: str) -> int:
 
 def _parse_indices(text: str) -> tuple[int, ...]:
     """Comma-separated canonical decimals, each index at most once."""
-    parts = text.split(",")
-    if not all(_DECIMAL.fullmatch(part) for part in parts):
+    if not _INDICES.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    indices = tuple(int(part) for part in parts)
+    indices = tuple(map(int, text.split(",")))
     if len(set(indices)) != len(indices):
         raise argparse.ArgumentTypeError(f"expected distinct indices, got {text!r}")
     return indices

@@ -11,10 +11,13 @@ There are two decoders.  ``solve_vandermonde`` is the one the client uses:
 it knows the code is Vandermonde on the points 1..n, so it recovers just the
 wanted coordinates through the master polynomial of the u unknown points
 (Bjorck & Pereyra, "Solution of Vandermonde systems of equations", Math.
-Comp. 24, 1970), without building the matrix.  It gets that polynomial by
+Comp. 24, 1970), without inverting the matrix.  It gets that polynomial by
 the cheaper of two routes: multiplying in the unknown points, O(u^2), or
 dividing the known points out of the product over all n points,
 O(|known| * n), which is cached per (n, p) and built once in O(n^2).
+Before that it subtracts the known columns from the codeword, one product
+sum per row over the rows of ``vandermonde``: those are cached per shape,
+and the server builds the same shape for the block it answers.
 ``decode`` is generic Gauss-Jordan elimination over any code matrix, O(u^3);
 it is kept as the independent oracle the tests check the fast path against.
 """
@@ -199,11 +202,14 @@ def solve_vandermonde(
     beyond the u-th: sum_k P_k * b[i + k] = 0 for i = 0..r-u-1, which holds
     exactly when the codeword is consistent with the known symbols.
 
-    P is built by multiplying in (t - x_l) for each unknown point, O(u^2),
-    when u**2 <= len(known) * n, and otherwise by dividing (t - x_j) for
-    each known point exactly out of prod_{x=1..n} (t - x), O(len(known) * n).
-    That product is cached per (n, p); its first build costs O(n^2).  Both
-    routes give the same P, so the result does not depend on the route.
+    The known columns' contributions are read off the rows of
+    ``vandermonde(r, n, field)``, which are cached per shape, in
+    O(r * len(known)).  P is built by multiplying in (t - x_l) for each
+    unknown point, O(u^2), when u**2 <= len(known) * n, and otherwise by
+    dividing (t - x_j) for each known point exactly out of
+    prod_{x=1..n} (t - x), O(len(known) * n).  That product is cached per
+    (n, p); its first build costs O(n^2).  Both routes give the same P, so
+    the result does not depend on the route.
 
     Raises ValueError if fewer than n - r symbols are known or if the inputs
     are inconsistent with any codeword.
@@ -211,22 +217,26 @@ def solve_vandermonde(
     r, p = len(codeword), field.p
     if not 1 <= r <= n <= p - 1:
         raise ValueError(f"need 1 <= r <= n <= p - 1, got r={r}, n={n}, p={p}")
-    for j in list(known) + list(wanted):
-        if not 0 <= j < n:
-            raise ValueError(f"column {j} out of range")
+    columns = [*known, *wanted]
+    if columns and not (min(columns) >= 0 and max(columns) < n):
+        bad = next(j for j in columns if not 0 <= j < n)
+        raise ValueError(f"column {bad} out of range")
     unknown = [j for j in range(n) if j not in known]
     if len(unknown) > r:
         raise ValueError(
             f"insufficient side information: {len(unknown)} unknowns but only {r} equations"
         )
 
-    # b_i: subtract the known columns' terms v_j * x_j**i, kept as running products.
-    points = [j + 1 for j in known]
-    terms = list(known.values())
-    rhs = []
-    for coded in codeword:
-        rhs.append((coded - sum(terms)) % p)
-        terms = [t * x % p for t, x in zip(terms, points)]
+    # b_i: subtract the known columns' terms v_j * x_j**i, read off the cached
+    # Vandermonde rows (the server builds the same shape), one mod per row.
+    # itemgetter of a single key returns the entry itself, not a 1-tuple.
+    held = tuple(known.values())
+    pick = operator.itemgetter(*known) if len(held) > 1 else (lambda row: [row[j] for j in known])
+    rows = vandermonde(r, n, field).rows
+    rhs = [
+        (coded - sum(map(operator.mul, pick(row), held))) % p
+        for coded, row in zip(codeword, rows)
+    ]
 
     # P's coefficients, lowest degree first.  Either multiply in (t - x) per
     # unknown point, O(u^2), or divide (t - x) per known point exactly out of

@@ -30,6 +30,7 @@ decodability without skewing that law.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping
@@ -225,11 +226,24 @@ def server_answer(query: Query, db: Database) -> Answer:
 
     This function sees only the query and the database; it has no access to
     demand or side-information structure, mirroring the server's view.
+    Raises ValueError if the query's modulus is not the database's or if a
+    block names an index outside 1..k.
     """
+    if query.field.p != db.field.p:
+        raise ValueError(f"incompatible moduli: {query.field.p} vs {db.field.p}")
+    k = db.k
+    padded = (0,) + db.values  # index i at position i; 0 and below are refused first
     out = []
     for block in query.blocks:
-        values = [db[idx] for idx in block.support]
-        matrix = mds.vandermonde(block.r, len(values), query.field)
+        support = block.support
+        if support and not (min(support) >= 1 and max(support) <= k):
+            bad = next(idx for idx in support if not 1 <= idx <= k)
+            raise ValueError(f"index {bad} outside 1..{k}")
+        if len(support) > 1:
+            values = operator.itemgetter(*support)(padded)
+        else:  # itemgetter of a single key returns the entry itself, not a 1-tuple
+            values = [padded[i] for i in support]
+        matrix = mds.vandermonde(block.r, len(support), query.field)
         out.append(tuple(mds.encode(matrix, values)))
     return Answer(tuple(out))
 
@@ -250,9 +264,9 @@ def client_decode(query: Query, answer: Answer, spec: DemandSpec) -> dict[int, i
         if len(coded) != block.r:
             raise ValueError(f"expected {block.r} coded symbols, got {len(coded)}")
         support = block.support
-        demand_positions = [p for p, idx in enumerate(support) if idx in wanted]
-        if not demand_positions:
+        if wanted.isdisjoint(support):
             continue
+        demand_positions = [p for p, idx in enumerate(support) if idx in wanted]
         known: dict[int, int] = {}
         for p, idx in enumerate(support):
             if idx in spec.side:

@@ -20,6 +20,7 @@ round through that interface.
 from __future__ import annotations
 
 import json
+import operator
 import random
 import re
 from fractions import Fraction
@@ -115,14 +116,16 @@ def parse_query_doc(doc: dict) -> Query:
     seen: set[int] = set()
     for raw in raw_blocks:
         _require_keys(raw, {"support", "r"}, "query block")
-        support = tuple(_int(idx, "support index") for idx in _list(raw["support"], "support"))
+        support = tuple(_list(raw["support"], "support"))
+        if not set(map(type, support)) <= {int}:  # refuses bool and float too
+            _int(next(idx for idx in support if type(idx) is not int), "support index")
         r = _int(raw["r"], "row count r")
         if not 1 <= r <= len(support) <= field.p - 1:
             raise ValueError(
                 f"need 1 <= r <= len(support) <= p - 1, got r={r}, "
                 f"len(support)={len(support)}, p={field.p}"
             )
-        if support[0] < 1 or any(a >= b for a, b in zip(support, support[1:])):
+        if support[0] < 1 or not all(map(operator.lt, support, support[1:])):
             raise ValueError(f"support must be strictly increasing indices >= 1, got {list(support)}")
         if not seen.isdisjoint(support):
             raise ValueError(f"supports overlap at {sorted(seen.intersection(support))}")
@@ -242,11 +245,11 @@ def serve_query_bytes(query_bytes: bytes, db: Database) -> bytes:
 
     This is the entire interface the server needs; it never sees demand or
     side-information structure.  Bytes that are not one JSON document with
-    unique keys, including nesting too deep to parse, raise ValueError.
+    unique keys, including nesting too deep to parse, raise ValueError, as
+    do a modulus other than the database's and indices beyond it
+    (``server_answer`` checks those two).
     """
     query = parse_query_doc(_read_doc(query_bytes, "query document"))
-    if query.field.p != db.field.p:
-        raise ValueError(f"incompatible moduli: {query.field.p} vs {db.field.p}")
     answer = server_answer(query, db)
     return canonical(answer_doc(answer)).encode("ascii")
 

@@ -25,6 +25,8 @@ GOLDEN_WORKED = (
     '{"r":2,"support":[1,4,5,6]}],"p":13,"version":2},"seed":11}\n'
 )
 GOLDEN_SINGLE_BLOCK_SHA256 = "c53b8edd0a5c9c70f3403b252c755157afdc6e69e964aae65b6c243a2301d5c1"
+# The paper's regime, (5000, 1000, 10): 46 subspaces, 460 symbols down.
+GOLDEN_PARTITIONED_SHA256 = "ccecb7435ef6277eed34d4893a9c06798f867d2e6d792bd3e7110097160903a0"
 # `privacy-exact --k 13 --m 5 --n 2 --seed 11`, as printed when the posterior
 # was still summed over every (demand set, side set) pair.
 GOLDEN_PRIVACY_EXACT_SHA256 = "c21c17e1721078ed29fd5a1a2b74efec2327e7a1c17afe9b648cd8d70b010428"
@@ -171,13 +173,20 @@ def test_integer_flags_accept_only_canonical_decimals(capsys, worked_db_file):
         ["--demands", "2,05", "--side", "1,4,6,7,9"],
         ["--demands", "2,+5", "--side", "1,4,6,7,9"],
         ["--demands", "2,5", "--side", "1,4,6,7,9,"],
+        ["--demands", "1,,2", "--side", "1,4,6,7,9"],
+        ["--demands", ",1", "--side", "1,4,6,7,9"],
+        ["--demands", "-0", "--side", "1,4,6,7,9"],
+        ["--demands", "1, 2", "--side", "1,4,6,7,9"],
+        ["--demands", "1,2\n", "--side", "1,4,6,7,9"],
+        ["--demands", "\u0663", "--side", "1,4,6,7,9"],  # ARABIC-INDIC DIGIT THREE; int() takes it
         ["--demands", "2,5", "--side", "1,4,6,7,9", "--seed", " 7"],
         ["--demands", "2,5", "--side", "1,4,6,7,9", "--seed", "1_1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(base + extra)
         assert exc.value.code == 2
-        assert "expected" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "expected" in err and ", got " in err  # refused by the flag's parser, not argparse
     with pytest.raises(SystemExit) as exc:
         main(["rate", "--k", "1_3", "--m", "5", "--n", "2"])
     assert exc.value.code == 2
@@ -220,6 +229,24 @@ def test_simulate_golden_single_block_transcript(capsys, tmp_path):
     assert code == 0
     assert len(out.encode()) == 1237
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SINGLE_BLOCK_SHA256
+
+
+def test_simulate_golden_partitioned_transcript(capsys, tmp_path):
+    field = PrimeField(2**31 - 1)
+    rng = random.Random("golden-partitioned")
+    path = db_file(tmp_path, "partitioned.db", [rng.randrange(field.p) for _ in range(5000)], field)
+    demands = ",".join(str(i) for i in range(1, 5000, 500))
+    side = ",".join(str(i) for i in range(3, 5001, 5))
+    code, out, _ = run_cli(
+        capsys, "simulate", "--k", "5000", "--m", "1000", "--n", "10",
+        "--demands", demands, "--side", side, "--db", path, "--seed", "12",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert len(doc["query"]["blocks"]) == 46
+    assert sum(map(len, doc["answer"]["blocks"])) == doc["plan"]["r_star"] == 460
+    assert len(out.encode()) == 54568
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PARTITIONED_SHA256
 
 
 def test_simulate_field_too_small_is_runtime_error(capsys, tmp_path):

@@ -173,10 +173,12 @@ def test_solve_vandermonde_agrees_with_decode(p, n_max):
     # spare rows whenever some column is known.
     # Each master-polynomial route is tallied by whether it read the cached
     # product over all n points, and must be the one the size rule picks.
+    # "one known column" covers the subtraction's single-key path, where
+    # itemgetter returns an entry rather than a tuple.
     gf = PrimeField(p)
     rng = random.Random(p)
     shapes = dict.fromkeys(
-        ["spare rows", "square", "one wanted", "refused", "no known columns",
+        ["spare rows", "square", "one wanted", "refused", "no known columns", "one known column",
          "multiply-in", "division", "refused, multiply-in", "refused, division"],
         0,
     )
@@ -213,6 +215,7 @@ def test_solve_vandermonde_agrees_with_decode(p, n_max):
             shapes["no known columns"] += not known
         assert (_all_points_calls() > calls) == (route == "division")
         shapes[route] += 1
+        shapes["one known column"] += len(known) == 1
     assert min(shapes.values()) >= 30, shapes
 
 

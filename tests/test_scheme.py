@@ -138,6 +138,30 @@ def test_server_answer_zero_database(worked_layout, gf13):
     assert all(e == 0 for block in answer.blocks for e in block)
 
 
+def test_server_answer_refuses_indices_outside_database(worked_db, gf13):
+    # The server gathers values by position, so 0 and negative indices must be
+    # refused rather than wrap around to the end of the database.
+    for bad, support in ((0, (0, 1, 2)), (-1, (-1, 1, 2)), (14, (1, 2, 14)), (0, (0,)), (14, (14,))):
+        query = Query((QueryBlock((3, 4), 1), QueryBlock(support, 1)), gf13)
+        with pytest.raises(ValueError, match=rf"^index {bad} outside 1\.\.13$"):
+            server_answer(query, worked_db)
+
+
+def test_server_answer_refuses_other_modulus(worked_layout, gf13):
+    # Without the check a GF(13) query over a GF(17) database is answered.
+    db = Database(tuple(range(13)), PrimeField(17))
+    with pytest.raises(ValueError, match="incompatible moduli: 13 vs 17"):
+        server_answer(make_query(worked_layout, gf13), db)
+
+
+def test_server_answer_single_index_block(worked_db, gf13):
+    answer = server_answer(Query((QueryBlock((5,), 1), QueryBlock((1, 13), 2)), gf13), worked_db)
+    assert answer.blocks == ((WORKED_VALUES[5],), (
+        (WORKED_VALUES[1] + WORKED_VALUES[13]) % 13,
+        (WORKED_VALUES[1] + 2 * WORKED_VALUES[13]) % 13,
+    ))
+
+
 def test_client_decode_worked_example(worked_layout, worked_db, worked_spec, gf13):
     query = make_query(worked_layout, gf13)
     answer = server_answer(query, worked_db)
