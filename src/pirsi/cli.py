@@ -17,6 +17,7 @@ import random
 import re
 import sys
 import time
+from functools import cache
 
 from . import wire
 from .oracle import is_feasible_plan, search_sweep
@@ -91,7 +92,9 @@ def _add_instance_flags(sub):
     sub.add_argument("--n", type=_decimal, required=True, help="demand count")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``pirsi`` parser, built once per process; shared, so never mutate it."""
     parser = argparse.ArgumentParser(
         prog="pirsi",
         description="Multi-message private information retrieval with side information",

@@ -1,13 +1,16 @@
 """Prime-field arithmetic.
 
 Elements of GF(p) are plain ``int``s in [0, p).  ``PrimeField`` carries the
-modulus, proves it prime once, and checks values where they enter the
-program (databases, code matrices, wire documents); arithmetic inside the
-program is ordinary integer arithmetic reduced mod p.
+modulus and checks values where they enter the program (databases, code
+matrices, wire documents); arithmetic inside the program is ordinary integer
+arithmetic reduced mod p.  Each modulus is proven prime once per process:
+``is_prime`` memoises its verdict, so the database reader and the query
+parser of one round, and every later round, share one proof.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable
 
 DEFAULT_PRIME = 65537
@@ -23,13 +26,20 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test, proven for n < 3317044064679887385961981.
 
     Raises ValueError for larger n, where these witnesses prove nothing, and
-    for any n whose type is not exactly ``int`` (``bool`` and ``7.0``
-    included): a modulus is accepted exactly or not at all.
+    for any n whose type is not exactly ``int`` (``bool``, ``7.0`` and
+    unhashable values included): a modulus is accepted exactly or not at
+    all.  Both checks run on every call, before the memoised test is asked.
     """
     if type(n) is not int:
         raise ValueError(f"modulus must be an int, got {n!r}")
     if n >= MR_BOUND:
         raise ValueError(f"primality is only proven below {MR_BOUND}, got {n}")
+    return _miller_rabin(n)
+
+
+@lru_cache(maxsize=64)
+def _miller_rabin(n: int) -> bool:
+    """``is_prime``'s verdict for an ``int`` below ``MR_BOUND``, memoised per modulus."""
     if n < 2:
         return False
     for small in _MR_WITNESSES:

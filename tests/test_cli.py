@@ -3,13 +3,17 @@
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from pirsi import Database, PrimeField, ProblemParams, compute_plan
-from pirsi.cli import main
+from pirsi.cli import build_parser, main
 from pirsi.wire import read_db, write_db
 from conftest import WORKED_VALUES, leaky_build_layout
 
@@ -282,6 +286,62 @@ def test_privacy_exact_golden_worked_instance(capsys):
     assert code == 0
     assert len(out.encode()) == 1192
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PRIVACY_EXACT_SHA256
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one in-process call, usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_calls_share_one_parser_and_leak_no_state(capsys, monkeypatch):
+    # The parser is built once per process; every call must still see a
+    # fresh namespace (the unseeded call at the end must not inherit seed
+    # 11), and a usage error must not change later calls.
+    monkeypatch.delenv("PIR_SEED", raising=False)
+    unseeded = ("privacy-exact", "--k", "13", "--m", "5", "--n", "2")
+    exact = unseeded + ("--seed", "11")
+    rate = ("rate", "--k", "13", "--m", "5", "--n", "2")
+    sequence = [
+        unseeded,
+        rate,
+        exact,
+        ("oracle", "--k-max", "0"),
+        ("privacy-mc", "--k", "13", "--m", "5", "--n", "2",
+         "--wa", "1,2", "--wb", "12,13", "--trials", "200", "--seed", "3"),
+        ("rate", "--k", "13", "--m", "5"),
+        rate,
+        exact,
+        unseeded,
+    ]
+    first = [_outcome(capsys, argv) for argv in sequence]
+    assert [code for code, _, _ in first] == [0, 0, 0, 2, 0, 2, 0, 0, 0]
+    assert first[6:] == [first[1], first[2], first[0]]
+    assert first[0][1] != first[2][1]
+    assert "--k-max must be in 1..80" in first[3][2]
+    assert "the following arguments are required: --n" in first[5][2]
+    assert hashlib.sha256(first[2][1].encode()).hexdigest() == GOLDEN_PRIVACY_EXACT_SHA256
+    assert [_outcome(capsys, argv) for argv in sequence] == first
+    assert build_parser() is build_parser()
+
+
+def test_console_entry_point_prints_what_main_prints(capsys):
+    argv = ("privacy-exact", "--k", "13", "--m", "5", "--n", "2", "--seed", "11")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {key: value for key, value in os.environ.items() if key != "PIR_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "pirsi.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    assert fresh.stdout == out
 
 
 def test_privacy_exact_enforces_cap(capsys):

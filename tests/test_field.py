@@ -3,7 +3,7 @@
 import pytest
 
 from pirsi import Database, PrimeField, is_prime
-from pirsi.field import MR_BOUND
+from pirsi.field import MR_BOUND, _miller_rabin
 
 
 def test_canonical_representatives():
@@ -20,7 +20,7 @@ def test_nonprime_modulus_rejected(bad):
         PrimeField(bad)
 
 
-@pytest.mark.parametrize("bad", [13.0, 7.0, 2.0, True, "13"])
+@pytest.mark.parametrize("bad", [13.0, 7.0, 2.0, True, "13", [7]])
 def test_non_int_modulus_rejected(bad):
     with pytest.raises(ValueError, match="must be an int"):
         is_prime(bad)
@@ -89,3 +89,32 @@ def test_equality_and_hashing():
     assert hash(gf) == hash(PrimeField(13))
     assert gf.element(5) == gf.element(18)
     assert Database((5, 0), gf) == Database([5, 0], PrimeField(13))
+
+
+def test_memoised_verdicts_cannot_be_fooled():
+    # A proven 7 or 65537 must not vouch for 7.0, True or a value out of
+    # range: the type and bound checks run on every call.
+    PrimeField(7)
+    PrimeField(65537)
+    assert is_prime(7) and not is_prime(1)
+    for bad in (7.0, True, 65537.0):
+        with pytest.raises(ValueError, match="must be an int"):
+            PrimeField(bad)
+        with pytest.raises(ValueError, match="must be an int"):
+            is_prime(bad)
+    with pytest.raises(ValueError, match="proven below"):
+        is_prime(MR_BOUND)
+    # A memoised prime verdict does not leak onto the pseudoprime.
+    assert is_prime(2**61 - 1)
+    assert not is_prime(318665857834031151167461)
+
+
+def test_primality_memo_is_bounded():
+    bound = _miller_rabin.cache_info().maxsize
+    assert bound == 64
+    primes = [n for n in range(10_007, 20_000, 2) if is_prime(n)][:200]
+    assert len(primes) == 200
+    assert _miller_rabin.cache_info().currsize <= bound
+    # Evicted verdicts are proven again, with the same answer.
+    assert all(is_prime(n) for n in primes)
+    assert not is_prime(10_007 * 10_009)

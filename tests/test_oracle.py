@@ -12,6 +12,7 @@ from pirsi import (
     brute_force_sweep,
     compute_plan,
     is_feasible_plan,
+    is_trivial_optimal,
     search_sweep,
     subspace_cost,
 )
@@ -234,3 +235,17 @@ def test_search_frees_its_memo():
         tracemalloc.stop()
         gc.enable()
     assert held < 20_000  # over 200 kB when the memo is kept
+
+
+def test_trivial_optimality_iff_against_search_to_k40():
+    # The paper's headline: the single MDS block is optimal iff n > m or
+    # n^2 + n >= k - m, checked here against the exact search, not the
+    # closed form, on all 11,480 instances with k <= 40.
+    instances = 0
+    for k in range(1, 41):
+        for n in range(1, k + 1):
+            for m, found in enumerate(search_sweep(k, n)):
+                params = ProblemParams(k, m, n)
+                assert is_trivial_optimal(params) == (found == k - m), (k, m, n)
+                instances += 1
+    assert instances == 11_480

@@ -1,6 +1,7 @@
 """The server role and the document parsers it trusts."""
 
 import copy
+import io
 import json
 import random
 
@@ -155,6 +156,19 @@ def test_serve_query_bytes_rejects_other_modulus(worked_query_doc, worked_db):
     worked_query_doc["p"] = 17
     with pytest.raises(ValueError, match="incompatible moduli"):
         serve(worked_query_doc, worked_db)
+
+
+def test_proven_modulus_does_not_vouch_for_a_composite(worked_query_doc, worked_db):
+    # The p = 13 proof is memoised by the first database and query; a
+    # composite, float or bool modulus read later is still refused.
+    assert wire.read_db(io.StringIO("pir-db v1 p=13 k=1\n5\n")).field.p == 13
+    assert serve(worked_query_doc, worked_db)["blocks"]
+    with pytest.raises(ValueError, match="must be prime"):
+        wire.read_db(io.StringIO("pir-db v1 p=15 k=1\n5\n"))
+    for bad, message in ((15, "must be prime"), (13.0, "must be an int"), (True, "must be an int")):
+        worked_query_doc["p"] = bad
+        with pytest.raises(ValueError, match=message):
+            serve(worked_query_doc, worked_db)
 
 
 def test_parse_answer_doc_rejects_out_of_range_value(gf13):
