@@ -3,10 +3,12 @@
 The user of a k-message database already holds m messages and wants n
 others without revealing which ones.  This package provides the
 closed-form minimum download (:func:`compute_plan`), the randomized
-partition-and-MDS scheme achieving it (:mod:`pirsi.scheme`), exact
-rational-arithmetic privacy verification (:mod:`pirsi.privacy`), an
-exact rate search with its brute-force check and a check of the plan's
-profile (:mod:`pirsi.oracle`), and one full round over canonical bytes
+partition-and-MDS scheme achieving it (:mod:`pirsi.scheme`), the one
+predicate that decides whether a plan can hide every demand set
+(:func:`admits_every_demand_set`), exact rational-arithmetic privacy
+verification built on it (:mod:`pirsi.privacy`), an exact rate search
+with its brute-force check and a check of the plan's profile
+(:mod:`pirsi.oracle`), and one full round over canonical bytes
 (:func:`simulate_round`).
 """
 
@@ -28,7 +30,7 @@ from .privacy import (
     monte_carlo_tvd,
     posterior,
 )
-from .rate import ProblemParams, RatePlan, compute_plan, is_trivial_optimal
+from .rate import ProblemParams, RatePlan, admits_every_demand_set, compute_plan, is_trivial_optimal
 from .scheme import (
     Answer,
     Database,
@@ -77,6 +79,7 @@ __all__ = [
     "posterior",
     "ProblemParams",
     "RatePlan",
+    "admits_every_demand_set",
     "compute_plan",
     "is_trivial_optimal",
     "Answer",

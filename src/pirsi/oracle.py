@@ -10,11 +10,12 @@ and the second by testing the plan's profile directly
 partition-and-MDS plans only; neither is the paper's converse over all
 linear schemes.
 
-Feasibility of a quota vector: each quota is at most the subspace's size
-excess over the demand count (:func:`quota_cap`), and since at most ``n``
-subspaces ever serve demands, only the largest ``min(len(parts), n)``
-quotas draw on the user's side information, so their sum (the vector's
-window sum) must not exceed ``m``.
+Feasibility of a quota vector is :func:`pirsi.rate.admits_every_demand_set`:
+each quota is at most the subspace's size excess over the demand count
+(:func:`pirsi.rate.quota_cap`), and since at most ``n`` subspaces ever
+serve demands, only the largest ``min(len(parts), n)`` quotas draw on the
+user's side information, so their sum (the vector's window sum) must not
+exceed ``m``.
 
 The search rests on one lemma: some optimal plan gives each positive quota
 ``q`` a part of size exactly ``q + n``.  Leftover size can join any part,
@@ -37,14 +38,9 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
 
-from .rate import ProblemParams
+from .rate import ProblemParams, admits_every_demand_set, quota_cap
 
 K_CAP = 14
-
-
-def quota_cap(size: int, n_demands: int) -> int:
-    """Most side-information messages a subspace of the given size can absorb."""
-    return max(size - n_demands, 0)
 
 
 def subspace_cost(size: int, quota: int, n_demands: int) -> int:
@@ -67,17 +63,16 @@ def is_feasible_plan(params: ProblemParams, sizes: Sequence[int], quotas: Sequen
     """True when ``(sizes, quotas)`` is a canonical plan that budget ``params.m`` admits.
 
     That is: positive, non-increasing sizes summing to k; non-increasing
-    quotas, each within its subspace's cap; and the first min(len, n)
-    quotas summing to at most m.  A plan passing this whose cost is the
-    minimum is one of the minimum's canonical achievers.
+    quotas; and the cap and window of
+    :func:`pirsi.rate.admits_every_demand_set`.  A plan passing this whose
+    cost is the minimum is one of the minimum's canonical achievers.
     """
     if len(sizes) != len(quotas) or sum(sizes) != params.k or min(sizes) < 1:
         return False
     return (
         list(sizes) == sorted(sizes, reverse=True)
         and list(quotas) == sorted(quotas, reverse=True)
-        and all(0 <= q <= quota_cap(s, params.n) for s, q in zip(sizes, quotas))
-        and sum(quotas[: params.n]) <= params.m
+        and admits_every_demand_set(params, sizes, quotas)
     )
 
 

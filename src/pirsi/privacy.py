@@ -25,13 +25,16 @@ non-demand slots; each of the prod_{u in D} perm(c_u, q_u) such choices
 lies in s with probability perm(m, Q) / perm(k - n, Q).  So the correction
 averages to 1: P(layout | w) = U for every *feasible* w (each block in D
 keeps c_u >= q_u, and Q <= m) and 0 for the rest, and the posterior is
-uniform over the feasible sets.  Under the paper's plan every demand set
-is feasible: whatever is demanded, the layout is uniform over the
-k! / prod_u size_u! ordered partitions with the plan's sizes, which is the
-scheme's privacy.  ``monte_carlo_tvd`` tests samples against two
-marginals of this law: block u is a uniform size_u-subset of 1..k, so a
-fixed index lies in it with probability size_u / k, and two fixed indices
-share a block with probability sum_u size_u (size_u - 1) / (k (k - 1)).
+uniform over the feasible sets.  Feasibility depends only on the profile
+(d_u), and every profile with d_u <= size_u and sum d_u = n occurs in every
+layout of the plan.  So the posterior is uniform for one layout iff for all
+of them, iff every profile is feasible, iff the plan passes the cap and
+window of ``rate.admits_every_demand_set``.  The paper's plan does: whatever
+is demanded, the layout is uniform over the k! / prod_u size_u! ordered
+partitions with the plan's sizes, which is the scheme's privacy.
+``monte_carlo_tvd`` tests samples against two marginals of this law:
+block u is a uniform size_u-subset of 1..k, so a fixed index lies in it
+with probability size_u / k, and two fixed indices share a block with probability sum_u size_u (size_u - 1) / (k (k - 1)).
 
 The independent cross-check runs the shipped sampler: ``enumerate_randomness``
 drives ``scheme.build_layout`` with a scripted generator, once per sequence
@@ -41,7 +44,6 @@ of draws, so its law is that of the code that builds real queries.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
@@ -49,7 +51,7 @@ from math import ceil, comb, factorial, inf, perm, prod, sqrt
 from statistics import NormalDist
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .rate import ProblemParams, RatePlan, compute_plan
+from .rate import ProblemParams, RatePlan, admits_every_demand_set, compute_plan
 from .scheme import DemandSpec, Layout, build_layout
 
 BRANCH_CAP = 1_000_000
@@ -203,59 +205,25 @@ def posterior(layout: Layout, params: ProblemParams) -> PosteriorReport:
 
     Demands and side information are taken uniform a priori, so a demand
     set's posterior is its layout probability summed over all side sets,
-    normalised.  By the module docstring that sum is C(k - n, m) U for
-    every feasible demand set and 0 for the rest, so each set gets
-    1 / (number of feasible sets) or 0.  Feasibility depends only on
-    the blocks the set's members fall in, and is decided once per such
-    profile.  Raises if the layout is unreachable (no feasible demand set).
+    normalised.  By the module docstring that sum is the same for every
+    demand set exactly when the plan admits every demand set, which is
+    decided once for the plan in O(l log l); the table of priors then costs
+    O(C(k, n)).  Raises ValueError if the layout was built for another
+    plan, or if the plan cannot hide every demand set.
     """
-    _check_layout(layout, params)
-    return _posterior(layout, params)
-
-
-def _posterior(layout: Layout, params: ProblemParams) -> PosteriorReport:
-    """``posterior`` on ``layout.plan``, which need not be the instance's own plan."""
-    k, m, n = params.k, params.m, params.n
-    plan = layout.plan
-    block_of = [0] * (k + 1)
-    for u, block in enumerate(layout.subspaces):
-        for idx in block:
-            block_of[idx] = u
-    feasible_profile: dict[tuple[int, ...], bool] = {}
-    feasible: dict[tuple[int, ...], bool] = {}
-    for w in combinations(range(1, k + 1), n):
-        profile = tuple(sorted(block_of[idx] for idx in w))
-        ok = feasible_profile.get(profile)
-        if ok is None:
-            ok = feasible_profile[profile] = _feasible(plan, m, profile)
-        feasible[w] = ok
-    count = sum(feasible.values())
-    if count == 0:
-        raise ValueError("layout unreachable: zero probability under every demand set")
-    share, zero = Fraction(1, count), Fraction(0)
-    prior = Fraction(1, comb(k, n))
-    max_dev = max(abs(share - prior), prior if count < len(feasible) else zero)
+    plan = _check_layout(layout, params)
+    if not admits_every_demand_set(params, plan.size_profile, plan.side_profile):
+        raise ValueError(
+            f"plan with sizes {plan.size_profile} and quotas {plan.side_profile} cannot "
+            f"hide every demand set at m={params.m}, n={params.n}"
+        )
+    prior = Fraction(1, comb(params.k, params.n))
     return PosteriorReport(
-        probabilities={w: share if ok else zero for w, ok in feasible.items()},
+        probabilities=dict.fromkeys(combinations(range(1, params.k + 1), params.n), prior),
         prior=prior,
-        max_deviation=max_dev,
-        uniform=(max_dev == 0),
+        max_deviation=Fraction(0),
+        uniform=True,
     )
-
-
-def _feasible(plan: RatePlan, m: int, profile: Sequence[int]) -> bool:
-    """Whether demands in the blocks ``profile`` (one entry per demand) can yield a layout.
-
-    Every demand-bearing block must keep room for its side quota, and the
-    quotas of those blocks must fit in the m side indices.
-    """
-    drawn = 0
-    for u, demands in Counter(profile).items():
-        quota = plan.side_profile[u]
-        if plan.size_profile[u] - demands < quota:
-            return False
-        drawn += quota
-    return drawn <= m
 
 
 @dataclass(frozen=True)

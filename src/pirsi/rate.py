@@ -15,12 +15,15 @@ quotas follow a near-uniform profile computed here in closed form.
 
 ``compute_plan`` returns that profile together with the minimum download
 ``r_star``; ``is_trivial_optimal`` decides when no partitioning can beat the
-single-subspace plan that just downloads ``k - m`` coded symbols.
+single-subspace plan that just downloads ``k - m`` coded symbols;
+``admits_every_demand_set`` decides whether a profile can serve, and so
+hide, every demand set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,35 @@ class RatePlan:
             raise ValueError("profile lengths must equal l_star")
         if self.r_star != sum(self.size_profile) - sum(self.side_profile):
             raise ValueError("r_star inconsistent with profiles")
+
+
+def quota_cap(size: int, n_demands: int) -> int:
+    """Most side-information messages a subspace of the given size can absorb."""
+    return max(size - n_demands, 0)
+
+
+def admits_every_demand_set(
+    params: ProblemParams, sizes: Sequence[int], quotas: Sequence[int]
+) -> bool:
+    """True when blocks of these sizes and side quotas can serve every demand set.
+
+    A demand set is served when each block holding d of its demands keeps
+    size - d >= quota free slots, and the quotas of the blocks holding
+    demands sum to at most m.  A block can hold min(size, n) demands, and
+    any min(n, len) blocks can hold one each, so every set is served iff
+    each quota is in 0..quota_cap(size, n) (the cap) and the min(n, len)
+    largest quotas sum to at most m (the window).  O(len log len) to decide.
+
+    >>> admits_every_demand_set(ProblemParams(13, 5, 2), (5, 4, 4), (3, 2, 2))
+    True
+    >>> admits_every_demand_set(ProblemParams(8, 3, 2), (4, 4), (2, 2))  # window 4 > 3
+    False
+    """
+    n = params.n
+    return (
+        all(0 <= q <= quota_cap(s, n) for s, q in zip(sizes, quotas))
+        and sum(sorted(quotas, reverse=True)[:n]) <= params.m
+    )
 
 
 def compute_plan(params: ProblemParams) -> RatePlan:

@@ -195,7 +195,6 @@ def build_layout(params: ProblemParams, spec: DemandSpec, rng: random.Random) ->
         need = plan.size_profile[i] - len(members[i])
         members[i].extend(remaining[cursor:cursor + need])
         cursor += need
-    assert cursor == len(remaining), "fill stage left indices unplaced"
 
     return Layout(tuple(tuple(sorted(block)) for block in members), plan)
 
@@ -253,7 +252,8 @@ def client_decode(query: Query, answer: Answer, spec: DemandSpec) -> dict[int, i
 
     Returns a map from demanded index to its recovered value.  Raises if an
     answer block's length is not its r, if a block serving a demand holds
-    too few known side values (a violated retrieval condition), or if its
+    too few known side values for its r symbols (``mds.solve_vandermonde``'s
+    insufficient side information: the retrieval condition), or if its
     coded symbols are inconsistent with the held side information.
     """
     if len(answer.blocks) != len(query.blocks):
@@ -274,12 +274,6 @@ def client_decode(query: Query, answer: Answer, spec: DemandSpec) -> dict[int, i
                     known[p] = spec.side_values[idx]
                 except KeyError:
                     raise ValueError(f"missing side-information value for index {idx}") from None
-        needed = len(support) - block.r
-        if len(known) < needed:
-            raise ValueError(
-                "retrieval condition violated: block holds "
-                f"{len(known)} known symbols but needs {needed}"
-            )
         values = mds.solve_vandermonde(coded, len(support), known, demand_positions, query.field)
         for p, value in zip(demand_positions, values):
             recovered[support[p]] = value

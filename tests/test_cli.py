@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from pirsi import Database, PrimeField, ProblemParams, compute_plan
+from pirsi import Database, PrimeField, ProblemParams, RatePlan, compute_plan
 from pirsi.cli import build_parser, main
 from pirsi.wire import read_db, write_db
 from conftest import WORKED_VALUES, leaky_build_layout
@@ -352,6 +352,26 @@ def test_privacy_exact_enforces_cap(capsys):
             main(["privacy-exact", "--k", str(k), "--m", str(m), "--n", str(n)])
         assert exc.value.code == 2
         assert f"C({k},{n})" in capsys.readouterr().err
+
+
+def test_privacy_exact_refuses_a_plan_that_cannot_hide_the_demands(capsys, monkeypatch):
+    # Sizes (4, 4) and quotas (2, 2) at (8, 3, 2) keep every quota within its
+    # cap, but demands in both blocks need 2 + 2 > 3 side indices.  Seed 1's
+    # demands share a block, so the sampler still builds a layout.
+    plan = RatePlan(
+        m_bar=1, t=1, l_star=2, size_profile=(4, 4), side_profile=(2, 2), r_star=4, trivial=False
+    )
+    monkeypatch.setattr("pirsi.scheme.compute_plan", lambda _: plan)
+    monkeypatch.setattr("pirsi.privacy.compute_plan", lambda _: plan)
+    code, out, err = run_cli(
+        capsys, "privacy-exact", "--k", "8", "--m", "3", "--n", "2", "--seed", "1"
+    )
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: plan with sizes (4, 4) and quotas (2, 2) cannot hide every demand set "
+        "at m=3, n=2\n"
+    )
 
 
 def test_privacy_exact_beyond_k_13(capsys):

@@ -4,7 +4,7 @@ import random
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from math import comb, factorial, perm, prod
 
 import pytest
@@ -13,6 +13,7 @@ from pirsi import (
     DemandSpec,
     Layout,
     ProblemParams,
+    admits_every_demand_set,
     build_layout,
     compute_plan,
     enumerate_randomness,
@@ -22,16 +23,17 @@ from pirsi import (
     monte_carlo_tvd,
     posterior,
 )
-from pirsi.privacy import _posterior, _probability
+from pirsi.privacy import _probability
 from conftest import leaky_build_layout
 from pirsi.rate import RatePlan
 
 
-def posterior_by_enumeration(layout, params):
-    """The posterior the slow way: every (demand set, side set) pair's layout probability.
+def demand_set_weights(layout, params):
+    """Each demand set's layout probability summed over every side set.
 
-    Returns the per-demand-set weights (layout probability summed over side
-    sets) and their normalised posterior.  ``layout.plan`` may be any plan.
+    The module docstring's derivation says every weight is either 0 or
+    prod(size_u!) / (falling(k, n) m! (k - n - m)!); this checks that too.
+    ``layout.plan`` may be any plan.
     """
     k, m, n = params.k, params.m, params.n
     weights = {}
@@ -41,26 +43,31 @@ def posterior_by_enumeration(layout, params):
             (_probability(layout, layout.plan, w, s, params) for s in combinations(rest, m)),
             Fraction(0),
         )
-    norm = sum(weights.values())
-    return weights, {w: v / norm for w, v in weights.items()}
-
-
-def assert_posterior_matches_enumeration(layout, params):
-    """Closed form == enumeration per demand set, and the weights are as derived.
-
-    The module docstring's derivation says every demand set's weight is
-    either 0 or prod(size_u!) / (falling(k, n) m! (k - n - m)!).
-    """
-    k, m, n = params.k, params.m, params.n
-    weights, expected = posterior_by_enumeration(layout, params)
-    report = _posterior(layout, params)
-    assert report.probabilities == expected
-    assert sum(report.probabilities.values()) == 1
     common = Fraction(
         prod(factorial(size) for size in layout.plan.size_profile),
         perm(k, n) * factorial(m) * factorial(k - n - m),
     )
     assert set(weights.values()) <= {Fraction(0), common}
+    return weights
+
+
+def posterior_by_enumeration(layout, params):
+    """The posterior the slow way: every (demand set, side set) pair's layout probability."""
+    weights = demand_set_weights(layout, params)
+    norm = sum(weights.values())
+    return {w: v / norm for w, v in weights.items()}
+
+
+def assert_posterior_matches_enumeration(layout, params):
+    """``posterior`` == enumeration per demand set, for a plan that hides every set.
+
+    ``posterior`` reads the plan from ``pirsi.privacy.compute_plan``, so a
+    hand-made ``layout.plan`` needs that patched to return it.
+    """
+    report = posterior(layout, params)
+    assert report.probabilities == posterior_by_enumeration(layout, params)
+    assert sum(report.probabilities.values()) == 1
+    assert report.uniform and report.max_deviation == 0
     return report
 
 
@@ -265,9 +272,7 @@ def test_posterior_matches_enumeration_on_every_small_layout(kmn, layouts):
     params = ProblemParams(*kmn)
     seen = 0
     for layout in iter_layouts(params):
-        report = assert_posterior_matches_enumeration(layout, params)
-        assert report == posterior(layout, params)
-        assert report.uniform, (kmn, layout.subspaces)
+        assert_posterior_matches_enumeration(layout, params)
         seen += 1
     assert seen == layouts
 
@@ -278,7 +283,7 @@ def test_posterior_matches_enumeration_on_seeded_worked_layouts(worked_params):
         demands = tuple(sorted(rng.sample(range(1, 14), 2)))
         side = frozenset(rng.sample([i for i in range(1, 14) if i not in demands], 5))
         layout = build_layout(worked_params, DemandSpec(demands, side), rng)
-        assert assert_posterior_matches_enumeration(layout, worked_params).uniform
+        assert_posterior_matches_enumeration(layout, worked_params)
 
 
 @pytest.mark.parametrize(
@@ -294,31 +299,92 @@ def test_posterior_matches_enumeration_on_seeded_worked_layouts(worked_params):
         ((9, 3, 1), (4, 3, 2), (2, 1, 0), 20, True),
     ],
 )
-def test_posterior_matches_enumeration_on_skewed_plans(kmn, sizes, side, layouts, uniform):
-    # Hand-made plans let some demand sets fail to produce the layout, so the
-    # posterior is not uniform and the per-set comparison has something to catch.
+def test_posterior_matches_enumeration_on_skewed_plans(
+    monkeypatch, kmn, sizes, side, layouts, uniform
+):
+    # Hand-made plans let some demand sets fail to produce the layout.  Then
+    # the enumerated posterior is not uniform and ``posterior`` must refuse
+    # the plan; otherwise its table must equal the enumeration.
     params = ProblemParams(*kmn)
     plan = skewed_plan(sizes, side)
+    monkeypatch.setattr("pirsi.privacy.compute_plan", lambda _: plan)
+    assert admits_every_demand_set(params, sizes, side) is uniform
     rng = random.Random(f"skewed {kmn} {sizes} {side}")
     for _ in range(layouts):
-        report = assert_posterior_matches_enumeration(random_layout(plan, rng), params)
-        assert report.uniform is uniform
-        if not uniform:
-            assert report.max_deviation > 0
-            assert Fraction(0) in report.probabilities.values()
+        layout = random_layout(plan, rng)
+        if uniform:
+            assert_posterior_matches_enumeration(layout, params)
+            continue
+        with pytest.raises(ValueError, match="cannot hide every demand set"):
+            posterior(layout, params)
+        weights = demand_set_weights(layout, params)
+        assert Fraction(0) in weights.values() and len(set(weights.values())) == 2
 
 
-def test_posterior_unreachable_layout_raises():
+def test_posterior_unreachable_layout_raises(monkeypatch):
     # Every demand set needs 2 side indices in its block, but m = 1.
     params = ProblemParams(k=4, m=1, n=1)
-    layout = Layout(((1, 2, 3), (4,)), skewed_plan((3, 1), (2, 2)))
-    with pytest.raises(ValueError, match="unreachable"):
-        _posterior(layout, params)
+    plan = skewed_plan((3, 1), (2, 2))
+    layout = Layout(((1, 2, 3), (4,)), plan)
+    monkeypatch.setattr("pirsi.privacy.compute_plan", lambda _: plan)
+    assert set(demand_set_weights(layout, params).values()) == {0}
+    refusal = r"sizes \(3, 1\) and quotas \(2, 2\) cannot hide every demand set at m=1, n=1"
+    with pytest.raises(ValueError, match=refusal):
+        posterior(layout, params)
+
+
+def compositions(total):
+    """Every ordered tuple of positive parts summing to ``total``."""
+    if total == 0:
+        yield ()
+    for first in range(1, total + 1):
+        for rest in compositions(total - first):
+            yield (first,) + rest
+
+
+def test_plan_predicate_matches_enumeration_exhaustively():
+    # Every composition of k <= 5 into block sizes, every quota vector with
+    # quotas in 0..size (unsorted and over the cap included) and every
+    # (m, n): the predicate holds iff the enumerated weights of one layout
+    # are equal and nonzero.  5,187 cases, about 1 s.
+    cases, disagreements = 0, []
+    for k in range(1, 6):
+        for sizes in compositions(k):
+            blocks, start = [], 1
+            for size in sizes:
+                blocks.append(tuple(range(start, start + size)))
+                start += size
+            for quotas in product(*(range(size + 1) for size in sizes)):
+                layout = Layout(tuple(blocks), skewed_plan(sizes, quotas))
+                for n in range(1, k + 1):
+                    for m in range(0, k - n + 1):
+                        params = ProblemParams(k=k, m=m, n=n)
+                        weights = set(demand_set_weights(layout, params).values())
+                        hides = len(weights) == 1 and 0 not in weights
+                        if admits_every_demand_set(params, sizes, quotas) != hides:
+                            disagreements.append((k, m, n, sizes, quotas))
+                        cases += 1
+    assert cases == 5187
+    assert not disagreements, (len(disagreements), disagreements[:5])
+
+
+def test_every_closed_form_plan_hides_every_demand_set():
+    # All 88,560 instances with k <= 80, about 1 s.
+    instances = 0
+    for k in range(1, 81):
+        for n in range(1, k + 1):
+            for m in range(0, k - n + 1):
+                params = ProblemParams(k=k, m=m, n=n)
+                plan = compute_plan(params)
+                profiles = plan.size_profile, plan.side_profile
+                assert admits_every_demand_set(params, *profiles), (k, m, n)
+                instances += 1
+    assert instances == 88560
 
 
 def test_posterior_uniform_sweep():
     # One seeded layout of every (k, m, n) with k <= 40 and C(k, n) <= 2000:
-    # 2,304 instances and 761,494 demand sets, about 2 s; budget 20 s.
+    # 2,304 instances and 761,494 demand sets, about 0.4 s; budget 20 s.
     started = time.perf_counter()
     instances = 0
     for k in range(1, 41):

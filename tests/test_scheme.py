@@ -198,7 +198,8 @@ def test_client_decode_retrieval_condition():
     query = Query((QueryBlock((1, 2, 3), 1),), gf)
     answer_vec = (6,)
     spec = DemandSpec((1,), frozenset({2}), {2: 2})
-    with pytest.raises(ValueError, match="retrieval condition violated"):
+    refusal = "insufficient side information: 2 unknowns but only 1 equations"
+    with pytest.raises(ValueError, match=refusal):
         client_decode(query, Answer((answer_vec,)), spec)
 
 
