@@ -5,32 +5,19 @@ others without revealing which ones.  This package provides the
 closed-form minimum download (:func:`compute_plan`), the randomized
 partition-and-MDS scheme achieving it (:mod:`pirsi.scheme`), the one
 predicate that decides whether a plan can hide every demand set
-(:func:`admits_every_demand_set`), exact rational-arithmetic privacy
-verification built on it (:mod:`pirsi.privacy`), an exact rate search
-with its brute-force check and a check of the plan's profile
-(:mod:`pirsi.oracle`), and one full round over canonical bytes
-(:func:`simulate_round`).
+(:func:`admits_every_demand_set`), the exact and sampled privacy checks
+built on it (:mod:`pirsi.privacy`), an exact rate search and a check of
+the plan's profile (:mod:`pirsi.oracle`), and one full round over
+canonical bytes (:func:`simulate_round`).  It exports what the program
+runs; the reference implementations the tests check it against live in
+``tests/oracles.py``.
 """
 
-from .field import DEFAULT_PRIME, PrimeField, is_prime
-from .mds import CodeMatrix, check_mds, decode, encode, solve_vandermonde, vandermonde
-from .oracle import (
-    brute_force_rate,
-    brute_force_sweep,
-    is_feasible_plan,
-    search_sweep,
-    subspace_cost,
-)
-from .privacy import (
-    PosteriorReport,
-    TvdReport,
-    enumerate_randomness,
-    iter_layouts,
-    layout_probability,
-    monte_carlo_tvd,
-    posterior,
-)
-from .rate import ProblemParams, RatePlan, admits_every_demand_set, compute_plan, is_trivial_optimal
+from .field import PrimeField, is_prime
+from .mds import encode, solve_vandermonde, vandermonde
+from .oracle import is_feasible_plan, search_sweep
+from .privacy import PosteriorReport, TvdReport, monte_carlo_tvd, posterior
+from .rate import ProblemParams, RatePlan, admits_every_demand_set, compute_plan
 from .scheme import (
     Answer,
     Database,
@@ -56,32 +43,21 @@ from .wire import (
 )
 
 __all__ = [
-    "DEFAULT_PRIME",
     "PrimeField",
     "is_prime",
-    "CodeMatrix",
-    "check_mds",
-    "decode",
     "encode",
     "solve_vandermonde",
     "vandermonde",
-    "brute_force_rate",
-    "brute_force_sweep",
     "is_feasible_plan",
     "search_sweep",
-    "subspace_cost",
     "PosteriorReport",
     "TvdReport",
-    "enumerate_randomness",
-    "iter_layouts",
-    "layout_probability",
     "monte_carlo_tvd",
     "posterior",
     "ProblemParams",
     "RatePlan",
     "admits_every_demand_set",
     "compute_plan",
-    "is_trivial_optimal",
     "Answer",
     "Database",
     "DemandSpec",

@@ -29,6 +29,9 @@ from .scheme import DemandSpec, build_layout
 # than this many sets, or than this many printed indices in all.
 EXACT_SETS_CAP = 20_000
 EXACT_INDICES_CAP = 1_000_000
+# Every instance subcommand refuses a larger --k: the plan alone holds an
+# l_star-long profile, and l_star grows like k.
+INSTANCE_K_CAP = 1_000_000
 # oracle checks every (k, m, n) with k <= --k-max: at this cap 88,560
 # instances, about 40 s on a 2-vCPU host.
 ORACLE_K_CAP = 80
@@ -80,6 +83,8 @@ def _count_sets(k: int, n: int, cap: int) -> int:
 
 
 def _params_from(args, parser) -> ProblemParams:
+    if args.k > INSTANCE_K_CAP:
+        parser.error(f"--k must be at most {INSTANCE_K_CAP}, got {args.k}")
     try:
         return ProblemParams(k=args.k, m=args.m, n=args.n)
     except ValueError as err:

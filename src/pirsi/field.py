@@ -1,8 +1,8 @@
 """Prime-field arithmetic.
 
 Elements of GF(p) are plain ``int``s in [0, p).  ``PrimeField`` carries the
-modulus and checks values where they enter the program (databases, code
-matrices, wire documents); arithmetic inside the program is ordinary integer
+modulus and checks values where they enter the program (databases and
+wire documents); arithmetic inside the program is ordinary integer
 arithmetic reduced mod p.  Each modulus is proven prime once per process:
 ``is_prime`` memoises its verdict, so the database reader and the query
 parser of one round, and every later round, share one proof.
@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from typing import Iterable
-
-DEFAULT_PRIME = 65537
 
 # Miller-Rabin with the first 13 primes as bases is deterministic below this
 # bound (Sorenson & Webster, 2015); with the first 12 it is not, since
@@ -68,11 +66,12 @@ class PrimeField:
 
     __slots__ = ("p",)
 
-    def __init__(self, p: int = DEFAULT_PRIME):
+    def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"modulus must be prime, got {p}")
         self.p = p
 
+    # The program never calls this; perfbench's untraced Rounds.prepare does.
     def element(self, value: int) -> int:
         """The canonical representative of ``value`` mod p."""
         return value % self.p

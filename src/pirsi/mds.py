@@ -7,9 +7,9 @@ recover all the rest; knowing fewer leaves every missing symbol completely
 undetermined.  The Vandermonde construction over distinct nonzero
 evaluation points 1..n realises this for any 1 <= r <= n <= p - 1.
 
-There are two decoders.  ``solve_vandermonde`` is the one the client uses:
-it knows the code is Vandermonde on the points 1..n, so it recovers just the
-wanted coordinates through the master polynomial of the u unknown points
+The client decodes with ``solve_vandermonde``.  It knows the code is
+Vandermonde on the points 1..n, so it recovers just the wanted
+coordinates through the master polynomial of the u unknown points
 (Bjorck & Pereyra, "Solution of Vandermonde systems of equations", Math.
 Comp. 24, 1970), without inverting the matrix.  It gets that polynomial by
 the cheaper of two routes: multiplying in the unknown points, O(u^2), or
@@ -18,58 +18,29 @@ O(|known| * n), which is cached per (n, p) and built once in O(n^2).
 Before that it subtracts the known columns from the codeword, one product
 sum per row over the rows of ``vandermonde``: those are cached per shape,
 and the server builds the same shape for the block it answers.
-``decode`` is generic Gauss-Jordan elimination over any code matrix, O(u^3);
-it is kept as the independent oracle the tests check the fast path against.
+The independent check on it is generic Gauss-Jordan elimination over any
+code matrix, O(u^3), with an exhaustive MDS test; both live in the tests
+(``tests/oracles.py``), since the program never runs them.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Mapping, Sequence
 
 from .field import PrimeField
 
 
-@dataclass(frozen=True)
-class CodeMatrix:
-    """An r x n coding matrix over a prime field."""
-
-    rows: tuple[tuple[int, ...], ...]
-    field: PrimeField
-
-    def __post_init__(self):
-        rows = tuple(self.field.check(row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        r = len(rows)
-        if r == 0:
-            raise ValueError("matrix needs at least one row")
-        n = len(rows[0])
-        if not 1 <= r <= n <= self.field.p - 1:
-            raise ValueError(f"need 1 <= r <= n <= p - 1, got r={r}, n={n}, p={self.field.p}")
-        if any(len(row) != n for row in rows):
-            raise ValueError("ragged matrix")
-
-    @property
-    def r(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows[0])
-
-
 @lru_cache(maxsize=16)
-def vandermonde(r: int, n: int, field: PrimeField) -> CodeMatrix:
-    """Build the r x n Vandermonde matrix with entry (i, j) = (j + 1)**i.
+def vandermonde(r: int, n: int, field: PrimeField) -> tuple[tuple[int, ...], ...]:
+    """The rows of the r x n Vandermonde matrix with entry (i, j) = (j + 1)**i.
 
     Evaluation points are the first n nonzero residues, so the matrix is
-    deterministic for a given shape and field.  Raises if the field is too
-    small to supply n distinct nonzero points.  A round uses only a few
-    block shapes and ``CodeMatrix`` is immutable, so recent shapes are
-    cached and shared.
+    deterministic for a given shape and field, and every entry is already
+    reduced mod p.  Raises if the field is too small to supply n distinct
+    nonzero points.  A round uses only a few block shapes and the rows are
+    immutable, so recent shapes are cached and shared.
     """
     if n > field.p - 1:
         raise ValueError(
@@ -78,76 +49,14 @@ def vandermonde(r: int, n: int, field: PrimeField) -> CodeMatrix:
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     p = field.p
-    rows = tuple(tuple(pow(j + 1, i, p) for j in range(n)) for i in range(r))
-    return CodeMatrix(rows, field)
+    return tuple(tuple(pow(j + 1, i, p) for j in range(n)) for i in range(r))
 
 
-def encode(matrix: CodeMatrix, messages: Sequence[int]) -> list[int]:
-    """Matrix-vector product: n message symbols -> r coded symbols."""
-    if len(messages) != matrix.n:
-        raise ValueError(f"expected {matrix.n} message symbols, got {len(messages)}")
-    p = matrix.field.p
-    return [sum(map(operator.mul, row, messages)) % p for row in matrix.rows]
-
-
-def decode(
-    matrix: CodeMatrix,
-    codeword: Sequence[int],
-    known: Mapping[int, int],
-) -> list[int]:
-    """Recover the full message vector from r coded symbols plus known symbols.
-
-    ``known`` maps column positions (0-based) to their message values.  The
-    contributions of known columns are subtracted from the codeword and the
-    remaining u = n - len(known) <= r unknowns are solved by Gaussian
-    elimination over the field.
-
-    Raises ValueError if fewer than n - r symbols are known (the system is
-    underdetermined) or if the inputs are inconsistent with any codeword.
-    """
-    r, n, p = matrix.r, matrix.n, matrix.field.p
-    if len(codeword) != r:
-        raise ValueError(f"expected {r} coded symbols, got {len(codeword)}")
-    for j in known:
-        if not 0 <= j < n:
-            raise ValueError(f"known column {j} out of range")
-    unknown = [j for j in range(n) if j not in known]
-    if len(unknown) > r:
-        raise ValueError(
-            f"insufficient side information: {len(unknown)} unknowns but only {r} equations"
-        )
-
-    # Augmented system restricted to unknown columns; the right-hand side is
-    # the codeword minus the known columns' contributions.  With no unknowns
-    # every row is left over and checked below.
-    aug = []
-    for row, coded in zip(matrix.rows, codeword):
-        rhs = (coded - sum(row[j] * val for j, val in known.items())) % p
-        aug.append([row[j] for j in unknown] + [rhs])
-    u = len(unknown)
-
-    pivot_row = 0
-    for col in range(u):
-        sel = next((i for i in range(pivot_row, r) if aug[i][col]), None)
-        if sel is None:
-            raise ValueError("singular system: coding matrix columns are dependent")
-        aug[pivot_row], aug[sel] = aug[sel], aug[pivot_row]
-        inv = pow(aug[pivot_row][col], -1, p)
-        pivot = aug[pivot_row] = [entry * inv % p for entry in aug[pivot_row]]
-        for i in range(r):
-            factor = aug[i][col]
-            if i != pivot_row and factor:
-                aug[i] = [(a - factor * b) % p for a, b in zip(aug[i], pivot)]
-        pivot_row += 1
-
-    # Any leftover equations must have reduced to 0 = 0.
-    if any(aug[i][u] for i in range(u, r)):
-        raise ValueError("inconsistent codeword for the given known symbols")
-
-    solution = dict(known)
-    for row_idx, col in enumerate(unknown):
-        solution[col] = aug[row_idx][u]
-    return [solution[j] for j in range(n)]
+def encode(rows: Sequence[Sequence[int]], messages: Sequence[int], p: int) -> list[int]:
+    """Matrix-vector product mod p: n message symbols -> one coded symbol per row."""
+    if len(messages) != len(rows[0]):
+        raise ValueError(f"expected {len(rows[0])} message symbols, got {len(messages)}")
+    return [sum(map(operator.mul, row, messages)) % p for row in rows]
 
 
 def _from_roots(points: Sequence[int], p: int) -> list[int]:
@@ -232,7 +141,7 @@ def solve_vandermonde(
     # itemgetter of a single key returns the entry itself, not a 1-tuple.
     held = tuple(known.values())
     pick = operator.itemgetter(*known) if len(held) > 1 else (lambda row: [row[j] for j in known])
-    rows = vandermonde(r, n, field).rows
+    rows = vandermonde(r, n, field)
     rhs = [
         (coded - sum(map(operator.mul, pick(row), held))) % p
         for coded, row in zip(codeword, rows)
@@ -274,37 +183,3 @@ def solve_vandermonde(
             at_x = (at_x * x + coeff) % p
         values.append(sum(map(operator.mul, q, rhs)) * pow(at_x, -1, p) % p)
     return values
-
-
-def _determinant(rows: list[list[int]], p: int) -> int:
-    """Determinant mod p by Gaussian elimination (destructive)."""
-    size = len(rows)
-    det = 1
-    for col in range(size):
-        sel = next((i for i in range(col, size) if rows[i][col]), None)
-        if sel is None:
-            return 0
-        if sel != col:
-            rows[col], rows[sel] = rows[sel], rows[col]
-            det = -det
-        det = det * rows[col][col] % p
-        inv = pow(rows[col][col], -1, p)
-        for i in range(col + 1, size):
-            if rows[i][col]:
-                factor = rows[i][col] * inv % p
-                rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], rows[col])]
-    return det % p
-
-
-def check_mds(matrix: CodeMatrix) -> bool:
-    """Exhaustively test that every r x r submatrix is invertible.
-
-    Cost grows as C(n, r), so this is meant for small shapes (n up to
-    around 16).
-    """
-    r, n = matrix.r, matrix.n
-    for cols in combinations(range(n), r):
-        square = [[matrix.rows[i][j] for j in cols] for i in range(r)]
-        if _determinant(square, matrix.field.p) == 0:
-            return False
-    return True

@@ -2,13 +2,17 @@
 
 The closed form in :mod:`pirsi.rate` makes two claims: the minimum download
 ``r_star``, and that its plan is a valid partition-and-MDS assignment.
-This module checks the first with an exact memoised search that reaches
-large k (:func:`search_sweep`), itself checked by exhaustive enumeration
-on small instances (:func:`brute_force_rate`, :func:`brute_force_sweep`),
-and the second by testing the plan's profile directly
-(:func:`is_feasible_plan`).  Both searches are minima over
-partition-and-MDS plans only; neither is the paper's converse over all
-linear schemes.
+``pirsi oracle`` checks the first with an exact memoised search that reaches
+large k (:func:`search_sweep`) and the second by testing the plan's profile
+directly (:func:`is_feasible_plan`).  Both searches here are minima over
+partition-and-MDS plans only; the paper's converse over all linear schemes
+is checked in the tests (``tests/oracles.py``) for small k.
+
+The exhaustive walk that checks the search on small instances
+(:func:`brute_force_rate`, :func:`brute_force_sweep`) is a test oracle
+too.  It stays in the package only because the benchmark's traced
+``oracle`` replay calls ``brute_force_rate``; once that replay calls
+:func:`search_sweep`, the walk can join the other oracles in the tests.
 
 Feasibility of a quota vector is :func:`pirsi.rate.admits_every_demand_set`:
 each quota is at most the subspace's size excess over the demand count
@@ -40,23 +44,7 @@ from typing import Sequence
 
 from .rate import ProblemParams, admits_every_demand_set, quota_cap
 
-K_CAP = 14
-
-
-def subspace_cost(size: int, quota: int, n_demands: int) -> int:
-    """Downloaded symbols for one subspace of the given size and quota.
-
-    A subspace no larger than the demand count must be fetched whole;
-    otherwise the quota's worth of symbols can be saved.
-    """
-    if size < 1:
-        raise ValueError(f"subspace size must be positive, got {size}")
-    cap = quota_cap(size, n_demands)
-    if not 0 <= quota <= cap:
-        raise ValueError(f"quota {quota} outside [0, {cap}] for size {size}")
-    if size <= n_demands:
-        return size
-    return size - quota
+K_CAP = 14  # kept for brute_force_rate, which perfbench's traced oracle replay calls
 
 
 def is_feasible_plan(params: ProblemParams, sizes: Sequence[int], quotas: Sequence[int]) -> bool:
@@ -76,6 +64,7 @@ def is_feasible_plan(params: ProblemParams, sizes: Sequence[int], quotas: Sequen
     )
 
 
+# Kept for brute_force_rate, which perfbench's traced oracle replay calls.
 @lru_cache(maxsize=None)
 def _partitions(total: int, max_part: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of ``total`` as non-increasing tuples with parts <= max_part."""
@@ -88,6 +77,7 @@ def _partitions(total: int, max_part: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+# Kept for brute_force_rate, which perfbench's traced oracle replay calls.
 def _walk(k: int, n: int) -> list[int]:
     """Exhaustive walk over every (partition, quota vector) pair of a (k, n).
 
@@ -101,7 +91,7 @@ def _walk(k: int, n: int) -> list[int]:
     Returns ``best``: ``best[ws]`` is the largest quota total of any vector
     whose window sum is ``ws`` (-1 if none), for ws = 0..k-n.  Per-subspace
     costs telescope, since quotas never exceed the size excess, so a
-    solution costs k minus its quota total (matching subspace_cost).
+    solution costs k minus its quota total.
     """
     best = [-1] * (k - n + 1)
     for parts in _partitions(k, k):
@@ -128,11 +118,13 @@ def _walk(k: int, n: int) -> list[int]:
     return best
 
 
+# Perfbench's traced oracle replay calls this; the program does not.
 def brute_force_rate(params: ProblemParams) -> int:
     """Minimum download found by exhaustive search (small k only): the sweep's entry m."""
     return brute_force_sweep(params.k, params.n)[params.m]
 
 
+# Kept for brute_force_rate, which perfbench's traced oracle replay calls.
 def brute_force_sweep(k: int, n: int) -> list[int]:
     """The minimum download of every budget m = 0..k-n from one exhaustive walk.
 

@@ -36,9 +36,12 @@ partitions with the plan's sizes, which is the scheme's privacy.
 block u is a uniform size_u-subset of 1..k, so a fixed index lies in it
 with probability size_u / k, and two fixed indices share a block with probability sum_u size_u (size_u - 1) / (k (k - 1)).
 
-The independent cross-check runs the shipped sampler: ``enumerate_randomness``
-drives ``scheme.build_layout`` with a scripted generator, once per sequence
-of draws, so its law is that of the code that builds real queries.
+The independent checks live in the tests (``tests/oracles.py``): the
+product itself as an exact ``layout_probability``, and the law of the
+shipped sampler, found by driving ``scheme.build_layout`` with a scripted
+generator once per sequence of draws.  The tests hold the two equal, and
+sum the product over every (demand set, side set) pair to check
+``posterior``'s table.
 """
 
 from __future__ import annotations
@@ -47,147 +50,15 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from math import ceil, comb, factorial, inf, perm, prod, sqrt
+from math import ceil, comb, inf, sqrt
 from statistics import NormalDist
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Sequence
 
-from .rate import ProblemParams, RatePlan, admits_every_demand_set, compute_plan
+from .rate import ProblemParams, admits_every_demand_set, compute_plan
 from .scheme import DemandSpec, Layout, build_layout
 
-BRANCH_CAP = 1_000_000
 ALPHA = 1e-6  # monte_carlo_tvd's chance of refusing an honest sampler
 MIN_EXPECTED = 5  # expected hits, and misses, that each varying cell needs
-
-
-class _Branch(Exception):
-    """``randrange(n)`` was called past the scripted prefix; ``args[0]`` is n."""
-
-
-class _Script:
-    """A generator with only ``build_layout``'s two draws, replaying a fixed prefix.
-
-    ``randrange(n)`` returns the prefix's next value and records ``n`` in
-    ``bounds``, or raises ``_Branch(n)`` once the prefix is used up;
-    ``shuffle`` is Fisher-Yates over it, as in ``random.Random``.  Any other
-    kind of draw has no method here, so it fails instead of going unwalked.
-    """
-
-    def __init__(self, prefix: tuple[int, ...]):
-        self.prefix = prefix
-        self.bounds: list[int] = []
-
-    def randrange(self, n: int) -> int:
-        if len(self.bounds) == len(self.prefix):
-            raise _Branch(n)
-        self.bounds.append(n)
-        return self.prefix[len(self.bounds) - 1]
-
-    def shuffle(self, x: list) -> None:
-        for i in reversed(range(1, len(x))):
-            j = self.randrange(i + 1)
-            x[i], x[j] = x[j], x[i]
-
-
-def _check_layout(layout: Layout, params: ProblemParams):
-    plan = compute_plan(params)
-    if layout.plan != plan:
-        raise ValueError("layout was built for a different plan")
-    return plan
-
-
-def layout_probability(
-    layout: Layout,
-    demands: Iterable[int],
-    side: Iterable[int],
-    params: ProblemParams,
-) -> Fraction:
-    """Exact probability that the construction outputs ``layout`` for these demands and side.
-
-    It is 0 when some demand-bearing block holds fewer side indices than its
-    quota.  At (5,1,1), U = 2! 2! 1! / 5! = 1/30 and the correction is
-    perm(4,1) / perm(1,1):
-
-    >>> params = ProblemParams(k=5, m=1, n=1)
-    >>> layout = Layout(((1, 2), (3, 4), (5,)), compute_plan(params))
-    >>> layout_probability(layout, demands=(1,), side=(2,), params=params)
-    Fraction(2, 15)
-    """
-    spec = DemandSpec(tuple(demands), frozenset(side))
-    spec.validate_against(params)
-    return _probability(layout, _check_layout(layout, params), spec.demands, spec.side, params)
-
-
-def _probability(
-    layout: Layout,
-    plan: RatePlan,
-    demands: Sequence[int],
-    side: Collection[int],
-    params: ProblemParams,
-) -> Fraction:
-    """``layout_probability`` for valid inputs on ``plan``: the module docstring's product."""
-    wanted = set(demands)
-    numer, denom, quotas = 1, 1, 0
-    for block, size, quota in zip(layout.subspaces, plan.size_profile, plan.side_profile):
-        held_demands = sum(idx in wanted for idx in block)
-        if held_demands == 0:
-            continue
-        held = sum(idx in side for idx in block)
-        if held < quota:
-            return Fraction(0)
-        numer *= perm(held, quota)
-        denom *= perm(size - held_demands, quota)
-        quotas += quota
-    k, m, n = params.k, params.m, params.n
-    uniform = Fraction(prod(map(factorial, plan.size_profile)), factorial(k))
-    return uniform * Fraction(numer * perm(k - n, quotas), denom * perm(m, quotas))
-
-
-def enumerate_randomness(
-    params: ProblemParams,
-    demands: Iterable[int],
-    side: Iterable[int],
-) -> dict[Layout, Fraction]:
-    """Exact layout distribution of ``build_layout``, by running it on every draw sequence.
-
-    Each run replays a prefix of draws through a scripted generator; a draw
-    past the prefix forks the walk into one prefix per possible value.  A
-    completed run has probability 1 / (product of its draws' ranges), summed
-    per resulting layout.  ``build_layout`` validates the spec.  Raises if
-    the completed runs exceed ``BRANCH_CAP`` (meant for k <= 7).
-    """
-    spec = DemandSpec(tuple(demands), frozenset(side))
-    dist: dict[Layout, Fraction] = {}
-    runs = 0
-    stack: list[tuple[int, ...]] = [()]
-    while stack:
-        prefix = stack.pop()
-        script = _Script(prefix)
-        try:
-            layout = build_layout(params, spec, script)
-        except _Branch as branch:
-            stack.extend(prefix + (value,) for value in range(branch.args[0]))
-            continue
-        runs += 1
-        if runs > BRANCH_CAP:
-            raise ValueError(f"branch cap {BRANCH_CAP} exceeded; instance too large")
-        dist[layout] = dist.get(layout, Fraction(0)) + Fraction(1, prod(script.bounds))
-    return dist
-
-
-def iter_layouts(params: ProblemParams) -> Iterator[Layout]:
-    """Every ordered partition of 1..k matching the plan's size profile."""
-    plan = compute_plan(params)
-    indices = tuple(range(1, params.k + 1))
-
-    def split(prefix, available, sizes):
-        if not sizes:
-            yield Layout(tuple(prefix), plan)
-            return
-        for block in combinations(available, sizes[0]):
-            rest = tuple(x for x in available if x not in set(block))
-            yield from split(prefix + [block], rest, sizes[1:])
-
-    yield from split([], indices, plan.size_profile)
 
 
 @dataclass(frozen=True)
@@ -211,7 +82,9 @@ def posterior(layout: Layout, params: ProblemParams) -> PosteriorReport:
     O(C(k, n)).  Raises ValueError if the layout was built for another
     plan, or if the plan cannot hide every demand set.
     """
-    plan = _check_layout(layout, params)
+    plan = compute_plan(params)
+    if layout.plan != plan:
+        raise ValueError("layout was built for a different plan")
     if not admits_every_demand_set(params, plan.size_profile, plan.side_profile):
         raise ValueError(
             f"plan with sizes {plan.size_profile} and quotas {plan.side_profile} cannot "
@@ -226,6 +99,7 @@ def posterior(layout: Layout, params: ProblemParams) -> PosteriorReport:
     )
 
 
+# No longer a total-variation distance; perfbench's traced privacy-mc replay needs this name.
 @dataclass(frozen=True)
 class TvdReport:
     """``monte_carlo_tvd``'s verdict: the worst |z| over ``cells`` against ``threshold``.
@@ -263,6 +137,7 @@ def _sample_counts(params, demands, trials, rng, layouts: set) -> list[int]:
     return counts
 
 
+# No longer a total-variation distance; perfbench's traced privacy-mc replay needs this name.
 def monte_carlo_tvd(
     params: ProblemParams,
     demands_a: Sequence[int],

@@ -14,7 +14,7 @@ The best plan uses ``l_star`` subspaces whose sizes and side-information
 quotas follow a near-uniform profile computed here in closed form.
 
 ``compute_plan`` returns that profile together with the minimum download
-``r_star``; ``is_trivial_optimal`` decides when no partitioning can beat the
+``r_star``, and flags the plans where no partitioning beats the
 single-subspace plan that just downloads ``k - m`` coded symbols;
 ``admits_every_demand_set`` decides whether a profile can serve, and so
 hide, every demand set.
@@ -158,13 +158,3 @@ def compute_plan(params: ProblemParams) -> RatePlan:
         trivial=(r_star == k - m),
     )
 
-
-def is_trivial_optimal(params: ProblemParams) -> bool:
-    """True when the single-subspace plan is already optimal.
-
-    That happens exactly when the user demands more than it holds
-    (n > m) or when the database is small relative to the demand count
-    (n**2 + n >= k - m).
-    """
-    k, m, n = params.k, params.m, params.n
-    return n > m or n * n + n >= k - m

@@ -242,8 +242,8 @@ def server_answer(query: Query, db: Database) -> Answer:
             values = operator.itemgetter(*support)(padded)
         else:  # itemgetter of a single key returns the entry itself, not a 1-tuple
             values = [padded[i] for i in support]
-        matrix = mds.vandermonde(block.r, len(support), query.field)
-        out.append(tuple(mds.encode(matrix, values)))
+        rows = mds.vandermonde(block.r, len(support), query.field)
+        out.append(tuple(mds.encode(rows, values, query.field.p)))
     return Answer(tuple(out))
 
 

@@ -174,6 +174,7 @@ def posterior_doc(report: PosteriorReport, layout: Layout) -> dict:
     }
 
 
+# No longer a total-variation distance; perfbench's traced privacy-mc replay needs this name.
 def tvd_doc(report: TvdReport) -> dict:
     return dict(vars(report))
 
@@ -182,6 +183,7 @@ def tvd_doc(report: TvdReport) -> dict:
 # Database files
 
 
+# The program never calls this; perfbench's Rounds.prepare writes its database with it.
 def write_db(stream, db: Database) -> None:
     stream.write(f"{DB_MAGIC} {DB_VERSION} p={db.field.p} k={db.k}\n")
     for value in db.values:

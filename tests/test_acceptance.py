@@ -17,17 +17,19 @@ from pirsi import (
     Layout,
     PrimeField,
     ProblemParams,
-    brute_force_rate,
-    check_mds,
     compute_plan,
+    posterior,
+    simulate_round,
+)
+from pirsi.oracle import brute_force_rate
+from oracles import (
+    check_mds,
     decode,
     encode,
     enumerate_randomness,
     is_trivial_optimal,
     iter_layouts,
     layout_probability,
-    posterior,
-    simulate_round,
     vandermonde,
 )
 from conftest import WORKED_BLOCKS

@@ -82,6 +82,23 @@ def test_rate_rejects_bad_params(capsys):
     assert exc.value.code == 2
 
 
+def test_every_instance_subcommand_caps_k(capsys, tmp_path):
+    # Past the cap the plan alone would hold a profile about k long, so a
+    # huge --k is a usage error naming the bound, not a MemoryError.
+    code, out, _ = run_cli(capsys, "rate", "--k", "1000000", "--m", "0", "--n", "1000000")
+    assert code == 0 and json.loads(out)["r_star"] == 1_000_000
+    for argv in (
+        ["rate", "--m", "0", "--n", "1"],
+        ["privacy-mc", "--m", "0", "--n", "2", "--wa", "1,2", "--wb", "3,4"],
+        ["simulate", "--m", "0", "--n", "1", "--demands", "1", "--db", str(tmp_path / "none")],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--k", "1000001"])
+        assert exc.value.code == 2, argv
+        err = capsys.readouterr().err
+        assert "--k must be at most 1000000, got 1000001" in err, argv
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

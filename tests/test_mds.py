@@ -4,7 +4,9 @@ The expected values here are recomputed by independent means inside the
 tests: plain-integer dot products for encodings, cofactor-expansion
 determinants for the MDS property, exhaustive solution enumeration for
 the threshold sharpness check, and generic elimination (``decode``) for the
-structured Vandermonde solve.
+structured Vandermonde solve.  The program's own ``mds.vandermonde`` and
+``mds.encode`` work on plain rows; ``CodeMatrix``, ``decode`` and
+``check_mds`` are the test oracles in ``tests/oracles.py``.
 """
 
 import random
@@ -12,38 +14,30 @@ from itertools import combinations, product
 
 import pytest
 
-from pirsi import (
-    CodeMatrix,
-    PrimeField,
-    check_mds,
-    decode,
-    encode,
-    solve_vandermonde,
-    vandermonde,
-)
+from pirsi import PrimeField, mds, solve_vandermonde
 from pirsi.mds import _all_points
+from oracles import CodeMatrix, check_mds, decode, encode, vandermonde
 
 
 def test_vandermonde_worked_example_rows(gf13):
-    matrix = vandermonde(2, 5, gf13)
-    assert matrix.rows == ((1, 1, 1, 1, 1), (1, 2, 3, 4, 5))
+    assert mds.vandermonde(2, 5, gf13) == ((1, 1, 1, 1, 1), (1, 2, 3, 4, 5))
 
 
 def test_vandermonde_powers():
-    matrix = vandermonde(3, 3, PrimeField(7))
-    assert matrix.rows == ((1, 1, 1), (1, 2, 3), (1, 4, 2))
+    assert mds.vandermonde(3, 3, PrimeField(7)) == ((1, 1, 1), (1, 2, 3), (1, 4, 2))
 
 
 def test_vandermonde_one_by_one():
-    matrix = vandermonde(1, 1, PrimeField(2))
-    assert matrix.rows == ((1,),)
+    assert mds.vandermonde(1, 1, PrimeField(2)) == ((1,),)
 
 
 def test_vandermonde_needs_enough_points():
     with pytest.raises(ValueError, match="evaluation points"):
-        vandermonde(2, 7, PrimeField(7))
+        mds.vandermonde(2, 7, PrimeField(7))
+    with pytest.raises(ValueError, match="r <= n"):
+        mds.vandermonde(3, 2, PrimeField(7))
     # n = p - 1 is the largest legal width
-    assert vandermonde(2, 6, PrimeField(7)).n == 6
+    assert len(mds.vandermonde(2, 6, PrimeField(7))[0]) == 6
 
 
 def test_code_matrix_validation():
@@ -59,9 +53,10 @@ def test_code_matrix_validation():
 
 
 def test_encode_small_example():
-    gf7 = PrimeField(7)
-    codeword = encode(vandermonde(2, 3, gf7), [1, 2, 3])
+    codeword = mds.encode(mds.vandermonde(2, 3, PrimeField(7)), [1, 2, 3], 7)
     assert codeword == [6, 0]
+    with pytest.raises(ValueError, match="expected 3 message symbols"):
+        mds.encode(mds.vandermonde(2, 3, PrimeField(7)), [1, 2], 7)
 
 
 def test_encode_matches_integer_dot_product(gf13):
@@ -69,9 +64,9 @@ def test_encode_matches_integer_dot_product(gf13):
     for _ in range(200):
         n = rng.randrange(1, 11)
         r = rng.randrange(1, n + 1)
-        matrix = vandermonde(r, n, PrimeField(65537))
+        rows = mds.vandermonde(r, n, PrimeField(65537))
         msgs = [rng.randrange(65537) for _ in range(n)]
-        got = encode(matrix, msgs)
+        got = mds.encode(rows, msgs, 65537)
         expected = [
             sum(pow(j + 1, i, 65537) * msgs[j] for j in range(n)) % 65537
             for i in range(r)
@@ -80,14 +75,12 @@ def test_encode_matches_integer_dot_product(gf13):
 
 
 def test_encode_zero_vector_is_zero(gf13):
-    matrix = vandermonde(3, 5, gf13)
-    assert encode(matrix, [0] * 5) == [0, 0, 0]
+    assert mds.encode(mds.vandermonde(3, 5, gf13), [0] * 5, 13) == [0, 0, 0]
 
 
 def test_encode_worked_example_block(gf13):
     # Subspace {1,2,4,6,8} with values 3,7,2,5,11 yields coded symbols 2 and 7.
-    matrix = vandermonde(2, 5, gf13)
-    codeword = encode(matrix, [3, 7, 2, 5, 11])
+    codeword = mds.encode(mds.vandermonde(2, 5, gf13), [3, 7, 2, 5, 11], 13)
     assert codeword == [2, 7]
 
 

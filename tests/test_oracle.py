@@ -1,20 +1,31 @@
-"""Rate searches: the exact search against brute force, pinned minima, the plan check."""
+"""Rate searches: the exact search against brute force, pinned minima, the plan
+check, and the paper's converse over all linear schemes on small instances."""
 
 import gc
+import random
 import tracemalloc
 from itertools import product
 
 import pytest
 
 from pirsi import (
+    DemandSpec,
+    PrimeField,
     ProblemParams,
-    brute_force_rate,
-    brute_force_sweep,
+    build_layout,
     compute_plan,
     is_feasible_plan,
-    is_trivial_optimal,
+    make_query,
     search_sweep,
+)
+from pirsi.oracle import brute_force_rate, brute_force_sweep
+from oracles import (
+    hides_every_demand_set,
+    is_trivial_optimal,
+    query_rows,
+    row_reduce,
     subspace_cost,
+    subspaces,
 )
 
 
@@ -249,3 +260,49 @@ def test_trivial_optimality_iff_against_search_to_k40():
                 assert is_trivial_optimal(params) == (found == k - m), (k, m, n)
                 instances += 1
     assert instances == 11_480
+
+
+def _instances(k_max):
+    for k in range(1, k_max + 1):
+        for n in range(1, k + 1):
+            for m in range(0, k - n + 1):
+                yield ProblemParams(k, m, n)
+
+
+def test_converse_lower_bound_over_gf2_to_k6():
+    # No subspace of GF(2)^k of dimension r_star - 1 is the row space of a
+    # query that hides every demand set, so no linear scheme over GF(2)
+    # downloads fewer than r_star.  A superspace of a good subspace is
+    # good, so refuting one dimension refutes all lower ones.
+    instances = 0
+    for params in _instances(6):
+        k, m, n = params.k, params.m, params.n
+        r_star = compute_plan(params).r_star
+        assert not any(
+            hides_every_demand_set(basis, k, m, n, 2) for basis in subspaces(k, r_star - 1, 2)
+        ), (k, m, n)
+        instances += 1
+    assert instances == 56
+
+
+def test_converse_is_tight_over_gf5_to_k4():
+    # Over GF(5), q > k, so the scheme's own query meets the condition: the
+    # bound is r_star exactly.  No subspace of dimension r_star - 1 is good,
+    # and a seeded query's row space has dimension r_star and is good.
+    field = PrimeField(5)
+    instances = 0
+    for params in _instances(4):
+        k, m, n = params.k, params.m, params.n
+        r_star = compute_plan(params).r_star
+        assert not any(
+            hides_every_demand_set(basis, k, m, n, 5) for basis in subspaces(k, r_star - 1, 5)
+        ), (k, m, n)
+        rng = random.Random(f"converse {k} {m} {n}")
+        demands = tuple(sorted(rng.sample(range(1, k + 1), n)))
+        side = frozenset(rng.sample([i for i in range(1, k + 1) if i not in demands], m))
+        query = make_query(build_layout(params, DemandSpec(demands, side), rng), field)
+        basis = row_reduce(query_rows(query), 5)
+        assert len(basis) == r_star, (k, m, n)
+        assert hides_every_demand_set(basis, k, m, n, 5), (k, m, n)
+        instances += 1
+    assert instances == 20

@@ -16,15 +16,13 @@ from pirsi import (
     admits_every_demand_set,
     build_layout,
     compute_plan,
-    enumerate_randomness,
     is_feasible_plan,
-    iter_layouts,
-    layout_probability,
     monte_carlo_tvd,
     posterior,
 )
-from pirsi.privacy import _probability
+import oracles
 from conftest import leaky_build_layout
+from oracles import _probability, enumerate_randomness, iter_layouts, layout_probability
 from pirsi.rate import RatePlan
 
 
@@ -154,7 +152,7 @@ def test_enumeration_matches_closed_form_medium_instance():
 
 def test_branch_cap_guards_enumeration(monkeypatch):
     # (6, 0, 1) expands to 720 leaves, far beyond a cap of 10.
-    monkeypatch.setattr("pirsi.privacy.BRANCH_CAP", 10)
+    monkeypatch.setattr(oracles, "BRANCH_CAP", 10)
     with pytest.raises(ValueError, match="branch cap 10 exceeded"):
         enumerate_randomness(ProblemParams(k=6, m=0, n=1), (1,), ())
 
@@ -162,7 +160,7 @@ def test_branch_cap_guards_enumeration(monkeypatch):
 def test_enumeration_rejects_leaky_sampler(monkeypatch):
     # Criterion 7's instances: the law walked over a sampler that leaks the
     # demands must differ from the closed form wherever the plan partitions.
-    monkeypatch.setattr("pirsi.privacy.build_layout", leaky_build_layout)
+    monkeypatch.setattr(oracles, "build_layout", leaky_build_layout)
     rng = random.Random(5)
     instances = [
         ProblemParams(k=k, m=m, n=n)
@@ -192,7 +190,7 @@ def test_enumeration_refuses_unscripted_draws(monkeypatch):
         rng.random()
         return build_layout(params, spec, rng)
 
-    monkeypatch.setattr("pirsi.privacy.build_layout", sampler)
+    monkeypatch.setattr(oracles, "build_layout", sampler)
     with pytest.raises(AttributeError, match="random"):
         enumerate_randomness(ProblemParams(k=5, m=1, n=1), (1,), (2,))
 

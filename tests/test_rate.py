@@ -2,7 +2,8 @@
 
 import pytest
 
-from pirsi import ProblemParams, RatePlan, compute_plan, is_trivial_optimal
+from pirsi import ProblemParams, RatePlan, compute_plan
+from oracles import is_trivial_optimal
 
 
 def plan_of(k, m, n):

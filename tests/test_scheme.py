@@ -17,12 +17,12 @@ from pirsi import (
     build_layout,
     client_decode,
     compute_plan,
-    enumerate_randomness,
     make_query,
     server_answer,
     simulate_round,
 )
 from conftest import WORKED_SIDE, WORKED_VALUES
+from oracles import enumerate_randomness
 
 
 def random_db(params, field, rng):
