@@ -28,6 +28,7 @@ from .scheme import (
     RoundResult,
     build_layout,
     client_decode,
+    draw_layout,
     make_query,
     server_answer,
 )
@@ -67,6 +68,7 @@ __all__ = [
     "RoundResult",
     "build_layout",
     "client_decode",
+    "draw_layout",
     "make_query",
     "server_answer",
     "simulate_round",

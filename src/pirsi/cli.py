@@ -22,7 +22,7 @@ from functools import cache
 from . import wire
 from .oracle import is_feasible_plan, search_sweep
 from .privacy import monte_carlo_tvd, posterior
-from .rate import ProblemParams, compute_plan
+from .rate import InadmissiblePlan, ProblemParams, compute_plan
 from .scheme import DemandSpec, build_layout
 
 # privacy-exact prints one posterior per demand set; refuse tables larger
@@ -203,6 +203,8 @@ def _cmd_privacy_mc(args, parser) -> int:
     rng = random.Random(_resolve_seed(args.seed, parser))
     try:
         report = monte_carlo_tvd(params, args.wa, args.wb, args.trials, rng)
+    except InadmissiblePlan:
+        raise  # a violated invariant, not a usage error: main exits 1
     except ValueError as err:
         parser.error(str(err))
     print(wire.canonical(wire.tvd_doc(report)))

@@ -7,9 +7,9 @@ demand sets given the layout equals the uniform prior 1 / C(k, n),
 exactly.  Everything here is computed in rational arithmetic so equality
 can be asserted with zero tolerance.
 
-The layout law.  ``build_layout`` places the demands w by capacity, draws
-side quotas from s into the blocks holding demands, and shuffles the rest
-in.  With d_u = |w ∩ block u|, D the blocks with d_u > 0, c_u = size_u -
+The layout law.  ``scheme.draw_layout`` places the demands w by capacity,
+draws side quotas from s into the blocks holding demands, and shuffles the
+rest in.  With d_u = |w ∩ block u|, D the blocks with d_u > 0, c_u = size_u -
 d_u, h_u = |s ∩ block u|, q_u block u's side quota and Q = sum_{u in D}
 q_u, the three stages multiply to
 
@@ -32,13 +32,14 @@ of them, iff every profile is feasible, iff the plan passes the cap and
 window of ``rate.admits_every_demand_set``.  The paper's plan does: whatever
 is demanded, the layout is uniform over the k! / prod_u size_u! ordered
 partitions with the plan's sizes, which is the scheme's privacy.
-``monte_carlo_tvd`` tests samples against two marginals of this law:
+``monte_carlo_tvd`` draws from ``scheme.draw_layout`` against one plan
+and tests the samples against two marginals of this law:
 block u is a uniform size_u-subset of 1..k, so a fixed index lies in it
 with probability size_u / k, and two fixed indices share a block with probability sum_u size_u (size_u - 1) / (k (k - 1)).
 
 The independent checks live in the tests (``tests/oracles.py``): the
 product itself as an exact ``layout_probability``, and the law of the
-shipped sampler, found by driving ``scheme.build_layout`` with a scripted
+shipped sampler, found by driving ``scheme.draw_layout`` with a scripted
 generator once per sequence of draws.  The tests hold the two equal, and
 sum the product over every (demand set, side set) pair to check
 ``posterior``'s table.
@@ -54,8 +55,8 @@ from math import ceil, comb, inf, sqrt
 from statistics import NormalDist
 from typing import Sequence
 
-from .rate import ProblemParams, admits_every_demand_set, compute_plan
-from .scheme import DemandSpec, Layout, build_layout
+from .rate import ProblemParams, RatePlan, compute_plan, require_admissible
+from .scheme import DemandSpec, Layout, draw_layout
 
 ALPHA = 1e-6  # monte_carlo_tvd's chance of refusing an honest sampler
 MIN_EXPECTED = 5  # expected hits, and misses, that each varying cell needs
@@ -85,11 +86,7 @@ def posterior(layout: Layout, params: ProblemParams) -> PosteriorReport:
     plan = compute_plan(params)
     if layout.plan != plan:
         raise ValueError("layout was built for a different plan")
-    if not admits_every_demand_set(params, plan.size_profile, plan.side_profile):
-        raise ValueError(
-            f"plan with sizes {plan.size_profile} and quotas {plan.side_profile} cannot "
-            f"hide every demand set at m={params.m}, n={params.n}"
-        )
+    require_admissible(params, plan)
     prior = Fraction(1, comb(params.k, params.n))
     return PosteriorReport(
         probabilities=dict.fromkeys(combinations(range(1, params.k + 1), params.n), prior),
@@ -115,20 +112,19 @@ class TvdReport:
     consistent: bool
 
 
-def _sample_counts(params, demands, trials, rng, layouts: set) -> list[int]:
+def _sample_counts(params, plan: RatePlan, demands, trials, rng, layouts: set) -> list[int]:
     """Hits per block, then pair hits, over ``trials`` layouts drawn for ``demands``.
 
-    Each sample draws a uniform side set from the other indices and runs
-    ``build_layout``; its layout's hash joins ``layouts``.
+    ``demands`` are valid and ascending.  Each sample draws a uniform side
+    set from the other indices and runs ``draw_layout``; its layout's hash
+    joins ``layouts``.
     """
-    demands = tuple(sorted(demands))
     wanted, pair = frozenset(demands), demands[:2]
     complement = [i for i in range(1, params.k + 1) if i not in wanted]
-    counts = [0] * (compute_plan(params).l_star + 1)
+    counts = [0] * (plan.l_star + 1)
     for _ in range(trials):
-        spec = DemandSpec(demands, frozenset(rng.sample(complement, params.m)))
         # A query is its ordered supports; the block shapes fix the rest.
-        subspaces = build_layout(params, spec, rng).subspaces
+        subspaces = draw_layout(plan, demands, rng.sample(complement, params.m), rng).subspaces
         layouts.add(hash(subspaces))
         for u, block in enumerate(subspaces):
             hits = wanted.intersection(block)
@@ -152,34 +148,46 @@ def monte_carlo_tvd(
     smallest indices in one block; the module docstring gives their laws.
     The result is consistent iff every cell's |z| is at most the two-sided
     normal quantile at ``ALPHA`` split evenly over the cells; a cell with
-    no variance (a single-block plan) must equal its mean.  Raises
-    ValueError for an invalid demand set, or for fewer trials than give
-    every varying cell ``MIN_EXPECTED`` expected hits and misses.
+    no variance (a single-block plan) must equal its mean.  The plan is
+    computed, and both demand sets validated, once; every trial then calls
+    ``scheme.draw_layout`` directly.  Raises ValueError for an invalid
+    demand set, or for fewer trials than give every varying cell
+    ``MIN_EXPECTED`` expected hits and misses (decided from the distinct
+    block sizes before any sampling), and ``rate.InadmissiblePlan`` for a
+    plan that cannot serve every demand set.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    demand_sets = []
     for demands in (demands_a, demands_b):
         # The demands alone must fit; the side sets drawn for them always do.
-        DemandSpec(tuple(demands), frozenset()).validate_against(replace(params, m=0))
+        spec = DemandSpec(tuple(demands), frozenset())
+        spec.validate_against(replace(params, m=0))
+        demand_sets.append(spec.demands)
     k, n = params.k, params.n
-    sizes = compute_plan(params).size_profile
+    plan = compute_plan(params)
+    sizes = plan.size_profile
     # Per cell and trial: outcomes, hit probability, variance factor (the
     # hypergeometric one for blocks; at k = 1 the block has no variance).
+    # Blocks of one size share a law, and a plan has at most three sizes.
     factor = Fraction(k - n, k - 1) if k > 1 else Fraction(0)
-    laws = [(n, Fraction(size, k), factor) for size in sizes]
+    by_size = {size: (n, Fraction(size, k), factor) for size in set(sizes)}
+    pair = []
     if n >= 2:
-        laws.append((1, Fraction(sum(s * (s - 1) for s in sizes), k * (k - 1)), Fraction(1)))
-    rarest = [draws * min(p, 1 - p) for draws, p, _ in laws if 0 < p < 1]
+        pair.append((1, Fraction(sum(s * (s - 1) for s in sizes), k * (k - 1)), Fraction(1)))
+    rarest = [draws * min(p, 1 - p) for draws, p, _ in [*by_size.values(), *pair] if 0 < p < 1]
     needed = max((ceil(MIN_EXPECTED / rate) for rate in rarest), default=1)
     if trials < needed:
         raise ValueError(
             f"{trials} trials leave a cell expecting fewer than {MIN_EXPECTED} "
             f"hits or misses; use at least {needed}"
         )
+    require_admissible(params, plan)
+    laws = [by_size[size] for size in sizes] + pair
     layouts: set = set()
     max_z = 0.0
-    for demands in (demands_a, demands_b):
-        counts = _sample_counts(params, demands, trials, rng, layouts)
+    for demands in demand_sets:
+        counts = _sample_counts(params, plan, demands, trials, rng, layouts)
         # zip drops the pair count when n = 1, which has no pair cell.
         for count, (draws, p, scale) in zip(counts, laws):
             mean = trials * draws * p

@@ -17,7 +17,7 @@ quotas follow a near-uniform profile computed here in closed form.
 ``r_star``, and flags the plans where no partitioning beats the
 single-subspace plan that just downloads ``k - m`` coded symbols;
 ``admits_every_demand_set`` decides whether a profile can serve, and so
-hide, every demand set.
+hide, every demand set; ``require_admissible`` refuses a plan that cannot.
 """
 
 from __future__ import annotations
@@ -101,6 +101,19 @@ def admits_every_demand_set(
         all(0 <= q <= quota_cap(s, n) for s, q in zip(sizes, quotas))
         and sum(sorted(quotas, reverse=True)[:n]) <= params.m
     )
+
+
+class InadmissiblePlan(ValueError):
+    """A plan whose blocks cannot serve, and so cannot hide, every demand set."""
+
+
+def require_admissible(params: ProblemParams, plan: RatePlan) -> None:
+    """Raise ``InadmissiblePlan``, naming the plan, unless it admits every demand set."""
+    if not admits_every_demand_set(params, plan.size_profile, plan.side_profile):
+        raise InadmissiblePlan(
+            f"plan with sizes {plan.size_profile} and quotas {plan.side_profile} cannot "
+            f"hide every demand set at m={params.m}, n={params.n}"
+        )
 
 
 def compute_plan(params: ProblemParams) -> RatePlan:

@@ -26,6 +26,13 @@ The partition is drawn in four stages:
 Stage 2's capacity weighting is what makes the final partition's law
 independent of which indices were demanded; stages 3 and 4 guarantee
 decodability without skewing that law.
+
+``draw_layout`` is the sampler: stages 2-4 on a plan and inputs its caller
+has validated.  ``build_layout`` is the validating entry point a round
+uses; it checks the client's spec and the plan once, then draws.  The
+exact enumeration in the tests walks ``draw_layout`` over every sequence
+of draws, and ``privacy.monte_carlo_tvd`` samples it directly against one
+plan.
 """
 
 from __future__ import annotations
@@ -33,11 +40,11 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass, field as dc_field
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import mds
 from .field import PrimeField
-from .rate import ProblemParams, RatePlan, compute_plan
+from .rate import ProblemParams, RatePlan, compute_plan, require_admissible
 
 
 @dataclass(frozen=True)
@@ -147,14 +154,30 @@ class Database:
 def build_layout(params: ProblemParams, spec: DemandSpec, rng: random.Random) -> Layout:
     """Draw a demand-hiding partition of 1..k for this client's spec.
 
-    Consumes randomness in a fixed order (demand placements, then
-    side-information draws, then the fill shuffle) so a seeded generator
-    reproduces the layout exactly.  Single-subspace plans consume no
-    randomness at all: the only layout is all of 1..k.
+    The validating entry point: checks the spec against the instance,
+    computes the plan and refuses one that cannot serve every demand set
+    (``rate.require_admissible``), then hands the draw to ``draw_layout``.
     """
     spec.validate_against(params)
     plan = compute_plan(params)
-    k = params.k
+    require_admissible(params, plan)
+    return draw_layout(plan, spec.demands, spec.side, rng)
+
+
+def draw_layout(
+    plan: RatePlan, demands: Sequence[int], side: Iterable[int], rng: random.Random
+) -> Layout:
+    """The sampler: stages 2-4 for inputs the caller has already validated.
+
+    ``demands`` are n distinct indices in ascending order and ``side`` m
+    further indices, all in 1..k, on a plan that admits every demand set.
+    Consumes randomness in a fixed order (demand placements, then
+    side-information draws, then the fill shuffle) so a seeded generator
+    reproduces the layout exactly.  Single-subspace plans consume no
+    randomness at all: the only layout is all of 1..k.  The returned
+    ``Layout`` checks that the draw partitions 1..k.
+    """
+    k = sum(plan.size_profile)
     if plan.l_star == 1:
         return Layout((tuple(range(1, k + 1)),), plan)
 
@@ -166,7 +189,7 @@ def build_layout(params: ProblemParams, spec: DemandSpec, rng: random.Random) ->
     # placement the free capacities sum to k - j + 1, so a single uniform
     # draw over that range, walked through the cumulative capacities,
     # selects subspace u with probability (size_u - placed_u) / (k - j + 1).
-    for j, idx in enumerate(spec.demands, start=1):
+    for j, idx in enumerate(demands, start=1):
         draw = rng.randrange(k - j + 1)
         acc = 0
         chosen = -1
@@ -179,7 +202,7 @@ def build_layout(params: ProblemParams, spec: DemandSpec, rng: random.Random) ->
         demand_count[chosen] += 1
 
     # Stage 3: commit side information where demands landed.
-    pool = sorted(spec.side)
+    pool = sorted(side)
     for i in range(count):
         if demand_count[i] == 0:
             continue

@@ -8,7 +8,7 @@ expectations to this instance, so it lives in one place.
 
 import pytest
 
-from pirsi import Database, DemandSpec, Layout, PrimeField, ProblemParams, build_layout, compute_plan
+from pirsi import Database, DemandSpec, Layout, PrimeField, ProblemParams, compute_plan, draw_layout
 
 WORKED_K = 13
 WORKED_DEMANDS = (2, 5)
@@ -48,17 +48,19 @@ def worked_spec(worked_db):
     )
 
 
-def leaky_build_layout(params, spec, rng):
+def leaky_draw_layout(plan, demands, side, rng):
     """The real sampler, then every demand it can is swapped into the earliest block.
 
     Each demand outside block 0 trades places with a non-demand of block 0
-    while block 0 has one, so the layout's law depends on the demands.
+    while block 0 has one, so the layout's law depends on the demands.  It
+    has ``draw_layout``'s signature, so the exact enumeration, ``privacy-mc``
+    and the CLI all take it at the same seam.
     """
-    layout = build_layout(params, spec, rng)
+    layout = draw_layout(plan, demands, side, rng)
     first, *rest = [list(block) for block in layout.subspaces]
     for block in rest:
         for pos, idx in enumerate(block):
-            trade = next((i for i in first if i not in spec.demands), None)
-            if idx in spec.demands and trade is not None:
+            trade = next((i for i in first if i not in demands), None)
+            if idx in demands and trade is not None:
                 first[first.index(trade)], block[pos] = idx, trade
     return Layout(tuple(tuple(sorted(block)) for block in [first, *rest]), layout.plan)

@@ -11,7 +11,7 @@ compare the two:
   headline condition for the single-subspace plan (``is_trivial_optimal``).
 * Privacy: the layout law as an exact product (``layout_probability``),
   and the law of the shipped sampler, found by running
-  ``scheme.build_layout`` on every sequence of draws
+  ``scheme.draw_layout`` on every sequence of draws
   (``enumerate_randomness``); ``iter_layouts`` lists every layout a plan
   allows.
 * The converse: whether a subspace of GF(q)^k is the row space of a
@@ -29,8 +29,8 @@ from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from pirsi import mds
 from pirsi.field import PrimeField
-from pirsi.rate import ProblemParams, RatePlan, compute_plan, quota_cap
-from pirsi.scheme import DemandSpec, Layout, Query, build_layout
+from pirsi.rate import ProblemParams, RatePlan, compute_plan, quota_cap, require_admissible
+from pirsi.scheme import DemandSpec, Layout, Query, draw_layout
 
 BRANCH_CAP = 1_000_000
 
@@ -211,7 +211,7 @@ class _Branch(Exception):
 
 
 class _Script:
-    """A generator with only ``build_layout``'s two draws, replaying a fixed prefix.
+    """A generator with only ``draw_layout``'s two draws, replaying a fixed prefix.
 
     ``randrange(n)`` returns the prefix's next value and records ``n`` in
     ``bounds``, or raises ``_Branch(n)`` once the prefix is used up;
@@ -290,15 +290,19 @@ def enumerate_randomness(
     demands: Iterable[int],
     side: Iterable[int],
 ) -> dict[Layout, Fraction]:
-    """Exact layout distribution of ``build_layout``, by running it on every draw sequence.
+    """Exact layout distribution of ``draw_layout``, by running it on every draw sequence.
 
-    Each run replays a prefix of draws through a scripted generator; a draw
-    past the prefix forks the walk into one prefix per possible value.  A
-    completed run has probability 1 / (product of its draws' ranges), summed
-    per resulting layout.  ``build_layout`` validates the spec.  Raises if
+    The spec is validated, and the plan computed and checked, once, as
+    ``build_layout`` does.  Each run replays a prefix of draws through a
+    scripted generator; a draw past the prefix forks the walk into one
+    prefix per possible value.  A completed run has probability 1 /
+    (product of its draws' ranges), summed per resulting layout.  Raises if
     the completed runs exceed ``BRANCH_CAP`` (meant for k <= 7).
     """
     spec = DemandSpec(tuple(demands), frozenset(side))
+    spec.validate_against(params)
+    plan = compute_plan(params)
+    require_admissible(params, plan)
     dist: dict[Layout, Fraction] = {}
     runs = 0
     stack: list[tuple[int, ...]] = [()]
@@ -306,7 +310,7 @@ def enumerate_randomness(
         prefix = stack.pop()
         script = _Script(prefix)
         try:
-            layout = build_layout(params, spec, script)
+            layout = draw_layout(plan, spec.demands, spec.side, script)
         except _Branch as branch:
             stack.extend(prefix + (value,) for value in range(branch.args[0]))
             continue

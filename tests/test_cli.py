@@ -15,7 +15,7 @@ import pytest
 from pirsi import Database, PrimeField, ProblemParams, RatePlan, compute_plan
 from pirsi.cli import build_parser, main
 from pirsi.wire import read_db, write_db
-from conftest import WORKED_VALUES, leaky_build_layout
+from conftest import WORKED_VALUES, leaky_draw_layout
 
 # Transcripts pinned byte for byte, so a given seed keeps its round across
 # refactors: layout, query (a version-2 document), answer and decoded values.
@@ -38,6 +38,17 @@ GOLDEN_PRIVACY_EXACT_SHA256 = "c21c17e1721078ed29fd5a1a2b74efec2327e7a1c17afe9b6
 # printed when brute force still walked every quota vector once per (k, m, n).
 GOLDEN_ORACLE_K14_SHA256 = "512615bdb65d6ddd61fc6a501a30d4767643180360f08cf22821c4a8b434362b"
 GOLDEN_ORACLE_K9_SHA256 = "a89f30295144dfd45d8770a93476f5de7fb5b2d408787609ee017c24b1c3704c"
+# `privacy-mc` stdout, as printed when every trial still rebuilt its spec and
+# plan: the benchmark's instance, the README's example and the paper's regime.
+GOLDEN_PRIVACY_MC_SHA256 = {
+    ("13", "5", "2", "1,2", "12,13", "2000", "0"):
+        "d105731863f6503a3ed052f95e30eb6e810f0e0e5cf7eea7e023d025c5694665",
+    ("30", "10", "2", "1,2", "29,30", "2000", "11"):
+        "2dc1ff23910cec52721efd391065a060dd2ac050fe198f11fbfdbef7a8e50db6",
+    ("5000", "1000", "10", ",".join(map(str, range(1, 11))),
+     ",".join(map(str, range(4991, 5001))), "400", "3"):
+        "9f352fb0c698ae8863156b586debf8f99d7c094eaf3900a514485045571ed5d8",
+}
 
 
 def db_file(tmp_path, name, values, field):
@@ -371,24 +382,37 @@ def test_privacy_exact_enforces_cap(capsys):
         assert f"C({k},{n})" in capsys.readouterr().err
 
 
+# Sizes (4, 4) and quotas (2, 2) at (8, 3, 2) keep every quota within its
+# cap, but demands in both blocks need 2 + 2 > 3 side indices.
+INADMISSIBLE_PLAN = RatePlan(
+    m_bar=1, t=1, l_star=2, size_profile=(4, 4), side_profile=(2, 2), r_star=4, trivial=False
+)
+INADMISSIBLE_REFUSAL = (
+    "error: plan with sizes (4, 4) and quotas (2, 2) cannot hide every demand set at m=3, n=2\n"
+)
+
+
 def test_privacy_exact_refuses_a_plan_that_cannot_hide_the_demands(capsys, monkeypatch):
-    # Sizes (4, 4) and quotas (2, 2) at (8, 3, 2) keep every quota within its
-    # cap, but demands in both blocks need 2 + 2 > 3 side indices.  Seed 1's
-    # demands share a block, so the sampler still builds a layout.
-    plan = RatePlan(
-        m_bar=1, t=1, l_star=2, size_profile=(4, 4), side_profile=(2, 2), r_star=4, trivial=False
-    )
-    monkeypatch.setattr("pirsi.scheme.compute_plan", lambda _: plan)
-    monkeypatch.setattr("pirsi.privacy.compute_plan", lambda _: plan)
+    # Seed 0's demands land in both blocks, where the sampler used to die
+    # inside ``random`` ("empty range for randrange()"); seed 1's share a
+    # block.  Either way the plan is refused before any layout is drawn.
+    monkeypatch.setattr("pirsi.scheme.compute_plan", lambda _: INADMISSIBLE_PLAN)
+    monkeypatch.setattr("pirsi.privacy.compute_plan", lambda _: INADMISSIBLE_PLAN)
+    for seed in ("0", "1"):
+        code, out, err = run_cli(
+            capsys, "privacy-exact", "--k", "8", "--m", "3", "--n", "2", "--seed", seed
+        )
+        assert (code, out, err) == (1, "", INADMISSIBLE_REFUSAL), seed
+
+
+def test_privacy_mc_refuses_a_plan_that_cannot_hide_the_demands(capsys, monkeypatch):
+    # A violated invariant, not a usage error: exit 1, as privacy-exact.
+    monkeypatch.setattr("pirsi.privacy.compute_plan", lambda _: INADMISSIBLE_PLAN)
     code, out, err = run_cli(
-        capsys, "privacy-exact", "--k", "8", "--m", "3", "--n", "2", "--seed", "1"
+        capsys, "privacy-mc", "--k", "8", "--m", "3", "--n", "2",
+        "--wa", "1,2", "--wb", "7,8", "--trials", "100", "--seed", "0",
     )
-    assert code == 1
-    assert out == ""
-    assert err == (
-        "error: plan with sizes (4, 4) and quotas (2, 2) cannot hide every demand set "
-        "at m=3, n=2\n"
-    )
+    assert (code, out, err) == (1, "", INADMISSIBLE_REFUSAL)
 
 
 def test_privacy_exact_beyond_k_13(capsys):
@@ -417,8 +441,31 @@ def test_privacy_mc_reports(capsys):
     assert run_cli(capsys, *argv)[1] == out
 
 
+@pytest.mark.parametrize(
+    "argv, digest", GOLDEN_PRIVACY_MC_SHA256.items(), ids=["13-5-2", "30-10-2", "5000-1000-10"]
+)
+def test_privacy_mc_golden(capsys, argv, digest):
+    k, m, n, wa, wb, trials, seed = argv
+    code, out, err = run_cli(
+        capsys, "privacy-mc", "--k", k, "--m", m, "--n", n, "--wa", wa, "--wb", wb,
+        "--trials", trials, "--seed", seed,
+    )
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_privacy_mc_refuses_too_few_trials_at_the_k_cap(capsys):
+    # The plan's 500,000 blocks all have size 2, so the refusal needs one
+    # block law and the pair law, not one per block (that took seconds),
+    # and no sample at all.
+    with pytest.raises(SystemExit) as exc:
+        main(["privacy-mc", "--k", "1000000", "--m", "0", "--n", "2", "--wa", "1,2", "--wb", "3,4"])
+    assert exc.value.code == 2
+    assert "use at least 4999995" in capsys.readouterr().err
+
+
 def test_privacy_mc_refusal_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr("pirsi.privacy.build_layout", leaky_build_layout)
+    monkeypatch.setattr("pirsi.privacy.draw_layout", leaky_draw_layout)
     code, out, err = run_cli(
         capsys, "privacy-mc", "--k", "13", "--m", "5", "--n", "2",
         "--wa", "1,2", "--wb", "12,13", "--trials", "200", "--seed", "0",

@@ -3,6 +3,7 @@
 import random
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, islice, product
 from math import comb, factorial, perm, prod
@@ -16,14 +17,15 @@ from pirsi import (
     admits_every_demand_set,
     build_layout,
     compute_plan,
+    draw_layout,
     is_feasible_plan,
     monte_carlo_tvd,
     posterior,
 )
 import oracles
-from conftest import leaky_build_layout
+from conftest import leaky_draw_layout
 from oracles import _probability, enumerate_randomness, iter_layouts, layout_probability
-from pirsi.rate import RatePlan
+from pirsi.rate import InadmissiblePlan, RatePlan
 
 
 def demand_set_weights(layout, params):
@@ -160,7 +162,7 @@ def test_branch_cap_guards_enumeration(monkeypatch):
 def test_enumeration_rejects_leaky_sampler(monkeypatch):
     # Criterion 7's instances: the law walked over a sampler that leaks the
     # demands must differ from the closed form wherever the plan partitions.
-    monkeypatch.setattr(oracles, "build_layout", leaky_build_layout)
+    monkeypatch.setattr(oracles, "draw_layout", leaky_draw_layout)
     rng = random.Random(5)
     instances = [
         ProblemParams(k=k, m=m, n=n)
@@ -186,11 +188,11 @@ def test_enumeration_rejects_leaky_sampler(monkeypatch):
 def test_enumeration_refuses_unscripted_draws(monkeypatch):
     # A draw the walker does not script has no method on its generator, so
     # the enumeration fails instead of returning a law that ignores it.
-    def sampler(params, spec, rng):
+    def sampler(plan, demands, side, rng):
         rng.random()
-        return build_layout(params, spec, rng)
+        return draw_layout(plan, demands, side, rng)
 
-    monkeypatch.setattr(oracles, "build_layout", sampler)
+    monkeypatch.setattr(oracles, "draw_layout", sampler)
     with pytest.raises(AttributeError, match="random"):
         enumerate_randomness(ProblemParams(k=5, m=1, n=1), (1,), (2,))
 
@@ -208,7 +210,7 @@ def test_enumeration_matches_product_on_hand_made_plans(monkeypatch, kmn, sizes,
     params = ProblemParams(*kmn)
     plan = skewed_plan(sizes, side)
     assert is_feasible_plan(params, sizes, side) and plan != compute_plan(params)
-    monkeypatch.setattr("pirsi.scheme.compute_plan", lambda _: plan)
+    monkeypatch.setattr(oracles, "compute_plan", lambda _: plan)
     rng = random.Random(f"hand-made {kmn} {sizes} {side}")
     demands = tuple(sorted(rng.sample(range(1, params.k + 1), params.n)))
     rest = [i for i in range(1, params.k + 1) if i not in demands]
@@ -431,13 +433,12 @@ def placing_sampler(place):
     so this fixed fill leaves their law unchanged and keeps large k cheap.
     """
 
-    def sampler(params, spec, rng):
-        plan = compute_plan(params)
+    def sampler(plan, demands, side, rng):
         members = [[] for _ in plan.size_profile]
-        for idx in spec.demands:
+        for idx in demands:
             members[place(plan, members, rng)].append(idx)
-        wanted = set(spec.demands)
-        rest = (i for i in range(1, params.k + 1) if i not in wanted)
+        wanted = set(demands)
+        rest = (i for i in range(1, sum(plan.size_profile) + 1) if i not in wanted)
         for block, size in zip(members, plan.size_profile):
             block.extend(islice(rest, size - len(block)))
         return Layout(tuple(tuple(sorted(block)) for block in members), plan)
@@ -495,7 +496,7 @@ def test_monte_carlo_passes_honest_sampler(kmn, trials, seeds):
 def test_monte_carlo_passes_capacity_placement_with_fixed_fill(monkeypatch):
     # The test samplers' fixed fill is invisible to the cells: with the
     # shipped placement rule it passes, so refusals below are the leaks'.
-    monkeypatch.setattr("pirsi.privacy.build_layout", placing_sampler(by_capacity))
+    monkeypatch.setattr("pirsi.privacy.draw_layout", placing_sampler(by_capacity))
     for kmn, trials in (((13, 5, 2), 2000), ((30, 10, 2), 200), ((1000, 300, 5), 300)):
         params = ProblemParams(*kmn)
         report = monte_carlo_tvd(params, *far_demand_sets(params), trials, random.Random(0))
@@ -516,7 +517,7 @@ def test_monte_carlo_passes_capacity_placement_with_fixed_fill(monkeypatch):
     (all_together, (1000, 300, 5), 80),
 ])
 def test_monte_carlo_refuses_leaky_samplers(monkeypatch, place, kmn, trials):
-    monkeypatch.setattr("pirsi.privacy.build_layout", placing_sampler(place))
+    monkeypatch.setattr("pirsi.privacy.draw_layout", placing_sampler(place))
     params = ProblemParams(*kmn)
     report = monte_carlo_tvd(params, *far_demand_sets(params), trials, random.Random(0))
     assert not report.consistent
@@ -528,10 +529,63 @@ def test_monte_carlo_refuses_block_zero_wrapper(monkeypatch, kmn):
     # The leaky wrapper over the real sampler that the exact enumeration
     # refuses.  A comparison of whole layouts calls it consistent at
     # (30,10,2), where 2,000 samples per set never repeat a layout.
-    monkeypatch.setattr("pirsi.privacy.build_layout", leaky_build_layout)
+    monkeypatch.setattr("pirsi.privacy.draw_layout", leaky_draw_layout)
     params = ProblemParams(*kmn)
     report = monte_carlo_tvd(params, *far_demand_sets(params), 2000, random.Random(0))
     assert not report.consistent
+
+
+def test_monte_carlo_samples_through_draw_layout(monkeypatch):
+    # The seam the leaky samplers above are patched at is the one that
+    # runs: a sampler that raises there makes the whole check raise.
+    def broken(plan, demands, side, rng):
+        raise RuntimeError("sampler reached")
+
+    monkeypatch.setattr("pirsi.privacy.draw_layout", broken)
+    with pytest.raises(RuntimeError, match="sampler reached"):
+        monte_carlo_tvd(ProblemParams(13, 5, 2), (1, 2), (12, 13), 200, random.Random(0))
+    # The validating entry point is not a name privacy reads, so a patch
+    # aimed at it fails instead of leaving the honest sampler in place.
+    with pytest.raises(AttributeError):
+        monkeypatch.setattr("pirsi.privacy.build_layout", broken)
+
+
+def test_monte_carlo_draws_against_one_plan(monkeypatch):
+    # The plan is computed, and the two demand sets validated, once per
+    # call, not once per trial; every drawn layout still checks itself.
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for module in ("pirsi.privacy", "pirsi.scheme"):
+        monkeypatch.setattr(f"{module}.compute_plan", counted("plan", compute_plan))
+    validate = counted("validate", DemandSpec.validate_against)
+    monkeypatch.setattr(DemandSpec, "validate_against", validate)
+    monkeypatch.setattr(Layout, "__post_init__", counted("layout", Layout.__post_init__))
+    report = monte_carlo_tvd(ProblemParams(13, 5, 2), (1, 2), (12, 13), 200, random.Random(0))
+    assert report.trials == 200
+    assert calls == {"plan": 1, "validate": 2, "layout": 400}
+
+
+def test_monte_carlo_refuses_a_plan_that_cannot_hide_the_demands(monkeypatch):
+    # (8, 3, 2) on sizes (4, 4) and quotas (2, 2): demands in both blocks
+    # need 4 side indices, so the sampler would die inside ``random``.  The
+    # plan is refused once, before any draw.
+    plan = skewed_plan((4, 4), (2, 2))
+    monkeypatch.setattr("pirsi.privacy.compute_plan", lambda _: plan)
+
+    def sampler(plan, demands, side, rng):
+        raise AssertionError("sampled an inadmissible plan")
+
+    monkeypatch.setattr("pirsi.privacy.draw_layout", sampler)
+    refusal = r"sizes \(4, 4\) and quotas \(2, 2\) cannot hide every demand set at m=3, n=2"
+    with pytest.raises(InadmissiblePlan, match=refusal):
+        monte_carlo_tvd(ProblemParams(8, 3, 2), (1, 2), (7, 8), 100, random.Random(0))
 
 
 def test_monte_carlo_identical_demands_consistent():

@@ -17,6 +17,7 @@ from pirsi import (
     build_layout,
     client_decode,
     compute_plan,
+    draw_layout,
     make_query,
     server_answer,
     simulate_round,
@@ -71,6 +72,19 @@ def test_build_layout_is_seed_deterministic():
     assert first == second
     layouts = {build_layout(params, spec, random.Random(s)).subspaces for s in range(30)}
     assert len(layouts) > 1  # the construction genuinely randomizes
+
+
+def test_build_layout_draws_what_draw_layout_draws():
+    # The validating entry point adds checks, never draws: on one seed both
+    # give the same layout and leave the generator in the same state.
+    params = ProblemParams(k=30, m=10, n=3)
+    plan = compute_plan(params)
+    spec = DemandSpec((30, 4, 17), frozenset({1, 2, 3, 5, 8, 13, 21, 22, 25, 29}))
+    for seed in range(10):
+        built, drawn = random.Random(seed), random.Random(seed)
+        layout = build_layout(params, spec, built)
+        assert layout == draw_layout(plan, spec.demands, sorted(spec.side), drawn)
+        assert built.getstate() == drawn.getstate()
 
 
 def test_build_layout_respects_plan_and_quotas():
