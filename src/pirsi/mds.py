@@ -38,24 +38,26 @@ def vandermonde(r: int, n: int, field: PrimeField) -> tuple[tuple[int, ...], ...
 
     Evaluation points are the first n nonzero residues, so the matrix is
     deterministic for a given shape and field, and every entry is already
-    reduced mod p.  Raises if the field is too small to supply n distinct
-    nonzero points.  A round uses only a few block shapes and the rows are
+    reduced mod p.  A round uses only a few block shapes and the rows are
     immutable, so recent shapes are cached and shared.
+
+    Requires 1 <= r <= n <= p - 1, so that the n points are distinct and
+    nonzero; it is not re-checked here.  A block's shape comes from
+    ``scheme.make_query``, which refuses a field too small for the widest
+    block and sets r = size - quota within the cap ``build_layout``
+    admitted, or from ``wire.parse_query_doc``, which refuses any other
+    shape.
     """
-    if n > field.p - 1:
-        raise ValueError(
-            f"not enough distinct evaluation points: n={n} needs p > {n}, got p={field.p}"
-        )
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     p = field.p
     return tuple(tuple(pow(j + 1, i, p) for j in range(n)) for i in range(r))
 
 
 def encode(rows: Sequence[Sequence[int]], messages: Sequence[int], p: int) -> list[int]:
-    """Matrix-vector product mod p: n message symbols -> one coded symbol per row."""
-    if len(messages) != len(rows[0]):
-        raise ValueError(f"expected {len(rows[0])} message symbols, got {len(messages)}")
+    """Matrix-vector product mod p: n message symbols -> one coded symbol per row.
+
+    Requires one message per column; ``scheme.server_answer`` passes the
+    values at the block's support, whose length is the rows' width.
+    """
     return [sum(map(operator.mul, row, messages)) % p for row in rows]
 
 
@@ -120,16 +122,15 @@ def solve_vandermonde(
     (n, p); its first build costs O(n^2).  Both routes give the same P, so
     the result does not depend on the route.
 
+    Requires 1 <= r <= n <= p - 1, the shape ``vandermonde`` requires, and
+    every key of ``known`` and entry of ``wanted`` in 0..n-1; neither is
+    re-checked here.  ``scheme.client_decode`` checks that r is the block's
+    row count and enumerates the positions from the block's own support.
+
     Raises ValueError if fewer than n - r symbols are known or if the inputs
     are inconsistent with any codeword.
     """
     r, p = len(codeword), field.p
-    if not 1 <= r <= n <= p - 1:
-        raise ValueError(f"need 1 <= r <= n <= p - 1, got r={r}, n={n}, p={p}")
-    columns = [*known, *wanted]
-    if columns and not (min(columns) >= 0 and max(columns) < n):
-        bad = next(j for j in columns if not 0 <= j < n)
-        raise ValueError(f"column {bad} out of range")
     unknown = [j for j in range(n) if j not in known]
     if len(unknown) > r:
         raise ValueError(

@@ -47,7 +47,7 @@ DB_VERSION = "v1"
 QUERY_VERSION = 2
 
 _DECIMAL = "0|[1-9][0-9]*"
-_DB_HEADER = re.compile(rf"{DB_MAGIC} {DB_VERSION} p=({_DECIMAL}) k=({_DECIMAL})\n?")
+_DB_HEADER = re.compile(rf"{DB_MAGIC} {DB_VERSION} p=({_DECIMAL}) k=({_DECIMAL})")
 _DB_VALUE = re.compile(_DECIMAL)
 _DB_VALUES = re.compile(rf"(?:(?:{_DECIMAL})\n)*(?:{_DECIMAL})\n?")
 
@@ -59,6 +59,12 @@ def canonical(doc) -> str:
 
 def frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
+
+
+def _not_ascii(what: str, err: UnicodeDecodeError) -> ValueError:
+    return ValueError(
+        f"{what} is not ASCII: byte 0x{err.object[err.start]:02x} at offset {err.start}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +201,15 @@ def read_db(stream) -> Database:
 
     The header and every value must be canonical decimals (no sign, no
     leading zeros, no spaces or underscores), one value per line, with
-    k >= 1 values in [0, p) and nothing after the k-th.
+    k >= 1 values in [0, p) and nothing after the k-th.  The stream is read
+    in one call, so a byte that an ASCII stream cannot decode is named with
+    its offset in the file.
     """
-    header = stream.readline()
+    try:
+        text = stream.read()
+    except UnicodeDecodeError as err:
+        raise _not_ascii("database file", err) from None
+    header, _, body = text.partition("\n")
     match = _DB_HEADER.fullmatch(header)
     if match is None:
         raise ValueError(f"malformed database header: {header.strip()!r}")
@@ -205,7 +217,6 @@ def read_db(stream) -> Database:
     k = int(match[2])
     if k < 1:
         raise ValueError("database needs k >= 1 values")
-    body = stream.read()
     lines = body.split("\n")
     if lines[-1] == "":
         lines.pop()
@@ -233,11 +244,14 @@ def _unique_keys(pairs: list) -> dict:
 def _read_doc(data: bytes, what: str):
     """Bytes from the other role as one JSON document with unique keys.
 
-    Anything else, including nesting too deep to parse, raises ValueError;
-    plain ``json.loads`` would keep the last value of a repeated key.
+    Anything else, including bytes that are not ASCII or nesting too deep
+    to parse, raises ValueError; plain ``json.loads`` would keep the last
+    value of a repeated key.
     """
     try:
         return json.loads(data.decode("ascii"), object_pairs_hook=_unique_keys)
+    except UnicodeDecodeError as err:
+        raise _not_ascii(what, err) from None
     except RecursionError:
         raise ValueError(f"{what} nests too deeply") from None
 

@@ -587,6 +587,22 @@ def test_db_file_round_trip(tmp_path):
     assert header == "pir-db v1 p=23 k=4"
 
 
+def test_simulate_names_a_non_ascii_byte_in_the_database_file(capsys, tmp_path, gf13):
+    # One 0xff in the header and one past the first 8 KiB that a text
+    # stream decodes at once: each is named with its offset in the file.
+    for k, offset in ((13, 12), (5000, 9001)):
+        path = Path(db_file(tmp_path, f"bad{k}.db", [i % 13 for i in range(k)], gf13))
+        data = bytearray(path.read_bytes())
+        data[offset] = 0xFF
+        path.write_bytes(bytes(data))
+        code, out, err = run_cli(
+            capsys, "simulate", "--k", str(k), "--m", "1", "--n", "1",
+            "--demands", "2", "--side", "1", "--db", str(path),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: database file is not ASCII: byte 0xff at offset {offset}\n"
+
+
 def test_db_file_rejects_malformed():
     with pytest.raises(ValueError, match="malformed database header"):
         read_db(io.StringIO("not-a-db 1 2 3\n"))

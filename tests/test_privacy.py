@@ -552,7 +552,7 @@ def test_monte_carlo_samples_through_draw_layout(monkeypatch):
 
 def test_monte_carlo_draws_against_one_plan(monkeypatch):
     # The plan is computed, and the two demand sets validated, once per
-    # call, not once per trial; every drawn layout still checks itself.
+    # call, not once per trial.
     calls = Counter()
 
     def counted(name, fn):
@@ -566,10 +566,9 @@ def test_monte_carlo_draws_against_one_plan(monkeypatch):
         monkeypatch.setattr(f"{module}.compute_plan", counted("plan", compute_plan))
     validate = counted("validate", DemandSpec.validate_against)
     monkeypatch.setattr(DemandSpec, "validate_against", validate)
-    monkeypatch.setattr(Layout, "__post_init__", counted("layout", Layout.__post_init__))
     report = monte_carlo_tvd(ProblemParams(13, 5, 2), (1, 2), (12, 13), 200, random.Random(0))
     assert report.trials == 200
-    assert calls == {"plan": 1, "validate": 2, "layout": 400}
+    assert calls == {"plan": 1, "validate": 2}
 
 
 def test_monte_carlo_refuses_a_plan_that_cannot_hide_the_demands(monkeypatch):

@@ -9,7 +9,6 @@ from pirsi import (
     Answer,
     Database,
     DemandSpec,
-    Layout,
     PrimeField,
     ProblemParams,
     Query,
@@ -52,18 +51,6 @@ def test_demand_spec_validation():
         DemandSpec((1, 9), frozenset({2})).validate_against(params)
 
 
-def test_layout_validation():
-    plan = compute_plan(ProblemParams(k=5, m=1, n=1))
-    with pytest.raises(ValueError, match="sorted"):
-        Layout(((2, 1), (3, 4), (5,)), plan)
-    with pytest.raises(ValueError, match="partition"):
-        Layout(((1, 2), (3, 4), (4,)), plan)
-    with pytest.raises(ValueError, match="planned size"):
-        Layout(((1, 2, 3), (4,), (5,)), plan)
-    with pytest.raises(ValueError, match="subspace count"):
-        Layout(((1, 2), (3, 4, 5)), plan)
-
-
 def test_build_layout_is_seed_deterministic():
     params = ProblemParams(k=13, m=5, n=2)
     spec = DemandSpec((2, 5), frozenset(WORKED_SIDE))
@@ -88,6 +75,8 @@ def test_build_layout_draws_what_draw_layout_draws():
 
 
 def test_build_layout_respects_plan_and_quotas():
+    # A Layout does not check itself, so this is where its shape is held:
+    # sorted blocks of the plan's sizes that partition 1..k.
     rng = random.Random(7)
     for k in range(1, 9):
         for n in range(1, k + 1):
@@ -100,6 +89,8 @@ def test_build_layout_respects_plan_and_quotas():
                     spec = random_spec(params, db, rng)
                     layout = build_layout(params, spec, rng)
                     assert layout.plan == plan
+                    assert tuple(map(len, layout.subspaces)) == plan.size_profile
+                    assert all(list(block) == sorted(block) for block in layout.subspaces)
                     covered = [idx for block in layout.subspaces for idx in block]
                     assert sorted(covered) == list(range(1, k + 1))
                     for block, quota in zip(layout.subspaces, plan.side_profile):

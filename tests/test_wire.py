@@ -152,6 +152,25 @@ def test_simulate_round_refuses_deep_nesting_and_repeated_keys_in_answers(
             simulate_round(worked_params, worked_spec, worked_db, random.Random(1))
 
 
+def test_serve_query_bytes_names_a_non_ascii_byte(worked_query_doc, worked_db):
+    # A UTF-8 "é" inside a support: the document and the offset of its first
+    # byte are named, not just the codec.
+    text = canonical(worked_query_doc)
+    offset = text.index("10")
+    raw = text[:offset].encode("ascii") + "é".encode() + text[offset + 2:].encode("ascii")
+    with pytest.raises(ValueError, match=rf"^query document is not ASCII: byte 0xc3 at offset {offset}$"):
+        serve_query_bytes(raw, worked_db)
+
+
+def test_simulate_round_names_a_non_ascii_byte_in_answers(
+    worked_params, worked_spec, worked_db, monkeypatch
+):
+    raw = b'{"blocks":[[8,4],[12,0],[6,\xff]]}'
+    monkeypatch.setattr(wire, "serve_query_bytes", lambda query_bytes, db: raw)
+    with pytest.raises(ValueError, match=r"^answer document is not ASCII: byte 0xff at offset 27$"):
+        simulate_round(worked_params, worked_spec, worked_db, random.Random(1))
+
+
 def test_serve_query_bytes_rejects_other_modulus(worked_query_doc, worked_db):
     worked_query_doc["p"] = 17
     with pytest.raises(ValueError, match="incompatible moduli"):
