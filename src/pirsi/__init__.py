@@ -8,7 +8,8 @@ predicate that decides whether a plan can hide every demand set
 (:func:`admits_every_demand_set`), the exact and sampled privacy checks
 built on it (:mod:`pirsi.privacy`), an exact rate search and a check of
 the plan's profile (:mod:`pirsi.oracle`), and one full round over
-canonical bytes (:func:`simulate_round`).  It exports what the program
+canonical bytes (:func:`simulate_round`).  A refusal of the caller's
+own request raises :class:`UsageError`.  It exports what the program
 runs; the reference implementations the tests check it against live in
 ``tests/oracles.py``.
 """
@@ -17,7 +18,7 @@ from .field import PrimeField, is_prime
 from .mds import encode, solve_vandermonde, vandermonde
 from .oracle import is_feasible_plan, search_sweep
 from .privacy import PosteriorReport, TvdReport, monte_carlo_tvd, posterior
-from .rate import ProblemParams, RatePlan, admits_every_demand_set, compute_plan
+from .rate import ProblemParams, RatePlan, UsageError, admits_every_demand_set, compute_plan
 from .scheme import (
     Answer,
     Database,
@@ -57,6 +58,7 @@ __all__ = [
     "posterior",
     "ProblemParams",
     "RatePlan",
+    "UsageError",
     "admits_every_demand_set",
     "compute_plan",
     "Answer",

@@ -6,7 +6,9 @@ posterior check), ``privacy-mc`` (sampled layouts against the uniform layout
 law), and ``oracle`` (exact rate search vs closed form sweep).  All canonical
 output goes to stdout and is byte-identical across runs with the same flags
 and seed; diagnostics and timings go to stderr.  Exit codes: 0 success, 1
-violated invariant (a ``privacy-mc`` refusal too), 2 usage error.
+violated invariant (a ``privacy-mc`` refusal too), 2 usage error.  A refusal
+is a usage error when it raises ``rate.UsageError``, wherever it is raised;
+``main`` maps exceptions to exit codes in one place.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from functools import cache
 from . import wire
 from .oracle import is_feasible_plan, search_sweep
 from .privacy import monte_carlo_tvd, posterior
-from .rate import InadmissiblePlan, ProblemParams, compute_plan
+from .rate import ProblemParams, UsageError, compute_plan
 from .scheme import DemandSpec, build_layout
 
 # privacy-exact prints one posterior per demand set; refuse tables larger
@@ -57,14 +59,14 @@ def _parse_indices(text: str) -> tuple[int, ...]:
     return indices
 
 
-def _resolve_seed(value: int | None, parser) -> int:
+def _resolve_seed(value: int | None) -> int:
     if value is not None:
         return value
     env = os.environ.get("PIR_SEED")
     if env is None:
         return 0
     if not _DECIMAL.fullmatch(env):
-        parser.error(f"PIR_SEED must be a decimal integer, got {env!r}")
+        raise UsageError(f"PIR_SEED must be a decimal integer, got {env!r}")
     return int(env)
 
 
@@ -82,13 +84,10 @@ def _count_sets(k: int, n: int, cap: int) -> int:
     return count
 
 
-def _params_from(args, parser) -> ProblemParams:
+def _params_from(args) -> ProblemParams:
     if args.k > INSTANCE_K_CAP:
-        parser.error(f"--k must be at most {INSTANCE_K_CAP}, got {args.k}")
-    try:
-        return ProblemParams(k=args.k, m=args.m, n=args.n)
-    except ValueError as err:
-        parser.error(str(err))
+        raise UsageError(f"--k must be at most {INSTANCE_K_CAP}, got {args.k}")
+    return ProblemParams(k=args.k, m=args.m, n=args.n)
 
 
 def _add_instance_flags(sub):
@@ -132,33 +131,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_rate(args, parser) -> int:
-    params = _params_from(args, parser)
+def _cmd_rate(args) -> int:
+    params = _params_from(args)
     plan = compute_plan(params)
     print(wire.canonical(wire.plan_doc(params, plan)))
     return 0
 
 
-def _cmd_simulate(args, parser) -> int:
-    params = _params_from(args, parser)
+def _cmd_simulate(args) -> int:
+    params = _params_from(args)
     try:
-        with open(args.db, "r", encoding="ascii") as fh:
+        # newline="" hands read_db the file's own line ends, so it refuses \r.
+        with open(args.db, encoding="ascii", newline="") as fh:
             db = wire.read_db(fh)
     except OSError as err:
-        parser.error(f"cannot read database: {err}")
-    if db.k != params.k:
-        parser.error(f"database holds {db.k} messages but --k is {params.k}")
-    try:
-        spec = DemandSpec(
-            demands=args.demands,
-            side=frozenset(args.side),
-            side_values={idx: db[idx] for idx in args.side},
-        )
-        spec.validate_against(params)
-    except ValueError as err:
-        parser.error(str(err))
-
-    seed = _resolve_seed(args.seed, parser)
+        raise UsageError(f"cannot read database: {err}") from None
+    spec = DemandSpec(args.demands, frozenset(args.side), {idx: db[idx] for idx in args.side})
+    seed = _resolve_seed(args.seed)
     started = time.perf_counter()
     result = wire.simulate_round(params, spec, db, random.Random(seed))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -179,16 +168,16 @@ def _cmd_simulate(args, parser) -> int:
     return 0
 
 
-def _cmd_privacy_exact(args, parser) -> int:
-    params = _params_from(args, parser)
+def _cmd_privacy_exact(args) -> int:
+    params = _params_from(args)
     sets = _count_sets(params.k, params.n, EXACT_SETS_CAP)
     if sets > EXACT_SETS_CAP or sets * params.n > EXACT_INDICES_CAP:
-        parser.error(
+        raise UsageError(
             f"exact mode prints all C({params.k},{params.n}) demand sets and is capped at "
             f"{EXACT_SETS_CAP} sets and {EXACT_INDICES_CAP} printed indices; "
             f"use privacy-mc for larger instances"
         )
-    rng = random.Random(_resolve_seed(args.seed, parser))
+    rng = random.Random(_resolve_seed(args.seed))
     demands = tuple(sorted(rng.sample(range(1, params.k + 1), params.n)))
     complement = [i for i in range(1, params.k + 1) if i not in demands]
     side = frozenset(rng.sample(complement, params.m))
@@ -198,15 +187,10 @@ def _cmd_privacy_exact(args, parser) -> int:
     return 0
 
 
-def _cmd_privacy_mc(args, parser) -> int:
-    params = _params_from(args, parser)
-    rng = random.Random(_resolve_seed(args.seed, parser))
-    try:
-        report = monte_carlo_tvd(params, args.wa, args.wb, args.trials, rng)
-    except InadmissiblePlan:
-        raise  # a violated invariant, not a usage error: main exits 1
-    except ValueError as err:
-        parser.error(str(err))
+def _cmd_privacy_mc(args) -> int:
+    params = _params_from(args)
+    rng = random.Random(_resolve_seed(args.seed))
+    report = monte_carlo_tvd(params, args.wa, args.wb, args.trials, rng)
     print(wire.canonical(wire.tvd_doc(report)))
     if not report.consistent:
         print(f"sampled layouts deviate from the uniform law: max |z| {report.max_z:.2f} "
@@ -215,9 +199,9 @@ def _cmd_privacy_mc(args, parser) -> int:
     return 0
 
 
-def _cmd_oracle(args, parser) -> int:
+def _cmd_oracle(args) -> int:
     if not 1 <= args.k_max <= ORACLE_K_CAP:
-        parser.error(f"--k-max must be in 1..{ORACLE_K_CAP}")
+        raise UsageError(f"--k-max must be in 1..{ORACLE_K_CAP}")
     failures = 0
     instances = 0
     print("k m n oracle formula match")
@@ -248,7 +232,9 @@ def main(argv=None) -> int:
         "oracle": _cmd_oracle,
     }
     try:
-        return handlers[args.command](args, parser)
+        return handlers[args.command](args)
+    except UsageError as err:
+        parser.error(str(err))
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -55,7 +55,7 @@ from math import ceil, comb, inf, sqrt
 from statistics import NormalDist
 from typing import Sequence
 
-from .rate import ProblemParams, RatePlan, compute_plan, require_admissible
+from .rate import ProblemParams, RatePlan, UsageError, compute_plan, require_admissible
 from .scheme import DemandSpec, Layout, draw_layout
 
 ALPHA = 1e-6  # monte_carlo_tvd's chance of refusing an honest sampler
@@ -150,14 +150,14 @@ def monte_carlo_tvd(
     normal quantile at ``ALPHA`` split evenly over the cells; a cell with
     no variance (a single-block plan) must equal its mean.  The plan is
     computed, and both demand sets validated, once; every trial then calls
-    ``scheme.draw_layout`` directly.  Raises ValueError for an invalid
-    demand set, or for fewer trials than give every varying cell
+    ``scheme.draw_layout`` directly.  Raises ``rate.UsageError`` for an
+    invalid demand set, or for fewer trials than give every varying cell
     ``MIN_EXPECTED`` expected hits and misses (decided from the distinct
-    block sizes before any sampling), and ``rate.InadmissiblePlan`` for a
-    plan that cannot serve every demand set.
+    block sizes before any sampling), and a plain ValueError for a plan
+    that cannot serve every demand set.
     """
     if trials < 1:
-        raise ValueError("trials must be positive")
+        raise UsageError("trials must be positive")
     demand_sets = []
     for demands in (demands_a, demands_b):
         # The demands alone must fit; the side sets drawn for them always do.
@@ -178,7 +178,7 @@ def monte_carlo_tvd(
     rarest = [draws * min(p, 1 - p) for draws, p, _ in [*by_size.values(), *pair] if 0 < p < 1]
     needed = max((ceil(MIN_EXPECTED / rate) for rate in rarest), default=1)
     if trials < needed:
-        raise ValueError(
+        raise UsageError(
             f"{trials} trials leave a cell expecting fewer than {MIN_EXPECTED} "
             f"hits or misses; use at least {needed}"
         )

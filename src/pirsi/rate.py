@@ -26,6 +26,14 @@ from dataclasses import dataclass
 from typing import Sequence
 
 
+class UsageError(ValueError):
+    """The caller's arguments do not describe a valid request.
+
+    Raised where such a refusal is detected (parameters, demand and side
+    indices, counts); ``cli.main`` exits 2 on it and 1 on any other ValueError.
+    """
+
+
 @dataclass(frozen=True)
 class ProblemParams:
     """Instance parameters: k messages total, m held, n demanded."""
@@ -36,13 +44,13 @@ class ProblemParams:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError(f"k must be positive, got {self.k}")
+            raise UsageError(f"k must be positive, got {self.k}")
         if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
+            raise UsageError(f"n must be positive, got {self.n}")
         if self.m < 0:
-            raise ValueError(f"m must be nonnegative, got {self.m}")
+            raise UsageError(f"m must be nonnegative, got {self.m}")
         if self.n + self.m > self.k:
-            raise ValueError(
+            raise UsageError(
                 f"demands plus side information exceed database: n={self.n}, m={self.m}, k={self.k}"
             )
 
@@ -103,14 +111,10 @@ def admits_every_demand_set(
     )
 
 
-class InadmissiblePlan(ValueError):
-    """A plan whose blocks cannot serve, and so cannot hide, every demand set."""
-
-
 def require_admissible(params: ProblemParams, plan: RatePlan) -> None:
-    """Raise ``InadmissiblePlan``, naming the plan, unless it admits every demand set."""
+    """Raise ValueError, naming the plan, unless it admits every demand set."""
     if not admits_every_demand_set(params, plan.size_profile, plan.side_profile):
-        raise InadmissiblePlan(
+        raise ValueError(
             f"plan with sizes {plan.size_profile} and quotas {plan.side_profile} cannot "
             f"hide every demand set at m={params.m}, n={params.n}"
         )

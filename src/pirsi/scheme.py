@@ -52,7 +52,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import mds
 from .field import PrimeField
-from .rate import ProblemParams, RatePlan, compute_plan, require_admissible
+from .rate import ProblemParams, RatePlan, UsageError, compute_plan, require_admissible
 
 
 @dataclass(frozen=True)
@@ -72,19 +72,19 @@ class DemandSpec:
         object.__setattr__(self, "demands", tuple(sorted(self.demands)))
         object.__setattr__(self, "side", frozenset(self.side))
         if len(set(self.demands)) != len(self.demands):
-            raise ValueError("duplicate demand indices")
+            raise UsageError("duplicate demand indices")
         if set(self.demands) & self.side:
-            raise ValueError("demand and side-information indices overlap")
+            raise UsageError("demand and side-information indices overlap")
 
     def validate_against(self, params: ProblemParams) -> None:
-        """Raise ValueError unless this spec fits the instance: counts and range."""
+        """Raise UsageError unless this spec fits the instance: counts and range."""
         if len(self.demands) != params.n:
-            raise ValueError(f"expected {params.n} demands, got {len(self.demands)}")
+            raise UsageError(f"expected {params.n} demands, got {len(self.demands)}")
         if len(self.side) != params.m:
-            raise ValueError(f"expected {params.m} side indices, got {len(self.side)}")
+            raise UsageError(f"expected {params.m} side indices, got {len(self.side)}")
         for idx in list(self.demands) + sorted(self.side):
             if not 1 <= idx <= params.k:
-                raise ValueError(f"index {idx} outside 1..{params.k}")
+                raise UsageError(f"index {idx} outside 1..{params.k}")
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ class Database:
 
     def __getitem__(self, index: int) -> int:
         if not 1 <= index <= len(self.values):
-            raise ValueError(f"index {index} outside 1..{len(self.values)}")
+            raise UsageError(f"index {index} outside 1..{len(self.values)}")
         return self.values[index - 1]
 
 

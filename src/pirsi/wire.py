@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .field import PrimeField
 from .privacy import PosteriorReport, TvdReport
-from .rate import ProblemParams, RatePlan
+from .rate import ProblemParams, RatePlan, UsageError
 from .scheme import (
     Answer,
     Database,
@@ -212,7 +212,7 @@ def read_db(stream) -> Database:
     header, _, body = text.partition("\n")
     match = _DB_HEADER.fullmatch(header)
     if match is None:
-        raise ValueError(f"malformed database header: {header.strip()!r}")
+        raise ValueError(f"malformed database header: {header!r}")
     field = PrimeField(int(match[1]))
     k = int(match[2])
     if k < 1:
@@ -282,7 +282,7 @@ def simulate_round(
     bytes, and the client decodes from the parsed answer.
     """
     if db.k != params.k:
-        raise ValueError(f"database holds {db.k} messages, expected {params.k}")
+        raise UsageError(f"database holds {db.k} messages, expected {params.k}")
     layout = build_layout(params, spec, rng)
     query = make_query(layout, db.field)
     answer_bytes = serve_query_bytes(canonical(query_doc(query)).encode("ascii"), db)

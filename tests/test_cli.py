@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from pirsi import Database, PrimeField, ProblemParams, RatePlan, compute_plan
+from pirsi import Database, DemandSpec, PrimeField, ProblemParams, RatePlan, compute_plan
 from pirsi.cli import build_parser, main
 from pirsi.wire import read_db, write_db
 from conftest import WORKED_VALUES, leaky_draw_layout
@@ -49,6 +49,25 @@ GOLDEN_PRIVACY_MC_SHA256 = {
      ",".join(map(str, range(4991, 5001))), "400", "3"):
         "9f352fb0c698ae8863156b586debf8f99d7c094eaf3900a514485045571ed5d8",
 }
+
+
+# Usage errors print the parser's usage line, then the message; argparse wraps
+# usage at $COLUMNS, which ``fixed_width`` pins.
+USAGE = "usage: pirsi [-h] {rate,simulate,privacy-exact,privacy-mc,oracle} ...\n"
+SIMULATE_USAGE = (
+    "usage: pirsi simulate [-h] --k K --m M --n N --demands DEMANDS [--side SIDE]\n"
+    "                      --db DB [--seed SEED]\n"
+)
+
+
+@pytest.fixture(autouse=True)
+def fixed_width(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+
+
+def assert_usage_error(capsys, argv, message, usage=USAGE, prog="pirsi"):
+    """``argv`` exits 2, prints nothing on stdout, and exactly usage + message on stderr."""
+    assert _outcome(capsys, argv) == (2, "", f"{usage}{prog}: error: {message}\n"), argv
 
 
 def db_file(tmp_path, name, values, field):
@@ -88,9 +107,10 @@ def test_rate_is_byte_deterministic(capsys):
 
 
 def test_rate_rejects_bad_params(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["rate", "--k", "3", "--m", "2", "--n", "2"])
-    assert exc.value.code == 2
+    assert_usage_error(
+        capsys, ["rate", "--k", "3", "--m", "2", "--n", "2"],
+        "demands plus side information exceed database: n=2, m=2, k=3",
+    )
 
 
 def test_every_instance_subcommand_caps_k(capsys, tmp_path):
@@ -103,11 +123,7 @@ def test_every_instance_subcommand_caps_k(capsys, tmp_path):
         ["privacy-mc", "--m", "0", "--n", "2", "--wa", "1,2", "--wb", "3,4"],
         ["simulate", "--m", "0", "--n", "1", "--demands", "1", "--db", str(tmp_path / "none")],
     ):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--k", "1000001"])
-        assert exc.value.code == 2, argv
-        err = capsys.readouterr().err
-        assert "--k must be at most 1000000, got 1000001" in err, argv
+        assert_usage_error(capsys, [*argv, "--k", "1000001"], "--k must be at most 1000000, got 1000001")
 
 
 def test_missing_subcommand_is_usage_error():
@@ -174,28 +190,50 @@ def test_simulate_seed_env_fallback(capsys, worked_db_file, monkeypatch):
 
 def test_simulate_usage_errors(capsys, worked_db_file):
     base = ["simulate", "--k", "13", "--m", "5", "--n", "2", "--db", worked_db_file]
-    for extra in (
-        ["--demands", "2", "--side", "1,4,6,7,9"],      # wrong demand count
-        ["--demands", "2,5", "--side", "1,4"],          # wrong side count
-        ["--demands", "2,5", "--side", "2,4,6,7,9"],    # overlap
-        ["--demands", "2,5", "--side", "1,4,6,7,9,9"],  # repeated side index
-        ["--demands", "2,2", "--side", "1,4,6,7,9"],    # repeated demand
+    for extra, message in (
+        (["--demands", "2", "--side", "1,4,6,7,9"], "expected 2 demands, got 1"),
+        (["--demands", "2,5", "--side", "1,4"], "expected 5 side indices, got 2"),
+        (["--demands", "2,5", "--side", "2,4,6,7,9"], "demand and side-information indices overlap"),
+        (["--demands", "2,15", "--side", "1,4,6,7,9"], "index 15 outside 1..13"),
+        (["--demands", "2,5", "--side", "1,4,6,7,19"], "index 19 outside 1..13"),  # a database lookup
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(base + extra)
-        assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main([
-            "simulate", "--k", "12", "--m", "5", "--n", "2",
-            "--demands", "2,5", "--side", "1,4,6,7,9", "--db", worked_db_file,
-        ])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main([
-            "simulate", "--k", "13", "--m", "5", "--n", "2",
-            "--demands", "2,5", "--side", "1,4,6,7,9", "--db", "/nonexistent.db",
-        ])
-    assert exc.value.code == 2
+        assert_usage_error(capsys, base + extra, message)
+    # Repeated indices are refused by the flag's parser, under the subcommand's usage.
+    for extra, flag, text in (
+        (["--demands", "2,5", "--side", "1,4,6,7,9,9"], "--side", "1,4,6,7,9,9"),
+        (["--demands", "2,2", "--side", "1,4,6,7,9"], "--demands", "2,2"),
+    ):
+        assert_usage_error(
+            capsys, base + extra, f"argument {flag}: expected distinct indices, got {text!r}",
+            usage=SIMULATE_USAGE, prog="pirsi simulate",
+        )
+    spec = ["--m", "5", "--n", "2", "--demands", "2,5", "--side", "1,4,6,7,9"]
+    assert_usage_error(
+        capsys, ["simulate", "--k", "12", *spec, "--db", worked_db_file],
+        "database holds 13 messages, expected 12",
+    )
+    assert_usage_error(
+        capsys, ["simulate", "--k", "13", *spec, "--db", "/nonexistent.db"],
+        "cannot read database: [Errno 2] No such file or directory: '/nonexistent.db'",
+    )
+
+
+def test_simulate_validates_the_request_once(capsys, worked_db_file, monkeypatch):
+    # The round checks the spec against the instance; the CLI does not check it first.
+    calls = []
+    validate = DemandSpec.validate_against
+
+    def counted(spec, params):
+        calls.append(spec)
+        return validate(spec, params)
+
+    monkeypatch.setattr(DemandSpec, "validate_against", counted)
+    code, out, _ = run_cli(
+        capsys, "simulate", "--k", "13", "--m", "5", "--n", "2",
+        "--demands", "2,5", "--side", "1,4,6,7,9", "--db", worked_db_file, "--seed", "11",
+    )
+    assert (code, out) == (0, GOLDEN_WORKED)
+    assert len(calls) == 1
 
 
 def test_integer_flags_accept_only_canonical_decimals(capsys, worked_db_file):
@@ -376,10 +414,11 @@ def test_privacy_exact_enforces_cap(capsys):
     # C(300, 2) = 44,850 demand sets is above the 20,000-set table cap, and
     # C(2000, 1999) = 2,000 sets of 1,999 indices is above the printed-index cap.
     for k, m, n in ((300, 50, 2), (2000, 1, 1999)):
-        with pytest.raises(SystemExit) as exc:
-            main(["privacy-exact", "--k", str(k), "--m", str(m), "--n", str(n)])
-        assert exc.value.code == 2
-        assert f"C({k},{n})" in capsys.readouterr().err
+        assert_usage_error(
+            capsys, ["privacy-exact", "--k", str(k), "--m", str(m), "--n", str(n)],
+            f"exact mode prints all C({k},{n}) demand sets and is capped at 20000 sets and "
+            f"1000000 printed indices; use privacy-mc for larger instances",
+        )
 
 
 # Sizes (4, 4) and quotas (2, 2) at (8, 3, 2) keep every quota within its
@@ -482,11 +521,10 @@ def test_privacy_mc_validates_demand_sets(capsys):
         ("1,2,3,4,5", "6", "expected 1 demands, got 5"),  # fewer than m candidates left
         ("2", "9", "index 9 outside 1..7"),
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(["privacy-mc", "--k", "7", "--m", "3", "--n", "1",
-                  "--wa", wa, "--wb", wb, "--trials", "10"])
-        assert exc.value.code == 2
-        assert message in capsys.readouterr().err
+        assert_usage_error(
+            capsys, ["privacy-mc", "--k", "7", "--m", "3", "--n", "1",
+                     "--wa", wa, "--wb", wb, "--trials", "10"], message,
+        )
 
 
 def test_privacy_mc_validates_counts(capsys):
@@ -496,13 +534,11 @@ def test_privacy_mc_validates_counts(capsys):
         (["--trials", "-3"], "trials must be positive"),
         # The plan's blocks hold 4 and 3 of the 7 indices: 11 trials expect
         # 11 * 3 / 7 < 5 hits in the smaller one.
-        (["--trials", "11"], "use at least 12"),
-        (["--trials", "100", "--null-rounds", "20"], "unrecognized arguments: --null-rounds"),
+        (["--trials", "11"], "11 trials leave a cell expecting fewer than 5 hits or misses; "
+                             "use at least 12"),
+        (["--trials", "100", "--null-rounds", "20"], "unrecognized arguments: --null-rounds 20"),
     ):
-        with pytest.raises(SystemExit) as exc:
-            main(base + extra)
-        assert exc.value.code == 2
-        assert message in capsys.readouterr().err
+        assert_usage_error(capsys, base + extra, message)
     code, out, _ = run_cli(capsys, *base, "--trials", "12", "--seed", "4")
     assert code == 0
     assert json.loads(out)["trials"] == 12
@@ -601,6 +637,22 @@ def test_simulate_names_a_non_ascii_byte_in_the_database_file(capsys, tmp_path, 
         )
         assert (code, out) == (1, "")
         assert err == f"error: database file is not ASCII: byte 0xff at offset {offset}\n"
+
+
+def test_simulate_refuses_crlf_and_bare_cr_database_files(capsys, tmp_path):
+    # The file's own line ends reach read_db: a text-mode stream with
+    # universal newlines would turn both into \n and accept them.
+    for name, data, header in (
+        ("crlf.db", b"pir-db v1 p=13 k=3\r\n1\r\n2\r\n3\r\n", "pir-db v1 p=13 k=3\r"),
+        ("cr.db", b"pir-db v1 p=13 k=3\r1\r2\r3\r", "pir-db v1 p=13 k=3\r1\r2\r3\r"),
+    ):
+        path = tmp_path / name
+        path.write_bytes(data)
+        code, out, err = run_cli(
+            capsys, "simulate", "--k", "3", "--m", "1", "--n", "1",
+            "--demands", "2", "--side", "1", "--db", str(path),
+        )
+        assert (code, out, err) == (1, "", f"error: malformed database header: {header!r}\n"), name
 
 
 def test_db_file_rejects_malformed():

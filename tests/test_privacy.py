@@ -25,7 +25,7 @@ from pirsi import (
 import oracles
 from conftest import leaky_draw_layout
 from oracles import _probability, enumerate_randomness, iter_layouts, layout_probability
-from pirsi.rate import InadmissiblePlan, RatePlan
+from pirsi.rate import RatePlan, UsageError
 
 
 def demand_set_weights(layout, params):
@@ -114,9 +114,9 @@ def test_trivial_plan_has_one_certain_layout():
 def test_layout_probability_validates_inputs():
     params = ProblemParams(k=5, m=1, n=1)
     layout = Layout(((1, 2), (3, 4), (5,)), compute_plan(params))
-    with pytest.raises(ValueError, match="expected 1 demands"):
+    with pytest.raises(UsageError, match="expected 1 demands"):
         layout_probability(layout, (1, 2), (3,), params)
-    with pytest.raises(ValueError, match="overlap"):
+    with pytest.raises(UsageError, match="overlap"):
         layout_probability(layout, (1,), (1,), params)
     other = ProblemParams(k=5, m=2, n=1)
     wrong_plan_layout = Layout(((1, 2, 3), (4, 5)), compute_plan(other))
@@ -583,8 +583,10 @@ def test_monte_carlo_refuses_a_plan_that_cannot_hide_the_demands(monkeypatch):
 
     monkeypatch.setattr("pirsi.privacy.draw_layout", sampler)
     refusal = r"sizes \(4, 4\) and quotas \(2, 2\) cannot hide every demand set at m=3, n=2"
-    with pytest.raises(InadmissiblePlan, match=refusal):
+    # A violated invariant, not the caller's fault: a plain ValueError.
+    with pytest.raises(ValueError, match=refusal) as raised:
         monte_carlo_tvd(ProblemParams(8, 3, 2), (1, 2), (7, 8), 100, random.Random(0))
+    assert not isinstance(raised.value, UsageError)
 
 
 def test_monte_carlo_identical_demands_consistent():
@@ -633,8 +635,8 @@ def test_monte_carlo_trivial_instance_is_exact_zero():
 
 def test_monte_carlo_rejects_bad_trials():
     params = ProblemParams(k=13, m=5, n=2)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(UsageError, match="positive"):
         monte_carlo_tvd(params, (1, 2), (3, 4), trials=0, rng=random.Random(0))
-    with pytest.raises(ValueError, match="use at least 18$"):
+    with pytest.raises(UsageError, match="use at least 18$"):
         monte_carlo_tvd(params, (1, 2), (3, 4), trials=17, rng=random.Random(0))
     assert monte_carlo_tvd(params, (1, 2), (3, 4), trials=18, rng=random.Random(0)).trials == 18

@@ -2,7 +2,7 @@
 
 import pytest
 
-from pirsi import ProblemParams, RatePlan, compute_plan
+from pirsi import ProblemParams, RatePlan, UsageError, compute_plan
 from oracles import is_trivial_optimal
 
 
@@ -79,13 +79,13 @@ def test_single_demand_closed_form():
 
 
 def test_params_validation():
-    with pytest.raises(ValueError, match="k must be positive"):
+    with pytest.raises(UsageError, match="k must be positive"):
         ProblemParams(k=0, m=0, n=1)
-    with pytest.raises(ValueError, match="n must be positive"):
+    with pytest.raises(UsageError, match="n must be positive"):
         ProblemParams(k=3, m=1, n=0)
-    with pytest.raises(ValueError, match="m must be nonnegative"):
+    with pytest.raises(UsageError, match="m must be nonnegative"):
         ProblemParams(k=3, m=-1, n=1)
-    with pytest.raises(ValueError, match="exceed"):
+    with pytest.raises(UsageError, match="exceed"):
         ProblemParams(k=3, m=2, n=2)
 
 

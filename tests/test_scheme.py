@@ -13,6 +13,7 @@ from pirsi import (
     ProblemParams,
     Query,
     QueryBlock,
+    UsageError,
     build_layout,
     client_decode,
     compute_plan,
@@ -37,17 +38,17 @@ def random_spec(params, db, rng):
 
 
 def test_demand_spec_validation():
-    with pytest.raises(ValueError, match="overlap"):
+    with pytest.raises(UsageError, match="overlap"):
         DemandSpec((1, 2), frozenset({2, 3}))
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(UsageError, match="duplicate"):
         DemandSpec((1, 1), frozenset())
     spec = DemandSpec((3, 1), frozenset({2}))
     assert spec.demands == (1, 3)  # stored ascending
     params = ProblemParams(k=4, m=1, n=2)
     spec.validate_against(params)
-    with pytest.raises(ValueError, match="expected 2 demands"):
+    with pytest.raises(UsageError, match="expected 2 demands"):
         DemandSpec((1,), frozenset({2})).validate_against(params)
-    with pytest.raises(ValueError, match="outside"):
+    with pytest.raises(UsageError, match="outside"):
         DemandSpec((1, 9), frozenset({2})).validate_against(params)
 
 
@@ -119,8 +120,10 @@ def test_make_query_worked_example(worked_layout, gf13):
 
 
 def test_make_query_needs_large_enough_field(worked_layout):
-    with pytest.raises(ValueError, match="field too small"):
+    # A database over too small a field is a runtime refusal, not a usage error.
+    with pytest.raises(ValueError, match="field too small") as refusal:
         make_query(worked_layout, PrimeField(5))
+    assert not isinstance(refusal.value, UsageError)
     assert make_query(worked_layout, PrimeField(7)).total_rows == 6
 
 
@@ -275,7 +278,7 @@ def test_simulate_round_trivial_instance():
 def test_simulate_round_db_size_mismatch(worked_spec, gf13):
     params = ProblemParams(k=13, m=5, n=2)
     small = Database((0,) * 5, gf13)
-    with pytest.raises(ValueError, match="database holds"):
+    with pytest.raises(UsageError, match="^database holds 5 messages, expected 13$"):
         simulate_round(params, worked_spec, small, random.Random(0))
 
 
