@@ -96,7 +96,8 @@ def posterior(layout: Layout, params: ProblemParams) -> PosteriorReport:
     )
 
 
-# No longer a total-variation distance; perfbench's traced privacy-mc replay needs this name.
+# No longer a total-variation distance.  perfbench never names this class; its
+# privacy-mc replay reads monte_carlo_tvd's ``trials`` and ``distinct_queries``.
 @dataclass(frozen=True)
 class TvdReport:
     """``monte_carlo_tvd``'s verdict: the worst |z| over ``cells`` against ``threshold``.

@@ -13,11 +13,14 @@ larger than the demand count, in which case everything must be fetched).
 The best plan uses ``l_star`` subspaces whose sizes and side-information
 quotas follow a near-uniform profile computed here in closed form.
 
-``compute_plan`` returns that profile together with the minimum download
-``r_star``, and flags the plans where no partitioning beats the
-single-subspace plan that just downloads ``k - m`` coded symbols;
-``admits_every_demand_set`` decides whether a profile can serve, and so
-hide, every demand set; ``require_admissible`` refuses a plan that cannot.
+``compute_plan`` returns that profile and flags the plans where no
+partitioning beats the single-subspace plan that just downloads ``k - m``
+coded symbols.  The minimum download ``r_star`` is read off the profile
+(total size less total quota), so a plan's cost has one source; the
+paper's closed-form expression for it is checked against the profile in
+the tests.  ``admits_every_demand_set`` decides whether a profile can
+serve, and so hide, every demand set; ``require_admissible`` refuses a
+plan that cannot.
 """
 
 from __future__ import annotations
@@ -57,29 +60,30 @@ class ProblemParams:
 
 @dataclass(frozen=True)
 class RatePlan:
-    """An optimal partition profile and its download cost.
+    """An optimal partition profile; its subspace count and cost are read off it.
 
     m_bar is the per-demand side-information quota floor(m / n) and t the
-    leftover m - n * m_bar.  size_profile lists the l_star subspace sizes in
-    the order they are transmitted; side_profile lists how many
-    side-information messages each subspace absorbs when it serves a demand.
-    r_star is the total number of downloaded coded symbols; trivial flags
+    leftover m - n * m_bar.  size_profile lists the subspace sizes in the
+    order they are transmitted; side_profile lists how many side-information
+    messages each subspace absorbs when it serves a demand.  trivial flags
     plans whose cost equals the download-everything-unknown bound k - m.
     """
 
     m_bar: int
     t: int
-    l_star: int
     size_profile: tuple[int, ...]
     side_profile: tuple[int, ...]
-    r_star: int
     trivial: bool
 
-    def __post_init__(self):
-        if len(self.size_profile) != self.l_star or len(self.side_profile) != self.l_star:
-            raise ValueError("profile lengths must equal l_star")
-        if self.r_star != sum(self.size_profile) - sum(self.side_profile):
-            raise ValueError("r_star inconsistent with profiles")
+    @property
+    def l_star(self) -> int:
+        """The number of subspaces."""
+        return len(self.size_profile)
+
+    @property
+    def r_star(self) -> int:
+        """The total number of downloaded coded symbols."""
+        return sum(self.size_profile) - sum(self.side_profile)
 
 
 def quota_cap(size: int, n_demands: int) -> int:
@@ -136,15 +140,7 @@ def compute_plan(params: ProblemParams) -> RatePlan:
     l_formula = -(-(k - t) // (m_bar + n))
 
     if l_formula <= n:
-        return RatePlan(
-            m_bar=m_bar,
-            t=t,
-            l_star=1,
-            size_profile=(k,),
-            side_profile=(m,),
-            r_star=k - m,
-            trivial=True,
-        )
+        return RatePlan(m_bar=m_bar, t=t, size_profile=(k,), side_profile=(m,), trivial=True)
 
     last_size = k - (l_formula - 1) * (m_bar + n) - t
     sizes = (
@@ -157,21 +153,5 @@ def compute_plan(params: ProblemParams) -> RatePlan:
         + (m_bar,) * (l_formula - 1 - t)
         + (max(last_size - n, 0),)
     )
-    # Integer-product form of the closed-form cost; the final term is the
-    # clipped size excess of the remainder subspace.
-    r_star = (
-        k
-        - m
-        - max(l_formula - 1 - n, 0) * m_bar
-        - max(k - (l_formula - 1) * (m_bar + n) - t - n, 0)
-    )
-    return RatePlan(
-        m_bar=m_bar,
-        t=t,
-        l_star=l_formula,
-        size_profile=sizes,
-        side_profile=side,
-        r_star=r_star,
-        trivial=(r_star == k - m),
-    )
-
+    # The sizes sum to k, so the cost equals k - m exactly when the quotas sum to m.
+    return RatePlan(m_bar=m_bar, t=t, size_profile=sizes, side_profile=side, trivial=sum(side) == m)

@@ -69,8 +69,13 @@ class DemandSpec:
     side_values: Mapping[int, int] = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "demands", tuple(sorted(self.demands)))
-        object.__setattr__(self, "side", frozenset(self.side))
+        demands, side = tuple(self.demands), frozenset(self.side)
+        # Exactly int, as PrimeField.check asks of values: True and 5.0 are refused.
+        if {*map(type, demands), *map(type, side)} - {int}:
+            bad = next(idx for idx in (*demands, *side) if type(idx) is not int)
+            raise UsageError(f"index {bad!r} is not an int")
+        object.__setattr__(self, "demands", tuple(sorted(demands)))
+        object.__setattr__(self, "side", side)
         if len(set(self.demands)) != len(self.demands):
             raise UsageError("duplicate demand indices")
         if set(self.demands) & self.side:

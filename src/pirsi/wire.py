@@ -45,6 +45,9 @@ from .scheme import (
 DB_MAGIC = "pir-db"
 DB_VERSION = "v1"
 QUERY_VERSION = 2
+# A malformed header is quoted up to this many characters: a file with no
+# "\n" is all header.
+HEADER_QUOTE_CAP = 64
 
 _DECIMAL = "0|[1-9][0-9]*"
 _DB_HEADER = re.compile(rf"{DB_MAGIC} {DB_VERSION} p=({_DECIMAL}) k=({_DECIMAL})")
@@ -72,7 +75,7 @@ def _not_ascii(what: str, err: UnicodeDecodeError) -> ValueError:
 
 
 def plan_doc(params: ProblemParams, plan: RatePlan) -> dict:
-    return vars(params) | vars(plan)
+    return vars(params) | vars(plan) | {"l_star": plan.l_star, "r_star": plan.r_star}
 
 
 def layout_doc(layout: Layout) -> dict:
@@ -212,7 +215,8 @@ def read_db(stream) -> Database:
     header, _, body = text.partition("\n")
     match = _DB_HEADER.fullmatch(header)
     if match is None:
-        raise ValueError(f"malformed database header: {header!r}")
+        cut = "…" if len(header) > HEADER_QUOTE_CAP else ""
+        raise ValueError(f"malformed database header: {header[:HEADER_QUOTE_CAP]!r}{cut}")
     field = PrimeField(int(match[1]))
     k = int(match[2])
     if k < 1:

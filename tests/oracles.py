@@ -7,8 +7,10 @@ compare the two:
 * MDS: generic Gauss-Jordan elimination over any code matrix (``decode``)
   and an exhaustive minor test (``check_mds``), against which
   ``mds.solve_vandermonde`` and ``mds.vandermonde`` are checked.
-* Rate: the per-subspace cost (``subspace_cost``) and the paper's
-  headline condition for the single-subspace plan (``is_trivial_optimal``).
+* Rate: the per-subspace cost (``subspace_cost``), the paper's
+  closed-form minimum download (``closed_form_r_star``), against which the
+  plan's profile cost is checked, and the paper's headline condition for
+  the single-subspace plan (``is_trivial_optimal``).
 * Privacy: the layout law as an exact product (``layout_probability``),
   and the law of the shipped sampler, found by running
   ``scheme.draw_layout`` on every sequence of draws
@@ -189,6 +191,30 @@ def subspace_cost(size: int, quota: int, n_demands: int) -> int:
     if size <= n_demands:
         return size
     return size - quota
+
+
+def closed_form_r_star(params: ProblemParams) -> int:
+    """The paper's minimum download as one integer-product expression.
+
+    ``compute_plan``'s subspace count ceil((k - t) / (m_bar + n)); at most
+    n subspaces means the single subspace and k - m.  Otherwise the final
+    term is the clipped size excess of the remainder subspace.
+
+    >>> closed_form_r_star(ProblemParams(13, 5, 2))
+    6
+    """
+    k, m, n = params.k, params.m, params.n
+    m_bar = m // n
+    t = m - n * m_bar
+    l_formula = -(-(k - t) // (m_bar + n))
+    if l_formula <= n:
+        return k - m
+    return (
+        k
+        - m
+        - max(l_formula - 1 - n, 0) * m_bar
+        - max(k - (l_formula - 1) * (m_bar + n) - t - n, 0)
+    )
 
 
 def is_trivial_optimal(params: ProblemParams) -> bool:

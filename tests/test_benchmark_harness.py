@@ -16,7 +16,7 @@ import importlib
 from dataclasses import fields
 from pathlib import Path
 
-from pirsi import PrimeField, TvdReport
+from pirsi import PrimeField, ProblemParams, TvdReport, compute_plan
 
 HARNESS = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 SPANS = HARNESS.with_name("spans.py")
@@ -93,9 +93,11 @@ def test_every_name_the_harness_reads_exists():
 
 def test_values_the_harness_reads_off_results():
     # Rounds.prepare reduces its values with PrimeField(p).element; the
-    # privacy-mc replay counts report.distinct_queries and report.trials.
+    # privacy-mc replay counts report.distinct_queries and report.trials;
+    # the oracle replay reads plan.r_star, a property fields() does not list.
     assert PrimeField(13).element(-1) == 12
     assert {"distinct_queries", "trials"} <= {f.name for f in fields(TvdReport)}
+    assert compute_plan(ProblemParams(13, 5, 2)).r_star == 6
 
 
 def patched_targets(tree):

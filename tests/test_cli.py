@@ -423,9 +423,7 @@ def test_privacy_exact_enforces_cap(capsys):
 
 # Sizes (4, 4) and quotas (2, 2) at (8, 3, 2) keep every quota within its
 # cap, but demands in both blocks need 2 + 2 > 3 side indices.
-INADMISSIBLE_PLAN = RatePlan(
-    m_bar=1, t=1, l_star=2, size_profile=(4, 4), side_profile=(2, 2), r_star=4, trivial=False
-)
+INADMISSIBLE_PLAN = RatePlan(m_bar=1, t=1, size_profile=(4, 4), side_profile=(2, 2), trivial=False)
 INADMISSIBLE_REFUSAL = (
     "error: plan with sizes (4, 4) and quotas (2, 2) cannot hide every demand set at m=3, n=2\n"
 )
@@ -641,10 +639,14 @@ def test_simulate_names_a_non_ascii_byte_in_the_database_file(capsys, tmp_path, 
 
 def test_simulate_refuses_crlf_and_bare_cr_database_files(capsys, tmp_path):
     # The file's own line ends reach read_db: a text-mode stream with
-    # universal newlines would turn both into \n and accept them.
-    for name, data, header in (
-        ("crlf.db", b"pir-db v1 p=13 k=3\r\n1\r\n2\r\n3\r\n", "pir-db v1 p=13 k=3\r"),
-        ("cr.db", b"pir-db v1 p=13 k=3\r1\r2\r3\r", "pir-db v1 p=13 k=3\r1\r2\r3\r"),
+    # universal newlines would turn both into \n and accept them.  A large
+    # bare-CR file is all header: its first 64 characters are quoted, not
+    # the whole file.
+    large = "pir-db v1 p=13 k=3000\r" + "7\r" * 3000
+    for name, data, quoted in (
+        ("crlf.db", b"pir-db v1 p=13 k=3\r\n1\r\n2\r\n3\r\n", repr("pir-db v1 p=13 k=3\r")),
+        ("cr.db", b"pir-db v1 p=13 k=3\r1\r2\r3\r", repr("pir-db v1 p=13 k=3\r1\r2\r3\r")),
+        ("large-cr.db", large.encode("ascii"), repr(large[:64]) + "…"),
     ):
         path = tmp_path / name
         path.write_bytes(data)
@@ -652,7 +654,8 @@ def test_simulate_refuses_crlf_and_bare_cr_database_files(capsys, tmp_path):
             capsys, "simulate", "--k", "3", "--m", "1", "--n", "1",
             "--demands", "2", "--side", "1", "--db", str(path),
         )
-        assert (code, out, err) == (1, "", f"error: malformed database header: {header!r}\n"), name
+        assert (code, out, err) == (1, "", f"error: malformed database header: {quoted}\n"), name
+        assert len(err) < 200, name
 
 
 def test_db_file_rejects_malformed():

@@ -20,6 +20,7 @@ from pirsi import (
 )
 from pirsi.oracle import brute_force_rate, brute_force_sweep
 from oracles import (
+    closed_form_r_star,
     hides_every_demand_set,
     is_trivial_optimal,
     query_rows,
@@ -259,6 +260,16 @@ def test_trivial_optimality_iff_against_search_to_k40():
                 params = ProblemParams(k, m, n)
                 assert is_trivial_optimal(params) == (found == k - m), (k, m, n)
                 instances += 1
+    assert instances == 11_480
+
+
+def test_closed_form_matches_plan_cost_to_k40():
+    # The paper's closed-form expression against the plan's profile cost,
+    # on the same 11,480 instances.
+    instances = 0
+    for params in _instances(40):
+        assert closed_form_r_star(params) == compute_plan(params).r_star, params
+        instances += 1
     assert instances == 11_480
 
 

@@ -84,10 +84,7 @@ def random_layout(plan, rng):
 
 def skewed_plan(sizes, side):
     """A plan with hand-picked profiles, not the closed-form optimum."""
-    return RatePlan(
-        m_bar=0, t=0, l_star=len(sizes), size_profile=sizes, side_profile=side,
-        r_star=sum(sizes) - sum(side), trivial=False,
-    )
+    return RatePlan(m_bar=0, t=0, size_profile=sizes, side_profile=side, trivial=False)
 
 
 def test_pinned_layout_probability():
@@ -640,3 +637,9 @@ def test_monte_carlo_rejects_bad_trials():
     with pytest.raises(UsageError, match="use at least 18$"):
         monte_carlo_tvd(params, (1, 2), (3, 4), trials=17, rng=random.Random(0))
     assert monte_carlo_tvd(params, (1, 2), (3, 4), trials=18, rng=random.Random(0)).trials == 18
+
+
+def test_monte_carlo_refuses_a_demand_that_is_not_an_int():
+    # True == 1, so a lenient check would sample demand set (1, 2).
+    with pytest.raises(UsageError, match="index True is not an int"):
+        monte_carlo_tvd(ProblemParams(13, 5, 2), (True, 2), (12, 13), 200, random.Random(0))

@@ -2,8 +2,8 @@
 
 import pytest
 
-from pirsi import ProblemParams, RatePlan, UsageError, compute_plan
-from oracles import is_trivial_optimal
+from pirsi import ProblemParams, UsageError, compute_plan
+from oracles import closed_form_r_star, is_trivial_optimal
 
 
 def plan_of(k, m, n):
@@ -89,25 +89,20 @@ def test_params_validation():
         ProblemParams(k=3, m=2, n=2)
 
 
-def test_rate_plan_consistency_guard():
-    with pytest.raises(ValueError, match="r_star inconsistent"):
-        RatePlan(m_bar=0, t=0, l_star=1, size_profile=(3,), side_profile=(1,), r_star=3, trivial=False)
-    with pytest.raises(ValueError, match="profile lengths"):
-        RatePlan(m_bar=0, t=0, l_star=2, size_profile=(3,), side_profile=(1,), r_star=2, trivial=False)
-
-
 def test_plan_invariants_sweep():
     for k in range(1, 15):
         for n in range(1, k + 1):
             for m in range(0, k - n + 1):
-                plan = plan_of(k, m, n)
+                params = ProblemParams(k=k, m=m, n=n)
+                plan = compute_plan(params)
                 sizes, quotas = plan.size_profile, plan.side_profile
+                assert len(sizes) == len(quotas)
                 assert sum(sizes) == k
                 assert list(sizes) == sorted(sizes, reverse=True)
                 assert all(0 <= q <= max(s - n, 0) for s, q in zip(sizes, quotas))
                 window = min(plan.l_star, n)
                 assert sum(sorted(quotas, reverse=True)[:window]) <= m
-                assert plan.r_star == sum(sizes) - sum(quotas)
+                assert closed_form_r_star(params) == plan.r_star
                 assert plan.r_star >= n
                 assert plan.trivial == (plan.r_star == k - m)
 
@@ -131,17 +126,23 @@ def test_is_trivial_optimal_examples():
     assert not is_trivial_optimal(ProblemParams(k=10, m=3, n=2))
 
 
-def trivial_optimality_mismatches(k_max):
-    """Every (k, m, n) with k <= k_max where the paper's condition and the plan's flag differ.
+def closed_form_mismatches(k_max):
+    """Every (k, m, n) with k <= k_max where the paper's formulas and the plan differ.
 
-    Returns the mismatches and the number of instances checked.
+    The paper's trivial-optimality condition must equal the plan's flag, and
+    its closed-form cost the plan's profile cost.  Returns the mismatches
+    and the number of instances checked.
     """
     mismatches, instances = [], 0
     for k in range(1, k_max + 1):
         for n in range(1, k + 1):
             for m in range(0, k - n + 1):
                 params = ProblemParams(k=k, m=m, n=n)
-                if is_trivial_optimal(params) != compute_plan(params).trivial:
+                plan = compute_plan(params)
+                if (
+                    is_trivial_optimal(params) != plan.trivial
+                    or closed_form_r_star(params) != plan.r_star
+                ):
                     mismatches.append((k, m, n))
                 instances += 1
     return mismatches, instances
@@ -149,4 +150,4 @@ def trivial_optimality_mismatches(k_max):
 
 def test_is_trivial_optimal_matches_plan_cost():
     # k <= 14 here; ci/test_rate_k300.py runs the same loop up to k = 300.
-    assert trivial_optimality_mismatches(14) == ([], 560)
+    assert closed_form_mismatches(14) == ([], 560)

@@ -52,6 +52,18 @@ def test_demand_spec_validation():
         DemandSpec((1, 9), frozenset({2})).validate_against(params)
 
 
+def test_demand_spec_refuses_indices_that_are_not_ints():
+    # Exactly int: True would be read as index 1, and 5.0 would pass every
+    # range check and reach the server's parse.
+    for demands, side, bad in (
+        ((True, 5), {3, 4, 6, 7, 9}, "True"),
+        ((2, 5.0), set(), "5.0"),
+        ((2, 5), {1, 3.0, 4}, "3.0"),
+    ):
+        with pytest.raises(UsageError, match=f"^index {bad} is not an int$"):
+            DemandSpec(demands, frozenset(side))
+
+
 def test_build_layout_is_seed_deterministic():
     params = ProblemParams(k=13, m=5, n=2)
     spec = DemandSpec((2, 5), frozenset(WORKED_SIDE))
