@@ -5,10 +5,12 @@ round against a database file), ``privacy-exact`` (rational-arithmetic
 posterior check), ``privacy-mc`` (sampled layouts against the uniform layout
 law), and ``oracle`` (exact rate search vs closed form sweep).  All canonical
 output goes to stdout and is byte-identical across runs with the same flags
-and seed; diagnostics and timings go to stderr.  Exit codes: 0 success, 1
-violated invariant (a ``privacy-mc`` refusal too), 2 usage error.  A refusal
-is a usage error when it raises ``rate.UsageError``, wherever it is raised;
-``main`` maps exceptions to exit codes in one place.
+(``--seed`` defaults to 0; nothing is read from the environment);
+diagnostics and timings go to stderr.  Exit codes: 0 success, 1 violated
+invariant (a ``privacy-mc`` refusal and a closed stdout too), 2 usage error.
+The CLI reads numbers with ``wire.DECIMAL`` and leaves every check of the
+request to the library: a refusal is a usage error when it raises
+``rate.UsageError``; ``main`` maps exceptions to exit codes in one place.
 """
 
 from __future__ import annotations
@@ -38,36 +40,22 @@ INSTANCE_K_CAP = 1_000_000
 # instances, about 40 s on a 2-vCPU host.
 ORACLE_K_CAP = 80
 
-_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
-_INDICES = re.compile(rf"(?:{_DECIMAL.pattern})(?:,(?:{_DECIMAL.pattern}))*")
+_DECIMAL = re.compile(wire.DECIMAL)
+_INDICES = re.compile(rf"(?:{wire.DECIMAL})(?:,(?:{wire.DECIMAL}))*")
 
 
 def _decimal(text: str) -> int:
-    """A canonical decimal integer: no spaces, ``+``, ``_``, leading zeros or ``-0``."""
+    """A canonical decimal integer: no sign, spaces, ``_`` or leading zeros."""
     if not _DECIMAL.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}")
     return int(text)
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
-    """Comma-separated canonical decimals, each index at most once."""
+    """Comma-separated canonical decimals; ``DemandSpec`` refuses repeats."""
     if not _INDICES.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    indices = tuple(map(int, text.split(",")))
-    if len(set(indices)) != len(indices):
-        raise argparse.ArgumentTypeError(f"expected distinct indices, got {text!r}")
-    return indices
-
-
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("PIR_SEED")
-    if env is None:
-        return 0
-    if not _DECIMAL.fullmatch(env):
-        raise UsageError(f"PIR_SEED must be a decimal integer, got {env!r}")
-    return int(env)
+    return tuple(map(int, text.split(",")))
 
 
 def _count_sets(k: int, n: int, cap: int) -> int:
@@ -106,27 +94,32 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_rate = subs.add_parser("rate", help="closed-form plan and minimum download")
+    p_rate.set_defaults(run=_cmd_rate)
     _add_instance_flags(p_rate)
 
     p_sim = subs.add_parser("simulate", help="run one retrieval round against a database file")
+    p_sim.set_defaults(run=_cmd_simulate)
     _add_instance_flags(p_sim)
     p_sim.add_argument("--demands", type=_parse_indices, required=True, help="e.g. 2,5")
     p_sim.add_argument("--side", type=_parse_indices, default=(), help="e.g. 1,4,6,7,9")
     p_sim.add_argument("--db", required=True, help="database file path")
-    p_sim.add_argument("--seed", type=_decimal, default=None, help="RNG seed (default: $PIR_SEED or 0)")
+    p_sim.add_argument("--seed", type=_decimal, default=0, help="RNG seed (default: 0)")
 
     p_exact = subs.add_parser("privacy-exact", help="exact posterior-uniformity check")
+    p_exact.set_defaults(run=_cmd_privacy_exact)
     _add_instance_flags(p_exact)
-    p_exact.add_argument("--seed", type=_decimal, default=None, help="seed for the sampled layout")
+    p_exact.add_argument("--seed", type=_decimal, default=0, help="seed for the layout (default: 0)")
 
     p_mc = subs.add_parser("privacy-mc", help="sampled layouts against the uniform layout law")
+    p_mc.set_defaults(run=_cmd_privacy_mc)
     _add_instance_flags(p_mc)
     p_mc.add_argument("--wa", type=_parse_indices, required=True, help="first demand set")
     p_mc.add_argument("--wb", type=_parse_indices, required=True, help="second demand set")
     p_mc.add_argument("--trials", type=_decimal, default=10000, help="layouts per demand set")
-    p_mc.add_argument("--seed", type=_decimal, default=None, help="RNG seed (default: $PIR_SEED or 0)")
+    p_mc.add_argument("--seed", type=_decimal, default=0, help="RNG seed (default: 0)")
 
     p_oracle = subs.add_parser("oracle", help="exact rate search vs closed form sweep")
+    p_oracle.set_defaults(run=_cmd_oracle)
     p_oracle.add_argument("--k-max", type=_decimal, required=True)
     return parser
 
@@ -146,12 +139,11 @@ def _cmd_simulate(args) -> int:
             db = wire.read_db(fh)
     except OSError as err:
         raise UsageError(f"cannot read database: {err}") from None
-    spec = DemandSpec(args.demands, frozenset(args.side), {idx: db[idx] for idx in args.side})
-    seed = _resolve_seed(args.seed)
+    spec = DemandSpec(args.demands, args.side, {idx: db[idx] for idx in args.side})
     started = time.perf_counter()
-    result = wire.simulate_round(params, spec, db, random.Random(seed))
+    result = wire.simulate_round(params, spec, db, random.Random(args.seed))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    print(wire.canonical(wire.transcript_doc(params, seed, result)))
+    print(wire.canonical(wire.transcript_doc(params, args.seed, result)))
     print(f"timing_ms={elapsed_ms:.3f}", file=sys.stderr)
 
     mismatches = [idx for idx in spec.demands if result.decoded[idx] != db[idx]]
@@ -170,7 +162,7 @@ def _cmd_privacy_exact(args) -> int:
             f"{EXACT_SETS_CAP} sets and {EXACT_INDICES_CAP} printed indices; "
             f"use privacy-mc for larger instances"
         )
-    rng = random.Random(_resolve_seed(args.seed))
+    rng = random.Random(args.seed)
     demands = tuple(sorted(rng.sample(range(1, params.k + 1), params.n)))
     complement = [i for i in range(1, params.k + 1) if i not in demands]
     side = frozenset(rng.sample(complement, params.m))
@@ -182,7 +174,7 @@ def _cmd_privacy_exact(args) -> int:
 
 def _cmd_privacy_mc(args) -> int:
     params = _params_from(args)
-    rng = random.Random(_resolve_seed(args.seed))
+    rng = random.Random(args.seed)
     report = monte_carlo_tvd(params, args.wa, args.wb, args.trials, rng)
     print(wire.canonical(wire.tvd_doc(report)))
     if not report.consistent:
@@ -218,15 +210,8 @@ def _cmd_oracle(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "rate": _cmd_rate,
-        "simulate": _cmd_simulate,
-        "privacy-exact": _cmd_privacy_exact,
-        "privacy-mc": _cmd_privacy_mc,
-        "oracle": _cmd_oracle,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except UsageError as err:
         parser.error(str(err))
     except ValueError as err:
@@ -235,7 +220,14 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left: stdout goes to devnull so the final flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

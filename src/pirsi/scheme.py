@@ -61,7 +61,8 @@ class DemandSpec:
 
     ``demands`` are the n message indices to retrieve, ``side`` the m
     indices whose values the client knows, ``side_values`` those values
-    (only needed for decoding, not for building queries).
+    (only needed for decoding, not for building queries).  Both index
+    collections may be any iterable; each is refused if it repeats an index.
     """
 
     demands: tuple[int, ...]
@@ -69,15 +70,17 @@ class DemandSpec:
     side_values: Mapping[int, int] = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        demands, side = tuple(self.demands), frozenset(self.side)
+        demands, side = tuple(self.demands), tuple(self.side)
         # Exactly int, as PrimeField.check asks of values: True and 5.0 are refused.
         if {*map(type, demands), *map(type, side)} - {int}:
             bad = next(idx for idx in (*demands, *side) if type(idx) is not int)
             raise UsageError(f"index {bad!r} is not an int")
         object.__setattr__(self, "demands", tuple(sorted(demands)))
-        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "side", frozenset(side))
         if len(set(self.demands)) != len(self.demands):
             raise UsageError("duplicate demand indices")
+        if len(self.side) != len(side):
+            raise UsageError("duplicate side-information indices")
         if set(self.demands) & self.side:
             raise UsageError("demand and side-information indices overlap")
 

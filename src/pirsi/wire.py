@@ -49,10 +49,11 @@ QUERY_VERSION = 2
 # "\n" is all header.
 HEADER_QUOTE_CAP = 64
 
-_DECIMAL = "0|[1-9][0-9]*"
-_DB_HEADER = re.compile(rf"{DB_MAGIC} {DB_VERSION} p=({_DECIMAL}) k=({_DECIMAL})")
-_DB_VALUE = re.compile(_DECIMAL)
-_DB_VALUES = re.compile(rf"(?:(?:{_DECIMAL})\n)*(?:{_DECIMAL})\n?")
+# A canonical decimal, for the database file and the CLI's flags alike.
+DECIMAL = "0|[1-9][0-9]*"
+_DB_HEADER = re.compile(rf"{DB_MAGIC} {DB_VERSION} p=({DECIMAL}) k=({DECIMAL})")
+_DB_VALUE = re.compile(DECIMAL)
+_DB_VALUES = re.compile(rf"(?:(?:{DECIMAL})\n)*(?:{DECIMAL})\n?")
 
 
 def canonical(doc) -> str:

@@ -54,9 +54,9 @@ GOLDEN_PRIVACY_MC_SHA256 = {
 # Usage errors print the parser's usage line, then the message; argparse wraps
 # usage at $COLUMNS, which ``fixed_width`` pins.
 USAGE = "usage: pirsi [-h] {rate,simulate,privacy-exact,privacy-mc,oracle} ...\n"
-SIMULATE_USAGE = (
-    "usage: pirsi simulate [-h] --k K --m M --n N --demands DEMANDS [--side SIDE]\n"
-    "                      --db DB [--seed SEED]\n"
+PRIVACY_MC_USAGE = (
+    "usage: pirsi privacy-mc [-h] --k K --m M --n N --wa WA --wb WB\n"
+    "                        [--trials TRIALS] [--seed SEED]\n"
 )
 
 
@@ -174,17 +174,16 @@ def test_simulate_query_document_is_demand_free(capsys, worked_db_file):
     assert set(keys_of(query)) == {"version", "p", "blocks", "support", "r"}
 
 
-def test_simulate_seed_env_fallback(capsys, worked_db_file, monkeypatch):
+def test_simulate_seed_defaults_to_0_whatever_the_environment(capsys, worked_db_file, monkeypatch):
+    # --seed is the seed's one source: the environment, PIR_SEED included, is not read.
     args = [
         "simulate", "--k", "13", "--m", "5", "--n", "2",
         "--demands", "2,5", "--side", "1,4,6,7,9", "--db", worked_db_file,
     ]
+    _, from_flag, _ = run_cli(capsys, *args, "--seed", "0")
     monkeypatch.setenv("PIR_SEED", "77")
-    _, from_env, _ = run_cli(capsys, *args)
-    monkeypatch.delenv("PIR_SEED")
-    _, from_flag, _ = run_cli(capsys, *args, "--seed", "77")
-    assert from_env == from_flag
     _, from_default, _ = run_cli(capsys, *args)
+    assert from_default == from_flag
     assert json.loads(from_default)["seed"] == 0
 
 
@@ -196,17 +195,11 @@ def test_simulate_usage_errors(capsys, worked_db_file):
         (["--demands", "2,5", "--side", "2,4,6,7,9"], "demand and side-information indices overlap"),
         (["--demands", "2,15", "--side", "1,4,6,7,9"], "index 15 outside 1..13"),
         (["--demands", "2,5", "--side", "1,4,6,7,19"], "index 19 outside 1..13"),  # a database lookup
+        (["--demands", "2,5", "--side", "1,4,6,7,9,9"], "duplicate side-information indices"),
+        (["--demands", "2,5", "--side", "1,1,4,6,7"], "duplicate side-information indices"),
+        (["--demands", "2,2", "--side", "1,4,6,7,9"], "duplicate demand indices"),
     ):
         assert_usage_error(capsys, base + extra, message)
-    # Repeated indices are refused by the flag's parser, under the subcommand's usage.
-    for extra, flag, text in (
-        (["--demands", "2,5", "--side", "1,4,6,7,9,9"], "--side", "1,4,6,7,9,9"),
-        (["--demands", "2,2", "--side", "1,4,6,7,9"], "--demands", "2,2"),
-    ):
-        assert_usage_error(
-            capsys, base + extra, f"argument {flag}: expected distinct indices, got {text!r}",
-            usage=SIMULATE_USAGE, prog="pirsi simulate",
-        )
     spec = ["--m", "5", "--n", "2", "--demands", "2,5", "--side", "1,4,6,7,9"]
     assert_usage_error(
         capsys, ["simulate", "--k", "12", *spec, "--db", worked_db_file],
@@ -249,8 +242,10 @@ def test_integer_flags_accept_only_canonical_decimals(capsys, worked_db_file):
         ["--demands", "1, 2", "--side", "1,4,6,7,9"],
         ["--demands", "1,2\n", "--side", "1,4,6,7,9"],
         ["--demands", "\u0663", "--side", "1,4,6,7,9"],  # ARABIC-INDIC DIGIT THREE; int() takes it
-        ["--demands", "2,5", "--side", "1,4,6,7,9", "--seed", " 7"],
-        ["--demands", "2,5", "--side", "1,4,6,7,9", "--seed", "1_1"],
+        ["--demands=-3,2", "--side", "1,4,6,7,9"],  # "=": argparse reads a bare -3,2 as a flag
+        ["--demands", "2,5", "--side", "1,4,6,7,9", "--m", "-1"],
+        *(["--demands", "2,5", "--side", "1,4,6,7,9", "--seed", bad]
+          for bad in (" 7", "1_1", "-7", "abc", "07", "")),
     ):
         with pytest.raises(SystemExit) as exc:
             main(base + extra)
@@ -260,22 +255,6 @@ def test_integer_flags_accept_only_canonical_decimals(capsys, worked_db_file):
     with pytest.raises(SystemExit) as exc:
         main(["rate", "--k", "1_3", "--m", "5", "--n", "2"])
     assert exc.value.code == 2
-
-
-def test_bad_seed_variable_is_usage_error(capsys, worked_db_file, monkeypatch):
-    args = [
-        "simulate", "--k", "13", "--m", "5", "--n", "2",
-        "--demands", "2,5", "--side", "1,4,6,7,9", "--db", worked_db_file,
-    ]
-    for bad in ("abc", " 7", "1_1", "07", ""):
-        monkeypatch.setenv("PIR_SEED", bad)
-        with pytest.raises(SystemExit) as exc:
-            main(args)
-        assert exc.value.code == 2
-        assert "PIR_SEED must be a decimal integer" in capsys.readouterr().err
-    monkeypatch.setenv("PIR_SEED", "-7")
-    code, out, _ = run_cli(capsys, *args)
-    assert code == 0 and json.loads(out)["seed"] == -7
 
 
 def test_simulate_golden_worked_transcript(capsys, worked_db_file):
@@ -364,11 +343,10 @@ def _outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
-def test_repeated_calls_share_one_parser_and_leak_no_state(capsys, monkeypatch):
+def test_repeated_calls_share_one_parser_and_leak_no_state(capsys):
     # The parser is built once per process; every call must still see a
     # fresh namespace (the unseeded call at the end must not inherit seed
     # 11), and a usage error must not change later calls.
-    monkeypatch.delenv("PIR_SEED", raising=False)
     unseeded = ("privacy-exact", "--k", "13", "--m", "5", "--n", "2")
     exact = unseeded + ("--seed", "11")
     rate = ("rate", "--k", "13", "--m", "5", "--n", "2")
@@ -395,19 +373,36 @@ def test_repeated_calls_share_one_parser_and_leak_no_state(capsys, monkeypatch):
     assert build_parser() is build_parser()
 
 
+def _module_env():
+    """The environment for ``python -m pirsi.cli``, importing this checkout's package."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return os.environ | {"PYTHONPATH": path}
+
+
 def test_console_entry_point_prints_what_main_prints(capsys):
     argv = ("privacy-exact", "--k", "13", "--m", "5", "--n", "2", "--seed", "11")
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {key: value for key, value in os.environ.items() if key != "PIR_SEED"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     fresh = subprocess.run(
         [sys.executable, "-m", "pirsi.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=120, check=False,
+        env=_module_env(), capture_output=True, text=True, timeout=120, check=False,
     )
     assert fresh.returncode == 0, fresh.stderr
     assert fresh.stdout == out
+
+
+def test_console_entry_point_exits_1_quietly_when_stdout_closes():
+    # `pirsi oracle --k-max 40 | head -1`: the table is far larger than a pipe
+    # buffer, so the sweep is still writing when the reader leaves.
+    with subprocess.Popen(
+        [sys.executable, "-m", "pirsi.cli", "oracle", "--k-max", "40"],
+        env=_module_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    ) as proc:
+        assert proc.stdout.readline() == "k m n oracle formula match\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (1, "")
 
 
 def test_privacy_exact_enforces_cap(capsys):
@@ -518,6 +513,7 @@ def test_privacy_mc_validates_demand_sets(capsys):
         ("2,3", "5", "expected 1 demands, got 2"),
         ("1,2,3,4,5", "6", "expected 1 demands, got 5"),  # fewer than m candidates left
         ("2", "9", "index 9 outside 1..7"),
+        ("2,2", "5", "duplicate demand indices"),
     ):
         assert_usage_error(
             capsys, ["privacy-mc", "--k", "7", "--m", "3", "--n", "1",
@@ -529,7 +525,6 @@ def test_privacy_mc_validates_counts(capsys):
     base = ["privacy-mc", "--k", "7", "--m", "3", "--n", "1", "--wa", "2", "--wb", "5"]
     for extra, message in (
         (["--trials", "0"], "trials must be positive"),
-        (["--trials", "-3"], "trials must be positive"),
         # The plan's blocks hold 4 and 3 of the 7 indices: 11 trials expect
         # 11 * 3 / 7 < 5 hits in the smaller one.
         (["--trials", "11"], "11 trials leave a cell expecting fewer than 5 hits or misses; "
@@ -537,6 +532,10 @@ def test_privacy_mc_validates_counts(capsys):
         (["--trials", "100", "--null-rounds", "20"], "unrecognized arguments: --null-rounds 20"),
     ):
         assert_usage_error(capsys, base + extra, message)
+    assert_usage_error(
+        capsys, [*base, "--trials", "-3"], "argument --trials: expected a decimal integer, got '-3'",
+        usage=PRIVACY_MC_USAGE, prog="pirsi privacy-mc",
+    )
     code, out, _ = run_cli(capsys, *base, "--trials", "12", "--seed", "4")
     assert code == 0
     assert json.loads(out)["trials"] == 12

@@ -40,8 +40,10 @@ def random_spec(params, db, rng):
 def test_demand_spec_validation():
     with pytest.raises(UsageError, match="overlap"):
         DemandSpec((1, 2), frozenset({2, 3}))
-    with pytest.raises(UsageError, match="duplicate"):
+    with pytest.raises(UsageError, match="duplicate demand indices"):
         DemandSpec((1, 1), frozenset())
+    with pytest.raises(UsageError, match="duplicate side-information indices"):
+        DemandSpec((2, 5), [1, 1, 4, 6, 7])  # not read as the four side indices {1, 4, 6, 7}
     spec = DemandSpec((3, 1), frozenset({2}))
     assert spec.demands == (1, 3)  # stored ascending
     params = ProblemParams(k=4, m=1, n=2)
