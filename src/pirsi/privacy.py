@@ -152,11 +152,14 @@ def monte_carlo_tvd(
     no variance (a single-block plan) must equal its mean.  The plan is
     computed, and both demand sets validated, once; every trial then calls
     ``scheme.draw_layout`` directly.  Raises ``rate.UsageError`` for an
-    invalid demand set, or for fewer trials than give every varying cell
-    ``MIN_EXPECTED`` expected hits and misses (decided from the distinct
-    block sizes before any sampling), and a plain ValueError for a plan
-    that cannot serve every demand set.
+    invalid demand set, for ``trials`` that is not exactly an ``int``, or
+    for fewer trials than give every varying cell ``MIN_EXPECTED``
+    expected hits and misses (decided from the distinct block sizes before
+    any sampling), and a plain ValueError for a plan that cannot serve
+    every demand set.
     """
+    if type(trials) is not int:
+        raise UsageError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise UsageError("trials must be positive")
     demand_sets = []

@@ -46,6 +46,10 @@ class ProblemParams:
     n: int
 
     def __post_init__(self):
+        # Exactly int, as DemandSpec asks of indices: True and 13.0 are refused.
+        if not type(self.k) is type(self.m) is type(self.n) is int:
+            name, value = next((name, v) for name, v in vars(self).items() if type(v) is not int)
+            raise UsageError(f"{name} must be an int, got {value!r}")
         if self.k < 1:
             raise UsageError(f"k must be positive, got {self.k}")
         if self.n < 1:

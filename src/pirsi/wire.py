@@ -79,10 +79,6 @@ def plan_doc(params: ProblemParams, plan: RatePlan) -> dict:
     return vars(params) | vars(plan) | {"l_star": plan.l_star, "r_star": plan.r_star}
 
 
-def layout_doc(layout: Layout) -> dict:
-    return {"subspaces": [list(block) for block in layout.subspaces]}
-
-
 def query_doc(query: Query) -> dict:
     blocks = [{"support": list(block.support), "r": block.r} for block in query.blocks]
     return {"version": QUERY_VERSION, "p": query.field.p, "blocks": blocks}
@@ -160,11 +156,10 @@ def transcript_doc(
     seed: int,
     result: RoundResult,
 ) -> dict:
+    """Five sections: seed, plan (with k, m, n), query (the layout's supports), answer, decoded."""
     return {
-        "params": dict(vars(params)),
         "seed": seed,
         "plan": plan_doc(params, result.layout.plan),
-        "layout": layout_doc(result.layout),
         "query": query_doc(result.query),
         "answer": answer_doc(result.answer),
         "decoded": {str(idx): val for idx, val in sorted(result.decoded.items())},
@@ -173,7 +168,7 @@ def transcript_doc(
 
 def posterior_doc(report: PosteriorReport, layout: Layout) -> dict:
     return {
-        "layout": layout_doc(layout),
+        "layout": {"subspaces": [list(block) for block in layout.subspaces]},
         "prior": frac_str(report.prior),
         "posteriors": {
             ",".join(str(i) for i in w): frac_str(p)

@@ -12,25 +12,34 @@ from pathlib import Path
 
 import pytest
 
-from pirsi import Database, DemandSpec, PrimeField, ProblemParams, RatePlan, compute_plan
+from pirsi import (
+    Database,
+    DemandSpec,
+    PrimeField,
+    ProblemParams,
+    RatePlan,
+    canonical,
+    compute_plan,
+    simulate_round,
+    transcript_doc,
+)
 from pirsi.cli import build_parser, main
 from pirsi.wire import read_db, write_db
 from conftest import WORKED_VALUES, leaky_draw_layout
 
 # Transcripts pinned byte for byte, so a given seed keeps its round across
-# refactors: layout, query (a version-2 document), answer and decoded values.
+# refactors: plan, query (a version-2 document whose supports are the layout),
+# answer and decoded values.
 GOLDEN_WORKED = (
     '{"answer":{"blocks":[[8,4],[12,0],[6,2]]},"decoded":{"2":7,"5":9},'
-    '"layout":{"subspaces":[[3,8,10,12,13],[2,7,9,11],[1,4,5,6]]},'
-    '"params":{"k":13,"m":5,"n":2},'
     '"plan":{"k":13,"l_star":3,"m":5,"m_bar":2,"n":2,"r_star":6,"side_profile":[3,2,2],'
     '"size_profile":[5,4,4],"t":1,"trivial":false},'
     '"query":{"blocks":[{"r":2,"support":[3,8,10,12,13]},{"r":2,"support":[2,7,9,11]},'
     '{"r":2,"support":[1,4,5,6]}],"p":13,"version":2},"seed":11}\n'
 )
-GOLDEN_SINGLE_BLOCK_SHA256 = "c53b8edd0a5c9c70f3403b252c755157afdc6e69e964aae65b6c243a2301d5c1"
+GOLDEN_SINGLE_BLOCK_SHA256 = "c59924c46f571e96c1f3cf3a467e49209cb5d90b82a7a75237e9fca9ec4b0202"
 # The paper's regime, (5000, 1000, 10): 46 subspaces, 460 symbols down.
-GOLDEN_PARTITIONED_SHA256 = "ccecb7435ef6277eed34d4893a9c06798f867d2e6d792bd3e7110097160903a0"
+GOLDEN_PARTITIONED_SHA256 = "b7ef4fc28035c94de5913c55fb519a35ebbf43b14a4828ce9833901522e6a0cc"
 # `privacy-exact --k 13 --m 5 --n 2 --seed 11`, as printed when the posterior
 # was still summed over every (demand set, side set) pair.
 GOLDEN_PRIVACY_EXACT_SHA256 = "c21c17e1721078ed29fd5a1a2b74efec2327e7a1c17afe9b648cd8d70b010428"
@@ -266,6 +275,17 @@ def test_simulate_golden_worked_transcript(capsys, worked_db_file):
     assert out == GOLDEN_WORKED
 
 
+def test_transcript_has_five_sections_and_its_query_carries_the_layout(worked_db, worked_spec):
+    # The query's supports, in block order, are the layout, so the goldens pin seeded layouts.
+    params = ProblemParams(13, 5, 2)
+    result = simulate_round(params, worked_spec, worked_db, random.Random(11))
+    doc = transcript_doc(params, 11, result)
+    assert doc.keys() == {"seed", "plan", "query", "answer", "decoded"}
+    supports = [tuple(block["support"]) for block in doc["query"]["blocks"]]
+    assert supports == list(result.layout.subspaces)
+    assert canonical(doc) + "\n" == GOLDEN_WORKED
+
+
 def test_simulate_golden_single_block_transcript(capsys, tmp_path):
     field = PrimeField(2**31 - 1)
     rng = random.Random("golden")
@@ -276,7 +296,7 @@ def test_simulate_golden_single_block_transcript(capsys, tmp_path):
         "--db", path, "--seed", "3",
     )
     assert code == 0
-    assert len(out.encode()) == 1237
+    assert len(out.encode()) == 1021
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SINGLE_BLOCK_SHA256
 
 
@@ -294,7 +314,7 @@ def test_simulate_golden_partitioned_transcript(capsys, tmp_path):
     doc = json.loads(out)
     assert len(doc["query"]["blocks"]) == 46
     assert sum(map(len, doc["answer"]["blocks"])) == doc["plan"]["r_star"] == 460
-    assert len(out.encode()) == 54568
+    assert len(out.encode()) == 30522
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PARTITIONED_SHA256
 
 

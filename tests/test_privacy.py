@@ -634,6 +634,9 @@ def test_monte_carlo_rejects_bad_trials():
     params = ProblemParams(k=13, m=5, n=2)
     with pytest.raises(UsageError, match="positive"):
         monte_carlo_tvd(params, (1, 2), (3, 4), trials=0, rng=random.Random(0))
+    for trials in (2000.0, "2000", True):
+        with pytest.raises(UsageError, match="^trials must be an int, got "):
+            monte_carlo_tvd(params, (1, 2), (3, 4), trials=trials, rng=random.Random(0))
     with pytest.raises(UsageError, match="use at least 18$"):
         monte_carlo_tvd(params, (1, 2), (3, 4), trials=17, rng=random.Random(0))
     assert monte_carlo_tvd(params, (1, 2), (3, 4), trials=18, rng=random.Random(0)).trials == 18

@@ -1,5 +1,7 @@
 """Closed-form plan: pinned instances, invariants, and specializations."""
 
+import re
+
 import pytest
 
 from pirsi import ProblemParams, UsageError, compute_plan
@@ -87,6 +89,15 @@ def test_params_validation():
         ProblemParams(k=3, m=-1, n=1)
     with pytest.raises(UsageError, match="exceed"):
         ProblemParams(k=3, m=2, n=2)
+    # Exactly int: a float, a bool or a string never reaches compute_plan.
+    for args, message in (
+        ((13.0, 5, 2), "k must be an int, got 13.0"),
+        ((True, 0, True), "k must be an int, got True"),
+        ((13, 5, "2"), "n must be an int, got '2'"),
+        ((13, False, 2), "m must be an int, got False"),
+    ):
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            ProblemParams(*args)
 
 
 def test_plan_invariants_sweep():

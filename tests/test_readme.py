@@ -9,18 +9,17 @@ import pytest
 from pirsi.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-# A ```console block: one `$ pirsi …` line, then the output it shows.
-CONSOLE = re.compile(r"```console\n\$ pirsi ([^\n]*)\n(.*?)```", re.DOTALL)
-# The examples that need no file: all but `simulate`, which reads a database.
-EXAMPLES = [
-    (command, shown)
-    for command, shown in CONSOLE.findall(README.read_text(encoding="utf-8"))
-    if not command.startswith("simulate ")
-]
+README_TEXT = README.read_text(encoding="utf-8")
+# A ```console block: one `$ pirsi …` command, its lines joined by a trailing
+# "\", then the output it shows.
+CONSOLE = re.compile(r"```console\n\$ pirsi ((?:[^\n]*\\\n)*[^\n]*)\n(.*?)```", re.DOTALL)
+EXAMPLES = [(command.replace("\\\n", " "), shown) for command, shown in CONSOLE.findall(README_TEXT)]
+# The database file the `simulate` example reads as demo.db.
+DEMO_DB = re.search(r"```\n(pir-db v1 .*?)```", README_TEXT, re.DOTALL)[1]
 
 
 def test_quick_start_runs_and_prints_what_its_comments_promise(capsys):
-    section = README.read_text(encoding="utf-8").split("## Quick start (library)\n", 1)[1]
+    section = README_TEXT.split("## Quick start (library)\n", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL)[1]
     exec(compile(code, f"{README}:quick-start", "exec"), {})
     plan, round_, verdict = capsys.readouterr().out.splitlines()
@@ -29,14 +28,16 @@ def test_quick_start_runs_and_prints_what_its_comments_promise(capsys):
     assert verdict == "True 1/78"
 
 
-def test_console_examples_cover_every_subcommand_but_simulate():
+def test_console_examples_cover_every_subcommand():
     assert sorted(command.split()[0] for command, _ in EXAMPLES) == [
-        "oracle", "privacy-exact", "privacy-mc", "rate",
+        "oracle", "privacy-exact", "privacy-mc", "rate", "simulate",
     ]
 
 
 @pytest.mark.parametrize(("command", "shown"), EXAMPLES, ids=[c.split()[0] for c, _ in EXAMPLES])
-def test_console_example_prints_what_the_readme_shows(capsys, command, shown):
+def test_console_example_prints_what_the_readme_shows(capsys, monkeypatch, tmp_path, command, shown):
+    (tmp_path / "demo.db").write_text(DEMO_DB, encoding="ascii")
+    monkeypatch.chdir(tmp_path)
     # "..." in the shown output stands for any text.
     assert main(shlex.split(command)) == 0
     out = capsys.readouterr().out
