@@ -15,7 +15,7 @@ runs; the reference implementations the tests check it against live in
 """
 
 from .field import PrimeField, is_prime
-from .mds import encode, solve_vandermonde, vandermonde
+from .mds import encode, solve_vandermonde
 from .oracle import is_feasible_plan, search_sweep
 from .privacy import PosteriorReport, TvdReport, monte_carlo_tvd, posterior
 from .rate import ProblemParams, RatePlan, UsageError, admits_every_demand_set, compute_plan
@@ -49,7 +49,6 @@ __all__ = [
     "is_prime",
     "encode",
     "solve_vandermonde",
-    "vandermonde",
     "is_feasible_plan",
     "search_sweep",
     "PosteriorReport",

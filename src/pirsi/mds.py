@@ -5,22 +5,29 @@ invertible.  Encoding n message symbols into r coded symbols with such a
 matrix lets a receiver who already knows any n - r of the message symbols
 recover all the rest; knowing fewer leaves every missing symbol completely
 undetermined.  The Vandermonde construction over distinct nonzero
-evaluation points 1..n realises this for any 1 <= r <= n <= p - 1.
+evaluation points 1..n, with entry (i, j) = (j + 1)**i, realises this for
+any 1 <= r <= n <= p - 1.
 
-The client decodes with ``solve_vandermonde``.  It knows the code is
-Vandermonde on the points 1..n, so it recovers just the wanted
-coordinates through the master polynomial of the u unknown points
-(Bjorck & Pereyra, "Solution of Vandermonde systems of equations", Math.
-Comp. 24, 1970), without inverting the matrix.  It gets that polynomial by
-the cheaper of two routes: multiplying in the unknown points, O(u^2), or
-dividing the known points out of the product over all n points,
-O(|known| * n), which is cached per (n, p) and built once in O(n^2).
-Before that it subtracts the known columns from the codeword, one product
-sum per row over the rows of ``vandermonde``: those are cached per shape,
-and the server builds the same shape for the block it answers.
-The independent check on it is generic Gauss-Jordan elimination over any
-code matrix, O(u^3), with an exhaustive MDS test; both live in the tests
-(``tests/oracles.py``), since the program never runs them.
+The code is never held as rows.  Column j of the r x n matrix is one
+packed int, ``_packed_columns``, with row i's entry in the w-bit slot at
+bit i * w.  A product sum of n such columns, each times a value below p,
+leaves every slot below n * p**2 < 2**w, so no carry crosses a slot.  Both
+sides of a round use it.  ``encode`` is the server's matrix-vector
+product: one ``sum(map(mul, columns, messages))`` for the block, then r
+slot reads.  ``solve_vandermonde`` is the client's: it subtracts the
+known columns from the codeword with one product sum over the held values
+and r slot reads.  It then recovers just the wanted coordinates through
+the master polynomial of the u unknown points (Bjorck & Pereyra,
+"Solution of Vandermonde systems of equations", Math. Comp. 24, 1970),
+without inverting the matrix.  It gets that polynomial by the cheaper of
+two routes: multiplying in the unknown points, O(u^2), or dividing the
+known points out of the product over all n points, O(|known| * n), which
+is cached per (n, p) and built once in O(n^2).
+
+The independent checks live in the tests (``tests/oracles.py``), since the
+program never runs them: the matrix as rows and a per-row product sum,
+generic Gauss-Jordan elimination over any code matrix, O(u^3), and an
+exhaustive MDS test.
 """
 
 from __future__ import annotations
@@ -33,13 +40,17 @@ from .field import PrimeField
 
 
 @lru_cache(maxsize=16)
-def vandermonde(r: int, n: int, field: PrimeField) -> tuple[tuple[int, ...], ...]:
-    """The rows of the r x n Vandermonde matrix with entry (i, j) = (j + 1)**i.
+def _packed_columns(r: int, n: int, field: PrimeField) -> tuple[int, tuple[int, ...]]:
+    """The slot width w and the r x n Vandermonde matrix as n packed columns.
 
-    Evaluation points are the first n nonzero residues, so the matrix is
-    deterministic for a given shape and field, and every entry is already
-    reduced mod p.  A round uses only a few block shapes and the rows are
-    immutable, so recent shapes are cached and shared.
+    Column j is sum_i ((j + 1)**i mod p) << (i * w), with
+    w = 2 * bitlen(p) + bitlen(n).  An entry and a value are each below
+    2**bitlen(p) and there are at most n < 2**bitlen(n) terms, so a slot of
+    a product sum over n columns stays below 2**w.  The matrix depends only
+    on the shape and the field, and a round uses only a few shapes, so
+    recent shapes are cached.  The rows of powers take one multiply per
+    entry.  Adjacent rows are then joined pairwise, then adjacent pairs, and
+    so on: ceil(log2(r)) passes, each over n columns.
 
     Requires 1 <= r <= n <= p - 1, so that the n points are distinct and
     nonzero; it is not re-checked here.  A block's shape comes from
@@ -47,18 +58,43 @@ def vandermonde(r: int, n: int, field: PrimeField) -> tuple[tuple[int, ...], ...
     block and sets r = size - quota within the cap ``build_layout``
     admitted, or from ``wire.parse_query_doc``, which refuses any other
     shape.
+
+    >>> _packed_columns(2, 3, PrimeField(7))  # rows (1, 1, 1) and (1, 2, 3)
+    (8, (257, 513, 769))
     """
     p = field.p
-    return tuple(tuple(pow(j + 1, i, p) for j in range(n)) for i in range(r))
+    width = 2 * p.bit_length() + n.bit_length()
+    row = [1] * n
+    level = [row]
+    for _ in range(r - 1):
+        row = [entry * x % p for entry, x in zip(row, range(1, n + 1))]
+        level.append(row)
+    shift = width
+    while len(level) > 1:
+        pairs = zip(level[0::2], level[1::2])
+        joined = [[lo | hi << shift for lo, hi in zip(a, b)] for a, b in pairs]
+        if len(level) % 2:
+            joined.append(level[-1])
+        level, shift = joined, 2 * shift
+    return width, tuple(level[0])
 
 
-def encode(rows: Sequence[Sequence[int]], messages: Sequence[int], p: int) -> list[int]:
-    """Matrix-vector product mod p: n message symbols -> one coded symbol per row.
+def _slots(total: int, r: int, width: int, p: int) -> list[int]:
+    """The first r ``width``-bit slots of ``total``, lowest first, each mod p."""
+    mask = (1 << width) - 1
+    return [(total >> shift & mask) % p for shift in range(0, r * width, width)]
 
-    Requires one message per column; ``scheme.server_answer`` passes the
-    values at the block's support, whose length is the rows' width.
+
+def encode(r: int, messages: Sequence[int], field: PrimeField) -> list[int]:
+    """The first r Vandermonde rows times ``messages``, mod p: one coded symbol per row.
+
+    One product sum over the packed columns, then r slot reads.  Requires
+    every message to be an int in [0, p), as ``Database`` holds them, and
+    the shape ``_packed_columns`` requires with n = len(messages);
+    ``scheme.server_answer`` passes the values at a block's support.
     """
-    return [sum(map(operator.mul, row, messages)) % p for row in rows]
+    width, columns = _packed_columns(r, len(messages), field)
+    return _slots(sum(map(operator.mul, columns, messages)), r, width, field.p)
 
 
 def _from_roots(points: Sequence[int], p: int) -> list[int]:
@@ -103,29 +139,31 @@ def solve_vandermonde(
 ) -> list[int]:
     """The message coordinates at positions ``wanted`` behind a Vandermonde codeword.
 
-    ``codeword`` holds the r coded symbols of ``vandermonde(r, n, field)``
-    with r = len(codeword); ``known`` maps column positions (0-based) to
-    their message values.  With x_l = l + 1 for the u unknown columns, the
-    coded symbols minus the known columns' contributions give
-    b_i = sum_l x_l**i * z_l.  The master polynomial P(t) = prod_l (t - x_l)
-    solves this: for an unknown column l, q = P / (t - x_l) vanishes on
-    every other unknown point, so z_l = <q, b> / q(x_l).  P also checks rows
-    beyond the u-th: sum_k P_k * b[i + k] = 0 for i = 0..r-u-1, which holds
-    exactly when the codeword is consistent with the known symbols.
+    ``codeword`` holds the r coded symbols of ``encode(r, messages, field)``
+    with r = len(codeword) and n = len(messages); ``known`` maps column
+    positions (0-based) to their message values.  With x_l = l + 1 for the
+    u unknown columns, the coded symbols minus the known columns'
+    contributions give b_i = sum_l x_l**i * z_l.  The master polynomial
+    P(t) = prod_l (t - x_l) solves this: for an unknown column l,
+    q = P / (t - x_l) vanishes on every other unknown point, so
+    z_l = <q, b> / q(x_l).  P also checks rows beyond the u-th:
+    sum_k P_k * b[i + k] = 0 for i = 0..r-u-1, which holds exactly when the
+    codeword is consistent with the known symbols.
 
-    The known columns' contributions are read off the rows of
-    ``vandermonde(r, n, field)``, which are cached per shape, in
-    O(r * len(known)).  P is built by multiplying in (t - x_l) for each
-    unknown point, O(u^2), when u**2 <= len(known) * n, and otherwise by
-    dividing (t - x_j) for each known point exactly out of
+    The known columns' contributions are one product sum over the packed
+    columns ``encode`` uses, then r slot reads.  P is built by multiplying
+    in (t - x_l) for each unknown point, O(u^2), when u**2 <= len(known) * n,
+    and otherwise by dividing (t - x_j) for each known point exactly out of
     prod_{x=1..n} (t - x), O(len(known) * n).  That product is cached per
     (n, p); its first build costs O(n^2).  Both routes give the same P, so
     the result does not depend on the route.
 
-    Requires 1 <= r <= n <= p - 1, the shape ``vandermonde`` requires, and
-    every key of ``known`` and entry of ``wanted`` in 0..n-1; neither is
-    re-checked here.  ``scheme.client_decode`` checks that r is the block's
-    row count and enumerates the positions from the block's own support.
+    Requires 1 <= r <= n <= p - 1, the shape ``_packed_columns`` requires,
+    every key of ``known`` and entry of ``wanted`` in 0..n-1, and every
+    known value an int in [0, p); none is re-checked here.
+    ``scheme.client_decode`` checks that r is the block's row count and
+    that the held values are field elements, and enumerates the positions
+    from the block's own support.
 
     Raises ValueError if fewer than n - r symbols are known or if the inputs
     are inconsistent with any codeword.
@@ -137,16 +175,11 @@ def solve_vandermonde(
             f"insufficient side information: {len(unknown)} unknowns but only {r} equations"
         )
 
-    # b_i: subtract the known columns' terms v_j * x_j**i, read off the cached
-    # Vandermonde rows (the server builds the same shape), one mod per row.
-    # itemgetter of a single key returns the entry itself, not a 1-tuple.
-    held = tuple(known.values())
-    pick = operator.itemgetter(*known) if len(held) > 1 else (lambda row: [row[j] for j in known])
-    rows = vandermonde(r, n, field)
-    rhs = [
-        (coded - sum(map(operator.mul, pick(row), held))) % p
-        for coded, row in zip(codeword, rows)
-    ]
+    # b_i: subtract the known columns' terms v_j * x_j**i, read off the same
+    # packed columns the server encodes with, one mod per row.
+    width, columns = _packed_columns(r, n, field)
+    held = sum(map(operator.mul, map(columns.__getitem__, known), known.values()))
+    rhs = [(coded - term) % p for coded, term in zip(codeword, _slots(held, r, width, p))]
 
     # P's coefficients, lowest degree first.  Either multiply in (t - x) per
     # unknown point, O(u^2), or divide (t - x) per known point exactly out of

@@ -114,9 +114,10 @@ class Layout:
 class QueryBlock:
     """One subspace's request: its indices and how many coded rows of them.
 
-    The coefficients are, by definition, ``mds.vandermonde(r, len(support),
-    field)``: they depend only on the block's shape, so they are never stored
-    or sent.
+    The coefficients are, by definition, the first r rows of the Vandermonde
+    matrix with entry (i, j) = (j + 1)**i over the ``len(support)`` members:
+    they depend only on the block's shape, so they are never stored or sent.
+    Both sides read them from ``mds``'s packed columns, cached per shape.
     """
 
     support: tuple[int, ...]
@@ -277,8 +278,7 @@ def server_answer(query: Query, db: Database) -> Answer:
             values = operator.itemgetter(*support)(padded)
         else:  # itemgetter of a single key returns the entry itself, not a 1-tuple
             values = [padded[i] for i in support]
-        rows = mds.vandermonde(block.r, len(support), query.field)
-        out.append(tuple(mds.encode(rows, values, query.field.p)))
+        out.append(tuple(mds.encode(block.r, values, query.field)))
     return Answer(tuple(out))
 
 
@@ -288,8 +288,9 @@ def client_decode(query: Query, answer: Answer, spec: DemandSpec) -> dict[int, i
     Returns a map from demanded index to its recovered value.  Raises if an
     answer block's length is not its r, if a block serving a demand holds
     too few known side values for its r symbols (``mds.solve_vandermonde``'s
-    insufficient side information: the retrieval condition), or if its
-    coded symbols are inconsistent with the held side information.
+    insufficient side information: the retrieval condition), if a held
+    value it needs is not an int in [0, p), or if its coded symbols are
+    inconsistent with the held side information.
     """
     if len(answer.blocks) != len(query.blocks):
         raise ValueError("answer block count differs from query")
@@ -309,6 +310,7 @@ def client_decode(query: Query, answer: Answer, spec: DemandSpec) -> dict[int, i
                     known[p] = spec.side_values[idx]
                 except KeyError:
                     raise ValueError(f"missing side-information value for index {idx}") from None
+        query.field.check(known.values())  # the packed subtraction needs field elements
         values = mds.solve_vandermonde(coded, len(support), known, demand_positions, query.field)
         for p, value in zip(demand_positions, values):
             recovered[support[p]] = value

@@ -4,9 +4,12 @@ The program never runs any of this.  Each function is a second, slower
 route to a claim the program makes, so it lives beside the tests that
 compare the two:
 
-* MDS: generic Gauss-Jordan elimination over any code matrix (``decode``)
-  and an exhaustive minor test (``check_mds``), against which
-  ``mds.solve_vandermonde`` and ``mds.vandermonde`` are checked.
+* MDS: the Vandermonde code as rows (``vandermonde``) and a product sum
+  per row (``encode``), against which the packed columns of ``mds.encode``
+  and ``mds.solve_vandermonde`` are checked; generic Gauss-Jordan
+  elimination over any code matrix (``decode``), against which
+  ``mds.solve_vandermonde`` is checked; and an exhaustive minor test
+  (``check_mds``).
 * Rate: the per-subspace cost (``subspace_cost``), the paper's
   closed-form minimum download (``closed_form_r_star``), against which the
   plan's profile cost is checked, and the paper's headline condition for
@@ -23,13 +26,13 @@ compare the two:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, perm, prod
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
-from pirsi import mds
 from pirsi.field import PrimeField
 from pirsi.rate import ProblemParams, RatePlan, compute_plan, quota_cap, require_admissible
 from pirsi.scheme import DemandSpec, Layout, Query, draw_layout
@@ -70,13 +73,15 @@ class CodeMatrix:
 
 
 def vandermonde(r: int, n: int, field: PrimeField) -> CodeMatrix:
-    """The program's rows, ``mds.vandermonde(r, n, field)``, as a ``CodeMatrix``."""
-    return CodeMatrix(mds.vandermonde(r, n, field), field)
+    """The code ``mds`` packs, as rows: entry (i, j) = (j + 1)**i mod p."""
+    p = field.p
+    return CodeMatrix(tuple(tuple(pow(j + 1, i, p) for j in range(n)) for i in range(r)), field)
 
 
 def encode(matrix: CodeMatrix, messages: Sequence[int]) -> list[int]:
-    """The program's ``mds.encode`` with a ``CodeMatrix``'s rows and modulus."""
-    return mds.encode(matrix.rows, messages, matrix.field.p)
+    """Matrix-vector product mod p, one product sum per row."""
+    p = matrix.field.p
+    return [sum(map(operator.mul, row, messages)) % p for row in matrix.rows]
 
 
 def decode(
@@ -422,7 +427,7 @@ def query_rows(query: Query) -> list[list[int]]:
     k = sum(len(block.support) for block in query.blocks)
     out = []
     for block in query.blocks:
-        for coefficients in mds.vandermonde(block.r, len(block.support), query.field):
+        for coefficients in vandermonde(block.r, len(block.support), query.field).rows:
             row = [0] * k
             for idx, c in zip(block.support, coefficients):
                 row[idx - 1] = c

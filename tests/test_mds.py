@@ -4,36 +4,112 @@ The expected values here are recomputed by independent means inside the
 tests: plain-integer dot products for encodings, cofactor-expansion
 determinants for the MDS property, exhaustive solution enumeration for
 the threshold sharpness check, and generic elimination (``decode``) for the
-structured Vandermonde solve.  The program's own ``mds.vandermonde`` and
-``mds.encode`` work on plain rows; ``CodeMatrix``, ``decode`` and
+structured Vandermonde solve.  The program holds the code only as packed
+columns (``mds._packed_columns``); ``mds.encode`` and the known-column
+subtraction in ``mds.solve_vandermonde`` read it.  The code as rows
+(``vandermonde``), the per-row ``encode``, ``CodeMatrix``, ``decode`` and
 ``check_mds`` are the test oracles in ``tests/oracles.py``.
 """
 
 import random
-from itertools import combinations, product
+from itertools import combinations, count, product
 
 import pytest
 
-from pirsi import PrimeField, mds, solve_vandermonde
-from pirsi.mds import _all_points
+from pirsi import PrimeField, is_prime, mds, solve_vandermonde
+from pirsi.field import MR_BOUND
+from pirsi.mds import _all_points, _packed_columns
 from oracles import CodeMatrix, check_mds, decode, encode, vandermonde
+
+# The largest modulus the program accepts: slots of about 165 bits.
+LARGEST_PRIME = next(q for q in count(MR_BOUND - 1, -1) if is_prime(q))
+
+
+def unpacked_rows(r, n, field):
+    """The rows ``mds._packed_columns`` holds, read back slot by slot."""
+    width, columns = _packed_columns(r, n, field)
+    mask = (1 << width) - 1
+    return tuple(tuple(column >> (i * width) & mask for column in columns) for i in range(r))
 
 
 def test_vandermonde_worked_example_rows(gf13):
-    assert mds.vandermonde(2, 5, gf13) == ((1, 1, 1, 1, 1), (1, 2, 3, 4, 5))
+    assert vandermonde(2, 5, gf13).rows == ((1, 1, 1, 1, 1), (1, 2, 3, 4, 5))
+    assert unpacked_rows(2, 5, gf13) == ((1, 1, 1, 1, 1), (1, 2, 3, 4, 5))
 
 
 def test_vandermonde_powers():
-    assert mds.vandermonde(3, 3, PrimeField(7)) == ((1, 1, 1), (1, 2, 3), (1, 4, 2))
+    assert vandermonde(3, 3, PrimeField(7)).rows == ((1, 1, 1), (1, 2, 3), (1, 4, 2))
+    assert unpacked_rows(3, 3, PrimeField(7)) == ((1, 1, 1), (1, 2, 3), (1, 4, 2))
 
 
 def test_vandermonde_one_by_one():
-    assert mds.vandermonde(1, 1, PrimeField(2)) == ((1,),)
+    assert vandermonde(1, 1, PrimeField(2)).rows == ((1,),)
+    assert _packed_columns(1, 1, PrimeField(2)) == (5, (1,))
 
 
 def test_vandermonde_needs_enough_points():
     # n = p - 1 is the largest legal width; callers hold the shape to it
-    assert len(mds.vandermonde(2, 6, PrimeField(7))[0]) == 6
+    assert len(vandermonde(2, 6, PrimeField(7)).rows[0]) == 6
+    assert unpacked_rows(2, 6, PrimeField(7)) == vandermonde(2, 6, PrimeField(7)).rows
+
+
+def test_packed_columns_hold_the_rows_at_every_row_count():
+    # The rows are joined pairwise, so odd counts leave a row over at some
+    # level; each count up to 40 must still put row i in slot i.
+    field = PrimeField(2**31 - 1)
+    for r in range(1, 41):
+        assert unpacked_rows(r, 40, field) == vandermonde(r, 40, field).rows, r
+    assert _packed_columns.cache_info().maxsize == 16
+
+
+def packed_mismatches(shapes, field, rng=None):
+    """The shapes (r, n) at which the packed code disagrees with the per-row oracle.
+
+    Each shape is checked on all-(p - 1) messages, the largest slot sum the
+    program can form, and with ``rng`` also on random ones.  ``mds.encode``
+    must equal the oracle's ``encode``.  ``solve_vandermonde`` must accept
+    the oracle's codeword knowing every column, where each row only checks
+    that the packed subtraction cancels the oracle's row sum mod p, and
+    must recover the first r columns from the other n - r.
+    """
+    p = field.p
+    bad = []
+    for r, n in shapes:
+        matrix = vandermonde(r, n, field)
+        trials = [[p - 1] * n]
+        if rng is not None:
+            trials.append([rng.randrange(p) for _ in range(n)])
+        for msgs in trials:
+            codeword = encode(matrix, msgs)
+            try:
+                ok = (
+                    mds.encode(r, msgs, field) == codeword
+                    and solve_vandermonde(codeword, n, dict(enumerate(msgs)), [], field) == []
+                    and solve_vandermonde(
+                        codeword, n, {j: msgs[j] for j in range(r, n)}, range(r), field
+                    ) == msgs[:r]
+                )
+            except ValueError:
+                ok = False
+            if not ok:
+                bad.append((r, n))
+                break
+    return bad
+
+
+@pytest.mark.parametrize("p, n_max", [(2**31 - 1, 40), (13, 12), (LARGEST_PRIME, 40)])
+def test_packed_code_matches_per_row_oracle(p, n_max):
+    # Random shapes, then every width with r = n, then n = 1.  At
+    # p = 2**31 - 1 the all-(p - 1) slot sum n * (p - 1)**2 needs every bit
+    # of w = 2 * bitlen(p) + bitlen(n) whenever n is not a power of two.
+    field = PrimeField(p)
+    rng = random.Random(p)
+    shapes = []
+    for _ in range(150):
+        n = rng.randrange(1, n_max + 1)
+        shapes.append((rng.randrange(1, n + 1), n))
+    shapes += [(n, n) for n in range(1, n_max + 1)] + [(1, 1)]
+    assert packed_mismatches(shapes, field, rng) == []
 
 
 def test_code_matrix_validation():
@@ -49,7 +125,7 @@ def test_code_matrix_validation():
 
 
 def test_encode_small_example():
-    codeword = mds.encode(mds.vandermonde(2, 3, PrimeField(7)), [1, 2, 3], 7)
+    codeword = mds.encode(2, [1, 2, 3], PrimeField(7))
     assert codeword == [6, 0]
 
 
@@ -58,9 +134,8 @@ def test_encode_matches_integer_dot_product(gf13):
     for _ in range(200):
         n = rng.randrange(1, 11)
         r = rng.randrange(1, n + 1)
-        rows = mds.vandermonde(r, n, PrimeField(65537))
         msgs = [rng.randrange(65537) for _ in range(n)]
-        got = mds.encode(rows, msgs, 65537)
+        got = mds.encode(r, msgs, PrimeField(65537))
         expected = [
             sum(pow(j + 1, i, 65537) * msgs[j] for j in range(n)) % 65537
             for i in range(r)
@@ -69,12 +144,12 @@ def test_encode_matches_integer_dot_product(gf13):
 
 
 def test_encode_zero_vector_is_zero(gf13):
-    assert mds.encode(mds.vandermonde(3, 5, gf13), [0] * 5, 13) == [0, 0, 0]
+    assert mds.encode(3, [0] * 5, gf13) == [0, 0, 0]
 
 
 def test_encode_worked_example_block(gf13):
     # Subspace {1,2,4,6,8} with values 3,7,2,5,11 yields coded symbols 2 and 7.
-    codeword = mds.encode(mds.vandermonde(2, 5, gf13), [3, 7, 2, 5, 11], 13)
+    codeword = mds.encode(2, [3, 7, 2, 5, 11], gf13)
     assert codeword == [2, 7]
 
 
@@ -160,8 +235,7 @@ def test_solve_vandermonde_agrees_with_decode(p, n_max):
     # spare rows whenever some column is known.
     # Each master-polynomial route is tallied by whether it read the cached
     # product over all n points, and must be the one the size rule picks.
-    # "one known column" covers the subtraction's single-key path, where
-    # itemgetter returns an entry rather than a tuple.
+    # "one known column" covers a subtraction over a single packed column.
     gf = PrimeField(p)
     rng = random.Random(p)
     shapes = dict.fromkeys(

@@ -6,7 +6,8 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, islice, product
-from math import comb, factorial, perm, prod
+from math import comb, factorial, perm, prod, sqrt
+from statistics import NormalDist
 
 import pytest
 
@@ -468,6 +469,18 @@ def all_together(plan, members, rng):
     return filled[0] if filled else by_capacity(plan, members, rng)
 
 
+def apart(plan, members, rng):
+    """Leaky by a deficit only: by capacity, redrawn while the second demand would join the first.
+
+    The two smallest demands never share a block, so the pair cell falls
+    short of its mean; no cell runs over it.
+    """
+    while True:
+        u = by_capacity(plan, members, rng)
+        if sum(map(len, members)) != 1 or not members[u]:
+            return u
+
+
 def far_demand_sets(params):
     n = params.n
     return tuple(range(1, n + 1)), tuple(range(params.k - n + 1, params.k + 1))
@@ -512,6 +525,8 @@ def test_monte_carlo_passes_capacity_placement_with_fixed_fill(monkeypatch):
     (uniform_over_blocks, (5000, 1000, 10), 400),
     (all_together, (13, 5, 2), 200),
     (all_together, (1000, 300, 5), 80),
+    # max |z| 39.6, all of it below a mean: refused only through |z|.
+    (apart, (13, 5, 2), 4000),
 ])
 def test_monte_carlo_refuses_leaky_samplers(monkeypatch, place, kmn, trials):
     monkeypatch.setattr("pirsi.privacy.draw_layout", placing_sampler(place))
@@ -530,6 +545,43 @@ def test_monte_carlo_refuses_block_zero_wrapper(monkeypatch, kmn):
     params = ProblemParams(*kmn)
     report = monte_carlo_tvd(params, *far_demand_sets(params), 2000, random.Random(0))
     assert not report.consistent
+
+
+def test_monte_carlo_statistics_are_pinned(monkeypatch):
+    # Counts at chosen offsets from their means stand in for the samples.
+    # The threshold and each cell's z are then fixed numbers, recomputed
+    # here from alpha and from the exact laws: the hypergeometric count of
+    # the n demands in a block of s, and the chance that the two smallest
+    # share a block, each summed over math.comb terms.
+    params = ProblemParams(13, 5, 2)
+    plan = compute_plan(params)
+    k, n = params.k, params.n
+    trials = 10 * k * (k - 1)  # every mean below is then an integer
+
+    def block_law(s):
+        chance = {x: Fraction(comb(s, x) * comb(k - s, n - x), comb(k, n)) for x in range(n + 1)}
+        mean = sum(x * q for x, q in chance.items())
+        return mean, sum((x - mean) ** 2 * q for x, q in chance.items())
+
+    together = Fraction(sum(comb(s, 2) for s in plan.size_profile), comb(k, 2))
+    laws = [block_law(s) for s in plan.size_profile] + [(together, together * (1 - together))]
+    means = [trials * mean for mean, _ in laws]
+    assert all(mean.denominator == 1 for mean in means)
+    cells = 2 * (plan.l_star + 1)
+    threshold = NormalDist().inv_cdf(1 - 1e-6 / (2 * cells))
+    verdicts = set()
+    for cell, (_, variance) in enumerate(laws):
+        for offset in (-160, 30):
+            counts = [int(mean) for mean in means]
+            counts[cell] += offset
+            monkeypatch.setattr("pirsi.privacy._sample_counts", lambda *_: counts)
+            report = monte_carlo_tvd(params, (1, 2), (12, 13), trials, random.Random(0))
+            assert report.cells == cells
+            assert report.threshold == threshold
+            assert report.max_z == pytest.approx(abs(offset) / sqrt(trials * variance), rel=1e-12)
+            assert report.consistent is (report.max_z <= threshold)
+            verdicts.add(report.consistent)
+    assert verdicts == {True, False}
 
 
 def test_monte_carlo_samples_through_draw_layout(monkeypatch):

@@ -1,5 +1,6 @@
 """The randomized construction: layout validity, queries, and full rounds."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from pirsi import (
     simulate_round,
 )
 from conftest import WORKED_SIDE, WORKED_VALUES
-from oracles import enumerate_randomness
+from oracles import enumerate_randomness, query_rows
 
 
 def random_db(params, field, rng):
@@ -199,6 +200,18 @@ def test_client_decode_missing_side_value(worked_layout, worked_db, gf13):
         client_decode(query, answer, starved)
 
 
+def test_client_decode_refuses_side_values_outside_the_field(worked_layout, worked_db, gf13):
+    # The known columns are subtracted in packed slots, which hold only
+    # products of field elements: 1 + 13 or -12 would read as another value.
+    query = make_query(worked_layout, gf13)
+    answer = server_answer(query, worked_db)
+    for bad in (worked_db[1] + 13, worked_db[1] - 13, float(worked_db[1])):
+        values = {i: worked_db[i] for i in WORKED_SIDE} | {1: bad}
+        spec = DemandSpec((2, 5), frozenset(WORKED_SIDE), values)
+        with pytest.raises(ValueError, match=r"field value .* is not an int in \[0, 13\)"):
+            client_decode(query, answer, spec)
+
+
 def test_client_decode_checks_length_of_demand_free_blocks(worked_layout, worked_db, worked_spec, gf13):
     # Block 1 ({3,10,11,13}) holds no demand, so its symbols are never
     # solved; a padded or truncated block must still be refused.
@@ -297,6 +310,8 @@ def test_simulate_round_db_size_mismatch(worked_spec, gf13):
 
 
 def test_round_downloads_exactly_r_star_everywhere():
+    # Every answer is also the query's rows, built one by one in the
+    # oracle, times the database: the packed code on every plan shape here.
     rng = random.Random(2024)
     field = PrimeField(23)
     for k in range(1, 10):
@@ -310,6 +325,10 @@ def test_round_downloads_exactly_r_star_everywhere():
                     result = simulate_round(params, spec, db, rng)
                     assert result.query.total_rows == plan.r_star
                     assert sum(len(b) for b in result.answer.blocks) == plan.r_star
+                    assert [c for block in result.answer.blocks for c in block] == [
+                        sum(map(operator.mul, row, db.values)) % field.p
+                        for row in query_rows(result.query)
+                    ]
                     for idx in spec.demands:
                         assert result.decoded[idx] == db[idx]
 
