@@ -1,0 +1,185 @@
+"""A census of mutants: each catalogued change to ``src/pirsi`` must make Tier-1 fail.
+
+Each entry of ``CATALOGUE`` names a file, a text that must occur in it
+exactly once, its replacement, and what the change breaks.  For each
+mutant the tree is copied to a fresh temporary directory, the text is
+replaced there, and Tier-1 runs with ``-x``, without the golden tests
+and ``tests/test_readme.py``.  A failure there is a kill.  Otherwise only
+those deselected tests run: they pin output bytes, so a failure there is
+a weak kill, listed because regenerating the goldens would hide it.  A
+mutant that survives both passes fails the census unless the catalogue
+lists it as equivalent, with the reason no test can tell it apart.  An
+equivalent that is killed fails the census too: its reason is wrong.
+
+Before any mutant runs, the census checks that every old text still
+occurs exactly once (a catalogue that has drifted from the code fails)
+and that the unmutated tree passes both passes.  It exits 0 when every
+mutant is killed or is a surviving equivalent, and 1 otherwise.  CI runs
+it as a step of its own, about five minutes on a 2-vCPU host with Python
+3.11.7:
+
+    python ci/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+# Tier-1's pytest call; each pass adds its selection.
+PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+PINNED = "golden or test_readme"  # the tests that pin output bytes
+SEMANTIC = ["-x", "-k", f"not ({PINNED})"]
+WEAK = ["-k", PINNED]
+COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "*.egg-info", "build")
+# A suite run that takes longer than this counts as a kill: Tier-1 does not pass.
+RUN_TIMEOUT_S = 900
+
+
+class Mutant(NamedTuple):
+    file: str  # relative to src/pirsi
+    old: str
+    new: str
+    why: str
+    equivalent: str = ""  # why no test can kill it, if none can
+
+
+CATALOGUE = [
+    Mutant("rate.py", "sum(sorted(quotas, reverse=True)[:n])", "sum(sorted(quotas)[:n])",
+           "the window sums the n smallest quotas, not the n largest"),
+    Mutant("rate.py", "0 <= q <= quota_cap(s, n)", "0 <= q <= s",
+           "the cap lets a quota fill the demands' slots"),
+    Mutant("rate.py", "if l_formula <= n:", "if l_formula < n:",
+           "compute_plan partitions when l_formula = n, where one subspace is optimal"),
+    Mutant("scheme.py", "acc += plan.size_profile[u] - demand_count[u]", "acc += plan.size_profile[u]",
+           "stage 2 weights blocks by size, not by free capacity"),
+    Mutant("scheme.py", "members[i].append(pool.pop(rng.randrange(len(pool))))",
+           "members[i].append(pool.pop(rng.randrange(len(pool)) if len(pool) > 1 else 0))",
+           "stage 3 skips the draw when one side index is left: same law, other RNG stream"),
+    Mutant("scheme.py", "min(support) >= 1 and", "min(support) >= 0 and",
+           "the server answers index 0 from the padding"),
+    Mutant("scheme.py", "if len(answer) != len(query.blocks):", "if False:",
+           "client_decode ignores extra answer blocks"),
+    Mutant("mds.py", "for i in range(r - u)):", "for i in range(0)):",
+           "the decoder never checks the spare rows"),
+    Mutant("wire.py", "if not seen.isdisjoint(support):", "if False:",
+           "the query parser accepts overlapping supports"),
+    Mutant("wire.py", "if len(lines) > k:", "if len(lines) > k + 1:",
+           "the database reader accepts one value after the k-th"),
+    Mutant("wire.py", 'field.check(_list(block, "answer block"))', 'tuple(_list(block, "answer block"))',
+           "the answer parser accepts values outside [0, p)"),
+    Mutant("field.py", "37, 41)", "37)",
+           "Miller-Rabin without the 13th witness, which 318665857834031151167461 needs"),
+    Mutant("field.py", "if not is_prime(self.p):", "if is_prime(self.p) is None:",
+           "PrimeField accepts a composite modulus"),
+    Mutant("privacy.py", "spec.validate_against(replace(params, m=0))", "pass",
+           "monte_carlo_tvd samples demand sets outside 1..k or of the wrong size"),
+    Mutant("privacy.py", "MIN_EXPECTED = 5", "MIN_EXPECTED = 1",
+           "monte_carlo_tvd runs with cells too thin for the normal approximation"),
+    Mutant("privacy.py", "if n >= 2:", "if n >= 3:",
+           "monte_carlo_tvd drops the pair cell at n = 2"),
+    Mutant("privacy.py", "float(abs(count - mean))", "float(count - mean)",
+           "monte_carlo_tvd sees only excesses, never deficits"),
+    Mutant("privacy.py", "ALPHA / (2 * cells)", "ALPHA / 2",
+           "monte_carlo_tvd drops the Bonferroni split over its cells"),
+    Mutant("privacy.py", "ALPHA = 1e-6", "ALPHA = 1e-12",
+           "monte_carlo_tvd's threshold loosens"),
+    Mutant("privacy.py", "factor = Fraction(k - n, k - 1) if k > 1", "factor = Fraction(1) if k > 1",
+           "monte_carlo_tvd drops the hypergeometric variance factor"),
+    Mutant("oracle.py", "min(budget - q, (slots - 1) * q, left)", "min(budget - q, left)",
+           "search_sweep drops the bound on what the later window slots can take",
+           equivalent="a pruning bound only: the slots - 1 later window quotas are each at most q, "
+           "so the budget above (slots - 1) * q is never spent; without it the minima are the "
+           "same for every (k, n) with k <= 40, and the memo holds 10-33% more states"),
+]
+
+
+def drift() -> list[str]:
+    """The catalogue entries whose old text does not occur exactly once."""
+    bad = []
+    for mutant in CATALOGUE:
+        count = (ROOT / "src" / "pirsi" / mutant.file).read_text().count(mutant.old)
+        if count != 1:
+            bad.append(f"{mutant.file}: {mutant.old!r} occurs {count} times")
+    return bad
+
+
+def run_pytest(tree: Path, selection: list[str]) -> tuple[bool, str]:
+    """Whether the suite passed in ``tree``, and the first failing test (or why it stopped)."""
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    try:
+        done = subprocess.run(PYTEST + selection, cwd=tree, env=env, capture_output=True,
+                              text=True, timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return False, f"timed out after {RUN_TIMEOUT_S} s"
+    if done.returncode == 0:
+        return True, ""
+    if done.returncode not in (1, 2):  # 1: tests failed, 2: collection interrupted
+        raise SystemExit(f"pytest exited {done.returncode}:\n{done.stdout}{done.stderr}")
+    first = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
+    return False, first[1] if first else done.stdout.strip().splitlines()[-1]
+
+
+def census(mutant: Mutant | None) -> tuple[str, str]:
+    """("killed" | "weak" | "survived", first failing test) for one mutant on a fresh copy.
+
+    ``None`` runs the unmutated tree.
+    """
+    with tempfile.TemporaryDirectory(prefix="pirsi-mutant-") as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=COPY_IGNORE)
+        if mutant is not None:
+            path = tree / "src" / "pirsi" / mutant.file
+            path.write_text(path.read_text().replace(mutant.old, mutant.new))
+        passed, killer = run_pytest(tree, SEMANTIC)
+        if not passed:
+            return "killed", killer
+        passed, killer = run_pytest(tree, WEAK)
+        return ("survived", "") if passed else ("weak", killer)
+
+
+def main() -> int:
+    started = time.perf_counter()
+    bad = drift()
+    if bad:
+        print("the catalogue has drifted from the code:", *bad, sep="\n  ")
+        return 1
+    verdict, killer = census(None)
+    if verdict != "survived":
+        print(f"the unmutated tree fails Tier-1 at {killer}; no mutant can be judged")
+        return 1
+    failures, weak = 0, []
+    for mutant in CATALOGUE:
+        t0 = time.perf_counter()
+        verdict, killer = census(mutant)
+        label = f"{mutant.file}: {mutant.why}"
+        if mutant.equivalent:
+            ok = verdict == "survived"
+            verdict = "equivalent" if ok else f"equivalent, yet {verdict}"
+        else:
+            ok = verdict != "survived"
+        failures += not ok
+        if verdict == "weak":
+            weak.append(label)
+        line = f"{verdict:<10} {label}" + (f" [{killer}]" if killer else "")
+        print(f"{line} ({time.perf_counter() - t0:.1f} s)", flush=True)
+    for mutant in CATALOGUE:
+        if mutant.equivalent:
+            print(f"equivalent: {mutant.file}: {mutant.why}: {mutant.equivalent}")
+    for label in weak:
+        print(f"weak kill, golden bytes only: {label}")
+    print(f"{len(CATALOGUE)} mutants, {failures} unaccounted for, {len(weak)} weak kills, "
+          f"{time.perf_counter() - started:.0f} s")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

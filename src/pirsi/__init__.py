@@ -20,7 +20,6 @@ from .oracle import is_feasible_plan, search_sweep
 from .privacy import PosteriorReport, TvdReport, monte_carlo_tvd, posterior
 from .rate import ProblemParams, RatePlan, UsageError, admits_every_demand_set, compute_plan
 from .scheme import (
-    Answer,
     Database,
     DemandSpec,
     Layout,
@@ -60,7 +59,6 @@ __all__ = [
     "UsageError",
     "admits_every_demand_set",
     "compute_plan",
-    "Answer",
     "Database",
     "DemandSpec",
     "Layout",

@@ -58,8 +58,8 @@ def _parse_indices(text: str) -> tuple[int, ...]:
     return tuple(map(int, text.split(",")))
 
 
-def _count_sets(k: int, n: int, cap: int) -> int:
-    """C(k, n), or the first partial value above ``cap`` once it is exceeded.
+def _count_sets(k: int, n: int) -> int:
+    """C(k, n), or the first partial value above ``EXACT_SETS_CAP`` once it is exceeded.
 
     C(k, i) grows with i up to k / 2, so the walk can stop there without
     computing a huge binomial.
@@ -67,7 +67,7 @@ def _count_sets(k: int, n: int, cap: int) -> int:
     count = 1
     for i in range(min(n, k - n)):
         count = count * (k - i) // (i + 1)
-        if count > cap:
+        if count > EXACT_SETS_CAP:
             break
     return count
 
@@ -155,7 +155,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_privacy_exact(args) -> int:
     params = _params_from(args)
-    sets = _count_sets(params.k, params.n, EXACT_SETS_CAP)
+    sets = _count_sets(params.k, params.n)
     if sets > EXACT_SETS_CAP or sets * params.n > EXACT_INDICES_CAP:
         raise UsageError(
             f"exact mode prints all C({params.k},{params.n}) demand sets and is capped at "

@@ -10,6 +10,7 @@ parser of one round, and every later round, share one proof.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -61,15 +62,15 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
+@dataclass(frozen=True, slots=True)
 class PrimeField:
     """The modulus of GF(p), validated once, and the check for its values."""
 
-    __slots__ = ("p",)
+    p: int
 
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"modulus must be prime, got {p}")
-        self.p = p
+    def __post_init__(self):
+        if not is_prime(self.p):
+            raise ValueError(f"modulus must be prime, got {self.p}")
 
     # The program never calls this; perfbench's untraced Rounds.prepare does.
     def element(self, value: int) -> int:
@@ -89,14 +90,3 @@ class PrimeField:
             bad = next(v for v in values if type(v) is not int or not 0 <= v < self.p)
             raise ValueError(f"field value {bad!r} is not an int in [0, {self.p})")
         return values
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PrimeField):
-            return NotImplemented
-        return self.p == other.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self) -> str:
-        return f"PrimeField({self.p})"

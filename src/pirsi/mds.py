@@ -159,11 +159,12 @@ def solve_vandermonde(
     the result does not depend on the route.
 
     Requires 1 <= r <= n <= p - 1, the shape ``_packed_columns`` requires,
-    every key of ``known`` and entry of ``wanted`` in 0..n-1, and every
-    known value an int in [0, p); none is re-checked here.
-    ``scheme.client_decode`` checks that r is the block's row count and
-    that the held values are field elements, and enumerates the positions
-    from the block's own support.
+    every key of ``known`` in 0..n-1, ``wanted`` a subset of the unknown
+    positions, and every known value an int in [0, p); none is re-checked
+    here.  ``scheme.client_decode`` checks that r is the block's row count
+    and that the held values are field elements, and enumerates the
+    positions from the block's own support: the wanted ones are its
+    demands, which are never side positions.
 
     Raises ValueError if fewer than n - r symbols are known or if the inputs
     are inconsistent with any codeword.
@@ -204,9 +205,6 @@ def solve_vandermonde(
 
     values = []
     for j in wanted:
-        if j in known:
-            values.append(known[j])
-            continue
         # Synthetic division: q_{u-1} = 1, q_{i-1} = P_i + x * q_i.
         x = j + 1
         q = [1] * u

@@ -135,13 +135,6 @@ class Query:
 
 
 @dataclass(frozen=True)
-class Answer:
-    """The server's coded symbols, one vector per query block."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class Database:
     """k message values over a common prime field, indexed from 1."""
 
@@ -256,8 +249,8 @@ def make_query(layout: Layout, field: PrimeField) -> Query:
     return Query(blocks, field)
 
 
-def server_answer(query: Query, db: Database) -> Answer:
-    """Evaluate each block's coded combinations over the database.
+def server_answer(query: Query, db: Database) -> tuple[tuple[int, ...], ...]:
+    """Evaluate each block's coded combinations over the database, one tuple per block.
 
     This function sees only the query and the database; it has no access to
     demand or side-information structure, mirroring the server's view.
@@ -279,12 +272,15 @@ def server_answer(query: Query, db: Database) -> Answer:
         else:  # itemgetter of a single key returns the entry itself, not a 1-tuple
             values = [padded[i] for i in support]
         out.append(tuple(mds.encode(block.r, values, query.field)))
-    return Answer(tuple(out))
+    return tuple(out)
 
 
-def client_decode(query: Query, answer: Answer, spec: DemandSpec) -> dict[int, int]:
+def client_decode(
+    query: Query, answer: tuple[tuple[int, ...], ...], spec: DemandSpec
+) -> dict[int, int]:
     """Solve every demand-bearing block using held side information.
 
+    ``answer`` holds each query block's coded symbols, in block order.
     Returns a map from demanded index to its recovered value.  Raises if an
     answer block's length is not its r, if a block serving a demand holds
     too few known side values for its r symbols (``mds.solve_vandermonde``'s
@@ -292,11 +288,11 @@ def client_decode(query: Query, answer: Answer, spec: DemandSpec) -> dict[int, i
     value it needs is not an int in [0, p), or if its coded symbols are
     inconsistent with the held side information.
     """
-    if len(answer.blocks) != len(query.blocks):
+    if len(answer) != len(query.blocks):
         raise ValueError("answer block count differs from query")
     wanted = set(spec.demands)
     recovered: dict[int, int] = {}
-    for block, coded in zip(query.blocks, answer.blocks):
+    for block, coded in zip(query.blocks, answer):
         if len(coded) != block.r:
             raise ValueError(f"expected {block.r} coded symbols, got {len(coded)}")
         support = block.support
@@ -326,5 +322,5 @@ class RoundResult:
 
     layout: Layout
     query: Query
-    answer: Answer
+    answer: tuple[tuple[int, ...], ...]  # the coded symbols, one tuple per query block
     decoded: dict[int, int]

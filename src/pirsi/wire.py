@@ -29,7 +29,6 @@ from .field import PrimeField
 from .privacy import PosteriorReport, TvdReport
 from .rate import ProblemParams, RatePlan, UsageError
 from .scheme import (
-    Answer,
     Database,
     DemandSpec,
     Layout,
@@ -140,15 +139,15 @@ def parse_query_doc(doc: dict) -> Query:
     return Query(tuple(blocks), field)
 
 
-def answer_doc(answer: Answer) -> dict:
-    return {"blocks": [list(block) for block in answer.blocks]}
+def answer_doc(answer: tuple[tuple[int, ...], ...]) -> dict:
+    return {"blocks": [list(block) for block in answer]}
 
 
-def parse_answer_doc(doc: dict, field: PrimeField) -> Answer:
-    """An answer document as an Answer of field values, or ValueError."""
+def parse_answer_doc(doc: dict, field: PrimeField) -> tuple[tuple[int, ...], ...]:
+    """An answer document's coded blocks, each a tuple of field values, or ValueError."""
     _require_keys(doc, {"blocks"}, "answer document")
     blocks = _list(doc["blocks"], "answer blocks")
-    return Answer(tuple(field.check(_list(block, "answer block")) for block in blocks))
+    return tuple(field.check(_list(block, "answer block")) for block in blocks)
 
 
 def transcript_doc(

@@ -1,5 +1,7 @@
 """Prime fields: the primality proof, canonical values, and the boundary check."""
 
+import dataclasses
+
 import pytest
 
 from pirsi import Database, PrimeField, is_prime
@@ -88,6 +90,9 @@ def test_equality_and_hashing():
     assert gf != PrimeField(7)
     assert hash(gf) == hash(PrimeField(13))
     assert gf.element(5) == gf.element(18)
+    # A field is an lru_cache key in mds, so its modulus cannot be rebound.
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        PrimeField(13).p = 7
     assert Database((5, 0), gf) == Database([5, 0], PrimeField(13))
 
 

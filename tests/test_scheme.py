@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from pirsi import (
-    Answer,
     Database,
     DemandSpec,
     PrimeField,
@@ -144,9 +143,9 @@ def test_make_query_needs_large_enough_field(worked_layout):
 
 def test_server_answer_worked_example(worked_layout, worked_db, gf13):
     answer = server_answer(make_query(worked_layout, gf13), worked_db)
-    assert answer.blocks[0] == (2, 7)
+    assert answer[0] == (2, 7)
     # Independent recomputation of every block as plain integer sums.
-    for block, coded in zip(worked_layout.subspaces, answer.blocks):
+    for block, coded in zip(worked_layout.subspaces, answer):
         for row_idx, symbol in enumerate(coded):
             expected = sum(
                 pow(j + 1, row_idx, 13) * WORKED_VALUES[idx]
@@ -158,7 +157,7 @@ def test_server_answer_worked_example(worked_layout, worked_db, gf13):
 def test_server_answer_zero_database(worked_layout, gf13):
     db = Database((0,) * 13, gf13)
     answer = server_answer(make_query(worked_layout, gf13), db)
-    assert all(e == 0 for block in answer.blocks for e in block)
+    assert all(e == 0 for block in answer for e in block)
 
 
 def test_server_answer_refuses_indices_outside_database(worked_db, gf13):
@@ -179,7 +178,7 @@ def test_server_answer_refuses_other_modulus(worked_layout, gf13):
 
 def test_server_answer_single_index_block(worked_db, gf13):
     answer = server_answer(Query((QueryBlock((5,), 1), QueryBlock((1, 13), 2)), gf13), worked_db)
-    assert answer.blocks == ((WORKED_VALUES[5],), (
+    assert answer == ((WORKED_VALUES[5],), (
         (WORKED_VALUES[1] + WORKED_VALUES[13]) % 13,
         (WORKED_VALUES[1] + 2 * WORKED_VALUES[13]) % 13,
     ))
@@ -216,14 +215,25 @@ def test_client_decode_checks_length_of_demand_free_blocks(worked_layout, worked
     # Block 1 ({3,10,11,13}) holds no demand, so its symbols are never
     # solved; a padded or truncated block must still be refused.
     query = make_query(worked_layout, gf13)
-    blocks = server_answer(query, worked_db).blocks
+    blocks = server_answer(query, worked_db)
     assert not set(worked_layout.subspaces[1]) & set(worked_spec.demands)
     padded = blocks[:1] + (blocks[1] + (0, 0, 0),) + blocks[2:]
     with pytest.raises(ValueError, match="expected 2 coded symbols, got 5"):
-        client_decode(query, Answer(padded), worked_spec)
+        client_decode(query, padded, worked_spec)
     truncated = blocks[:1] + (blocks[1][:1],) + blocks[2:]
     with pytest.raises(ValueError, match="expected 2 coded symbols, got 1"):
-        client_decode(query, Answer(truncated), worked_spec)
+        client_decode(query, truncated, worked_spec)
+
+
+def test_client_decode_checks_block_count(worked_layout, worked_db, worked_spec, gf13):
+    # The demands sit in blocks 0 and 2, so without the count check an extra
+    # trailing block would be ignored and a missing one would be refused
+    # only for the demand it held.
+    query = make_query(worked_layout, gf13)
+    blocks = server_answer(query, worked_db)
+    for wrong in (blocks + ((0,),), blocks[:2], ()):
+        with pytest.raises(ValueError, match="^answer block count differs from query$"):
+            client_decode(query, wrong, worked_spec)
 
 
 def test_client_decode_retrieval_condition():
@@ -235,13 +245,13 @@ def test_client_decode_retrieval_condition():
     spec = DemandSpec((1,), frozenset({2}), {2: 2})
     refusal = "insufficient side information: 2 unknowns but only 1 equations"
     with pytest.raises(ValueError, match=refusal):
-        client_decode(query, Answer((answer_vec,)), spec)
+        client_decode(query, (answer_vec,), spec)
 
 
 def test_client_decode_demand_absent():
     gf = PrimeField(7)
     query = Query((QueryBlock((1, 2), 2),), gf)
-    answer = Answer(((1, 2),))
+    answer = ((1, 2),)
     spec = DemandSpec((3,), frozenset())
     with pytest.raises(ValueError, match="absent from every query block"):
         client_decode(query, answer, spec)
@@ -256,15 +266,15 @@ def test_client_decode_rejects_tampered_answer():
     db = random_db(params, gf, rng)
     spec = DemandSpec((1, 3, 5, 7), frozenset({2, 4, 6, 8}), {i: db[i] for i in (2, 4, 6, 8)})
     query = Query((QueryBlock(tuple(range(1, 9)), 6),), gf)
-    coded = server_answer(query, db).blocks[0]
-    assert client_decode(query, Answer((coded,)), spec) == {i: db[i] for i in spec.demands}
+    coded = server_answer(query, db)[0]
+    assert client_decode(query, (coded,), spec) == {i: db[i] for i in spec.demands}
     for row in range(6):
         tampered = list(coded)
         tampered[row] = (tampered[row] + rng.randrange(1, gf.p)) % gf.p
         with pytest.raises(ValueError, match="inconsistent"):
-            client_decode(query, Answer((tuple(tampered),)), spec)
+            client_decode(query, (tuple(tampered),), spec)
     with pytest.raises(ValueError, match="expected 6 coded symbols"):
-        client_decode(query, Answer((coded[:5],)), spec)
+        client_decode(query, (coded[:5],), spec)
 
 
 def test_single_subspace_round_400_40_20_decodes_exactly():
@@ -324,8 +334,8 @@ def test_round_downloads_exactly_r_star_everywhere():
                     spec = random_spec(params, db, rng)
                     result = simulate_round(params, spec, db, rng)
                     assert result.query.total_rows == plan.r_star
-                    assert sum(len(b) for b in result.answer.blocks) == plan.r_star
-                    assert [c for block in result.answer.blocks for c in block] == [
+                    assert sum(len(b) for b in result.answer) == plan.r_star
+                    assert [c for block in result.answer for c in block] == [
                         sum(map(operator.mul, row, db.values)) % field.p
                         for row in query_rows(result.query)
                     ]

@@ -191,7 +191,7 @@ def test_proven_modulus_does_not_vouch_for_a_composite(worked_query_doc, worked_
 
 
 def test_parse_answer_doc_rejects_out_of_range_value(gf13):
-    assert parse_answer_doc({"blocks": [[8, 4], [12, 0]]}, gf13).blocks == ((8, 4), (12, 0))
+    assert parse_answer_doc({"blocks": [[8, 4], [12, 0]]}, gf13) == ((8, 4), (12, 0))
     for bad in (13, -1, 2.0, True):
         with pytest.raises(ValueError, match=r"not an int in \[0, 13\)"):
             parse_answer_doc({"blocks": [[8, 4], [12, bad]]}, gf13)
