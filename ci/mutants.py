@@ -59,6 +59,8 @@ CATALOGUE = [
            "the cap lets a quota fill the demands' slots"),
     Mutant("rate.py", "if l_formula <= n:", "if l_formula < n:",
            "compute_plan partitions when l_formula = n, where one subspace is optimal"),
+    Mutant("rate.py", "if self.k > INSTANCE_K_CAP:", "if self.k >= INSTANCE_K_CAP:",
+           "ProblemParams refuses k at the cap itself"),
     Mutant("scheme.py", "acc += plan.size_profile[u] - demand_count[u]", "acc += plan.size_profile[u]",
            "stage 2 weights blocks by size, not by free capacity"),
     Mutant("scheme.py", "members[i].append(pool.pop(rng.randrange(len(pool))))",
@@ -80,6 +82,8 @@ CATALOGUE = [
            "Miller-Rabin without the 13th witness, which 318665857834031151167461 needs"),
     Mutant("field.py", "if not is_prime(self.p):", "if is_prime(self.p) is None:",
            "PrimeField accepts a composite modulus"),
+    Mutant("privacy.py", "EXACT_SETS_CAP.bit_length()", "3",
+           "posterior_table_size takes the binomial at 3, not at the cap's bit length"),
     Mutant("privacy.py", "spec.validate_against(replace(params, m=0))", "pass",
            "monte_carlo_tvd samples demand sets outside 1..k or of the wrong size"),
     Mutant("privacy.py", "MIN_EXPECTED = 5", "MIN_EXPECTED = 1",
@@ -94,6 +98,8 @@ CATALOGUE = [
            "monte_carlo_tvd's threshold loosens"),
     Mutant("privacy.py", "factor = Fraction(k - n, k - 1) if k > 1", "factor = Fraction(1) if k > 1",
            "monte_carlo_tvd drops the hypergeometric variance factor"),
+    Mutant("cli.py", "    posterior_table_size(params)", "    pass",
+           "privacy-exact draws a layout before refusing a table over the caps"),
     Mutant("oracle.py", "min(budget - q, (slots - 1) * q, left)", "min(budget - q, left)",
            "search_sweep drops the bound on what the later window slots can take",
            equivalent="a pruning bound only: the slots - 1 later window quotas are each at most q, "

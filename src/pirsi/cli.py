@@ -11,6 +11,7 @@ invariant (a ``privacy-mc`` refusal and a closed stdout too), 2 usage error.
 The CLI reads numbers with ``wire.DECIMAL`` and leaves every check of the
 request to the library: a refusal is a usage error when it raises
 ``rate.UsageError``; ``main`` maps exceptions to exit codes in one place.
+The library caps k and the ``privacy-exact`` table; the CLI caps ``--k-max``.
 """
 
 from __future__ import annotations
@@ -25,17 +26,10 @@ from functools import cache
 
 from . import wire
 from .oracle import is_feasible_plan, search_sweep
-from .privacy import monte_carlo_tvd, posterior
+from .privacy import monte_carlo_tvd, posterior, posterior_table_size
 from .rate import ProblemParams, UsageError, compute_plan
 from .scheme import DemandSpec, build_layout
 
-# privacy-exact prints one posterior per demand set; refuse tables larger
-# than this many sets, or than this many printed indices in all.
-EXACT_SETS_CAP = 20_000
-EXACT_INDICES_CAP = 1_000_000
-# Every instance subcommand refuses a larger --k: the plan alone holds an
-# l_star-long profile, and l_star grows like k.
-INSTANCE_K_CAP = 1_000_000
 # oracle checks every (k, m, n) with k <= --k-max: at this cap 88,560
 # instances, about 40 s on a 2-vCPU host.
 ORACLE_K_CAP = 80
@@ -56,26 +50,6 @@ def _parse_indices(text: str) -> tuple[int, ...]:
     if not _INDICES.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     return tuple(map(int, text.split(",")))
-
-
-def _count_sets(k: int, n: int) -> int:
-    """C(k, n), or the first partial value above ``EXACT_SETS_CAP`` once it is exceeded.
-
-    C(k, i) grows with i up to k / 2, so the walk can stop there without
-    computing a huge binomial.
-    """
-    count = 1
-    for i in range(min(n, k - n)):
-        count = count * (k - i) // (i + 1)
-        if count > EXACT_SETS_CAP:
-            break
-    return count
-
-
-def _params_from(args) -> ProblemParams:
-    if args.k > INSTANCE_K_CAP:
-        raise UsageError(f"--k must be at most {INSTANCE_K_CAP}, got {args.k}")
-    return ProblemParams(k=args.k, m=args.m, n=args.n)
 
 
 def _add_instance_flags(sub):
@@ -125,14 +99,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_rate(args) -> int:
-    params = _params_from(args)
+    params = ProblemParams(args.k, args.m, args.n)
     plan = compute_plan(params)
     print(wire.canonical(wire.plan_doc(params, plan)))
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    params = _params_from(args)
+    params = ProblemParams(args.k, args.m, args.n)
     try:
         # newline="" hands read_db the file's own line ends, so it refuses \r.
         with open(args.db, encoding="ascii", newline="") as fh:
@@ -154,14 +128,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_privacy_exact(args) -> int:
-    params = _params_from(args)
-    sets = _count_sets(params.k, params.n)
-    if sets > EXACT_SETS_CAP or sets * params.n > EXACT_INDICES_CAP:
-        raise UsageError(
-            f"exact mode prints all C({params.k},{params.n}) demand sets and is capped at "
-            f"{EXACT_SETS_CAP} sets and {EXACT_INDICES_CAP} printed indices; "
-            f"use privacy-mc for larger instances"
-        )
+    params = ProblemParams(args.k, args.m, args.n)
+    posterior_table_size(params)  # before a draw that takes seconds at the largest k
     rng = random.Random(args.seed)
     demands = tuple(sorted(rng.sample(range(1, params.k + 1), params.n)))
     complement = [i for i in range(1, params.k + 1) if i not in demands]
@@ -173,7 +141,7 @@ def _cmd_privacy_exact(args) -> int:
 
 
 def _cmd_privacy_mc(args) -> int:
-    params = _params_from(args)
+    params = ProblemParams(args.k, args.m, args.n)
     rng = random.Random(args.seed)
     report = monte_carlo_tvd(params, args.wa, args.wb, args.trials, rng)
     print(wire.canonical(wire.tvd_doc(report)))

@@ -37,6 +37,9 @@ and tests the samples against two marginals of this law:
 block u is a uniform size_u-subset of 1..k, so a fixed index lies in it
 with probability size_u / k, and two fixed indices share a block with probability sum_u size_u (size_u - 1) / (k (k - 1)).
 
+``posterior``'s table holds C(k, n) demand sets; ``posterior_table_size``
+refuses one over its caps from (k, n) alone, before a layout is drawn.
+
 The independent checks live in the tests (``tests/oracles.py``): the
 product itself as an exact ``layout_probability``, and the law of the
 shipped sampler, found by driving ``scheme.draw_layout`` with a scripted
@@ -55,11 +58,14 @@ from math import ceil, comb, inf, sqrt
 from statistics import NormalDist
 from typing import Sequence
 
+from . import scheme
 from .rate import ProblemParams, RatePlan, UsageError, compute_plan, require_admissible
-from .scheme import DemandSpec, Layout, draw_layout
+from .scheme import DemandSpec, Layout
 
 ALPHA = 1e-6  # monte_carlo_tvd's chance of refusing an honest sampler
 MIN_EXPECTED = 5  # expected hits, and misses, that each varying cell needs
+EXACT_SETS_CAP = 20_000  # posterior's table holds at most this many demand sets
+EXACT_INDICES_CAP = 1_000_000  # and this many indices in all
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,22 @@ class PosteriorReport:
     uniform: bool
 
 
+def posterior_table_size(params: ProblemParams) -> int:
+    """C(k, n), the size of ``posterior``'s table; ``rate.UsageError`` over the caps.
+
+    With b the cap's bit length, C(k, i) >= C(2b, b) >= 2^b exceeds it for
+    i = min(n, k - n) > b, and so does C(k, b): no larger binomial is taken.
+    """
+    k, n = params.k, params.n
+    sets = comb(k, min(n, k - n, EXACT_SETS_CAP.bit_length()))
+    if sets > EXACT_SETS_CAP or sets * n > EXACT_INDICES_CAP:
+        raise UsageError(
+            f"exact mode prints all C({k},{n}) demand sets and is capped at {EXACT_SETS_CAP} "
+            f"sets and {EXACT_INDICES_CAP} printed indices; use privacy-mc for larger instances"
+        )
+    return sets
+
+
 def posterior(layout: Layout, params: ProblemParams) -> PosteriorReport:
     """Posterior over every demand set given the observed layout.
 
@@ -80,14 +102,15 @@ def posterior(layout: Layout, params: ProblemParams) -> PosteriorReport:
     normalised.  By the module docstring that sum is the same for every
     demand set exactly when the plan admits every demand set, which is
     decided once for the plan in O(l log l); the table of priors then costs
-    O(C(k, n)).  Raises ValueError if the layout was built for another
-    plan, or if the plan cannot hide every demand set.
+    O(C(k, n)), refused over the caps by ``posterior_table_size``.  Raises
+    ValueError if the layout was built for another plan, or if the plan
+    cannot hide every demand set.
     """
+    prior = Fraction(1, posterior_table_size(params))
     plan = compute_plan(params)
     if layout.plan != plan:
         raise ValueError("layout was built for a different plan")
     require_admissible(params, plan)
-    prior = Fraction(1, comb(params.k, params.n))
     return PosteriorReport(
         probabilities=dict.fromkeys(combinations(range(1, params.k + 1), params.n), prior),
         prior=prior,
@@ -117,15 +140,16 @@ def _sample_counts(params, plan: RatePlan, demands, trials, rng, layouts: set) -
     """Hits per block, then pair hits, over ``trials`` layouts drawn for ``demands``.
 
     ``demands`` are valid and ascending.  Each sample draws a uniform side
-    set from the other indices and runs ``draw_layout``; its layout's hash
-    joins ``layouts``.
+    set and runs ``scheme.draw_layout``, looked up in ``scheme`` so that one
+    patch there reaches every caller; its layout's hash joins ``layouts``.
     """
     wanted, pair = frozenset(demands), demands[:2]
     complement = [i for i in range(1, params.k + 1) if i not in wanted]
     counts = [0] * (plan.l_star + 1)
     for _ in range(trials):
         # A query is its ordered supports; the block shapes fix the rest.
-        subspaces = draw_layout(plan, demands, rng.sample(complement, params.m), rng).subspaces
+        side = rng.sample(complement, params.m)
+        subspaces = scheme.draw_layout(plan, demands, side, rng).subspaces
         layouts.add(hash(subspaces))
         for u, block in enumerate(subspaces):
             hits = wanted.intersection(block)

@@ -20,13 +20,15 @@ coded symbols.  The minimum download ``r_star`` is read off the profile
 paper's closed-form expression for it is checked against the profile in
 the tests.  ``admits_every_demand_set`` decides whether a profile can
 serve, and so hide, every demand set; ``require_admissible`` refuses a
-plan that cannot.
+plan that cannot.  ``ProblemParams`` refuses k above ``INSTANCE_K_CAP``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+INSTANCE_K_CAP = 1_000_000  # the plan alone holds a profile about k / (m_bar + n) long
 
 
 class UsageError(ValueError):
@@ -39,7 +41,7 @@ class UsageError(ValueError):
 
 @dataclass(frozen=True)
 class ProblemParams:
-    """Instance parameters: k messages total, m held, n demanded."""
+    """Instance parameters: k messages total, m held, n demanded; k <= ``INSTANCE_K_CAP``."""
 
     k: int
     m: int
@@ -50,6 +52,8 @@ class ProblemParams:
         if not type(self.k) is type(self.m) is type(self.n) is int:
             name, value = next((name, v) for name, v in vars(self).items() if type(v) is not int)
             raise UsageError(f"{name} must be an int, got {value!r}")
+        if self.k > INSTANCE_K_CAP:
+            raise UsageError(f"k must be at most {INSTANCE_K_CAP}, got {self.k}")
         if self.k < 1:
             raise UsageError(f"k must be positive, got {self.k}")
         if self.n < 1:

@@ -171,7 +171,7 @@ def posterior_doc(report: PosteriorReport, layout: Layout) -> dict:
         "prior": frac_str(report.prior),
         "posteriors": {
             ",".join(str(i) for i in w): frac_str(p)
-            for w, p in sorted(report.probabilities.items())
+            for w, p in report.probabilities.items()
         },
         "max_deviation": frac_str(report.max_deviation),
         "uniform": report.uniform,

@@ -129,10 +129,11 @@ def test_every_instance_subcommand_caps_k(capsys, tmp_path):
     assert code == 0 and json.loads(out)["r_star"] == 1_000_000
     for argv in (
         ["rate", "--m", "0", "--n", "1"],
+        ["privacy-exact", "--m", "0", "--n", "1"],
         ["privacy-mc", "--m", "0", "--n", "2", "--wa", "1,2", "--wb", "3,4"],
         ["simulate", "--m", "0", "--n", "1", "--demands", "1", "--db", str(tmp_path / "none")],
     ):
-        assert_usage_error(capsys, [*argv, "--k", "1000001"], "--k must be at most 1000000, got 1000001")
+        assert_usage_error(capsys, [*argv, "--k", "1000001"], "k must be at most 1000000, got 1000001")
 
 
 def test_missing_subcommand_is_usage_error():
@@ -436,6 +437,19 @@ def test_privacy_exact_enforces_cap(capsys):
         )
 
 
+def test_privacy_exact_refuses_the_table_before_drawing(capsys, monkeypatch):
+    # A layout draw at k = 10^6 takes seconds; C(10^6, 10) sets are refused first.
+    def drawn(*_):
+        raise AssertionError("drew a layout for a refused table")
+
+    monkeypatch.setattr("pirsi.cli.build_layout", drawn)
+    assert_usage_error(
+        capsys, ["privacy-exact", "--k", "1000000", "--m", "0", "--n", "10"],
+        "exact mode prints all C(1000000,10) demand sets and is capped at 20000 sets and "
+        "1000000 printed indices; use privacy-mc for larger instances",
+    )
+
+
 # Sizes (4, 4) and quotas (2, 2) at (8, 3, 2) keep every quota within its
 # cap, but demands in both blocks need 2 + 2 > 3 side indices.
 INADMISSIBLE_PLAN = RatePlan(m_bar=1, t=1, size_profile=(4, 4), side_profile=(2, 2), trivial=False)
@@ -517,7 +531,7 @@ def test_privacy_mc_refuses_too_few_trials_at_the_k_cap(capsys):
 
 
 def test_privacy_mc_refusal_exits_1(capsys, monkeypatch):
-    monkeypatch.setattr("pirsi.privacy.draw_layout", leaky_draw_layout)
+    monkeypatch.setattr("pirsi.scheme.draw_layout", leaky_draw_layout)
     code, out, err = run_cli(
         capsys, "privacy-mc", "--k", "13", "--m", "5", "--n", "2",
         "--wa", "1,2", "--wb", "12,13", "--trials", "200", "--seed", "0",

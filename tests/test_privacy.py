@@ -26,6 +26,7 @@ from pirsi import (
 import oracles
 from conftest import leaky_draw_layout
 from oracles import _probability, enumerate_randomness, iter_layouts, layout_probability
+from pirsi.privacy import posterior_table_size
 from pirsi.rate import RatePlan, UsageError
 
 
@@ -422,6 +423,36 @@ def test_posterior_rejects_foreign_layout(worked_params):
         posterior(foreign, worked_params)
 
 
+def test_posterior_table_size_is_the_binomial_within_both_caps():
+    # Against math.comb on every (k, n) with k <= 400: each refusal names the
+    # table, and each acceptance is the exact count.  Both caps bind here:
+    # C(300, 2) = 44,850 sets, and C(200, 198) = 19,900 sets of 198 indices.
+    refusal = (
+        "exact mode prints all C({},{}) demand sets and is capped at 20000 sets and "
+        "1000000 printed indices; use privacy-mc for larger instances"
+    )
+    outcomes = Counter()
+    for k in range(1, 401):
+        for n in range(1, k + 1):
+            sets = comb(k, n)
+            over = "sets" if sets > 20_000 else "indices" if sets * n > 1_000_000 else ""
+            try:
+                got = posterior_table_size(ProblemParams(k, 0, n))
+            except UsageError as err:
+                got = str(err)
+            assert got == (refusal.format(k, n) if over else sets), (k, n)
+            outcomes[over] += 1
+    assert all(outcomes[over] for over in ("", "sets", "indices"))
+
+
+def test_posterior_refuses_a_table_over_the_caps():
+    # C(20, 10) = 184,756 demand sets: refused, not built.
+    params = ProblemParams(20, 0, 10)
+    layout = build_layout(params, DemandSpec(tuple(range(1, 11)), frozenset()), random.Random(0))
+    with pytest.raises(UsageError, match=r"C\(20,10\) demand sets and is capped at 20000 sets"):
+        posterior(layout, params)
+
+
 def placing_sampler(place):
     """A sampler that puts each demand, in ascending order, in the block ``place`` picks.
 
@@ -506,7 +537,7 @@ def test_monte_carlo_passes_honest_sampler(kmn, trials, seeds):
 def test_monte_carlo_passes_capacity_placement_with_fixed_fill(monkeypatch):
     # The test samplers' fixed fill is invisible to the cells: with the
     # shipped placement rule it passes, so refusals below are the leaks'.
-    monkeypatch.setattr("pirsi.privacy.draw_layout", placing_sampler(by_capacity))
+    monkeypatch.setattr("pirsi.scheme.draw_layout", placing_sampler(by_capacity))
     for kmn, trials in (((13, 5, 2), 2000), ((30, 10, 2), 200), ((1000, 300, 5), 300)):
         params = ProblemParams(*kmn)
         report = monte_carlo_tvd(params, *far_demand_sets(params), trials, random.Random(0))
@@ -529,7 +560,7 @@ def test_monte_carlo_passes_capacity_placement_with_fixed_fill(monkeypatch):
     (apart, (13, 5, 2), 4000),
 ])
 def test_monte_carlo_refuses_leaky_samplers(monkeypatch, place, kmn, trials):
-    monkeypatch.setattr("pirsi.privacy.draw_layout", placing_sampler(place))
+    monkeypatch.setattr("pirsi.scheme.draw_layout", placing_sampler(place))
     params = ProblemParams(*kmn)
     report = monte_carlo_tvd(params, *far_demand_sets(params), trials, random.Random(0))
     assert not report.consistent
@@ -541,7 +572,7 @@ def test_monte_carlo_refuses_block_zero_wrapper(monkeypatch, kmn):
     # The leaky wrapper over the real sampler that the exact enumeration
     # refuses.  A comparison of whole layouts calls it consistent at
     # (30,10,2), where 2,000 samples per set never repeat a layout.
-    monkeypatch.setattr("pirsi.privacy.draw_layout", leaky_draw_layout)
+    monkeypatch.setattr("pirsi.scheme.draw_layout", leaky_draw_layout)
     params = ProblemParams(*kmn)
     report = monte_carlo_tvd(params, *far_demand_sets(params), 2000, random.Random(0))
     assert not report.consistent
@@ -590,13 +621,15 @@ def test_monte_carlo_samples_through_draw_layout(monkeypatch):
     def broken(plan, demands, side, rng):
         raise RuntimeError("sampler reached")
 
-    monkeypatch.setattr("pirsi.privacy.draw_layout", broken)
+    monkeypatch.setattr("pirsi.scheme.draw_layout", broken)
     with pytest.raises(RuntimeError, match="sampler reached"):
         monte_carlo_tvd(ProblemParams(13, 5, 2), (1, 2), (12, 13), 200, random.Random(0))
-    # The validating entry point is not a name privacy reads, so a patch
-    # aimed at it fails instead of leaving the honest sampler in place.
-    with pytest.raises(AttributeError):
-        monkeypatch.setattr("pirsi.privacy.build_layout", broken)
+    # Neither the validating entry point nor a binding of the sampler is a
+    # name privacy reads, so a patch aimed at one fails instead of leaving
+    # the honest sampler in place.
+    for name in ("build_layout", "draw_layout"):
+        with pytest.raises(AttributeError):
+            monkeypatch.setattr(f"pirsi.privacy.{name}", broken)
 
 
 def test_monte_carlo_draws_against_one_plan(monkeypatch):
@@ -630,7 +663,7 @@ def test_monte_carlo_refuses_a_plan_that_cannot_hide_the_demands(monkeypatch):
     def sampler(plan, demands, side, rng):
         raise AssertionError("sampled an inadmissible plan")
 
-    monkeypatch.setattr("pirsi.privacy.draw_layout", sampler)
+    monkeypatch.setattr("pirsi.scheme.draw_layout", sampler)
     refusal = r"sizes \(4, 4\) and quotas \(2, 2\) cannot hide every demand set at m=3, n=2"
     # A violated invariant, not the caller's fault: a plain ValueError.
     with pytest.raises(ValueError, match=refusal) as raised:

@@ -89,6 +89,11 @@ def test_params_validation():
         ProblemParams(k=3, m=-1, n=1)
     with pytest.raises(UsageError, match="exceed"):
         ProblemParams(k=3, m=2, n=2)
+    # k is capped with the other counts, and its cap is named before n.
+    assert ProblemParams(1_000_000, 0, 1_000_000).k == 1_000_000
+    for args in ((1_000_001, 0, 1), (1_000_001, 0, 0)):
+        with pytest.raises(UsageError, match="^k must be at most 1000000, got 1000001$"):
+            ProblemParams(*args)
     # Exactly int: a float, a bool or a string never reaches compute_plan.
     for args, message in (
         ((13.0, 5, 2), "k must be an int, got 13.0"),
