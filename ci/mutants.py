@@ -61,11 +61,15 @@ CATALOGUE = [
            "compute_plan partitions when l_formula = n, where one subspace is optimal"),
     Mutant("rate.py", "if self.k > INSTANCE_K_CAP:", "if self.k >= INSTANCE_K_CAP:",
            "ProblemParams refuses k at the cap itself"),
-    Mutant("scheme.py", "acc += plan.size_profile[u] - demand_count[u]", "acc += plan.size_profile[u]",
+    Mutant("scheme.py", "left -= free[u]", "left -= sizes[u]",
            "stage 2 weights blocks by size, not by free capacity"),
-    Mutant("scheme.py", "members[i].append(pool.pop(rng.randrange(len(pool))))",
-           "members[i].append(pool.pop(rng.randrange(len(pool)) if len(pool) > 1 else 0))",
+    Mutant("scheme.py", "pick = pool.pop(draw(len(pool)))",
+           "pick = pool.pop(draw(len(pool)) if len(pool) > 1 else 0)",
            "stage 3 skips the draw when one side index is left: same law, other RNG stream"),
+    Mutant("scheme.py", "mask[pick] = 0", "pass",
+           "a stage-3 pick stays in the mask, so stage 4 deals it again"),
+    Mutant("scheme.py", "mask[0] = 0", "mask[0] = 1",
+           "index 0 stays in the mask, so stage 4 can deal it into a block"),
     Mutant("scheme.py", "min(support) >= 1 and", "min(support) >= 0 and",
            "the server answers index 0 from the padding"),
     Mutant("scheme.py", "if len(answer) != len(query.blocks):", "if False:",

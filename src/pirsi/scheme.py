@@ -16,16 +16,21 @@ The partition is drawn in four stages:
 
 1. create empty subspaces with the plan's sizes;
 2. walk the demanded indices in ascending order, dropping each into a
-   subspace with probability proportional to its remaining free capacity;
+   subspace with probability proportional to its remaining free capacity
+   (one draw, walked down the blocks' free capacities);
 3. for each subspace that received a demand (in subspace order), draw its
    quota of side-information indices uniformly without replacement from
    the side-information indices not yet placed;
-4. shuffle all remaining indices uniformly and fill the remaining slots in
-   subspace order.
+4. shuffle all remaining indices (read in ascending order off a mask of
+   the indices not yet placed) uniformly and fill the remaining slots in
+   subspace order, sorting each subspace in place.
 
 Stage 2's capacity weighting is what makes the final partition's law
 independent of which indices were demanded; stages 3 and 4 guarantee
-decodability without skewing that law.
+decodability without skewing that law.  The draws and their order are
+fixed: ``tests/oracles.reference_draw_layout`` keeps a per-index route to
+the same stages, and the tests hold the two to the same layouts and the
+same generator state.
 
 ``draw_layout`` is the sampler: stages 2-4 on a plan and inputs its caller
 has validated.  ``build_layout`` is the validating entry point a round
@@ -48,6 +53,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass, field as dc_field
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 from . import mds
@@ -177,55 +183,68 @@ def draw_layout(
     Consumes randomness in a fixed order (demand placements, then
     side-information draws, then the fill shuffle) so a seeded generator
     reproduces the layout exactly.  Single-subspace plans consume no
-    randomness at all: the only layout is all of 1..k.  The returned
-    ``Layout`` is not re-checked: stage 2 places each demand in a block
-    with room, stage 3 pops each side index from the pool once, stage 4
-    fills the free slots with disjoint slices of the rest, and every block
-    is sorted on the way out.
+    randomness at all: the only layout is all of 1..k.
+
+    The bookkeeping costs one step per block, not per index: stage 2 keeps
+    each block's free capacity in ``free`` and walks the draw down it,
+    stage 3 visits only the blocks whose ``free`` has dropped below their
+    size, and a ``bytearray`` mask over 0..k marks every index placed so
+    far, so stage 4 reads the rest off the mask in ascending order and
+    fills and sorts each block in place.  The draws, their arguments and
+    their order are those of the per-index sampler the tests keep as
+    ``tests/oracles.reference_draw_layout``, which pins them.
+
+    The returned ``Layout`` is not re-checked: stage 2 places each demand
+    in a block with room, stage 3 pops each side index from the pool once,
+    stage 4 fills the free slots with disjoint slices of the rest, and
+    every block is sorted on the way out.
     """
-    k = sum(plan.size_profile)
-    if plan.l_star == 1:
+    sizes = plan.size_profile
+    k = sum(sizes)
+    if len(sizes) == 1:
         return Layout((tuple(range(1, k + 1)),), plan)
 
-    count = plan.l_star
-    members: list[list[int]] = [[] for _ in range(count)]
-    demand_count = [0] * count
+    draw = rng.randrange
+    members: list[list[int]] = [[] for _ in sizes]
+    free = list(sizes)
+    mask = bytearray([1]) * (k + 1)  # 1 at every index not yet placed
+    mask[0] = 0  # no message has index 0
 
     # Stage 2: place demands by remaining capacity.  Before the j-th
-    # placement the free capacities sum to k - j + 1, so a single uniform
-    # draw over that range, walked through the cumulative capacities,
-    # selects subspace u with probability (size_u - placed_u) / (k - j + 1).
-    for j, idx in enumerate(demands, start=1):
-        draw = rng.randrange(k - j + 1)
-        acc = 0
-        chosen = -1
-        for u in range(count):
-            acc += plan.size_profile[u] - demand_count[u]
-            if draw < acc:
-                chosen = u
-                break
-        members[chosen].append(idx)
-        demand_count[chosen] += 1
+    # placement (from 0) the free capacities sum to k - j, so one uniform
+    # draw over that range, less each block's free capacity in turn until
+    # it goes negative, selects block u with probability free_u / (k - j).
+    for j, idx in enumerate(demands):
+        left = draw(k - j)
+        u = -1
+        while left >= 0:
+            u += 1
+            left -= free[u]
+        free[u] -= 1
+        members[u].append(idx)
+        mask[idx] = 0
 
     # Stage 3: commit side information where demands landed.
     pool = sorted(side)
-    for i in range(count):
-        if demand_count[i] == 0:
+    for block, size, spare, quota in zip(members, sizes, free, plan.side_profile):
+        if spare == size:
             continue
-        for _ in range(plan.side_profile[i]):
-            members[i].append(pool.pop(rng.randrange(len(pool))))
+        for _ in range(quota):
+            pick = pool.pop(draw(len(pool)))
+            mask[pick] = 0
+            block.append(pick)
 
-    # Stage 4: uniform fill of everything else.
-    placed = {idx for block in members for idx in block}
-    remaining = [idx for idx in range(1, k + 1) if idx not in placed]
-    rng.shuffle(remaining)
+    # Stage 4: uniform fill of everything else, in ascending order before the shuffle.
+    rest = list(compress(range(k + 1), mask))
+    rng.shuffle(rest)
     cursor = 0
-    for i in range(count):
-        need = plan.size_profile[i] - len(members[i])
-        members[i].extend(remaining[cursor:cursor + need])
+    for block, size in zip(members, sizes):
+        need = size - len(block)
+        block += rest[cursor:cursor + need]
+        block.sort()
         cursor += need
 
-    return Layout(tuple(tuple(sorted(block)) for block in members), plan)
+    return Layout(tuple(map(tuple, members)), plan)
 
 
 def make_query(layout: Layout, field: PrimeField) -> Query:

@@ -14,11 +14,12 @@ compare the two:
   closed-form minimum download (``closed_form_r_star``), against which the
   plan's profile cost is checked, and the paper's headline condition for
   the single-subspace plan (``is_trivial_optimal``).
-* Privacy: the layout law as an exact product (``layout_probability``),
-  and the law of the shipped sampler, found by running
-  ``scheme.draw_layout`` on every sequence of draws
-  (``enumerate_randomness``); ``iter_layouts`` lists every layout a plan
-  allows.
+* Privacy: the sampler as a per-index walk (``reference_draw_layout``),
+  against which ``scheme.draw_layout``'s draws and layouts are checked;
+  the layout law as an exact product (``layout_probability``), and the
+  law of the shipped sampler, found by running ``scheme.draw_layout`` on
+  every sequence of draws (``enumerate_randomness``); ``iter_layouts``
+  lists every layout a plan allows.
 * The converse: whether a subspace of GF(q)^k is the row space of a
   W-private linear query (``hides_every_demand_set``), over every subspace
   of a given dimension (``subspaces``).
@@ -27,6 +28,7 @@ compare the two:
 from __future__ import annotations
 
 import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -235,6 +237,62 @@ def is_trivial_optimal(params: ProblemParams) -> bool:
 
 # ---------------------------------------------------------------------------
 # The layout law
+
+
+def reference_draw_layout(
+    plan: RatePlan, demands: Sequence[int], side: Iterable[int], rng: random.Random
+) -> Layout:
+    """``scheme.draw_layout`` as a per-index walk: the same draws, in the same order.
+
+    Stage 2 re-reads every block's free capacity on each demand, stage 4
+    collects the placed indices in a set and tests every index of 1..k
+    against it.  The shipped sampler keeps running capacities and a mask
+    instead; the tests hold it to this one's layouts, ``randrange`` calls
+    and generator state.
+    """
+    k = sum(plan.size_profile)
+    if plan.l_star == 1:
+        return Layout((tuple(range(1, k + 1)),), plan)
+
+    count = plan.l_star
+    members: list[list[int]] = [[] for _ in range(count)]
+    demand_count = [0] * count
+
+    # Stage 2: place demands by remaining capacity.  Before the j-th
+    # placement the free capacities sum to k - j + 1, so a single uniform
+    # draw over that range, walked through the cumulative capacities,
+    # selects subspace u with probability (size_u - placed_u) / (k - j + 1).
+    for j, idx in enumerate(demands, start=1):
+        draw = rng.randrange(k - j + 1)
+        acc = 0
+        chosen = -1
+        for u in range(count):
+            acc += plan.size_profile[u] - demand_count[u]
+            if draw < acc:
+                chosen = u
+                break
+        members[chosen].append(idx)
+        demand_count[chosen] += 1
+
+    # Stage 3: commit side information where demands landed.
+    pool = sorted(side)
+    for i in range(count):
+        if demand_count[i] == 0:
+            continue
+        for _ in range(plan.side_profile[i]):
+            members[i].append(pool.pop(rng.randrange(len(pool))))
+
+    # Stage 4: uniform fill of everything else.
+    placed = {idx for block in members for idx in block}
+    remaining = [idx for idx in range(1, k + 1) if idx not in placed]
+    rng.shuffle(remaining)
+    cursor = 0
+    for i in range(count):
+        need = plan.size_profile[i] - len(members[i])
+        members[i].extend(remaining[cursor:cursor + need])
+        cursor += need
+
+    return Layout(tuple(tuple(sorted(block)) for block in members), plan)
 
 
 class _Branch(Exception):

@@ -23,7 +23,7 @@ from pirsi import (
     simulate_round,
 )
 from conftest import WORKED_SIDE, WORKED_VALUES
-from oracles import enumerate_randomness, query_rows
+from oracles import enumerate_randomness, query_rows, reference_draw_layout
 
 
 def random_db(params, field, rng):
@@ -87,6 +87,53 @@ def test_build_layout_draws_what_draw_layout_draws():
         layout = build_layout(params, spec, built)
         assert layout == draw_layout(plan, spec.demands, sorted(spec.side), drawn)
         assert built.getstate() == drawn.getstate()
+
+
+class RecordingRandom(random.Random):
+    """``random.Random`` that records the arguments of every ``randrange`` call."""
+
+    def __init__(self, seed):
+        self.calls = []
+        super().__init__(seed)
+
+    def randrange(self, *args):
+        self.calls.append(args)
+        return super().randrange(*args)
+
+
+def test_draw_layout_makes_the_reference_draws():
+    # The sampler keeps running capacities and a mask; the per-index oracle
+    # re-reads every block on each demand and every index at the fill.  On
+    # one seed both must make the same randrange calls, build the same
+    # layout and leave the generator in the same state (the fill shuffle's
+    # draws show only there).
+    cases = [
+        (ProblemParams(k=k, m=m, n=n), range(4))
+        for k in range(1, 9)
+        for n in range(1, k + 1)
+        for m in range(k - n + 1)
+    ]
+    cases += [
+        (ProblemParams(k=10, m=0, n=2), range(40)),  # both demands can fill a size-2 block
+        (ProblemParams(k=12, m=1, n=3), range(20)),  # profile (4, 3, 3, 2)
+        (ProblemParams(k=13, m=5, n=2), range(40)),  # stage 3 can draw the pool empty
+        (ProblemParams(k=5000, m=1000, n=10), range(3)),
+    ]
+    filled_block = emptied_pool = False
+    for params, seeds in cases:
+        plan = compute_plan(params)
+        for seed in seeds:
+            spec_rng = random.Random(seed)
+            demands = sorted(spec_rng.sample(range(1, params.k + 1), params.n))
+            side = spec_rng.sample(sorted(set(range(1, params.k + 1)) - set(demands)), params.m)
+            shipped, reference = RecordingRandom(seed), RecordingRandom(seed)
+            layout = draw_layout(plan, demands, side, shipped)
+            assert layout == reference_draw_layout(plan, demands, side, reference), (params, seed)
+            assert shipped.calls == reference.calls, (params, seed)
+            assert shipped.getstate() == reference.getstate(), (params, seed)
+            filled_block |= params.k == 10 and tuple(demands) in layout.subspaces
+            emptied_pool |= params.k == 13 and (1,) in shipped.calls
+    assert filled_block and emptied_pool  # the seeds reach both edge cases
 
 
 def test_build_layout_respects_plan_and_quotas():
