@@ -74,10 +74,17 @@ CATALOGUE = [
            "the server answers index 0 from the padding"),
     Mutant("scheme.py", "if len(answer) != len(query.blocks):", "if False:",
            "client_decode ignores extra answer blocks"),
+    Mutant("scheme.py", "min(indices) >= 1", "min(indices) >= 0",
+           "Database.gather reads index 0 from the padding"),
+    Mutant("scheme.py", "max(group) <= k", "min(group) <= k",
+           "validate_against checks only the low end of each index set"),
     Mutant("mds.py", "for i in range(r - u)):", "for i in range(0)):",
            "the decoder never checks the spare rows"),
     Mutant("wire.py", "if not seen.isdisjoint(support):", "if False:",
            "the query parser accepts overlapping supports"),
+    Mutant("wire.py", '{{"answer":{answer},"decoded":{decoded},"plan":{plan},"query":{query},',
+           '{{"answer":{query},"decoded":{decoded},"plan":{plan},"query":{answer},',
+           "the transcript swaps its query and answer sections"),
     Mutant("wire.py", "if len(lines) > k:", "if len(lines) > k + 1:",
            "the database reader accepts one value after the k-th"),
     Mutant("wire.py", 'field.check(_list(block, "answer block"))', 'tuple(_list(block, "answer block"))',
@@ -104,6 +111,8 @@ CATALOGUE = [
            "monte_carlo_tvd drops the hypergeometric variance factor"),
     Mutant("cli.py", "    posterior_table_size(params)", "    pass",
            "privacy-exact draws a layout before refusing a table over the caps"),
+    Mutant("cli.py", '        fromfile_prefix_chars="@",', "",
+           "an @FILE argument is read as itself, not as the arguments in FILE"),
     Mutant("oracle.py", "min(budget - q, (slots - 1) * q, left)", "min(budget - q, left)",
            "search_sweep drops the bound on what the later window slots can take",
            equivalent="a pruning bound only: the slots - 1 later window quotas are each at most q, "

@@ -40,6 +40,7 @@ from .wire import (
     serve_query_bytes,
     simulate_round,
     transcript_doc,
+    transcript_text,
     write_db,
 )
 
@@ -77,6 +78,7 @@ __all__ = [
     "read_db",
     "serve_query_bytes",
     "transcript_doc",
+    "transcript_text",
     "write_db",
 ]
 

@@ -6,7 +6,8 @@ posterior check), ``privacy-mc`` (sampled layouts against the uniform layout
 law), and ``oracle`` (exact rate search vs closed form sweep).  All canonical
 output goes to stdout and is byte-identical across runs with the same flags
 (``--seed`` defaults to 0; nothing is read from the environment);
-diagnostics and timings go to stderr.  Exit codes: 0 success, 1 violated
+diagnostics and timings go to stderr.  An argument that starts with ``@``
+names a file whose lines are read as arguments, one a line.  Exit codes: 0 success, 1 violated
 invariant (a ``privacy-mc`` refusal and a closed stdout too), 2 usage error.
 The CLI reads numbers with ``wire.DECIMAL`` and leaves every check of the
 request to the library: a refusal is a usage error when it raises
@@ -64,6 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pirsi",
         description="Multi-message private information retrieval with side information",
+        fromfile_prefix_chars="@",  # @FILE reads the arguments in FILE, one a line
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
@@ -113,11 +115,11 @@ def _cmd_simulate(args) -> int:
             db = wire.read_db(fh)
     except OSError as err:
         raise UsageError(f"cannot read database: {err}") from None
-    spec = DemandSpec(args.demands, args.side, {idx: db[idx] for idx in args.side})
+    spec = DemandSpec(args.demands, args.side, dict(zip(args.side, db.gather(args.side))))
     started = time.perf_counter()
     result = wire.simulate_round(params, spec, db, random.Random(args.seed))
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    print(wire.canonical(wire.transcript_doc(params, args.seed, result)))
+    print(wire.transcript_text(params, args.seed, result))
     print(f"timing_ms={elapsed_ms:.3f}", file=sys.stderr)
 
     mismatches = [idx for idx in spec.demands if result.decoded[idx] != db[idx]]

@@ -96,9 +96,12 @@ class DemandSpec:
             raise UsageError(f"expected {params.n} demands, got {len(self.demands)}")
         if len(self.side) != params.m:
             raise UsageError(f"expected {params.m} side indices, got {len(self.side)}")
-        for idx in list(self.demands) + sorted(self.side):
-            if not 1 <= idx <= params.k:
-                raise UsageError(f"index {idx} outside 1..{params.k}")
+        k = params.k
+        for group in (self.demands, self.side):
+            if group and not (min(group) >= 1 and max(group) <= k):
+                # Sorted only to name the first bad index, demands first.
+                bad = next(idx for idx in (*self.demands, *sorted(self.side)) if not 1 <= idx <= k)
+                raise UsageError(f"index {bad} outside 1..{k}")
 
 
 @dataclass(frozen=True)
@@ -158,6 +161,18 @@ class Database:
         if not 1 <= index <= len(self.values):
             raise UsageError(f"index {index} outside 1..{len(self.values)}")
         return self.values[index - 1]
+
+    def gather(self, indices: Sequence[int]) -> tuple[int, ...]:
+        """The values at ``indices``, in order: one range check, then one C-level lookup.
+
+        Refuses as ``__getitem__`` does, naming the first index outside 1..k
+        in the order given.
+        """
+        k = len(self.values)
+        if indices and not (min(indices) >= 1 and max(indices) <= k):
+            bad = next(idx for idx in indices if not 1 <= idx <= k)
+            raise UsageError(f"index {bad} outside 1..{k}")
+        return tuple(map(((0,) + self.values).__getitem__, indices))  # index i at position i
 
 
 def build_layout(params: ProblemParams, spec: DemandSpec, rng: random.Random) -> Layout:
@@ -310,6 +325,7 @@ def client_decode(
     if len(answer) != len(query.blocks):
         raise ValueError("answer block count differs from query")
     wanted = set(spec.demands)
+    side, side_values = spec.side, spec.side_values
     recovered: dict[int, int] = {}
     for block, coded in zip(query.blocks, answer):
         if len(coded) != block.r:
@@ -318,13 +334,11 @@ def client_decode(
         if wanted.isdisjoint(support):
             continue
         demand_positions = [p for p, idx in enumerate(support) if idx in wanted]
-        known: dict[int, int] = {}
-        for p, idx in enumerate(support):
-            if idx in spec.side:
-                try:
-                    known[p] = spec.side_values[idx]
-                except KeyError:
-                    raise ValueError(f"missing side-information value for index {idx}") from None
+        try:
+            known = {p: side_values[idx] for p, idx in enumerate(support) if idx in side}
+        except KeyError:
+            bad = next(idx for idx in support if idx in side and idx not in side_values)
+            raise ValueError(f"missing side-information value for index {bad}") from None
         query.field.check(known.values())  # the packed subtraction needs field elements
         values = mds.solve_vandermonde(coded, len(support), known, demand_positions, query.field)
         for p, value in zip(demand_positions, values):
@@ -337,9 +351,16 @@ def client_decode(
 
 @dataclass(frozen=True)
 class RoundResult:
-    """Everything produced by one full query/answer/decode round."""
+    """Everything produced by one full query/answer/decode round.
+
+    A round run over bytes (``wire.simulate_round``) also records the
+    canonical query bytes it sent and the answer bytes it received; a
+    round assembled from its parts leaves them ``None``.
+    """
 
     layout: Layout
     query: Query
     answer: tuple[tuple[int, ...], ...]  # the coded symbols, one tuple per query block
     decoded: dict[int, int]
+    query_bytes: bytes | None = None
+    answer_bytes: bytes | None = None

@@ -14,7 +14,10 @@ exact ``int``s, and every range; any failure raises ValueError.
 The client/server split is realised as two roles exchanging these
 documents as bytes: the server role reads a query document and writes an
 answer document, seeing nothing else.  ``simulate_round`` runs one whole
-round through that interface.
+round through that interface, and its ``RoundResult`` records the round's
+bytes: the query bytes it sent and the answer bytes it received.
+``transcript_text`` prints those bytes as they crossed, in the frame that
+``canonical`` would write around them, so a round encodes its query once.
 """
 
 from __future__ import annotations
@@ -150,6 +153,8 @@ def parse_answer_doc(doc: dict, field: PrimeField) -> tuple[tuple[int, ...], ...
     return tuple(field.check(_list(block, "answer block")) for block in blocks)
 
 
+# The program prints transcript_text; this is kept for perfbench's traced
+# replay and as the tests' reference rendering.
 def transcript_doc(
     params: ProblemParams,
     seed: int,
@@ -163,6 +168,22 @@ def transcript_doc(
         "answer": answer_doc(result.answer),
         "decoded": {str(idx): val for idx, val in sorted(result.decoded.items())},
     }
+
+
+def transcript_text(params: ProblemParams, seed: int, result: RoundResult) -> str:
+    """``canonical(transcript_doc(params, seed, result))``, reusing the round's bytes.
+
+    The query and answer sections are the bytes that crossed, when the
+    round recorded them; only a section whose bytes are absent is encoded
+    here.  The keys are written in sorted order with compact separators,
+    which is exactly the frame ``canonical`` writes around the sections.
+    """
+    sent, received = result.query_bytes, result.answer_bytes
+    query = canonical(query_doc(result.query)) if sent is None else sent.decode("ascii")
+    answer = canonical(answer_doc(result.answer)) if received is None else received.decode("ascii")
+    decoded = canonical({str(idx): val for idx, val in result.decoded.items()})
+    plan = canonical(plan_doc(params, result.layout.plan))
+    return f'{{"answer":{answer},"decoded":{decoded},"plan":{plan},"query":{query},"seed":{seed}}}'
 
 
 def posterior_doc(report: PosteriorReport, layout: Layout) -> dict:
@@ -278,13 +299,15 @@ def simulate_round(
     """One full round with the query and the answer carried as canonical bytes.
 
     The client emits query bytes, the server role turns them into answer
-    bytes, and the client decodes from the parsed answer.
+    bytes, and the client decodes from the parsed answer.  The result
+    records both byte strings, which ``transcript_text`` prints as they are.
     """
     if db.k != params.k:
         raise UsageError(f"database holds {db.k} messages, expected {params.k}")
     layout = build_layout(params, spec, rng)
     query = make_query(layout, db.field)
-    answer_bytes = serve_query_bytes(canonical(query_doc(query)).encode("ascii"), db)
+    query_bytes = canonical(query_doc(query)).encode("ascii")
+    answer_bytes = serve_query_bytes(query_bytes, db)
     answer = parse_answer_doc(_read_doc(answer_bytes, "answer document"), db.field)
     decoded = client_decode(query, answer, spec)
-    return RoundResult(layout, query, answer, decoded)
+    return RoundResult(layout, query, answer, decoded, query_bytes, answer_bytes)

@@ -9,10 +9,16 @@ harness's source and checks each name against the package.
 ``perfbench/spans.py``'s ``patched`` wraps module bindings for the traced
 replays and skips one the package no longer has, so its per-layer metric
 silently reads 0.  Its targets are read and checked the same way.
+
+One traced run of the harness itself checks what names alone cannot: that
+its replays still call the program as it is, and print its bytes.
 """
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -150,3 +156,15 @@ def test_every_binding_the_tracer_patches_exists():
         (m, n) for m, n in pairs if not hasattr(importlib.import_module(f"pirsi.{m}"), n)
     }
     assert missing == GONE_FROM_PACKAGE
+
+
+def test_traced_round_replay_runs_clean():
+    # The replay rebuilds a round's RoundResult from four parts, renders it
+    # with transcript_doc, and fails unless that is the CLI's stdout.
+    done = subprocess.run(
+        [sys.executable, str(HARNESS), "--workload", "single-block", "--seed", "1",
+         "--seconds", "0", "--trace", "1"],
+        capture_output=True, text=True, timeout=300, check=False,
+    )
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    assert json.loads(done.stdout.splitlines()[-1])["correct"] is True

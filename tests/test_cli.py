@@ -18,10 +18,13 @@ from pirsi import (
     PrimeField,
     ProblemParams,
     RatePlan,
+    RoundResult,
     canonical,
     compute_plan,
     simulate_round,
     transcript_doc,
+    transcript_text,
+    wire,
 )
 from pirsi.cli import build_parser, main
 from pirsi.wire import read_db, write_db
@@ -205,6 +208,10 @@ def test_simulate_usage_errors(capsys, worked_db_file):
         (["--demands", "2,5", "--side", "2,4,6,7,9"], "demand and side-information indices overlap"),
         (["--demands", "2,15", "--side", "1,4,6,7,9"], "index 15 outside 1..13"),
         (["--demands", "2,5", "--side", "1,4,6,7,19"], "index 19 outside 1..13"),  # a database lookup
+        (["--demands", "2,5", "--side", "0,4,6,7,9"], "index 0 outside 1..13"),
+        # The first bad side index in the order given, neither the largest nor the smallest.
+        (["--demands", "2,5", "--side", "1,14,6,7,19"], "index 14 outside 1..13"),
+        (["--demands", "2,5", "--side", "1,19,6,7,14"], "index 19 outside 1..13"),
         (["--demands", "2,5", "--side", "1,4,6,7,9,9"], "duplicate side-information indices"),
         (["--demands", "2,5", "--side", "1,1,4,6,7"], "duplicate side-information indices"),
         (["--demands", "2,2", "--side", "1,4,6,7,9"], "duplicate demand indices"),
@@ -287,6 +294,59 @@ def test_transcript_has_five_sections_and_its_query_carries_the_layout(worked_db
     assert canonical(doc) + "\n" == GOLDEN_WORKED
 
 
+def worked_argv(tmp_path):
+    path = db_file(tmp_path, "worked.db", (WORKED_VALUES[i] for i in range(1, 14)), PrimeField(13))
+    return [
+        "--k", "13", "--m", "5", "--n", "2",
+        "--demands", "2,5", "--side", "1,4,6,7,9", "--db", path, "--seed", "11",
+    ]
+
+
+def partitioned_argv(tmp_path):
+    """The paper's regime, (5000, 1000, 10), over a seeded GF(2^31 - 1) database."""
+    field = PrimeField(2**31 - 1)
+    rng = random.Random("golden-partitioned")
+    path = db_file(tmp_path, "partitioned.db", [rng.randrange(field.p) for _ in range(5000)], field)
+    return [
+        "--k", "5000", "--m", "1000", "--n", "10",
+        "--demands", ",".join(str(i) for i in range(1, 5000, 500)),
+        "--side", ",".join(str(i) for i in range(3, 5001, 5)),
+        "--db", path, "--seed", "12",
+    ]
+
+
+@pytest.mark.parametrize("instance", [worked_argv, partitioned_argv], ids=["13-5-2", "5000-1000-10"])
+def test_simulate_prints_the_bytes_that_crossed(capsys, tmp_path, monkeypatch, instance):
+    argv = instance(tmp_path)
+    crossed = []
+    serve = wire.serve_query_bytes
+
+    def spy(query_bytes, db):
+        answer_bytes = serve(query_bytes, db)
+        crossed.append((query_bytes, answer_bytes))
+        return answer_bytes
+
+    monkeypatch.setattr(wire, "serve_query_bytes", spy)
+    code, out, _ = run_cli(capsys, "simulate", *argv)
+    assert code == 0
+    [(sent, returned)] = crossed
+    assert out.startswith('{"answer":' + returned.decode("ascii") + ',"decoded":')
+    assert ',"query":' + sent.decode("ascii") + ',"seed":' in out
+
+    # The same round rebuilt from its four parts, without its bytes, renders
+    # the same text: the reference dict and the renderer's own encoding.
+    args = build_parser().parse_args(["simulate", *argv])
+    params = ProblemParams(args.k, args.m, args.n)
+    with open(args.db, encoding="ascii") as fh:
+        db = read_db(fh)
+    spec = DemandSpec(args.demands, args.side, {i: db[i] for i in args.side})
+    result = simulate_round(params, spec, db, random.Random(args.seed))
+    assert (result.query_bytes, result.answer_bytes) == (sent, returned)
+    parts = RoundResult(result.layout, result.query, result.answer, result.decoded)
+    assert canonical(transcript_doc(params, args.seed, parts)) + "\n" == out
+    assert transcript_text(params, args.seed, parts) + "\n" == out
+
+
 def test_simulate_golden_single_block_transcript(capsys, tmp_path):
     field = PrimeField(2**31 - 1)
     rng = random.Random("golden")
@@ -302,15 +362,7 @@ def test_simulate_golden_single_block_transcript(capsys, tmp_path):
 
 
 def test_simulate_golden_partitioned_transcript(capsys, tmp_path):
-    field = PrimeField(2**31 - 1)
-    rng = random.Random("golden-partitioned")
-    path = db_file(tmp_path, "partitioned.db", [rng.randrange(field.p) for _ in range(5000)], field)
-    demands = ",".join(str(i) for i in range(1, 5000, 500))
-    side = ",".join(str(i) for i in range(3, 5001, 5))
-    code, out, _ = run_cli(
-        capsys, "simulate", "--k", "5000", "--m", "1000", "--n", "10",
-        "--demands", demands, "--side", side, "--db", path, "--seed", "12",
-    )
+    code, out, _ = run_cli(capsys, "simulate", *partitioned_argv(tmp_path))
     assert code == 0
     doc = json.loads(out)
     assert len(doc["query"]["blocks"]) == 46
@@ -411,6 +463,30 @@ def test_console_entry_point_prints_what_main_prints(capsys):
     )
     assert fresh.returncode == 0, fresh.stderr
     assert fresh.stdout == out
+
+
+def test_arguments_are_read_from_an_at_file_past_the_single_argument_limit(capsys, tmp_path):
+    # Linux refuses one argument over 128 KiB before any program starts; @FILE
+    # carries the arguments in a file instead, one a line.
+    k, m = 30000, 25000
+    field = PrimeField(2**31 - 1)
+    rng = random.Random("at-file")
+    values = [rng.randrange(field.p) for _ in range(k)]
+    path = db_file(tmp_path, "wide.db", values, field)
+    side = ",".join(str(i) for i in range(k - m + 1, k + 1))
+    assert len(side) > 128 * 1024
+    argv = ["simulate", "--k", str(k), "--m", str(m), "--n", "2",
+            "--demands", "1,2", "--side", side, "--db", path, "--seed", "3"]
+    args_file = tmp_path / "args.txt"
+    args_file.write_text("".join(f"{arg}\n" for arg in argv), encoding="ascii")
+    fresh = subprocess.run(
+        [sys.executable, "-m", "pirsi.cli", f"@{args_file}"],
+        env=_module_env(), capture_output=True, text=True, timeout=120, check=False,
+    )
+    assert fresh.returncode == 0, fresh.stderr
+    assert json.loads(fresh.stdout)["decoded"] == {"1": values[0], "2": values[1]}
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (0, fresh.stdout)
 
 
 def test_console_entry_point_exits_1_quietly_when_stdout_closes():

@@ -54,6 +54,32 @@ def test_demand_spec_validation():
         DemandSpec((1, 9), frozenset({2})).validate_against(params)
 
 
+def test_validate_against_names_the_first_bad_index_demands_first():
+    params = ProblemParams(k=13, m=5, n=2)
+    DemandSpec((1, 13), frozenset({2, 4, 6, 7, 12})).validate_against(params)
+    for demands, side, bad in (
+        ((2, 15), {0, 4, 6, 7, 9}, 15),  # a bad demand before a smaller bad side index
+        ((0, 5), {1, 4, 6, 7, 14}, 0),
+        ((2, 5), {1, 4, 6, 20, 14}, 14),  # side indices in ascending order
+        ((2, 5), {0, 4, 6, 7, 9}, 0),
+        ((2, 5), {1, 4, 6, 7, 14}, 14),
+    ):
+        with pytest.raises(UsageError, match=f"^index {bad} outside 1..13$"):
+            DemandSpec(demands, frozenset(side)).validate_against(params)
+
+
+def test_database_gather_reads_and_refuses_as_lookups_do(worked_db):
+    order = (13, 1, 7, 2, 12)
+    assert worked_db.gather(order) == tuple(worked_db[i] for i in order)
+    assert worked_db.gather((7,)) == (worked_db[7],)
+    assert worked_db.gather(()) == ()
+    # The first bad index in the order given; index 0 must not read the padding.
+    for indices, bad in (((0,), 0), ((1, 14, 6, 0), 14), ((3, -1, 14), -1), ((13, 20, 14), 20)):
+        for lookup in (worked_db.gather, lambda seq: [worked_db[i] for i in seq]):
+            with pytest.raises(UsageError, match=f"^index {bad} outside 1..13$"):
+                lookup(indices)
+
+
 def test_demand_spec_refuses_indices_that_are_not_ints():
     # Exactly int: True would be read as index 1, and 5.0 would pass every
     # range check and reach the server's parse.
@@ -241,9 +267,11 @@ def test_client_decode_worked_example(worked_layout, worked_db, worked_spec, gf1
 def test_client_decode_missing_side_value(worked_layout, worked_db, gf13):
     query = make_query(worked_layout, gf13)
     answer = server_answer(query, worked_db)
-    starved = DemandSpec((2, 5), frozenset(WORKED_SIDE), {1: worked_db[1]})
-    with pytest.raises(ValueError, match="missing side-information value"):
-        client_decode(query, answer, starved)
+    # The first held index without a value, in support order: block (1, 2, 4, 6, 8).
+    for held, missing in (((1,), 4), ((1, 4), 6), ((4, 6, 7, 9), 1)):
+        starved = DemandSpec((2, 5), frozenset(WORKED_SIDE), {i: worked_db[i] for i in held})
+        with pytest.raises(ValueError, match=f"^missing side-information value for index {missing}$"):
+            client_decode(query, answer, starved)
 
 
 def test_client_decode_refuses_side_values_outside_the_field(worked_layout, worked_db, gf13):
