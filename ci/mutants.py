@@ -113,11 +113,14 @@ CATALOGUE = [
            "privacy-exact draws a layout before refusing a table over the caps"),
     Mutant("cli.py", '        fromfile_prefix_chars="@",', "",
            "an @FILE argument is read as itself, not as the arguments in FILE"),
-    Mutant("oracle.py", "min(budget - q, (slots - 1) * q, left)", "min(budget - q, left)",
-           "search_sweep drops the bound on what the later window slots can take",
-           equivalent="a pruning bound only: the slots - 1 later window quotas are each at most q, "
-           "so the budget above (slots - 1) * q is never spent; without it the minima are the "
-           "same for every (k, n) with k <= 40, and the memo holds 10-33% more states"),
+    Mutant("oracle.py", "return minima", "return [min(minima)] * len(minima)",
+           "search_sweep ignores the window budget: every m gets the unbudgeted minimum"),
+    Mutant("oracle.py", "top += f * c + max(0, rem - n)", "top += f * c + max(0, rem - n + 1)",
+           "search_sweep's greedy tail counts one quota unit too many in its remainder part"),
+    Mutant("oracle.py", "c = w // n", "c = -(-w // n)",
+           "search_sweep caps the tail by the window's largest quota, not its smallest"),
+    Mutant("oracle.py", "k - w - n * n", "k - w - n",
+           "search_sweep's window takes n slots of overhead, not n * n"),
 ]
 
 

@@ -31,9 +31,9 @@ from .privacy import monte_carlo_tvd, posterior, posterior_table_size
 from .rate import ProblemParams, UsageError, compute_plan
 from .scheme import DemandSpec, build_layout
 
-# oracle checks every (k, m, n) with k <= --k-max: at this cap 88,560
-# instances, about 40 s on a 2-vCPU host.
-ORACLE_K_CAP = 80
+# oracle checks every (k, m, n) with k <= --k-max: at this cap 4,545,100
+# instances, 36-51 s on a 2-vCPU host, most of it in compute_plan.
+ORACLE_K_CAP = 300
 
 _DECIMAL = re.compile(wire.DECIMAL)
 _INDICES = re.compile(rf"(?:{wire.DECIMAL})(?:,(?:{wire.DECIMAL}))*")

@@ -2,8 +2,8 @@
 
 The closed form in :mod:`pirsi.rate` makes two claims: the minimum download
 ``r_star``, and that its plan is a valid partition-and-MDS assignment.
-``pirsi oracle`` checks the first with an exact memoised search that reaches
-large k (:func:`search_sweep`) and the second by testing the plan's profile
+``pirsi oracle`` checks the first with an exact search that reaches large k
+(:func:`search_sweep`) and the second by testing the plan's profile
 directly (:func:`is_feasible_plan`).  Both searches here are minima over
 partition-and-MDS plans only; the paper's converse over all linear schemes
 is checked in the tests (``tests/oracles.py``) for small k.
@@ -21,12 +21,35 @@ serve demands, only the largest ``min(len(parts), n)`` quotas draw on the
 user's side information, so their sum (the vector's window sum) must not
 exceed ``m``.
 
-The search rests on one lemma: some optimal plan gives each positive quota
-``q`` a part of size exactly ``q + n``.  Leftover size can join any part,
-since that only raises the part's cap, and parts with quota 0 merge into
-another part without changing the window.  So the minimum is k minus the
-largest quota total over non-increasing positive quota vectors with
-``sum(q + n) <= k`` whose first n quotas sum to at most m.
+The search rests on three lemmas.  First, some optimal plan gives each
+positive quota ``q`` a part of size exactly ``q + n``.  Leftover size can
+join any part, since that only raises the part's cap, and parts with
+quota 0 merge into another part without changing the window.  So the
+minimum is k minus the largest quota total over non-increasing positive
+quota vectors with ``sum(q + n) <= k`` whose first n quotas sum to at
+most m.
+
+Second, the balanced window.  With more than n parts, the n window quotas
+sum to the window sum W and take ``W + n * n`` slots however W is split.
+Their smallest is at most ``c = W // n``, and it caps every later (tail)
+quota; the best tail only grows with its cap.  So the window of
+``W % n`` quotas ``c + 1`` and the rest ``c`` is optimal for its W.
+
+Third, the greedy tail.  P tail parts, each quota at most c and each part
+``q + n`` long, in the ``S = k - W - n * n`` slots the window leaves,
+total at most ``min(P * c, S - P * n)``.  That is largest at
+``P = S // (c + n)`` or one more, so with ``f, rem = divmod(S, c + n)``
+the best tail is ``f * c + max(0, rem - n)``: f parts of quota c, and
+one of quota ``rem - n`` (less than c) when ``rem > n``.  With at most n
+parts the total is W itself, which one part of size ``W + n`` reaches.
+The tail term is never negative, and it is 0 where no tail fits
+(``S <= 0``, or ``c = 0``), so W plus the tail term is the best total.
+
+So each window sum W has its best total in O(1), and one pass over
+``W = 0..k-n`` answers every budget.  Budget m admits every W up to m, but
+the best total never falls as W grows: one more unit in the window costs
+the tail at most one slot, so at most one unit, and c never falls.  So
+budget m's minimum is k minus the best total at W = m.
 
 The budget ``m`` only decides which vectors count, so one exhaustive walk
 per ``(k, n)`` answers every ``m`` (:func:`brute_force_sweep`): it records
@@ -141,29 +164,20 @@ def brute_force_sweep(k: int, n: int) -> list[int]:
 
 
 def search_sweep(k: int, n: int) -> list[int]:
-    """The minimum download of every budget m = 0..k-n, by the lemma's search.
+    """The minimum download of every budget m = 0..k-n, in one pass over the window sum.
 
-    Same result as :func:`brute_force_sweep`, with no cap on k: the search
-    is polynomial in k.  Raises ValueError for an invalid (k, n).
+    Same result as :func:`brute_force_sweep`, with no cap on k: each entry
+    costs O(1) by the balanced-window and greedy-tail lemmas (module
+    docstring).  Raises ValueError for an invalid (k, n).
     """
     ProblemParams(k, 0, n)  # validates k and n
-
-    @lru_cache(maxsize=None)
-    def best(size: int, slots: int, budget: int, cap: int) -> int:
-        """Largest quota total of parts fitting in ``size``, each quota at most
-        ``cap``, the next ``slots`` quotas summing to at most ``budget``."""
-        top = 0
-        for q in range(min(cap, size - n, budget), 0, -1):
-            left = size - q - n
-            # Past the window the budget no longer binds; inside it, neither
-            # does any excess over what the remaining slots can take.
-            after = min(budget - q, (slots - 1) * q, left) if slots > 1 else left
-            top = max(top, q + best(left, max(slots - 1, 0), after, q))
-        return top
-
-    try:
-        return [k - best(k, n, m, k) for m in range(k - n + 1)]
-    finally:
-        # The closure and its cache form a reference cycle; clearing the
-        # cache frees the memo now instead of at the next collection.
-        best.cache_clear()
+    minima = []
+    for w in range(k - n + 1):
+        c = w // n  # the balanced window's smallest quota caps the tail
+        top = w
+        tail_slots = k - w - n * n
+        if tail_slots > 0:
+            f, rem = divmod(tail_slots, c + n)
+            top += f * c + max(0, rem - n)
+        minima.append(k - top)
+    return minima

@@ -12,8 +12,11 @@ compare the two:
   (``check_mds``).
 * Rate: the per-subspace cost (``subspace_cost``), the paper's
   closed-form minimum download (``closed_form_r_star``), against which the
-  plan's profile cost is checked, and the paper's headline condition for
-  the single-subspace plan (``is_trivial_optimal``).
+  plan's profile cost is checked, the paper's headline condition for
+  the single-subspace plan (``is_trivial_optimal``), and a memoised
+  search over every quota vector the first lemma of ``pirsi.oracle``
+  allows (``memo_search_sweep``), against which ``oracle.search_sweep``'s
+  one pass is checked.
 * Privacy: the sampler as a per-index walk (``reference_draw_layout``),
   against which ``scheme.draw_layout``'s draws and layouts are checked;
   the layout law as an exact product (``layout_probability``), and the
@@ -31,6 +34,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import factorial, perm, prod
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
@@ -222,6 +226,39 @@ def closed_form_r_star(params: ProblemParams) -> int:
         - max(l_formula - 1 - n, 0) * m_bar
         - max(k - (l_formula - 1) * (m_bar + n) - t - n, 0)
     )
+
+
+def memo_search_sweep(k: int, n: int) -> list[int]:
+    """The minimum download of every budget m = 0..k-n, by a memoised search.
+
+    The search walks every non-increasing positive quota vector whose parts
+    are ``q + n`` long (the first lemma of ``pirsi.oracle``), with no
+    balanced window and no greedy tail; polynomial in k, about k^5.5.
+
+    >>> memo_search_sweep(13, 2)[5]
+    6
+    """
+    ProblemParams(k, 0, n)  # validates k and n
+
+    @lru_cache(maxsize=None)
+    def best(size: int, slots: int, budget: int, cap: int) -> int:
+        """Largest quota total of parts fitting in ``size``, each quota at most
+        ``cap``, the next ``slots`` quotas summing to at most ``budget``."""
+        top = 0
+        for q in range(min(cap, size - n, budget), 0, -1):
+            left = size - q - n
+            # Past the window the budget no longer binds; inside it, neither
+            # does any excess over what the remaining slots can take.
+            after = min(budget - q, (slots - 1) * q, left) if slots > 1 else left
+            top = max(top, q + best(left, max(slots - 1, 0), after, q))
+        return top
+
+    try:
+        return [k - best(k, n, m, k) for m in range(k - n + 1)]
+    finally:
+        # The closure and its cache form a reference cycle; clearing the
+        # cache frees the memo now instead of at the next collection.
+        best.cache_clear()
 
 
 def is_trivial_optimal(params: ProblemParams) -> bool:

@@ -12,11 +12,15 @@ silently reads 0.  Its targets are read and checked the same way.
 
 One traced run of the harness itself checks what names alone cannot: that
 its replays still call the program as it is, and print its bytes.
+
+The recorded ``BENCH_*.json`` files (``ci/bench_record.py``) are read as
+they are committed: they may name only what ``BENCHMARK.json`` declares.
 """
 
 import ast
 import importlib
 import json
+import statistics
 import subprocess
 import sys
 from dataclasses import fields
@@ -168,3 +172,25 @@ def test_traced_round_replay_runs_clean():
     )
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
     assert json.loads(done.stdout.splitlines()[-1])["correct"] is True
+
+
+def test_recorded_bench_files_name_only_declared_metrics():
+    # ci/bench_record.py writes BENCH_<label>.json; each file must name only
+    # workloads and end-to-end metrics that BENCHMARK.json declares, and
+    # each summary must be that of the runs it lists.
+    root = HARNESS.parents[1]
+    bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    declared = {metric["name"] for metric in bench["end_to_end"]}
+    records = sorted(root.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert record["workloads"], path.name
+        assert set(record["workloads"]) <= {w["name"] for w in bench["workloads"]}, path.name
+        for workload, metrics in record["workloads"].items():
+            assert metrics and set(metrics) <= declared, (path.name, workload)
+            for name, summary in metrics.items():
+                values = summary["values"]
+                assert len(values) == len(record["runs"]["seeds"]), (path.name, workload, name)
+                assert summary["median"] == statistics.median(values), (path.name, workload, name)
+                assert summary["q1"] <= summary["median"] <= summary["q3"], (path.name, workload, name)

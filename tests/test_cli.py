@@ -439,7 +439,7 @@ def test_repeated_calls_share_one_parser_and_leak_no_state(capsys):
     assert [code for code, _, _ in first] == [0, 0, 0, 2, 0, 2, 0, 0, 0]
     assert first[6:] == [first[1], first[2], first[0]]
     assert first[0][1] != first[2][1]
-    assert "--k-max must be in 1..80" in first[3][2]
+    assert "--k-max must be in 1..300" in first[3][2]
     assert "the following arguments are required: --n" in first[5][2]
     assert hashlib.sha256(first[2][1].encode()).hexdigest() == GOLDEN_PRIVACY_EXACT_SHA256
     assert [_outcome(capsys, argv) for argv in sequence] == first
@@ -710,11 +710,11 @@ def test_oracle_golden_tables(capsys):
 
 
 def test_oracle_rejects_out_of_range(capsys):
-    for bad in ("0", "81"):
+    for bad in ("0", "301"):
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "--k-max", bad])
         assert exc.value.code == 2
-        assert "--k-max must be in 1..80" in capsys.readouterr().err
+        assert "--k-max must be in 1..300" in capsys.readouterr().err
 
 
 def test_db_file_round_trip(tmp_path):

@@ -1,5 +1,6 @@
-"""Rate searches: the exact search against brute force, pinned minima, the plan
-check, and the paper's converse over all linear schemes on small instances."""
+"""Rate searches: the one-pass search against the memoised search and brute
+force, pinned minima, the plan check, and the paper's converse over all linear
+schemes on small instances."""
 
 import gc
 import random
@@ -23,6 +24,7 @@ from oracles import (
     closed_form_r_star,
     hides_every_demand_set,
     is_trivial_optimal,
+    memo_search_sweep,
     query_rows,
     row_reduce,
     subspace_cost,
@@ -199,15 +201,18 @@ def test_matches_closed_form_small_sweep():
 
 
 def test_planned_profile_passes_plan_check_to_k60():
+    # What `pirsi oracle --k-max 60` checks: the plan passes the plan check
+    # and costs the search's minimum.
     instances = 0
     for k in range(1, 61):
         for n in range(1, k + 1):
-            for m in range(0, k - n + 1):
+            for m, found in enumerate(search_sweep(k, n)):
                 params = ProblemParams(k=k, m=m, n=n)
                 plan = compute_plan(params)
                 assert is_feasible_plan(params, plan.size_profile, plan.side_profile), (
                     k, m, n, plan,
                 )
+                assert plan.r_star == found, (k, m, n, plan)
                 instances += 1
     assert instances == 37_820
 
@@ -233,30 +238,54 @@ def test_search_guards_inputs():
         search_sweep(3, 4)
 
 
-def test_search_frees_its_memo():
-    # The memo lives on a closure that refers to itself, a reference cycle
-    # only a collection would free; the sweep clears the memo before it
-    # returns.  The first call warms the interpreter's own buffers.
+def test_search_pinned_at_the_lemmas_edges():
+    # n = 1: the window is one part, and the minimum is the paper's
+    # single-demand ceil(k / (m + 1)).
+    for k in range(1, 61):
+        assert search_sweep(k, 1) == [-(-k // (m + 1)) for m in range(k)], k
+    # k <= n^2 + n: a window of n parts leaves no room for a tail part,
+    # so one block of k - m is optimal at every budget.
+    for n in range(1, 9):
+        for k in range(n, n * n + n + 1):
+            assert search_sweep(k, n) == [k - m for m in range(k - n + 1)], (k, n)
+    # (20, 3), m = 7: the window 3 + 2 + 2 takes 16 slots, and the 4 left
+    # hold one tail part of quota 4 - 3 = 1, a remainder part (rem = 4 > n).
+    assert search_sweep(20, 3)[7] == 12
+    # (20, 3), m = 4: W mod n = 1, the window 2 + 1 + 1 caps the tail at
+    # quota 1, not 2, and its 7 slots hold one part of quota 1.
+    assert search_sweep(20, 3)[4] == 15
+    # (30, 4), m = 5: W mod n = 1 again; the window 2 + 1 + 1 + 1 leaves
+    # 9 slots, one tail part of quota 1 and 4 slots too few for another.
+    assert search_sweep(30, 4)[5] == 24
+
+
+def test_search_holds_linear_memory():
+    # The pass keeps one entry per budget, so a sweep at (40, 4) peaks
+    # far under 20 kB; a memoised search peaks over 200 kB there.  The
+    # first call warms the interpreter's own buffers.
     search_sweep(40, 4)
     gc.disable()
     tracemalloc.start()
     try:
         search_sweep(40, 4)
-        held, _ = tracemalloc.get_traced_memory()
+        _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
         gc.enable()
-    assert held < 20_000  # over 200 kB when the memo is kept
+    assert peak < 20_000
 
 
 def test_trivial_optimality_iff_against_search_to_k40():
     # The paper's headline: the single MDS block is optimal iff n > m or
-    # n^2 + n >= k - m, checked here against the exact search, not the
-    # closed form, on all 11,480 instances with k <= 40.
+    # n^2 + n >= k - m, checked here against the memoised search, not the
+    # closed form, on all 11,480 instances with k <= 40.  The one-pass
+    # sweep must equal that search on every (k, n).
     instances = 0
     for k in range(1, 41):
         for n in range(1, k + 1):
-            for m, found in enumerate(search_sweep(k, n)):
+            minima = memo_search_sweep(k, n)
+            assert search_sweep(k, n) == minima, (k, n)
+            for m, found in enumerate(minima):
                 params = ProblemParams(k, m, n)
                 assert is_trivial_optimal(params) == (found == k - m), (k, m, n)
                 instances += 1
