@@ -32,7 +32,8 @@ from .rate import ProblemParams, UsageError, compute_plan
 from .scheme import DemandSpec, build_layout
 
 # oracle checks every (k, m, n) with k <= --k-max: at this cap 4,545,100
-# instances, 36-51 s on a 2-vCPU host, most of it in compute_plan.
+# instances, 36-51 s on a 2-vCPU host, most of it in the plan check and
+# compute_plan.
 ORACLE_K_CAP = 300
 
 _DECIMAL = re.compile(wire.DECIMAL)
