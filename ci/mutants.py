@@ -3,13 +3,15 @@
 Each entry of ``CATALOGUE`` names a file, a text that must occur in it
 exactly once, its replacement, and what the change breaks.  For each
 mutant the tree is copied to a fresh temporary directory, the text is
-replaced there, and Tier-1 runs with ``-x``, without the golden tests
-and ``tests/test_readme.py``.  A failure there is a kill.  Otherwise only
-those deselected tests run: they pin output bytes, so a failure there is
-a weak kill, listed because regenerating the goldens would hide it.  A
-mutant that survives both passes fails the census unless the catalogue
-lists it as equivalent, with the reason no test can tell it apart.  An
-equivalent that is killed fails the census too: its reason is wrong.
+replaced there, and Tier-1 runs with ``-x``, without the golden tests,
+``tests/test_readme.py`` and the drift test (``tests/test_census.py``,
+which every mutant fails by removing its own text).  A failure there is a
+kill.  Otherwise only the golden tests and ``tests/test_readme.py`` run:
+they pin output bytes, so a failure there is a weak kill, listed because
+regenerating the goldens would hide it.  A mutant that survives both
+passes fails the census unless the catalogue lists it as equivalent, with
+the reason no test can tell it apart.  An equivalent that is killed fails
+the census too: its reason is wrong.
 
 Before any mutant runs, the census checks that every old text still
 occurs exactly once (a catalogue that has drifted from the code fails)
@@ -37,7 +39,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # Tier-1's pytest call; each pass adds its selection.
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 PINNED = "golden or test_readme"  # the tests that pin output bytes
-SEMANTIC = ["-x", "-k", f"not ({PINNED})"]
+# Tier-1 runs drift() too; main() checks it before any mutant runs.
+DRIFT_TEST = "tests/test_census.py::test_census_catalogue_matches_the_code"
+SEMANTIC = ["-x", "-k", f"not ({PINNED})", "--deselect", DRIFT_TEST]
 WEAK = ["-k", PINNED]
 COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "*.egg-info", "build")
 # A suite run that takes longer than this counts as a kill: Tier-1 does not pass.
@@ -70,12 +74,14 @@ CATALOGUE = [
            "a stage-3 pick stays in the mask, so stage 4 deals it again"),
     Mutant("scheme.py", "mask[0] = 0", "mask[0] = 1",
            "index 0 stays in the mask, so stage 4 can deal it into a block"),
-    Mutant("scheme.py", "min(support) >= 1 and", "min(support) >= 0 and",
-           "the server answers index 0 from the padding"),
     Mutant("scheme.py", "if len(answer) != len(query.blocks):", "if False:",
            "client_decode ignores extra answer blocks"),
     Mutant("scheme.py", "min(indices) >= 1", "min(indices) >= 0",
-           "Database.gather reads index 0 from the padding"),
+           "require_indices passes index 0, so every lookup, the server's included, reads the padding"),
+    Mutant("scheme.py", "(0,) + self.values", "self.values",
+           "the database's 1-indexed view loses its padding: every read is off by one"),
+    Mutant("scheme.py", "if len(indices) > 1:", "if len(indices) > 0:",
+           "gather hands a single key to itemgetter, which returns a bare int, not a 1-tuple"),
     Mutant("scheme.py", "max(group) <= k", "min(group) <= k",
            "validate_against checks only the low end of each index set"),
     Mutant("mds.py", "for i in range(r - u)):", "for i in range(0)):",

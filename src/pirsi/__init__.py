@@ -24,7 +24,6 @@ from .scheme import (
     DemandSpec,
     Layout,
     Query,
-    QueryBlock,
     RoundResult,
     build_layout,
     client_decode,
@@ -64,7 +63,6 @@ __all__ = [
     "DemandSpec",
     "Layout",
     "Query",
-    "QueryBlock",
     "RoundResult",
     "build_layout",
     "client_decode",

@@ -45,7 +45,10 @@ the block shapes and column positions this module hands it: ``make_query``
 refuses a field too small for the widest block and sets r = size - quota,
 ``client_decode`` passes positions it enumerated from the block's own
 support, and a query that arrives as bytes is held to the same shapes by
-``wire.parse_query_doc``.
+``wire.parse_query_doc``.  An index outside 1..k is refused by
+``require_indices`` alone, wherever it arrives: a client's spec
+(``DemandSpec.validate_against``), a database lookup, or a query block the
+server reads through ``Database.gather``.
 """
 
 from __future__ import annotations
@@ -100,8 +103,7 @@ class DemandSpec:
         for group in (self.demands, self.side):
             if group and not (min(group) >= 1 and max(group) <= k):
                 # Sorted only to name the first bad index, demands first.
-                bad = next(idx for idx in (*self.demands, *sorted(self.side)) if not 1 <= idx <= k)
-                raise UsageError(f"index {bad} outside 1..{k}")
+                require_indices((*self.demands, *sorted(self.side)), k)
 
 
 @dataclass(frozen=True)
@@ -120,8 +122,8 @@ class Layout:
 
 
 @dataclass(frozen=True)
-class QueryBlock:
-    """One subspace's request: its indices and how many coded rows of them.
+class Query:
+    """Each subspace's request as a ``(support, r)`` pair: its indices and how many coded rows.
 
     The coefficients are, by definition, the first r rows of the Vandermonde
     matrix with entry (i, j) = (j + 1)**i over the ``len(support)`` members:
@@ -129,18 +131,19 @@ class QueryBlock:
     Both sides read them from ``mds``'s packed columns, cached per shape.
     """
 
-    support: tuple[int, ...]
-    r: int
-
-
-@dataclass(frozen=True)
-class Query:
-    blocks: tuple[QueryBlock, ...]
+    blocks: tuple[tuple[tuple[int, ...], int], ...]
     field: PrimeField
 
     @property
     def total_rows(self) -> int:
-        return sum(b.r for b in self.blocks)
+        return sum(r for _, r in self.blocks)
+
+
+def require_indices(indices: Sequence[int], k: int) -> None:
+    """Raise UsageError naming the first index outside 1..k, in the order given."""
+    if indices and not (min(indices) >= 1 and max(indices) <= k):
+        bad = next(idx for idx in indices if not 1 <= idx <= k)
+        raise UsageError(f"index {bad} outside 1..{k}")
 
 
 @dataclass(frozen=True)
@@ -149,18 +152,19 @@ class Database:
 
     values: tuple[int, ...]
     field: PrimeField
+    _padded: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", self.field.check(self.values))
+        object.__setattr__(self, "_padded", (0,) + self.values)  # index i at position i
 
     @property
     def k(self) -> int:
         return len(self.values)
 
     def __getitem__(self, index: int) -> int:
-        if not 1 <= index <= len(self.values):
-            raise UsageError(f"index {index} outside 1..{len(self.values)}")
-        return self.values[index - 1]
+        require_indices((index,), self.k)
+        return self._padded[index]
 
     def gather(self, indices: Sequence[int]) -> tuple[int, ...]:
         """The values at ``indices``, in order: one range check, then one C-level lookup.
@@ -168,11 +172,11 @@ class Database:
         Refuses as ``__getitem__`` does, naming the first index outside 1..k
         in the order given.
         """
-        k = len(self.values)
-        if indices and not (min(indices) >= 1 and max(indices) <= k):
-            bad = next(idx for idx in indices if not 1 <= idx <= k)
-            raise UsageError(f"index {bad} outside 1..{k}")
-        return tuple(map(((0,) + self.values).__getitem__, indices))  # index i at position i
+        require_indices(indices, self.k)
+        if len(indices) > 1:
+            return operator.itemgetter(*indices)(self._padded)
+        # itemgetter of a single key returns the entry itself, not a 1-tuple
+        return tuple(self._padded[i] for i in indices)
 
 
 def build_layout(params: ProblemParams, spec: DemandSpec, rng: random.Random) -> Layout:
@@ -277,7 +281,7 @@ def make_query(layout: Layout, field: PrimeField) -> Query:
             f"field too small: subspace of size {biggest} needs p > {biggest}, got {field.p}"
         )
     blocks = tuple(
-        QueryBlock(block, size - quota)
+        (block, size - quota)
         for block, size, quota in zip(layout.subspaces, plan.size_profile, plan.side_profile)
     )
     return Query(blocks, field)
@@ -288,25 +292,14 @@ def server_answer(query: Query, db: Database) -> tuple[tuple[int, ...], ...]:
 
     This function sees only the query and the database; it has no access to
     demand or side-information structure, mirroring the server's view.
-    Raises ValueError if the query's modulus is not the database's or if a
-    block names an index outside 1..k.
+    Raises ValueError if the query's modulus is not the database's, and
+    UsageError (a ValueError) if a block names an index outside 1..k, as
+    ``Database.gather`` refuses it.
     """
     if query.field.p != db.field.p:
         raise ValueError(f"incompatible moduli: {query.field.p} vs {db.field.p}")
-    k = db.k
-    padded = (0,) + db.values  # index i at position i; 0 and below are refused first
-    out = []
-    for block in query.blocks:
-        support = block.support
-        if support and not (min(support) >= 1 and max(support) <= k):
-            bad = next(idx for idx in support if not 1 <= idx <= k)
-            raise ValueError(f"index {bad} outside 1..{k}")
-        if len(support) > 1:
-            values = operator.itemgetter(*support)(padded)
-        else:  # itemgetter of a single key returns the entry itself, not a 1-tuple
-            values = [padded[i] for i in support]
-        out.append(tuple(mds.encode(block.r, values, query.field)))
-    return tuple(out)
+    field = query.field
+    return tuple(tuple(mds.encode(r, db.gather(support), field)) for support, r in query.blocks)
 
 
 def client_decode(
@@ -327,10 +320,9 @@ def client_decode(
     wanted = set(spec.demands)
     side, side_values = spec.side, spec.side_values
     recovered: dict[int, int] = {}
-    for block, coded in zip(query.blocks, answer):
-        if len(coded) != block.r:
-            raise ValueError(f"expected {block.r} coded symbols, got {len(coded)}")
-        support = block.support
+    for (support, r), coded in zip(query.blocks, answer):
+        if len(coded) != r:
+            raise ValueError(f"expected {r} coded symbols, got {len(coded)}")
         if wanted.isdisjoint(support):
             continue
         demand_positions = [p for p, idx in enumerate(support) if idx in wanted]

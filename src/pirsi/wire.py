@@ -36,7 +36,6 @@ from .scheme import (
     DemandSpec,
     Layout,
     Query,
-    QueryBlock,
     RoundResult,
     build_layout,
     client_decode,
@@ -82,7 +81,7 @@ def plan_doc(params: ProblemParams, plan: RatePlan) -> dict:
 
 
 def query_doc(query: Query) -> dict:
-    blocks = [{"support": list(block.support), "r": block.r} for block in query.blocks]
+    blocks = [{"support": list(support), "r": r} for support, r in query.blocks]
     return {"version": QUERY_VERSION, "p": query.field.p, "blocks": blocks}
 
 
@@ -110,7 +109,8 @@ def parse_query_doc(doc: dict) -> Query:
     Requires exactly the keys version, p and blocks; a non-empty block list;
     exactly support and r per block; exact ints; supports strictly
     increasing from 1 up and pairwise disjoint; and 1 <= r <= len(support)
-    <= p - 1.  Indices beyond the database are refused by the server.
+    <= p - 1.  Indices beyond the database are refused by the server
+    (``Database.gather``).
     """
     _require_keys(doc, {"version", "p", "blocks"}, "query document")
     version = _int(doc["version"], "query version")
@@ -138,7 +138,7 @@ def parse_query_doc(doc: dict) -> Query:
         if not seen.isdisjoint(support):
             raise ValueError(f"supports overlap at {sorted(seen.intersection(support))}")
         seen.update(support)
-        blocks.append(QueryBlock(support, r))
+        blocks.append((support, r))
     return Query(tuple(blocks), field)
 
 
@@ -173,14 +173,13 @@ def transcript_doc(
 def transcript_text(params: ProblemParams, seed: int, result: RoundResult) -> str:
     """``canonical(transcript_doc(params, seed, result))``, reusing the round's bytes.
 
-    The query and answer sections are the bytes that crossed, when the
-    round recorded them; only a section whose bytes are absent is encoded
-    here.  The keys are written in sorted order with compact separators,
-    which is exactly the frame ``canonical`` writes around the sections.
+    The query and answer sections are the bytes that crossed, so ``result``
+    must come from ``simulate_round``, which records them.  The keys are
+    written in sorted order with compact separators, which is exactly the
+    frame ``canonical`` writes around the sections.
     """
-    sent, received = result.query_bytes, result.answer_bytes
-    query = canonical(query_doc(result.query)) if sent is None else sent.decode("ascii")
-    answer = canonical(answer_doc(result.answer)) if received is None else received.decode("ascii")
+    query = result.query_bytes.decode("ascii")
+    answer = result.answer_bytes.decode("ascii")
     decoded = canonical({str(idx): val for idx, val in result.decoded.items()})
     plan = canonical(plan_doc(params, result.layout.plan))
     return f'{{"answer":{answer},"decoded":{decoded},"plan":{plan},"query":{query},"seed":{seed}}}'
@@ -283,7 +282,7 @@ def serve_query_bytes(query_bytes: bytes, db: Database) -> bytes:
     side-information structure.  Bytes that are not one JSON document with
     unique keys, including nesting too deep to parse, raise ValueError, as
     do a modulus other than the database's and indices beyond it
-    (``server_answer`` checks those two).
+    (``server_answer`` checks the modulus, ``Database.gather`` the indices).
     """
     query = parse_query_doc(_read_doc(query_bytes, "query document"))
     answer = server_answer(query, db)

@@ -519,12 +519,12 @@ def row_reduce(rows: Sequence[Sequence[int]], q: int) -> list[list[int]]:
 
 def query_rows(query: Query) -> list[list[int]]:
     """The query as a matrix with k columns: block rows placed at their support's indices."""
-    k = sum(len(block.support) for block in query.blocks)
+    k = sum(len(support) for support, _ in query.blocks)
     out = []
-    for block in query.blocks:
-        for coefficients in vandermonde(block.r, len(block.support), query.field).rows:
+    for support, r in query.blocks:
+        for coefficients in vandermonde(r, len(support), query.field).rows:
             row = [0] * k
-            for idx, c in zip(block.support, coefficients):
+            for idx, c in zip(support, coefficients):
                 row[idx - 1] = c
             out.append(row)
     return out

@@ -12,7 +12,6 @@ from pirsi import (
     PrimeField,
     ProblemParams,
     Query,
-    QueryBlock,
     UsageError,
     build_layout,
     client_decode,
@@ -68,16 +67,41 @@ def test_validate_against_names_the_first_bad_index_demands_first():
             DemandSpec(demands, frozenset(side)).validate_against(params)
 
 
-def test_database_gather_reads_and_refuses_as_lookups_do(worked_db):
+def test_database_gather_reads_and_refuses_as_lookups_do(worked_db, gf13):
     order = (13, 1, 7, 2, 12)
     assert worked_db.gather(order) == tuple(worked_db[i] for i in order)
     assert worked_db.gather((7,)) == (worked_db[7],)
     assert worked_db.gather(()) == ()
     # The first bad index in the order given; index 0 must not read the padding.
     for indices, bad in (((0,), 0), ((1, 14, 6, 0), 14), ((3, -1, 14), -1), ((13, 20, 14), 20)):
-        for lookup in (worked_db.gather, lambda seq: [worked_db[i] for i in seq]):
+        for lookup in (
+            worked_db.gather,
+            lambda seq: [worked_db[i] for i in seq],
+            lambda seq: server_answer(Query(((seq, 1),), gf13), worked_db),
+        ):
             with pytest.raises(UsageError, match=f"^index {bad} outside 1..13$"):
                 lookup(indices)
+
+
+def validate_side(db, bad):
+    DemandSpec((2, 5), frozenset({1, 4, 6, 7, bad})).validate_against(ProblemParams(db.k, 5, 2))
+
+
+# Every route by which an index meets the database's range, each given index ``bad``.
+INDEX_LOOKUPS = {
+    "validate_against": validate_side,
+    "getitem": lambda db, bad: db[bad],
+    "gather": lambda db, bad: db.gather((1, bad)),
+    "server_answer": lambda db, bad: server_answer(Query((((3, 4), 1), ((1, bad), 1)), db.field), db),
+}
+
+
+@pytest.mark.parametrize("bad", [0, -1, 14])
+@pytest.mark.parametrize("lookup", INDEX_LOOKUPS.values(), ids=INDEX_LOOKUPS.keys())
+def test_every_lookup_refuses_an_index_outside_1_to_k_alike(worked_db, lookup, bad):
+    # One refusal, worded once: the server's is a UsageError like the client's.
+    with pytest.raises(UsageError, match=rf"^index {bad} outside 1\.\.13$"):
+        lookup(worked_db, bad)
 
 
 def test_demand_spec_refuses_indices_that_are_not_ints():
@@ -200,9 +224,9 @@ def test_make_query_worked_example(worked_layout, gf13):
     query = make_query(worked_layout, gf13)
     assert query.total_rows == 6
     assert query.blocks == (
-        QueryBlock((1, 2, 4, 6, 8), 2),
-        QueryBlock((3, 10, 11, 13), 2),
-        QueryBlock((5, 7, 9, 12), 2),
+        ((1, 2, 4, 6, 8), 2),
+        ((3, 10, 11, 13), 2),
+        ((5, 7, 9, 12), 2),
     )
 
 
@@ -237,7 +261,7 @@ def test_server_answer_refuses_indices_outside_database(worked_db, gf13):
     # The server gathers values by position, so 0 and negative indices must be
     # refused rather than wrap around to the end of the database.
     for bad, support in ((0, (0, 1, 2)), (-1, (-1, 1, 2)), (14, (1, 2, 14)), (0, (0,)), (14, (14,))):
-        query = Query((QueryBlock((3, 4), 1), QueryBlock(support, 1)), gf13)
+        query = Query((((3, 4), 1), (support, 1)), gf13)
         with pytest.raises(ValueError, match=rf"^index {bad} outside 1\.\.13$"):
             server_answer(query, worked_db)
 
@@ -250,7 +274,7 @@ def test_server_answer_refuses_other_modulus(worked_layout, gf13):
 
 
 def test_server_answer_single_index_block(worked_db, gf13):
-    answer = server_answer(Query((QueryBlock((5,), 1), QueryBlock((1, 13), 2)), gf13), worked_db)
+    answer = server_answer(Query((((5,), 1), ((1, 13), 2)), gf13), worked_db)
     assert answer == ((WORKED_VALUES[5],), (
         (WORKED_VALUES[1] + WORKED_VALUES[13]) % 13,
         (WORKED_VALUES[1] + 2 * WORKED_VALUES[13]) % 13,
@@ -315,7 +339,7 @@ def test_client_decode_retrieval_condition():
     # A block with one coded symbol for three messages needs two known
     # values; give it one and decoding must refuse.
     gf = PrimeField(7)
-    query = Query((QueryBlock((1, 2, 3), 1),), gf)
+    query = Query((((1, 2, 3), 1),), gf)
     answer_vec = (6,)
     spec = DemandSpec((1,), frozenset({2}), {2: 2})
     refusal = "insufficient side information: 2 unknowns but only 1 equations"
@@ -325,7 +349,7 @@ def test_client_decode_retrieval_condition():
 
 def test_client_decode_demand_absent():
     gf = PrimeField(7)
-    query = Query((QueryBlock((1, 2), 2),), gf)
+    query = Query((((1, 2), 2),), gf)
     answer = ((1, 2),)
     spec = DemandSpec((3,), frozenset())
     with pytest.raises(ValueError, match="absent from every query block"):
@@ -340,7 +364,7 @@ def test_client_decode_rejects_tampered_answer():
     params = ProblemParams(k=8, m=4, n=4)
     db = random_db(params, gf, rng)
     spec = DemandSpec((1, 3, 5, 7), frozenset({2, 4, 6, 8}), {i: db[i] for i in (2, 4, 6, 8)})
-    query = Query((QueryBlock(tuple(range(1, 9)), 6),), gf)
+    query = Query(((tuple(range(1, 9)), 6),), gf)
     coded = server_answer(query, db)[0]
     assert client_decode(query, (coded,), spec) == {i: db[i] for i in spec.demands}
     for row in range(6):
