@@ -127,6 +127,12 @@ CATALOGUE = [
            "search_sweep caps the tail by the window's largest quota, not its smallest"),
     Mutant("oracle.py", "k - w - n * n", "k - w - n",
            "search_sweep's window takes n slots of overhead, not n * n"),
+    Mutant("oracle.py", "sum(quotas[:n])", "sum(quotas[-n:])",
+           "the brute-force walk's window is the n smallest quotas, not the n largest"),
+    Mutant("oracle.py", "map(operator.le, quotas, caps)", "map(operator.lt, quotas, caps)",
+           "the brute-force walk refuses a quota equal to its part's cap"),
+    Mutant("oracle.py", "range(caps[0], -1, -1)", "range(caps[0], 0, -1)",
+           "the brute-force walk never tries quota 0"),
 ]
 
 

@@ -38,9 +38,7 @@ from .wire import (
     read_db,
     serve_query_bytes,
     simulate_round,
-    transcript_doc,
     transcript_text,
-    write_db,
 )
 
 __all__ = [
@@ -75,9 +73,7 @@ __all__ = [
     "parse_query_doc",
     "read_db",
     "serve_query_bytes",
-    "transcript_doc",
     "transcript_text",
-    "write_db",
 ]
 
 __version__ = "0.1.0"

@@ -135,7 +135,8 @@ def _cmd_privacy_exact(args) -> int:
     posterior_table_size(params)  # before a draw that takes seconds at the largest k
     rng = random.Random(args.seed)
     demands = tuple(sorted(rng.sample(range(1, params.k + 1), params.n)))
-    complement = [i for i in range(1, params.k + 1) if i not in demands]
+    wanted = frozenset(demands)
+    complement = [i for i in range(1, params.k + 1) if i not in wanted]
     side = frozenset(rng.sample(complement, params.m))
     layout = build_layout(params, DemandSpec(demands, side), rng)
     report = posterior(layout, params)

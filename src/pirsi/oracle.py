@@ -10,9 +10,10 @@ is checked in the tests (``tests/oracles.py``) for small k.
 
 The exhaustive walk that checks the search on small instances
 (:func:`brute_force_rate`, :func:`brute_force_sweep`) is a test oracle
-too.  It stays in the package only because the benchmark's traced
-``oracle`` replay calls ``brute_force_rate``; once that replay calls
-:func:`search_sweep`, the walk can join the other oracles in the tests.
+too.  The program never calls it.  It stays in the package because two
+callers import it from here: acceptance criterion 2
+(``tests/test_acceptance.py``, kept fixed) and the benchmark's traced
+``oracle`` replay.  Moving it to the tests means editing both.
 
 Feasibility of a quota vector is :func:`pirsi.rate.admits_every_demand_set`:
 each quota is at most the subspace's size excess over the demand count
@@ -61,13 +62,14 @@ parts sum to ``k``; so the walk needs no budget of its own, and
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import accumulate
-from typing import Sequence
+import operator
+from functools import cache
+from itertools import accumulate, combinations_with_replacement
+from typing import Iterator, Sequence
 
 from .rate import ProblemParams, admits_every_demand_set, quota_cap
 
-K_CAP = 14  # kept for brute_force_rate, which perfbench's traced oracle replay calls
+K_CAP = 14
 
 
 def is_feasible_plan(params: ProblemParams, sizes: Sequence[int], quotas: Sequence[int]) -> bool:
@@ -87,24 +89,22 @@ def is_feasible_plan(params: ProblemParams, sizes: Sequence[int], quotas: Sequen
     )
 
 
-# Kept for brute_force_rate, which perfbench's traced oracle replay calls.
-@lru_cache(maxsize=None)
-def _partitions(total: int, max_part: int) -> tuple[tuple[int, ...], ...]:
+def _partitions(total: int, max_part: int) -> Iterator[tuple[int, ...]]:
     """All partitions of ``total`` as non-increasing tuples with parts <= max_part."""
     if total == 0:
-        return ((),)
-    out = []
+        yield ()
     for first in range(min(total, max_part), 0, -1):
         for rest in _partitions(total - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
+            yield (first,) + rest
 
 
-# Kept for brute_force_rate, which perfbench's traced oracle replay calls.
-def _walk(k: int, n: int) -> list[int]:
+@cache  # brute_force_sweep calls it only with k <= K_CAP: at most 105 keys
+def _walk(k: int, n: int) -> tuple[int, ...]:
     """Exhaustive walk over every (partition, quota vector) pair of a (k, n).
 
-    Quota vectors are non-increasing, which loses no solutions: caps are
+    For each partition of k it enumerates every non-increasing vector of
+    quotas 0..caps[0], one per part, and keeps those with each quota within
+    its part's cap.  Non-increasing vectors lose no solutions: caps are
     monotone in part size, so any feasible assignment of a quota multiset
     can be re-paired in sorted order, and both the cost and the budget
     depend only on the multiset.  The budget window is the first
@@ -119,35 +119,18 @@ def _walk(k: int, n: int) -> list[int]:
     best = [-1] * (k - n + 1)
     for parts in _partitions(k, k):
         caps = [quota_cap(p, n) for p in parts]
-        window = min(len(parts), n)
-        last = len(parts) - 1
-
-        def extend(idx: int, prev: int, ws: int, total: int) -> None:
-            hi = min(caps[idx], prev)
-            if hi == 0:
-                # Quotas never rise, so every later one is 0 too: the one
-                # completion is all zeros.
-                best[ws] = max(best[ws], total)
-                return
-            inside = idx < window
-            for q in range(hi, -1, -1):
-                at = ws + q if inside else ws
-                if idx < last:
-                    extend(idx + 1, q, at, total + q)
-                elif total + q > best[at]:
-                    best[at] = total + q
-
-        extend(0, parts[0], 0, 0)
-    return best
+        for quotas in combinations_with_replacement(range(caps[0], -1, -1), len(parts)):
+            if all(map(operator.le, quotas, caps)):
+                ws = sum(quotas[:n])
+                best[ws] = max(best[ws], sum(quotas))
+    return tuple(best)
 
 
-# Perfbench's traced oracle replay calls this; the program does not.
 def brute_force_rate(params: ProblemParams) -> int:
     """Minimum download found by exhaustive search (small k only): the sweep's entry m."""
     return brute_force_sweep(params.k, params.n)[params.m]
 
 
-# Kept for brute_force_rate, which perfbench's traced oracle replay calls.
 def brute_force_sweep(k: int, n: int) -> list[int]:
     """The minimum download of every budget m = 0..k-n from one exhaustive walk.
 

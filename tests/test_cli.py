@@ -22,11 +22,10 @@ from pirsi import (
     canonical,
     compute_plan,
     simulate_round,
-    transcript_doc,
     wire,
 )
 from pirsi.cli import build_parser, main
-from pirsi.wire import read_db, write_db
+from pirsi.wire import read_db, transcript_doc, write_db
 from conftest import WORKED_VALUES, leaky_draw_layout
 
 # Transcripts pinned byte for byte, so a given seed keeps its round across
@@ -564,6 +563,23 @@ def test_privacy_exact_beyond_k_13(capsys):
     assert doc["uniform"] is True
     assert len(doc["posteriors"]) == 435
     assert set(doc["posteriors"].values()) == {"1/435"}
+
+
+def test_privacy_exact_draws_its_side_set_in_linear_time():
+    # At m = 0 and n = k the table is one demand set, so every k up to the
+    # instance cap is accepted.  A complement built by testing membership
+    # in the demand tuple costs O(k * n): about a minute at k = 10^5, where
+    # the whole run takes well under a second.  The bound guards the
+    # complexity, not a timing.
+    done = subprocess.run(
+        [sys.executable, "-m", "pirsi.cli", "privacy-exact", "--k", "100000", "--m", "0",
+         "--n", "100000"],
+        env=_module_env(), capture_output=True, text=True, timeout=30, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(done.stdout)
+    assert doc["uniform"] is True
+    assert list(doc["posteriors"].values()) == ["1/1"]
 
 
 def test_privacy_mc_reports(capsys):

@@ -229,6 +229,18 @@ def test_search_matches_brute_force():
     assert instances == 560
 
 
+def test_sweep_is_a_new_list_over_a_cached_walk():
+    # The walk is cached per (k, n), so a caller that edits the list it got
+    # must not change what the next caller reads.
+    first = brute_force_sweep(13, 2)
+    first[:] = [0] * len(first)
+    first.append(-1)
+    again = brute_force_sweep(13, 2)
+    assert again is not first
+    assert again == search_sweep(13, 2)
+    assert brute_force_rate(ProblemParams(13, 5, 2)) == 6
+
+
 def test_search_guards_inputs():
     with pytest.raises(ValueError, match="n must be positive"):
         search_sweep(5, 0)
