@@ -135,7 +135,8 @@ def brute_force_sweep(k: int, n: int) -> list[int]:
     """The minimum download of every budget m = 0..k-n from one exhaustive walk.
 
     The walk visits every vector, and budget m keeps those with window sum
-    at most m.  Raises ValueError for an invalid (k, n) or k above ``K_CAP``.
+    at most m.  It runs once per (k, n); each call returns a new list.
+    Raises ValueError for an invalid (k, n) or k above ``K_CAP``.
     """
     ProblemParams(k, 0, n)  # validates k and n
     if k > K_CAP:
