@@ -63,7 +63,7 @@ CATALOGUE = [
            "the cap lets a quota fill the demands' slots"),
     Mutant("rate.py", "if l_formula <= n:", "if l_formula < n:",
            "compute_plan partitions when l_formula = n, where one subspace is optimal"),
-    Mutant("rate.py", "if self.k > INSTANCE_K_CAP:", "if self.k >= INSTANCE_K_CAP:",
+    Mutant("rate.py", "if k > INSTANCE_K_CAP:", "if k >= INSTANCE_K_CAP:",
            "ProblemParams refuses k at the cap itself"),
     Mutant("scheme.py", "left -= free[u]", "left -= sizes[u]",
            "stage 2 weights blocks by size, not by free capacity"),
@@ -79,7 +79,7 @@ CATALOGUE = [
     Mutant("scheme.py", "min(indices) >= 1", "min(indices) >= 0",
            "require_indices passes index 0, so every lookup, the server's included, reads the padding"),
     Mutant("scheme.py", "(0,) + self.values", "self.values",
-           "the database's 1-indexed view loses its padding: every read is off by one"),
+           "gather's 1-indexed view loses its padding: every gather, the server's included, is off by one"),
     Mutant("scheme.py", "if len(indices) > 1:", "if len(indices) > 0:",
            "gather hands a single key to itemgetter, which returns a bare int, not a 1-tuple"),
     Mutant("scheme.py", "max(group) <= k", "min(group) <= k",
@@ -97,11 +97,21 @@ CATALOGUE = [
            "the answer parser accepts values outside [0, p)"),
     Mutant("field.py", "37, 41)", "37)",
            "Miller-Rabin without the 13th witness, which 318665857834031151167461 needs"),
-    Mutant("field.py", "if not is_prime(self.p):", "if is_prime(self.p) is None:",
+    Mutant("field.py", "if not is_prime(p):", "if is_prime(p) is None:",
            "PrimeField accepts a composite modulus"),
+    Mutant("field.py", "base._make = classmethod(lambda cls, iterable: cls(*iterable))", "pass",
+           "_make and _replace build records the constructor refuses"),
+    Mutant("scheme.py", "(tuple(sorted(demands)), held, side_values)", "(demands, held, side_values)",
+           "DemandSpec keeps its demands in the order given, unsorted"),
+    Mutant("scheme.py", "(field.check(values), field)", "(tuple(values), field)",
+           "Database, and so a copy or a _replace of one, holds values outside [0, p)"),
+    Mutant("scheme.py", "return self.values[index - 1]", "return self.values[index]",
+           "a database lookup reads the next message: off by one"),
+    Mutant("scheme.py", "start += len(support)", "pass",
+           "the server's one gather is split wrongly: every block encodes the first block's values"),
     Mutant("privacy.py", "EXACT_SETS_CAP.bit_length()", "3",
            "posterior_table_size takes the binomial at 3, not at the cap's bit length"),
-    Mutant("privacy.py", "spec.validate_against(replace(params, m=0))", "pass",
+    Mutant("privacy.py", "spec.validate_against(ProblemParams(params.k, 0, params.n))", "pass",
            "monte_carlo_tvd samples demand sets outside 1..k or of the wrong size"),
     Mutant("privacy.py", "MIN_EXPECTED = 5", "MIN_EXPECTED = 1",
            "monte_carlo_tvd runs with cells too thin for the normal approximation"),

@@ -10,9 +10,9 @@ parser of one round, and every later round, share one proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
 # Miller-Rabin with the first 13 primes as bases is deterministic below this
 # bound (Sorenson & Webster, 2015); with the first 12 it is not, since
@@ -62,15 +62,25 @@ def _miller_rabin(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class PrimeField:
+def record(name: str, fields: str) -> type:
+    """A named-tuple base whose ``_make``, and so ``_replace``, call the constructor.
+
+    A record that validates in ``__new__`` then does so on every route: copies and pickles call it.
+    """
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class PrimeField(record("PrimeField", "p")):
     """The modulus of GF(p), validated once, and the check for its values."""
 
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"modulus must be prime, got {self.p}")
+    def __new__(cls, p: int):
+        if not is_prime(p):
+            raise ValueError(f"modulus must be prime, got {p}")
+        return tuple.__new__(cls, (p,))
 
     # The program never calls this; perfbench's untraced Rounds.prepare does.
     def element(self, value: int) -> int:

@@ -33,8 +33,8 @@ exhaustive MDS test.
 from __future__ import annotations
 
 import operator
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
-from typing import Mapping, Sequence
 
 from .field import PrimeField
 

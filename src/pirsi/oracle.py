@@ -63,9 +63,9 @@ parts sum to ``k``; so the walk needs no budget of its own, and
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator, Sequence
 from functools import cache
 from itertools import accumulate, combinations_with_replacement
-from typing import Iterator, Sequence
 
 from .rate import ProblemParams, admits_every_demand_set, quota_cap
 

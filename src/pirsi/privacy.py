@@ -51,12 +51,12 @@ sum the product over every (demand set, side set) pair to check
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import combinations
 from math import ceil, comb, inf, sqrt
 from statistics import NormalDist
-from typing import Sequence
 
 from . import scheme
 from .rate import ProblemParams, RatePlan, UsageError, compute_plan, require_admissible
@@ -68,14 +68,10 @@ EXACT_SETS_CAP = 20_000  # posterior's table holds at most this many demand sets
 EXACT_INDICES_CAP = 1_000_000  # and this many indices in all
 
 
-@dataclass(frozen=True)
-class PosteriorReport:
-    """Exact posterior over demand sets for one observed layout."""
+class PosteriorReport(namedtuple("PosteriorReport", "probabilities prior max_deviation uniform")):
+    """Exact posterior over demand sets (ascending tuples) for one observed layout."""
 
-    probabilities: dict[tuple[int, ...], Fraction]
-    prior: Fraction
-    max_deviation: Fraction
-    uniform: bool
+    __slots__ = ()
 
 
 def posterior_table_size(params: ProblemParams) -> int:
@@ -121,19 +117,15 @@ def posterior(layout: Layout, params: ProblemParams) -> PosteriorReport:
 
 # No longer a total-variation distance.  perfbench never names this class; its
 # privacy-mc replay reads monte_carlo_tvd's ``trials`` and ``distinct_queries``.
-@dataclass(frozen=True)
-class TvdReport:
+class TvdReport(
+    namedtuple("TvdReport", "trials distinct_queries cells max_z threshold consistent")
+):
     """``monte_carlo_tvd``'s verdict: the worst |z| over ``cells`` against ``threshold``.
 
     ``distinct_queries`` counts layout hashes: short only on a 64-bit collision.
     """
 
-    trials: int
-    distinct_queries: int
-    cells: int
-    max_z: float
-    threshold: float
-    consistent: bool
+    __slots__ = ()
 
 
 def _sample_counts(params, plan: RatePlan, demands, trials, rng, layouts: set) -> list[int]:
@@ -190,7 +182,7 @@ def monte_carlo_tvd(
     for demands in (demands_a, demands_b):
         # The demands alone must fit; the side sets drawn for them always do.
         spec = DemandSpec(tuple(demands), frozenset())
-        spec.validate_against(replace(params, m=0))
+        spec.validate_against(ProblemParams(params.k, 0, params.n))
         demand_sets.append(spec.demands)
     k, n = params.k, params.n
     plan = compute_plan(params)

@@ -25,8 +25,10 @@ plan that cannot.  ``ProblemParams`` refuses k above ``INSTANCE_K_CAP``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from collections.abc import Sequence
+
+from .field import record
 
 INSTANCE_K_CAP = 1_000_000  # the plan alone holds a profile about k / (m_bar + n) long
 
@@ -39,35 +41,30 @@ class UsageError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class ProblemParams:
+class ProblemParams(record("ProblemParams", "k m n")):
     """Instance parameters: k messages total, m held, n demanded; k <= ``INSTANCE_K_CAP``."""
 
-    k: int
-    m: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, k: int, m: int, n: int):
         # Exactly int, as DemandSpec asks of indices: True and 13.0 are refused.
-        if not type(self.k) is type(self.m) is type(self.n) is int:
-            name, value = next((name, v) for name, v in vars(self).items() if type(v) is not int)
+        if not type(k) is type(m) is type(n) is int:
+            name, value = next(p for p in zip(cls._fields, (k, m, n)) if type(p[1]) is not int)
             raise UsageError(f"{name} must be an int, got {value!r}")
-        if self.k > INSTANCE_K_CAP:
-            raise UsageError(f"k must be at most {INSTANCE_K_CAP}, got {self.k}")
-        if self.k < 1:
-            raise UsageError(f"k must be positive, got {self.k}")
-        if self.n < 1:
-            raise UsageError(f"n must be positive, got {self.n}")
-        if self.m < 0:
-            raise UsageError(f"m must be nonnegative, got {self.m}")
-        if self.n + self.m > self.k:
-            raise UsageError(
-                f"demands plus side information exceed database: n={self.n}, m={self.m}, k={self.k}"
-            )
+        if k > INSTANCE_K_CAP:
+            raise UsageError(f"k must be at most {INSTANCE_K_CAP}, got {k}")
+        if k < 1:
+            raise UsageError(f"k must be positive, got {k}")
+        if n < 1:
+            raise UsageError(f"n must be positive, got {n}")
+        if m < 0:
+            raise UsageError(f"m must be nonnegative, got {m}")
+        if n + m > k:
+            raise UsageError(f"demands plus side information exceed database: n={n}, m={m}, k={k}")
+        return tuple.__new__(cls, (k, m, n))
 
 
-@dataclass(frozen=True)
-class RatePlan:
+class RatePlan(namedtuple("RatePlan", "m_bar t size_profile side_profile trivial")):
     """An optimal partition profile; its subspace count and cost are read off it.
 
     m_bar is the per-demand side-information quota floor(m / n) and t the
@@ -77,11 +74,7 @@ class RatePlan:
     plans whose cost equals the download-everything-unknown bound k - m.
     """
 
-    m_bar: int
-    t: int
-    size_profile: tuple[int, ...]
-    side_profile: tuple[int, ...]
-    trivial: bool
+    __slots__ = ()
 
     @property
     def l_star(self) -> int:

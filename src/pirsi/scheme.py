@@ -55,43 +55,44 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass, field as dc_field
-from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
+from itertools import chain, compress
 
 from . import mds
-from .field import PrimeField
+from .field import PrimeField, record
 from .rate import ProblemParams, RatePlan, UsageError, compute_plan, require_admissible
 
 
-@dataclass(frozen=True)
-class DemandSpec:
+class DemandSpec(record("DemandSpec", "demands side side_values")):
     """What the client wants and what it already holds.
 
-    ``demands`` are the n message indices to retrieve, ``side`` the m
-    indices whose values the client knows, ``side_values`` those values
-    (only needed for decoding, not for building queries).  Both index
+    ``demands`` are the n message indices to retrieve, held sorted as a
+    tuple, ``side`` the m indices whose values the client knows, held as a
+    frozenset, and ``side_values`` those values (only needed for decoding,
+    not for building queries; a fresh empty dict when omitted).  Both index
     collections may be any iterable; each is refused if it repeats an index.
     """
 
-    demands: tuple[int, ...]
-    side: frozenset[int]
-    side_values: Mapping[int, int] = dc_field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        demands, side = tuple(self.demands), tuple(self.side)
+    def __new__(
+        cls, demands: Iterable[int], side: Iterable[int], side_values: Mapping | None = None
+    ):
+        demands, side = tuple(demands), tuple(side)
         # Exactly int, as PrimeField.check asks of values: True and 5.0 are refused.
         if {*map(type, demands), *map(type, side)} - {int}:
             bad = next(idx for idx in (*demands, *side) if type(idx) is not int)
             raise UsageError(f"index {bad!r} is not an int")
-        object.__setattr__(self, "demands", tuple(sorted(demands)))
-        object.__setattr__(self, "side", frozenset(side))
-        if len(set(self.demands)) != len(self.demands):
+        wanted, held = frozenset(demands), frozenset(side)
+        if len(wanted) != len(demands):
             raise UsageError("duplicate demand indices")
-        if len(self.side) != len(side):
+        if len(held) != len(side):
             raise UsageError("duplicate side-information indices")
-        if set(self.demands) & self.side:
+        if wanted & held:
             raise UsageError("demand and side-information indices overlap")
+        side_values = {} if side_values is None else side_values
+        return tuple.__new__(cls, (tuple(sorted(demands)), held, side_values))
 
     def validate_against(self, params: ProblemParams) -> None:
         """Raise UsageError unless this spec fits the instance: counts and range."""
@@ -106,8 +107,7 @@ class DemandSpec:
                 require_indices((*self.demands, *sorted(self.side)), k)
 
 
-@dataclass(frozen=True)
-class Layout:
+class Layout(namedtuple("Layout", "subspaces plan")):
     """An ordered partition of 1..k into the plan's subspaces.
 
     Block i holds ``plan.size_profile[i]`` indices in ascending order, and
@@ -117,12 +117,10 @@ class Layout:
     unsorted or overlap.
     """
 
-    subspaces: tuple[tuple[int, ...], ...]
-    plan: RatePlan
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(namedtuple("Query", "blocks field")):
     """Each subspace's request as a ``(support, r)`` pair: its indices and how many coded rows.
 
     The coefficients are, by definition, the first r rows of the Vandermonde
@@ -131,8 +129,7 @@ class Query:
     Both sides read them from ``mds``'s packed columns, cached per shape.
     """
 
-    blocks: tuple[tuple[tuple[int, ...], int], ...]
-    field: PrimeField
+    __slots__ = ()
 
     @property
     def total_rows(self) -> int:
@@ -146,17 +143,13 @@ def require_indices(indices: Sequence[int], k: int) -> None:
         raise UsageError(f"index {bad} outside 1..{k}")
 
 
-@dataclass(frozen=True)
-class Database:
-    """k message values over a common prime field, indexed from 1."""
+class Database(record("Database", "values field")):
+    """k message values over a common prime field; ``db[i]`` is message i, from 1."""
 
-    values: tuple[int, ...]
-    field: PrimeField
-    _padded: tuple[int, ...] = dc_field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", self.field.check(self.values))
-        object.__setattr__(self, "_padded", (0,) + self.values)  # index i at position i
+    def __new__(cls, values: Iterable[int], field: PrimeField):
+        return tuple.__new__(cls, (field.check(values), field))
 
     @property
     def k(self) -> int:
@@ -164,19 +157,21 @@ class Database:
 
     def __getitem__(self, index: int) -> int:
         require_indices((index,), self.k)
-        return self._padded[index]
+        return self.values[index - 1]
 
     def gather(self, indices: Sequence[int]) -> tuple[int, ...]:
         """The values at ``indices``, in order: one range check, then one C-level lookup.
 
         Refuses as ``__getitem__`` does, naming the first index outside 1..k
-        in the order given.
+        in the order given.  Each call pads the values once, O(k), so a
+        reader of many indices gathers them in one call.
         """
         require_indices(indices, self.k)
+        padded = (0,) + self.values  # index i at position i
         if len(indices) > 1:
-            return operator.itemgetter(*indices)(self._padded)
+            return operator.itemgetter(*indices)(padded)
         # itemgetter of a single key returns the entry itself, not a 1-tuple
-        return tuple(self._padded[i] for i in indices)
+        return tuple(padded[i] for i in indices)
 
 
 def build_layout(params: ProblemParams, spec: DemandSpec, rng: random.Random) -> Layout:
@@ -298,8 +293,13 @@ def server_answer(query: Query, db: Database) -> tuple[tuple[int, ...], ...]:
     """
     if query.field.p != db.field.p:
         raise ValueError(f"incompatible moduli: {query.field.p} vs {db.field.p}")
-    field = query.field
-    return tuple(tuple(mds.encode(r, db.gather(support), field)) for support, r in query.blocks)
+    # One gather for the whole query, split back into blocks, pads the database once.
+    values = db.gather(tuple(chain.from_iterable(support for support, _ in query.blocks)))
+    answer, start = [], 0
+    for support, r in query.blocks:
+        answer.append(tuple(mds.encode(r, values[start:start + len(support)], query.field)))
+        start += len(support)
+    return tuple(answer)
 
 
 def client_decode(
@@ -341,18 +341,20 @@ def client_decode(
     return recovered
 
 
-@dataclass(frozen=True)
-class RoundResult:
+class RoundResult(
+    namedtuple(
+        "RoundResult",
+        "layout query answer decoded query_bytes answer_bytes",
+        defaults=(None, None),
+    )
+):
     """Everything produced by one full query/answer/decode round.
 
-    A round run over bytes (``wire.simulate_round``) also records the
-    canonical query bytes it sent and the answer bytes it received; a
-    round assembled from its parts leaves them ``None``.
+    ``answer`` holds the coded symbols, one tuple per query block, and
+    ``decoded`` maps each demanded index to its value.  A round run over
+    bytes (``wire.simulate_round``) also records the canonical query bytes
+    it sent and the answer bytes it received; a round assembled from its
+    parts leaves them ``None``.
     """
 
-    layout: Layout
-    query: Query
-    answer: tuple[tuple[int, ...], ...]  # the coded symbols, one tuple per query block
-    decoded: dict[int, int]
-    query_bytes: bytes | None = None
-    answer_bytes: bytes | None = None
+    __slots__ = ()

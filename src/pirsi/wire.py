@@ -77,7 +77,7 @@ def _not_ascii(what: str, err: UnicodeDecodeError) -> ValueError:
 
 
 def plan_doc(params: ProblemParams, plan: RatePlan) -> dict:
-    return vars(params) | vars(plan) | {"l_star": plan.l_star, "r_star": plan.r_star}
+    return params._asdict() | plan._asdict() | {"l_star": plan.l_star, "r_star": plan.r_star}
 
 
 def query_doc(query: Query) -> dict:
@@ -174,10 +174,12 @@ def transcript_text(params: ProblemParams, seed: int, result: RoundResult) -> st
     """``canonical(transcript_doc(params, seed, result))``, reusing the round's bytes.
 
     The query and answer sections are the bytes that crossed, so ``result``
-    must come from ``simulate_round``, which records them.  The keys are
-    written in sorted order with compact separators, which is exactly the
-    frame ``canonical`` writes around the sections.
+    must come from ``simulate_round``, which records them; one without them
+    raises ValueError.  The keys are written in sorted order with compact
+    separators, which is exactly the frame ``canonical`` writes around them.
     """
+    if result.query_bytes is None or result.answer_bytes is None:
+        raise ValueError("round result has no recorded query/answer bytes; use simulate_round")
     query = result.query_bytes.decode("ascii")
     answer = result.answer_bytes.decode("ascii")
     decoded = canonical({str(idx): val for idx, val in result.decoded.items()})
@@ -200,7 +202,7 @@ def posterior_doc(report: PosteriorReport, layout: Layout) -> dict:
 
 # No longer a total-variation distance; perfbench's traced privacy-mc replay needs this name.
 def tvd_doc(report: TvdReport) -> dict:
-    return dict(vars(report))
+    return report._asdict()
 
 
 # ---------------------------------------------------------------------------

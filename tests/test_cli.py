@@ -7,7 +7,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -693,7 +692,7 @@ def test_oracle_refuses_bad_plan_profile(capsys, monkeypatch, sizes, quotas):
         plan = compute_plan(params)
         if (params.k, params.m, params.n) != (13, 5, 2):
             return plan
-        return replace(plan, size_profile=sizes, side_profile=quotas)
+        return plan._replace(size_profile=sizes, side_profile=quotas)
 
     monkeypatch.setattr("pirsi.cli.compute_plan", skewed_plan)
     code, out, err = run_cli(capsys, "oracle", "--k-max", "13")

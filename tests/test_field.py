@@ -1,6 +1,5 @@
 """Prime fields: the primality proof, canonical values, and the boundary check."""
 
-import dataclasses
 
 import pytest
 
@@ -91,7 +90,7 @@ def test_equality_and_hashing():
     assert hash(gf) == hash(PrimeField(13))
     assert gf.element(5) == gf.element(18)
     # A field is an lru_cache key in mds, so its modulus cannot be rebound.
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         PrimeField(13).p = 7
     assert Database((5, 0), gf) == Database([5, 0], PrimeField(13))
 

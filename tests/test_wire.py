@@ -152,6 +152,16 @@ def test_simulate_round_refuses_deep_nesting_and_repeated_keys_in_answers(
             simulate_round(worked_params, worked_spec, worked_db, random.Random(1))
 
 
+def test_transcript_text_needs_the_rounds_recorded_bytes(worked_params, worked_spec, worked_db):
+    result = simulate_round(worked_params, worked_spec, worked_db, random.Random(1))
+    text = wire.transcript_text(worked_params, 1, result)
+    assert text == canonical(wire.transcript_doc(worked_params, 1, result))
+    # A round assembled from its parts recorded no bytes to print.
+    for missing in ({"query_bytes": None}, {"answer_bytes": None}, {"query_bytes": None, "answer_bytes": None}):
+        with pytest.raises(ValueError, match="^round result has no recorded query/answer bytes"):
+            wire.transcript_text(worked_params, 1, result._replace(**missing))
+
+
 def test_serve_query_bytes_names_a_non_ascii_byte(worked_query_doc, worked_db):
     # A UTF-8 "é" inside a support: the document and the offset of its first
     # byte are named, not just the codec.
