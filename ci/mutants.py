@@ -86,14 +86,26 @@ CATALOGUE = [
            "validate_against checks only the low end of each index set"),
     Mutant("mds.py", "for i in range(r - u)):", "for i in range(0)):",
            "the decoder never checks the spare rows"),
-    Mutant("wire.py", "if not seen.isdisjoint(support):", "if False:",
-           "the query parser accepts overlapping supports"),
+    Mutant("wire.py", "return max(1, ((blocks - 1).bit_length() + 7) // 8)",
+           "return max(1, (blocks.bit_length() + 7) // 8)",
+           "the query's label width is one byte too wide at l = 256"),
+    Mutant("wire.py", "if raw is None or binascii.b2a_base64(raw, newline=False) != encoded:",
+           "if raw is None:",
+           "the query parser reads non-canonical base64: QR== as QQ=="),
+    Mutant("wire.py", "if raw and max(raw) >= len(rows):", "if raw and max(raw) > len(rows):",
+           "the query parser lets label l past its check, to fail as an IndexError"),
+    Mutant("scheme.py", "if len(values) != db.k:", "if False:",
+           "the server answers a query whose labels cover only part of the database"),
+    Mutant("rate.py", "if widest > CODE_ENTRIES_CAP:", "if widest >= CODE_ENTRIES_CAP:",
+           "the code cap refuses a code of exactly CODE_ENTRIES_CAP entries"),
+    Mutant("rate.py", "widest = max((size - quota) * size", "widest = min((size - quota) * size",
+           "the code cap reads the smallest block, not the widest"),
     Mutant("wire.py", '{{"answer":{answer},"decoded":{decoded},"plan":{plan},"query":{query},',
            '{{"answer":{query},"decoded":{decoded},"plan":{plan},"query":{answer},',
            "the transcript swaps its query and answer sections"),
     Mutant("wire.py", "if len(lines) > k:", "if len(lines) > k + 1:",
            "the database reader accepts one value after the k-th"),
-    Mutant("wire.py", 'field.check(_list(block, "answer block"))', 'tuple(_list(block, "answer block"))',
+    Mutant("wire.py", "if max(map(max, blocks)) >= field.p:", "if False:",
            "the answer parser accepts values outside [0, p)"),
     Mutant("field.py", "37, 41)", "37)",
            "Miller-Rabin without the 13th witness, which 318665857834031151167461 needs"),

@@ -33,8 +33,8 @@ from .scheme import (
 )
 from .wire import (
     canonical,
-    parse_answer_doc,
-    parse_query_doc,
+    parse_answer_bytes,
+    parse_query_bytes,
     read_db,
     serve_query_bytes,
     simulate_round,
@@ -69,8 +69,8 @@ __all__ = [
     "server_answer",
     "simulate_round",
     "canonical",
-    "parse_answer_doc",
-    "parse_query_doc",
+    "parse_answer_bytes",
+    "parse_query_bytes",
     "read_db",
     "serve_query_bytes",
     "transcript_text",

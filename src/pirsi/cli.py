@@ -28,7 +28,7 @@ from functools import cache
 from . import wire
 from .oracle import is_feasible_plan, search_sweep
 from .privacy import monte_carlo_tvd, posterior, posterior_table_size
-from .rate import ProblemParams, UsageError, compute_plan
+from .rate import ProblemParams, UsageError, compute_plan, require_code_fits
 from .scheme import DemandSpec, build_layout
 
 # oracle checks every (k, m, n) with k <= --k-max: at this cap 4,545,100
@@ -110,6 +110,7 @@ def _cmd_rate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     params = ProblemParams(args.k, args.m, args.n)
+    require_code_fits(compute_plan(params))  # before reading a database this round could not code
     try:
         # newline="" hands read_db the file's own line ends, so it refuses \r.
         with open(args.db, encoding="ascii", newline="") as fh:

@@ -56,7 +56,7 @@ def _packed_columns(r: int, n: int, field: PrimeField) -> tuple[int, tuple[int, 
     nonzero; it is not re-checked here.  A block's shape comes from
     ``scheme.make_query``, which refuses a field too small for the widest
     block and sets r = size - quota within the cap ``build_layout``
-    admitted, or from ``wire.parse_query_doc``, which refuses any other
+    admitted, or from ``wire.parse_query_bytes``, which refuses any other
     shape.
 
     >>> _packed_columns(2, 3, PrimeField(7))  # rows (1, 1, 1) and (1, 2, 3)

@@ -20,7 +20,8 @@ coded symbols.  The minimum download ``r_star`` is read off the profile
 paper's closed-form expression for it is checked against the profile in
 the tests.  ``admits_every_demand_set`` decides whether a profile can
 serve, and so hide, every demand set; ``require_admissible`` refuses a
-plan that cannot.  ``ProblemParams`` refuses k above ``INSTANCE_K_CAP``.
+plan that cannot.  ``ProblemParams`` refuses k above ``INSTANCE_K_CAP``, and
+``require_code_fits`` a plan whose widest code is over ``CODE_ENTRIES_CAP``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,12 @@ from collections.abc import Sequence
 from .field import record
 
 INSTANCE_K_CAP = 1_000_000  # the plan alone holds a profile about k / (m_bar + n) long
+# The widest block's r x s code a round may build (``require_code_fits``).  Both
+# sides cache the code per shape, so a one-block round's memory grows with
+# r * s: at p = 2**31 - 1 one `pirsi simulate` peaked at 79 MB with
+# r * s = 968,000, 144 MB with 1,945,664 and 270 MB with 3,910,000 (3.0 s).
+# Partitioned plans stay below 2 * k; one-block plans reach k**2.
+CODE_ENTRIES_CAP = 1 << 22
 
 
 class UsageError(ValueError):
@@ -122,6 +129,20 @@ def require_admissible(params: ProblemParams, plan: RatePlan) -> None:
         raise ValueError(
             f"plan with sizes {plan.size_profile} and quotas {plan.side_profile} cannot "
             f"hide every demand set at m={params.m}, n={params.n}"
+        )
+
+
+def require_code_fits(plan: RatePlan) -> None:
+    """Raise UsageError unless the widest block's code, r * s entries, is within ``CODE_ENTRIES_CAP``.
+
+    A block of size s with quota q is coded with r = s - q rows, so the
+    bound is read off the plan alone, before any database is read.
+    """
+    widest = max((size - quota) * size for size, quota in zip(plan.size_profile, plan.side_profile))
+    if widest > CODE_ENTRIES_CAP:
+        raise UsageError(
+            f"the widest block's code has r * s = {widest} entries, "
+            f"over the cap of {CODE_ENTRIES_CAP} one round may build"
         )
 
 

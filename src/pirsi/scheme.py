@@ -45,7 +45,7 @@ the block shapes and column positions this module hands it: ``make_query``
 refuses a field too small for the widest block and sets r = size - quota,
 ``client_decode`` passes positions it enumerated from the block's own
 support, and a query that arrives as bytes is held to the same shapes by
-``wire.parse_query_doc``.  An index outside 1..k is refused by
+``wire.parse_query_bytes``.  An index outside 1..k is refused by
 ``require_indices`` alone, wherever it arrives: a client's spec
 (``DemandSpec.validate_against``), a database lookup, or a query block the
 server reads through ``Database.gather``.
@@ -61,7 +61,14 @@ from itertools import chain, compress
 
 from . import mds
 from .field import PrimeField, record
-from .rate import ProblemParams, RatePlan, UsageError, compute_plan, require_admissible
+from .rate import (
+    ProblemParams,
+    RatePlan,
+    UsageError,
+    compute_plan,
+    require_admissible,
+    require_code_fits,
+)
 
 
 class DemandSpec(record("DemandSpec", "demands side side_values")):
@@ -113,8 +120,9 @@ class Layout(namedtuple("Layout", "subspaces plan")):
     Block i holds ``plan.size_profile[i]`` indices in ascending order, and
     the blocks together hold each of 1..k once.  Nothing here checks that:
     the program builds a ``Layout`` only in ``draw_layout``, whose stages
-    guarantee it, and the server's query parse refuses supports that are
-    unsorted or overlap.
+    guarantee it, and a query read from bytes has such supports by
+    construction, since it names one block per index
+    (``wire.parse_query_bytes``).
     """
 
     __slots__ = ()
@@ -127,6 +135,9 @@ class Query(namedtuple("Query", "blocks field")):
     matrix with entry (i, j) = (j + 1)**i over the ``len(support)`` members:
     they depend only on the block's shape, so they are never stored or sent.
     Both sides read them from ``mds``'s packed columns, cached per shape.
+    On the wire (``wire.query_doc``) the supports travel as one block label
+    per index and the r as one list, so a query read from bytes has
+    supports that partition 1..k.
     """
 
     __slots__ = ()
@@ -267,9 +278,12 @@ def make_query(layout: Layout, field: PrimeField) -> Query:
     Block i requests the first size_i - quota_i Vandermonde rows over its
     subspace.  The coefficients depend only on the block shape and the
     field, never on the demands, so the query reveals nothing beyond the
-    layout itself.
+    layout itself.  Refuses, as UsageError, a plan whose widest code is over
+    ``rate.CODE_ENTRIES_CAP``, and, as ValueError, a field too small for
+    the widest block.
     """
     plan = layout.plan
+    require_code_fits(plan)
     biggest = max(plan.size_profile)
     if field.p <= biggest:
         raise ValueError(
@@ -287,14 +301,17 @@ def server_answer(query: Query, db: Database) -> tuple[tuple[int, ...], ...]:
 
     This function sees only the query and the database; it has no access to
     demand or side-information structure, mirroring the server's view.
-    Raises ValueError if the query's modulus is not the database's, and
+    Raises ValueError if the query's modulus is not the database's,
     UsageError (a ValueError) if a block names an index outside 1..k, as
-    ``Database.gather`` refuses it.
+    ``Database.gather`` refuses it, and ValueError if the query's supports
+    do not hold k indices in all: a parsed query's labels number db.k.
     """
     if query.field.p != db.field.p:
         raise ValueError(f"incompatible moduli: {query.field.p} vs {db.field.p}")
     # One gather for the whole query, split back into blocks, pads the database once.
     values = db.gather(tuple(chain.from_iterable(support for support, _ in query.blocks)))
+    if len(values) != db.k:
+        raise ValueError(f"query covers {len(values)} indices, the database holds {db.k}")
     answer, start = [], 0
     for support, r in query.blocks:
         answer.append(tuple(mds.encode(r, values[start:start + len(support)], query.field)))

@@ -5,11 +5,14 @@ whitespace, so identical inputs always produce identical bytes.  Integers
 stay decimal; exact rationals are rendered as "numerator/denominator"
 strings.  Field moduli travel once per document header, never per element.
 
-A query document (version 2) carries each block's support and row count
-only; its coefficients are implied by (support, r, p), so the server
-regenerates them.  Documents that cross to the server role or back are
-checked strictly: one JSON document with unique keys, exact key sets,
-exact ``int``s, and every range; any failure raises ValueError.
+A query document (version 3) carries the layout as one block label per
+index, in base64, and each block's row count; its coefficients are
+implied by (support, r, p), so the server regenerates them.  Documents
+that cross to the server role or back are read in one byte form only,
+the one ``canonical`` writes: a regex matches the whole document, and a
+query's labels must also be canonical base64.  The labels make every
+query a partition of 1..k by construction.  Any other bytes raise
+ValueError.
 
 The client/server split is realised as two roles exchanging these
 documents as bytes: the server role reads a query document and writes an
@@ -22,11 +25,12 @@ bytes: the query bytes it sent and the answer bytes it received.
 
 from __future__ import annotations
 
+import binascii
 import json
-import operator
 import random
 import re
 from fractions import Fraction
+from itertools import chain
 
 from .field import PrimeField
 from .privacy import PosteriorReport, TvdReport
@@ -45,7 +49,7 @@ from .scheme import (
 
 DB_MAGIC = "pir-db"
 DB_VERSION = "v1"
-QUERY_VERSION = 2
+QUERY_VERSION = 3
 # A malformed header is quoted up to this many characters: a file with no
 # "\n" is all header.
 HEADER_QUOTE_CAP = 64
@@ -55,6 +59,14 @@ DECIMAL = "0|[1-9][0-9]*"
 _DB_HEADER = re.compile(rf"{DB_MAGIC} {DB_VERSION} p=({DECIMAL}) k=({DECIMAL})")
 _DB_VALUE = re.compile(DECIMAL)
 _DB_VALUES = re.compile(rf"(?:(?:{DECIMAL})\n)*(?:{DECIMAL})\n?")
+# The one byte string per document that canonical() writes; base64 with its padding.
+_QUERY = re.compile(
+    rf'\{{"labels":"([A-Za-z0-9+/]*={{0,2}})","p":({DECIMAL}),'
+    rf'"rows":\[((?:{DECIMAL})(?:,(?:{DECIMAL}))*)\],"version":{QUERY_VERSION}\}}'.encode("ascii")
+)
+_VERSION_FIELD = re.compile(rb'"version":(-?[0-9]+)')
+_ANSWER_BLOCK = rf"\[(?:{DECIMAL})(?:,(?:{DECIMAL}))*\]"
+_ANSWER = re.compile(rf'\{{"blocks":\[{_ANSWER_BLOCK}(?:,{_ANSWER_BLOCK})*\]\}}'.encode("ascii"))
 
 
 def canonical(doc) -> str:
@@ -80,77 +92,121 @@ def plan_doc(params: ProblemParams, plan: RatePlan) -> dict:
     return params._asdict() | plan._asdict() | {"l_star": plan.l_star, "r_star": plan.r_star}
 
 
+def label_width(blocks: int) -> int:
+    """Bytes per label in a query of ``blocks`` blocks: enough for 0..blocks - 1, and at least one."""
+    return max(1, ((blocks - 1).bit_length() + 7) // 8)
+
+
 def query_doc(query: Query) -> dict:
-    blocks = [{"support": list(support), "r": r} for support, r in query.blocks]
-    return {"version": QUERY_VERSION, "p": query.field.p, "blocks": blocks}
+    """The version-3 document: each index's block label, then each block's row count.
 
-
-def _require_keys(doc, keys: set, what: str) -> None:
-    if type(doc) is not dict or doc.keys() != keys:
-        got = sorted(doc) if type(doc) is dict else type(doc).__name__
-        raise ValueError(f"{what} needs exactly the keys {sorted(keys)}, got {got}")
-
-
-def _int(value, what: str) -> int:
-    if type(value) is not int:
-        raise ValueError(f"{what} must be an int, got {value!r}")
-    return value
-
-
-def _list(value, what: str) -> list:
-    if type(value) is not list:
-        raise ValueError(f"{what} must be a list, got {value!r}")
-    return value
-
-
-def parse_query_doc(doc: dict) -> Query:
-    """A version-2 query document as a Query, or ValueError.
-
-    Requires exactly the keys version, p and blocks; a non-empty block list;
-    exactly support and r per block; exact ints; supports strictly
-    increasing from 1 up and pairwise disjoint; and 1 <= r <= len(support)
-    <= p - 1.  Indices beyond the database are refused by the server
-    (``Database.gather``).
+    Label i is the number of index i's block, big-endian in ``label_width``
+    bytes; the labels of 1..k, in order, are sent in base64.  The supports
+    must partition 1..k, as a ``Layout``'s do.
     """
-    _require_keys(doc, {"version", "p", "blocks"}, "query document")
-    version = _int(doc["version"], "query version")
-    if version != QUERY_VERSION:
-        raise ValueError(f"unsupported query version {version}, expected {QUERY_VERSION}")
-    field = PrimeField(_int(doc["p"], "modulus p"))
-    raw_blocks = _list(doc["blocks"], "query blocks")
-    if not raw_blocks:
-        raise ValueError("query has no blocks")
-    blocks = []
-    seen: set[int] = set()
-    for raw in raw_blocks:
-        _require_keys(raw, {"support", "r"}, "query block")
-        support = tuple(_list(raw["support"], "support"))
-        if not set(map(type, support)) <= {int}:  # refuses bool and float too
-            _int(next(idx for idx in support if type(idx) is not int), "support index")
-        r = _int(raw["r"], "row count r")
+    width = label_width(len(query.blocks))
+    labels = [0] * (1 + sum(len(support) for support, _ in query.blocks))  # slot 0 unused
+    for label, (support, _) in enumerate(query.blocks):
+        for index in support:
+            labels[index] = label
+    del labels[0]
+    raw = bytes(labels) if width == 1 else b"".join(label.to_bytes(width, "big") for label in labels)
+    return {
+        "labels": binascii.b2a_base64(raw, newline=False).decode("ascii"),
+        "p": query.field.p,
+        "rows": [r for _, r in query.blocks],
+        "version": QUERY_VERSION,
+    }
+
+
+def _refusal(data: bytes, what: str, form: str) -> ValueError:
+    """Why ``data`` is not the canonical ``what``: a byte that is not ASCII, or else the form it must take."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as err:
+        return _not_ascii(what, err)
+    cut = "…" if len(text) > HEADER_QUOTE_CAP else ""
+    return ValueError(f"{what} is not canonical {form}: {text[:HEADER_QUOTE_CAP]!r}{cut}")
+
+
+def parse_query_bytes(data: bytes) -> Query:
+    """A version-3 query document, as canonical bytes, as a Query; anything else raises ValueError.
+
+    One byte string per query is accepted: the one ``canonical(query_doc(q))``
+    writes.  The labels must be canonical base64 (``QR==`` decodes as
+    ``QQ==`` does, so the decoded bytes are encoded again and compared), a
+    whole number of ``label_width(len(rows))``-byte labels, each naming a
+    block.  One pass puts each index in its block, so the supports come out
+    sorted, disjoint and covering 1..k, where k is the label count; each
+    block must then have 1 <= r <= len(support) <= p - 1.  A label count
+    other than the database's is refused by the server (``server_answer``).
+    """
+    match = _QUERY.fullmatch(data)
+    if match is None:
+        version = _VERSION_FIELD.search(data)
+        if version is not None and version[1] != str(QUERY_VERSION).encode():
+            raise ValueError(
+                f"unsupported query version {version[1].decode()}, expected {QUERY_VERSION}"
+            )
+        raise _refusal(data, "query document", f"version-{QUERY_VERSION} JSON")
+    encoded, p, counts = match.groups()
+    try:
+        raw = binascii.a2b_base64(encoded)
+    except binascii.Error:  # a length that is not a multiple of four
+        raw = None
+    if raw is None or binascii.b2a_base64(raw, newline=False) != encoded:
+        raise ValueError("query labels are not canonical base64")
+    field = PrimeField(int(p))
+    rows = tuple(map(int, counts.split(b",")))
+    width = label_width(len(rows))
+    if len(raw) % width:
+        raise ValueError(f"query labels take {len(raw)} bytes, not a multiple of {width}")
+    if width > 1:
+        raw = [int.from_bytes(raw[i:i + width], "big") for i in range(0, len(raw), width)]
+    if raw and max(raw) >= len(rows):
+        raise ValueError(f"query label {max(raw)} names no block: the query has {len(rows)}")
+    supports = [[] for _ in rows]
+    for index, label in enumerate(raw, 1):
+        supports[label].append(index)
+    for support, r in zip(supports, rows):
         if not 1 <= r <= len(support) <= field.p - 1:
             raise ValueError(
                 f"need 1 <= r <= len(support) <= p - 1, got r={r}, "
                 f"len(support)={len(support)}, p={field.p}"
             )
-        if support[0] < 1 or not all(map(operator.lt, support, support[1:])):
-            raise ValueError(f"support must be strictly increasing indices >= 1, got {list(support)}")
-        if not seen.isdisjoint(support):
-            raise ValueError(f"supports overlap at {sorted(seen.intersection(support))}")
-        seen.update(support)
-        blocks.append((support, r))
-    return Query(tuple(blocks), field)
+    return Query(tuple(zip(map(tuple, supports), rows)), field)
+
+
+# The program parses bytes; perfbench's traced replay calls this by name.
+def parse_query_doc(doc: dict) -> Query:
+    """``parse_query_bytes`` of the document's canonical text."""
+    return parse_query_bytes(canonical(doc).encode("ascii"))
 
 
 def answer_doc(answer: tuple[tuple[int, ...], ...]) -> dict:
     return {"blocks": [list(block) for block in answer]}
 
 
+def parse_answer_bytes(data: bytes, field: PrimeField) -> tuple[tuple[int, ...], ...]:
+    """A canonical answer document's coded blocks, each a tuple of field values, or ValueError.
+
+    The document must be the bytes ``canonical(answer_doc(...))`` writes for
+    one or more non-empty blocks of canonical decimals; each value must be
+    below p.
+    """
+    if _ANSWER.fullmatch(data) is None:
+        raise _refusal(data, "answer document", "JSON")
+    # Past the match, json only converts: it is faster than splitting and int().
+    blocks = tuple(map(tuple, json.loads(data)["blocks"]))
+    if max(map(max, blocks)) >= field.p:  # the match admits no other fault
+        field.check(chain.from_iterable(blocks))
+    return blocks
+
+
+# The program parses bytes; perfbench's traced replay calls this by name.
 def parse_answer_doc(doc: dict, field: PrimeField) -> tuple[tuple[int, ...], ...]:
-    """An answer document's coded blocks, each a tuple of field values, or ValueError."""
-    _require_keys(doc, {"blocks"}, "answer document")
-    blocks = _list(doc["blocks"], "answer blocks")
-    return tuple(field.check(_list(block, "answer block")) for block in blocks)
+    """``parse_answer_bytes`` of the document's canonical text."""
+    return parse_answer_bytes(canonical(doc).encode("ascii"), field)
 
 
 # The program prints transcript_text; this is kept for perfbench's traced
@@ -255,38 +311,16 @@ def read_db(stream) -> Database:
 # The round over bytes
 
 
-def _unique_keys(pairs: list) -> dict:
-    doc = dict(pairs)
-    if len(doc) != len(pairs):
-        raise ValueError(f"duplicate keys in {sorted(key for key, _ in pairs)}")
-    return doc
-
-
-def _read_doc(data: bytes, what: str):
-    """Bytes from the other role as one JSON document with unique keys.
-
-    Anything else, including bytes that are not ASCII or nesting too deep
-    to parse, raises ValueError; plain ``json.loads`` would keep the last
-    value of a repeated key.
-    """
-    try:
-        return json.loads(data.decode("ascii"), object_pairs_hook=_unique_keys)
-    except UnicodeDecodeError as err:
-        raise _not_ascii(what, err) from None
-    except RecursionError:
-        raise ValueError(f"{what} nests too deeply") from None
-
-
 def serve_query_bytes(query_bytes: bytes, db: Database) -> bytes:
     """The server role: canonical query bytes in, canonical answer bytes out.
 
     This is the entire interface the server needs; it never sees demand or
-    side-information structure.  Bytes that are not one JSON document with
-    unique keys, including nesting too deep to parse, raise ValueError, as
-    do a modulus other than the database's and indices beyond it
-    (``server_answer`` checks the modulus, ``Database.gather`` the indices).
+    side-information structure.  Bytes other than one canonical version-3
+    query raise ValueError (``parse_query_bytes``), as do a modulus other
+    than the database's and a label count other than its k
+    (``server_answer``).
     """
-    query = parse_query_doc(_read_doc(query_bytes, "query document"))
+    query = parse_query_bytes(query_bytes)
     answer = server_answer(query, db)
     return canonical(answer_doc(answer)).encode("ascii")
 
@@ -309,6 +343,6 @@ def simulate_round(
     query = make_query(layout, db.field)
     query_bytes = canonical(query_doc(query)).encode("ascii")
     answer_bytes = serve_query_bytes(query_bytes, db)
-    answer = parse_answer_doc(_read_doc(answer_bytes, "answer document"), db.field)
+    answer = parse_answer_bytes(answer_bytes, db.field)
     decoded = client_decode(query, answer, spec)
     return RoundResult(layout, query, answer, decoded, query_bytes, answer_bytes)

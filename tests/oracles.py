@@ -23,6 +23,10 @@ compare the two:
   law of the shipped sampler, found by running ``scheme.draw_layout`` on
   every sequence of draws (``enumerate_randomness``); ``iter_layouts``
   lists every layout a plan allows.
+* Wire: the version-3 query's labels, one index at a time, with the label
+  width found by counting bytes (``reference_query_bytes`` and
+  ``reference_query_supports``), against which ``wire.query_doc`` and
+  ``wire.parse_query_bytes`` are checked.
 * The converse: whether a subspace of GF(q)^k is the row space of a
   W-private linear query (``hides_every_demand_set``), over every subspace
   of a given dimension (``subspaces``).
@@ -30,6 +34,7 @@ compare the two:
 
 from __future__ import annotations
 
+import base64
 import operator
 import random
 from dataclasses import dataclass
@@ -44,6 +49,42 @@ from pirsi.rate import ProblemParams, RatePlan, compute_plan, quota_cap, require
 from pirsi.scheme import DemandSpec, Layout, Query, draw_layout
 
 BRANCH_CAP = 1_000_000
+
+
+# ---------------------------------------------------------------------------
+# The version-3 query
+
+
+def reference_label_width(blocks: int) -> int:
+    """The fewest bytes, at least one, whose big-endian values reach every label 0..blocks - 1."""
+    width = 1
+    while 256**width < blocks:
+        width += 1
+    return width
+
+
+def reference_query_bytes(supports: Sequence[Sequence[int]], rows: Sequence[int], p: int) -> bytes:
+    """The canonical query bytes for supports that partition 1..k, built one index at a time."""
+    width = reference_label_width(len(supports))
+    label_of = {}
+    for label, support in enumerate(supports):
+        for index in support:
+            label_of[index] = label
+    raw = b"".join(label_of[index].to_bytes(width, "big") for index in range(1, len(label_of) + 1))
+    labels = base64.b64encode(raw).decode("ascii")
+    return f'{{"labels":"{labels}","p":{p},"rows":[{",".join(map(str, rows))}],"version":3}}'.encode()
+
+
+def reference_query_supports(labels: str, blocks: int) -> list[list[int]]:
+    """Each block's indices, read off base64 labels one index at a time; labels must name blocks."""
+    raw = base64.b64decode(labels, validate=True)
+    width = reference_label_width(blocks)
+    assert len(raw) % width == 0
+    supports: list[list[int]] = [[] for _ in range(blocks)]
+    for position in range(len(raw) // width):
+        label = int.from_bytes(raw[position * width:(position + 1) * width], "big")
+        supports[label].append(position + 1)
+    return supports
 
 
 # ---------------------------------------------------------------------------

@@ -24,22 +24,24 @@ from pirsi import (
     wire,
 )
 from pirsi.cli import build_parser, main
+from pirsi.rate import CODE_ENTRIES_CAP
 from pirsi.wire import read_db, transcript_doc, write_db
 from conftest import WORKED_VALUES, leaky_draw_layout
+from oracles import reference_query_supports
 
 # Transcripts pinned byte for byte, so a given seed keeps its round across
-# refactors: plan, query (a version-2 document whose supports are the layout),
-# answer and decoded values.
+# refactors: plan, query (a version-3 document whose labels are the layout),
+# answer and decoded values.  The version-3 query changed only the query
+# section of each golden; every other byte is as version 2 printed it.
 GOLDEN_WORKED = (
     '{"answer":{"blocks":[[8,4],[12,0],[6,2]]},"decoded":{"2":7,"5":9},'
     '"plan":{"k":13,"l_star":3,"m":5,"m_bar":2,"n":2,"r_star":6,"side_profile":[3,2,2],'
     '"size_profile":[5,4,4],"t":1,"trivial":false},'
-    '"query":{"blocks":[{"r":2,"support":[3,8,10,12,13]},{"r":2,"support":[2,7,9,11]},'
-    '{"r":2,"support":[1,4,5,6]}],"p":13,"version":2},"seed":11}\n'
+    '"query":{"labels":"AgEAAgICAQABAAEAAA==","p":13,"rows":[2,2,2],"version":3},"seed":11}\n'
 )
-GOLDEN_SINGLE_BLOCK_SHA256 = "c59924c46f571e96c1f3cf3a467e49209cb5d90b82a7a75237e9fca9ec4b0202"
+GOLDEN_SINGLE_BLOCK_SHA256 = "c7456206a540e89ace1b64aa95a90ea1fa0fb30a9d59d2e3a61e07832fdbb9d9"
 # The paper's regime, (5000, 1000, 10): 46 subspaces, 460 symbols down.
-GOLDEN_PARTITIONED_SHA256 = "b7ef4fc28035c94de5913c55fb519a35ebbf43b14a4828ce9833901522e6a0cc"
+GOLDEN_PARTITIONED_SHA256 = "a685392970d923c049d68faf025d37426dc6af8fddbca1ec98bf7a0d13f2728e"
 # `privacy-exact --k 13 --m 5 --n 2 --seed 11`, as printed when the posterior
 # was still summed over every (demand set, side set) pair.
 GOLDEN_PRIVACY_EXACT_SHA256 = "c21c17e1721078ed29fd5a1a2b74efec2327e7a1c17afe9b648cd8d70b010428"
@@ -154,7 +156,7 @@ def test_simulate_round_trip(capsys, worked_db_file):
     assert doc["decoded"] == {"2": 7, "5": 9}
     assert doc["seed"] == 11
     assert doc["plan"]["r_star"] == 6
-    assert sum(block["r"] for block in doc["query"]["blocks"]) == 6
+    assert sum(doc["query"]["rows"]) == 6
     assert "timing_ms=" in err
 
     code2, out2, _ = run_cli(capsys, *args)
@@ -181,7 +183,7 @@ def test_simulate_query_document_is_demand_free(capsys, worked_db_file):
             for value in node:
                 yield from keys_of(value)
 
-    assert set(keys_of(query)) == {"version", "p", "blocks", "support", "r"}
+    assert set(keys_of(query)) == {"labels", "p", "rows", "version"}
 
 
 def test_simulate_seed_defaults_to_0_whatever_the_environment(capsys, worked_db_file, monkeypatch):
@@ -281,13 +283,13 @@ def test_simulate_golden_worked_transcript(capsys, worked_db_file):
 
 
 def test_transcript_has_five_sections_and_its_query_carries_the_layout(worked_db, worked_spec):
-    # The query's supports, in block order, are the layout, so the goldens pin seeded layouts.
+    # The query's labels, read per index, are the layout, so the goldens pin seeded layouts.
     params = ProblemParams(13, 5, 2)
     result = simulate_round(params, worked_spec, worked_db, random.Random(11))
     doc = transcript_doc(params, 11, result)
     assert doc.keys() == {"seed", "plan", "query", "answer", "decoded"}
-    supports = [tuple(block["support"]) for block in doc["query"]["blocks"]]
-    assert supports == list(result.layout.subspaces)
+    supports = reference_query_supports(doc["query"]["labels"], len(doc["query"]["rows"]))
+    assert list(map(tuple, supports)) == list(result.layout.subspaces)
     assert canonical(doc) + "\n" == GOLDEN_WORKED
 
 
@@ -353,7 +355,7 @@ def test_simulate_golden_single_block_transcript(capsys, tmp_path):
         "--db", path, "--seed", "3",
     )
     assert code == 0
-    assert len(out.encode()) == 1021
+    assert len(out.encode()) == 930
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SINGLE_BLOCK_SHA256
 
 
@@ -361,9 +363,9 @@ def test_simulate_golden_partitioned_transcript(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "simulate", *partitioned_argv(tmp_path))
     assert code == 0
     doc = json.loads(out)
-    assert len(doc["query"]["blocks"]) == 46
+    assert len(doc["query"]["rows"]) == 46
     assert sum(map(len, doc["answer"]["blocks"])) == doc["plan"]["r_star"] == 460
-    assert len(out.encode()) == 30522
+    assert len(out.encode()) == 12479
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PARTITIONED_SHA256
 
 
@@ -579,6 +581,37 @@ def test_privacy_exact_draws_its_side_set_in_linear_time():
     doc = json.loads(done.stdout)
     assert doc["uniform"] is True
     assert list(doc["posteriors"].values()) == ["1/1"]
+
+
+def test_simulate_refuses_a_code_over_the_cap_before_reading_the_database(tmp_path):
+    # (20000, 0, 200) is one block coded with 20000 rows: r * s = 4 * 10^8,
+    # about 27 GB of cached code at p = 2^31 - 1.  The refusal comes from
+    # (k, m, n) alone, so a database path that does not exist is never opened.
+    missing = tmp_path / "absent.db"
+    done = subprocess.run(
+        [sys.executable, "-m", "pirsi.cli", "simulate", "--k", "20000", "--m", "0", "--n", "200",
+         "--demands", ",".join(map(str, range(1, 201))), "--db", str(missing)],
+        env=_module_env(), capture_output=True, text=True, timeout=60, check=False,
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.endswith(
+        "error: the widest block's code has r * s = 400000000 entries, "
+        f"over the cap of {CODE_ENTRIES_CAP} one round may build\n"
+    ), done.stderr
+
+
+def test_simulate_code_cap_is_inclusive(capsys, tmp_path):
+    # (2048, 0, 46) is one block of 2048 rows: r * s = 2^22, the cap itself,
+    # so it passes the bound and fails only on the missing database;
+    # (2049, 0, 46) is one entry-row over it.
+    assert CODE_ENTRIES_CAP == 2048 * 2048
+    missing = str(tmp_path / "absent.db")
+    for k, message in ((2048, "cannot read database"), (2049, "r * s = 4198401 entries, over the cap")):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--k", str(k), "--m", "0", "--n", "46",
+                  "--demands", ",".join(map(str, range(1, 47))), "--db", missing])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_privacy_mc_reports(capsys):

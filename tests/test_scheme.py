@@ -9,9 +9,11 @@ import pytest
 from pirsi import (
     Database,
     DemandSpec,
+    Layout,
     PrimeField,
     ProblemParams,
     Query,
+    RatePlan,
     UsageError,
     build_layout,
     client_decode,
@@ -274,11 +276,45 @@ def test_server_answer_refuses_other_modulus(worked_layout, gf13):
 
 
 def test_server_answer_single_index_block(worked_db, gf13):
-    answer = server_answer(Query((((5,), 1), ((1, 13), 2)), gf13), worked_db)
+    # The rest of 1..13 rides in a third block: the server answers only a
+    # query that covers its whole database.
+    rest = (2, 3, 4, 6, 7, 8, 9, 10, 11, 12)
+    answer = server_answer(Query((((5,), 1), ((1, 13), 2), (rest, 1)), gf13), worked_db)
     assert answer == ((WORKED_VALUES[5],), (
         (WORKED_VALUES[1] + WORKED_VALUES[13]) % 13,
         (WORKED_VALUES[1] + 2 * WORKED_VALUES[13]) % 13,
-    ))
+    ), (sum(WORKED_VALUES[i] for i in rest) % 13,))
+
+
+def test_server_answer_refuses_a_query_that_does_not_cover_the_database(worked_db, gf13):
+    # Sorted, disjoint and in range, but 12 of the 13 indices: a parsed
+    # version-3 query names one index per label, so this is a label count
+    # other than k.
+    blocks = ((1, 2, 4, 6, 8), (3, 10, 11, 13), (5, 7, 9))
+    with pytest.raises(ValueError, match="^query covers 12 indices, the database holds 13$"):
+        server_answer(Query(tuple((block, 2) for block in blocks), gf13), worked_db)
+
+
+def _one_block_layout(sizes, quotas):
+    """A layout of 1..k in blocks of these sizes, under a plan with these quotas."""
+    plan = RatePlan(m_bar=0, t=0, size_profile=sizes, side_profile=quotas, trivial=False)
+    blocks, start = [], 1
+    for size in sizes:
+        blocks.append(tuple(range(start, start + size)))
+        start += size
+    return Layout(tuple(blocks), plan)
+
+
+def test_make_query_refuses_a_code_over_the_cap_by_its_widest_block():
+    field = PrimeField(2**31 - 1)
+    # r * s = 2048 * 2048 is the cap itself, and is built.
+    assert make_query(_one_block_layout((2048,), (0,)), field).total_rows == 2048
+    # One column over it, with r = 2048 rows, whether or not smaller blocks sit beside it.
+    for sizes, quotas in (((2049,), (1,)), ((3, 2049, 1), (0, 1, 0))):
+        with pytest.raises(UsageError, match=r"^the widest block's code has r \* s = 4196352 entries"):
+            make_query(_one_block_layout(sizes, quotas), field)
+    # A quota shortens r: 2047 * 2049 is under the cap.
+    assert make_query(_one_block_layout((2049,), (2,)), field).total_rows == 2047
 
 
 def test_client_decode_worked_example(worked_layout, worked_db, worked_spec, gf13):

@@ -1,5 +1,6 @@
 """The server role and the document parsers it trusts."""
 
+import base64
 import copy
 import io
 import json
@@ -8,16 +9,19 @@ import random
 import pytest
 
 from pirsi import (
+    Database,
+    PrimeField,
+    Query,
+    UsageError,
     canonical,
     make_query,
-    parse_answer_doc,
-    parse_query_doc,
     serve_query_bytes,
     simulate_round,
 )
 from pirsi import wire
-from pirsi.wire import query_doc
+from pirsi.wire import parse_answer_doc, parse_query_doc, query_doc
 from conftest import WORKED_BLOCKS, WORKED_K, WORKED_VALUES
+from oracles import reference_query_bytes, reference_query_supports
 
 
 @pytest.fixture
@@ -40,67 +44,114 @@ def test_serve_query_bytes_answers_worked_query(worked_query_doc, worked_db):
     assert serve(worked_query_doc, worked_db) == {"blocks": expected}
 
 
-def test_query_doc_is_version_2_without_coefficients(worked_query_doc):
+def test_query_doc_is_version_3_one_label_per_index(worked_query_doc):
+    # Index i's block number, one byte each at three blocks, for i = 1..13.
+    labels = bytes([0, 0, 1, 0, 2, 0, 2, 0, 2, 1, 1, 2, 1])
+    assert base64.b64encode(labels) == b"AAABAAIAAgACAQECAQ=="
     assert worked_query_doc == {
-        "version": 2,
+        "labels": "AAABAAIAAgACAQECAQ==",
         "p": 13,
-        "blocks": [{"support": list(block), "r": 2} for block in WORKED_BLOCKS],
+        "rows": [2, 2, 2],
+        "version": 3,
     }
+    assert canonical(worked_query_doc).encode() == reference_query_bytes(WORKED_BLOCKS, (2, 2, 2), 13)
 
 
 DROP = object()
 
 
-def _edit(path, value):
-    """An edit of the worked document: set doc[path] to value, or delete it for DROP."""
+def _edit(key, value):
+    """An edit of the worked document: set doc[key] to value, or delete it for DROP."""
     def apply(doc):
-        *parents, last = path
-        node = doc
-        for key in parents:
-            node = node[key]
         if value is DROP:
-            del node[last]
+            del doc[key]
         else:
-            node[last] = value
+            doc[key] = value
     return apply
 
 
+def _rows(edit):
+    """An edit of the worked document's row counts, in a copy of the list."""
+    def apply(doc):
+        doc["rows"] = edit(list(doc["rows"]))
+    return apply
+
+
+def _labels(edit):
+    """An edit of the worked document's label bytes, sent again as canonical base64."""
+    def apply(doc):
+        raw = bytearray(base64.b64decode(doc["labels"]))
+        doc["labels"] = base64.b64encode(bytes(edit(raw))).decode("ascii")
+    return apply
+
+
+def _text(edit):
+    """An edit of the worked document's base64 text itself."""
+    def apply(doc):
+        doc["labels"] = edit(doc["labels"])
+    return apply
+
+
+def _relabel(raw, old, new):
+    return raw.replace(bytes([old]), bytes([new]))
+
+
+def _alias(text):
+    """The same bytes in non-canonical base64: the last digit's spare bits set, as QR== is QQ==."""
+    data, pad = text.rstrip("="), "=" * (len(text) - len(text.rstrip("=")))
+    digits = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    alias = data[:-1] + digits[digits.index(data[-1]) | 1] + pad
+    assert alias != text and base64.b64decode(alias) == base64.b64decode(text)
+    return alias
+
+
+# Each version-2 refusal, under its old name, ported to version 3.  Where
+# version 3 cannot express the fault (the labels partition 1..k by
+# construction: no index 0, no negative, unsorted, repeated or shared index,
+# no block twice), the case sends the nearest forgery instead; the comment
+# names it.
 V2_REJECTIONS = {
-    "missing-blocks": _edit(("blocks",), DROP),
-    "missing-version": _edit(("version",), DROP),
-    "missing-p": _edit(("p",), DROP),
-    "extra-top-level-key": _edit(("entries",), [1, 1]),
-    "version-1": _edit(("version",), 1),
-    "version-3": _edit(("version",), 3),
-    "version-as-string": _edit(("version",), "2"),
-    "version-as-float": _edit(("version",), 2.0),
-    "version-as-bool": _edit(("version",), True),
-    "p-as-float": _edit(("p",), 13.0),
-    "p-not-prime": _edit(("p",), 15),
-    "blocks-not-a-list": _edit(("blocks",), {"support": [1], "r": 1}),
-    "empty-blocks": _edit(("blocks",), []),
-    "block-not-an-object": _edit(("blocks", 0), [1, 2]),
-    "block-missing-r": _edit(("blocks", 0, "r"), DROP),
-    "block-missing-support": _edit(("blocks", 0, "support"), DROP),
-    "block-with-entries": _edit(("blocks", 0, "entries"), [1, 1, 1, 1, 1, 1, 2, 3, 4, 5]),
-    "bool-index": _edit(("blocks", 0, "support", 0), True),
-    "float-index": _edit(("blocks", 0, "support", 1), 2.0),
-    "string-index": _edit(("blocks", 0, "support", 1), "2"),
-    "bool-r": _edit(("blocks", 0, "r"), True),
-    "float-r": _edit(("blocks", 0, "r"), 2.0),
-    "string-r": _edit(("blocks", 0, "r"), "1"),
-    "r-zero": _edit(("blocks", 0, "r"), 0),
-    "r-above-support-size": _edit(("blocks", 1, "r"), 5),
-    "support-not-a-list": _edit(("blocks", 0, "support"), 1),
-    "empty-support": _edit(("blocks", 0, "support"), []),
-    "index-zero": _edit(("blocks", 0, "support", 0), 0),
-    "negative-index": _edit(("blocks", 0, "support", 0), -1),
-    "unsorted-support": _edit(("blocks", 0, "support"), [2, 1, 4, 6, 8]),
-    "repeated-index": _edit(("blocks", 0, "support"), [1, 2, 2, 6, 8]),
-    "same-support-twice": _edit(("blocks", 1), {"support": [1, 2, 4, 6, 8], "r": 2}),
-    "overlapping-supports": _edit(("blocks", 1, "support", 0), 2),
-    "index-beyond-database": _edit(("blocks", 1, "support", 3), 14),
-    "support-wider-than-p-minus-1": _edit(("blocks", 0, "support"), list(range(1, 14))),
+    "missing-blocks": _edit("rows", DROP),
+    "missing-version": _edit("version", DROP),
+    "missing-p": _edit("p", DROP),
+    "extra-top-level-key": _edit("entries", [1, 1]),
+    "version-1": _edit("version", 1),
+    "version-3": _edit("version", 4),  # the next version
+    "version-as-string": _edit("version", "3"),
+    "version-as-float": _edit("version", 3.0),
+    "version-as-bool": _edit("version", True),
+    "p-as-float": _edit("p", 13.0),
+    "p-not-prime": _edit("p", 15),
+    "blocks-not-a-list": _edit("rows", 2),
+    "empty-blocks": _edit("rows", []),
+    "block-not-an-object": _rows(lambda rows: [[rows[0]], *rows[1:]]),
+    "block-missing-r": _rows(lambda rows: rows[:-1]),  # block 2's label then names no block
+    "block-missing-support": _rows(lambda rows: rows + [1]),  # a block no label names
+    "block-with-entries": _rows(lambda rows: [{"r": rows[0], "entries": [1, 1, 1, 1, 1]}, *rows[1:]]),
+    "bool-index": _edit("labels", True),
+    "float-index": _edit("labels", [0.0] * 13),
+    "string-index": _text(lambda text: text[:4] + " " + text[4:]),  # outside the base64 alphabet
+    "bool-r": _rows(lambda rows: [True, *rows[1:]]),
+    "float-r": _rows(lambda rows: [2.0, *rows[1:]]),
+    "string-r": _rows(lambda rows: ["1", *rows[1:]]),
+    "r-zero": _rows(lambda rows: [0, *rows[1:]]),
+    "r-above-support-size": _rows(lambda rows: [rows[0], 5, rows[2]]),
+    "support-not-a-list": _edit("labels", 1),
+    "empty-support": _labels(lambda raw: _relabel(raw, 2, 1)),
+    # No index 0: a label slot for it, put first, shifts every index up by one.
+    "index-zero": _labels(lambda raw: b"\0" + raw),
+    # Labels are unsigned: byte 0xff, -1 as a signed byte, names block 255.
+    "negative-index": _labels(lambda raw: b"\xff" + raw[1:]),
+    # Supports come out sorted: the labels' base64 without its padding.
+    "unsorted-support": _text(lambda text: text.rstrip("=")),
+    # One label per index: a label sent twice shifts the rest up by one.
+    "repeated-index": _labels(lambda raw: raw[:2] + raw[1:]),
+    # Each block once: the row counts sent twice leave three blocks no label names.
+    "same-support-twice": _rows(lambda rows: rows + rows),
+    # No index in two blocks: the same label bytes in non-canonical base64.
+    "overlapping-supports": _text(_alias),
+    "index-beyond-database": _labels(lambda raw: raw + b"\1"),
+    "support-wider-than-p-minus-1": lambda doc: doc.update(labels="AAAAAAAAAAAAAAAAAA==", rows=[2]),
 }
 
 
@@ -111,6 +162,105 @@ def test_serve_query_bytes_rejects_invalid_v2_documents(worked_query_doc, worked
         serve(worked_query_doc, worked_db)
 
 
+def test_only_the_canonical_bytes_of_a_query_are_served(worked_query_doc, worked_db):
+    # Five byte forms of one query: one is served, four are refused.
+    text = canonical(worked_query_doc)
+    forms = {
+        "canonical": text,
+        "added spaces": json.dumps(worked_query_doc, sort_keys=True),
+        "reordered keys": json.dumps(dict(reversed(list(worked_query_doc.items()))), separators=(",", ":")),
+        "escaped key": text.replace('"p":', '"\\u0070":'),
+        "trailing newline": text + "\n",
+    }
+    assert len(set(forms.values())) == 5
+    assert [json.loads(form) for form in forms.values()] == [worked_query_doc] * 5
+    served = []
+    for name, form in forms.items():
+        try:
+            serve_query_bytes(form.encode("ascii"), worked_db)
+        except ValueError as err:
+            assert str(err).startswith("query document is not canonical version-3 JSON: "), name
+        else:
+            served.append(name)
+    assert served == ["canonical"]
+
+
+def test_serve_query_bytes_refuses_a_base64_alias(worked_query_doc, worked_db):
+    # "QR==" decodes as "QQ==" does; only the encoding the client writes is read.
+    assert base64.b64decode("QR==") == base64.b64decode("QQ==")
+    worked_query_doc["labels"] = _alias(worked_query_doc["labels"])
+    with pytest.raises(ValueError, match="^query labels are not canonical base64$"):
+        serve(worked_query_doc, worked_db)
+
+
+def test_serve_query_bytes_refuses_a_label_that_names_no_block(worked_query_doc, worked_db):
+    for label in (3, 4, 255):
+        doc = dict(worked_query_doc)
+        _labels(lambda raw: raw[:-1] + bytes([label]))(doc)
+        with pytest.raises(ValueError, match=f"^query label {label} names no block: the query has 3$"):
+            serve(doc, worked_db)
+
+
+def test_serve_query_bytes_refuses_a_label_count_other_than_k(worked_query_doc, worked_db):
+    # Fewer labels than the database holds is a partition of 1..12, which
+    # only the server can refuse; more names index 14, which the gather refuses.
+    fewer = dict(worked_query_doc)
+    _labels(lambda raw: raw[:-1])(fewer)
+    with pytest.raises(ValueError, match="^query covers 12 indices, the database holds 13$"):
+        serve(fewer, worked_db)
+    more = dict(worked_query_doc)
+    _labels(lambda raw: raw + b"\0")(more)
+    with pytest.raises(UsageError, match=r"^index 14 outside 1\.\.13$"):
+        serve(more, worked_db)
+
+
+def test_serve_query_bytes_names_the_version_it_refuses(worked_db):
+    # The version-2 form of the worked query.
+    v2 = {"blocks": [{"r": 2, "support": list(block)} for block in WORKED_BLOCKS], "p": 13, "version": 2}
+    with pytest.raises(ValueError, match="^unsupported query version 2, expected 3$"):
+        serve(v2, worked_db)
+
+
+def _block_query(blocks: int) -> Query:
+    """One index per block, r = 1, over a field large enough for any block."""
+    return Query(tuple(((label + 1,), 1) for label in range(blocks)), PrimeField(65537))
+
+
+@pytest.mark.parametrize("blocks, width", [(3, 1), (256, 1), (257, 2)])
+def test_query_labels_refused_one_byte_wider_or_narrower(blocks, width):
+    doc = query_doc(_block_query(blocks))
+    raw = base64.b64decode(doc["labels"])
+    assert len(raw) == blocks * width
+    assert wire.parse_query_bytes(canonical(doc).encode()) == _block_query(blocks)
+    labels = [int.from_bytes(raw[i:i + width], "big") for i in range(0, len(raw), width)]
+    db = Database((0,) * blocks, PrimeField(65537))
+    for other in {width - 1, width + 1} - {0}:
+        forged = dict(doc, labels=base64.b64encode(b"".join(
+            (label % 256**other).to_bytes(other, "big") for label in labels
+        )).decode())
+        with pytest.raises(ValueError):
+            serve(forged, db)
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 255, 256, 257, 300])
+def test_query_labels_agree_with_the_per_index_reference(blocks):
+    # A seeded partition of 1..k into `blocks` non-empty blocks, both ways:
+    # the bytes the program writes are the reference's, and the program's
+    # parse of them is the reference's reading.
+    rng = random.Random(blocks)
+    k = blocks + 40
+    order = rng.sample(range(1, k + 1), k)
+    cuts = sorted(rng.sample(range(1, k), blocks - 1))
+    supports = [tuple(sorted(order[a:b])) for a, b in zip([0, *cuts], [*cuts, k])]
+    rows = [rng.randrange(1, len(support) + 1) for support in supports]
+    query = Query(tuple(zip(supports, rows)), PrimeField(65537))
+    sent = canonical(query_doc(query)).encode("ascii")
+    assert sent == reference_query_bytes(supports, rows, 65537)
+    doc = json.loads(sent)
+    assert reference_query_supports(doc["labels"], blocks) == [list(s) for s in supports]
+    assert wire.parse_query_bytes(sent) == query
+
+
 def test_parse_query_doc_rejects_non_documents():
     for doc in (None, [], "query", 2):
         with pytest.raises(ValueError, match="query document"):
@@ -118,20 +268,20 @@ def test_parse_query_doc_rejects_non_documents():
 
 
 def test_serve_query_bytes_refuses_deep_nesting_and_repeated_keys(worked_query_doc, worked_db):
-    # Deep nesting and repeated keys cannot come out of canonical(), so the
-    # fuzz test never sends them; json.loads alone would overflow the stack
-    # or keep the last value of a repeated key.
+    # Deep nesting and repeated keys cannot come out of canonical(); the
+    # parser reads no JSON, so neither reaches a recursive or a dict-building
+    # reader: the one canonical form is matched, or the bytes are refused.
     text = canonical(worked_query_doc)
     assert serve_query_bytes(text.encode("ascii"), worked_db)
     cases = {
         "nested arrays": b"[" * 100_000,
         "nested objects": b'{"a":' * 100_000,
-        "repeated version": text.replace('"version":2', '"version":2,"version":2').encode("ascii"),
-        "repeated r": text.replace('"r":2', '"r":1,"r":2', 1).encode("ascii"),
+        "repeated version": text.replace('"version":3', '"version":3,"version":3').encode("ascii"),
+        "repeated p": text.replace('"p":13', '"p":17,"p":13').encode("ascii"),
     }
     for name, raw in cases.items():
         assert raw != text.encode("ascii"), name
-        with pytest.raises(ValueError, match="nests too deeply|duplicate keys"):
+        with pytest.raises(ValueError, match="^query document is not canonical version-3 JSON: "):
             serve_query_bytes(raw, worked_db)
 
 
@@ -148,7 +298,7 @@ def test_simulate_round_refuses_deep_nesting_and_repeated_keys_in_answers(
     }
     for name, raw in cases.items():
         monkeypatch.setattr(wire, "serve_query_bytes", lambda query_bytes, db, raw=raw: raw)
-        with pytest.raises(ValueError, match="nests too deeply|duplicate keys"):
+        with pytest.raises(ValueError, match="^answer document is not canonical JSON: "):
             simulate_round(worked_params, worked_spec, worked_db, random.Random(1))
 
 
@@ -163,11 +313,11 @@ def test_transcript_text_needs_the_rounds_recorded_bytes(worked_params, worked_s
 
 
 def test_serve_query_bytes_names_a_non_ascii_byte(worked_query_doc, worked_db):
-    # A UTF-8 "é" inside a support: the document and the offset of its first
-    # byte are named, not just the codec.
+    # A UTF-8 "é" inside the labels: the document and the offset of its
+    # first byte are named, not just the codec.
     text = canonical(worked_query_doc)
-    offset = text.index("10")
-    raw = text[:offset].encode("ascii") + "é".encode() + text[offset + 2:].encode("ascii")
+    offset = text.index("AAAB")
+    raw = text[:offset].encode("ascii") + "é".encode() + text[offset + 1:].encode("ascii")
     with pytest.raises(ValueError, match=rf"^query document is not ASCII: byte 0xc3 at offset {offset}$"):
         serve_query_bytes(raw, worked_db)
 
@@ -189,12 +339,13 @@ def test_serve_query_bytes_rejects_other_modulus(worked_query_doc, worked_db):
 
 def test_proven_modulus_does_not_vouch_for_a_composite(worked_query_doc, worked_db):
     # The p = 13 proof is memoised by the first database and query; a
-    # composite, float or bool modulus read later is still refused.
+    # composite modulus read later is still refused, and a float or bool
+    # one is not a canonical decimal.
     assert wire.read_db(io.StringIO("pir-db v1 p=13 k=1\n5\n")).field.p == 13
     assert serve(worked_query_doc, worked_db)["blocks"]
     with pytest.raises(ValueError, match="must be prime"):
         wire.read_db(io.StringIO("pir-db v1 p=15 k=1\n5\n"))
-    for bad, message in ((15, "must be prime"), (13.0, "must be an int"), (True, "must be an int")):
+    for bad, message in ((15, "must be prime"), (13.0, "not canonical"), (True, "not canonical")):
         worked_query_doc["p"] = bad
         with pytest.raises(ValueError, match=message):
             serve(worked_query_doc, worked_db)
@@ -202,15 +353,28 @@ def test_proven_modulus_does_not_vouch_for_a_composite(worked_query_doc, worked_
 
 def test_parse_answer_doc_rejects_out_of_range_value(gf13):
     assert parse_answer_doc({"blocks": [[8, 4], [12, 0]]}, gf13) == ((8, 4), (12, 0))
-    for bad in (13, -1, 2.0, True):
-        with pytest.raises(ValueError, match=r"not an int in \[0, 13\)"):
+    with pytest.raises(ValueError, match=r"^field value 13 is not an int in \[0, 13\)$"):
+        parse_answer_doc({"blocks": [[8, 4], [12, 13]]}, gf13)
+    # A sign, a point or a literal is not a canonical decimal.
+    for bad in (-1, 2.0, True):
+        with pytest.raises(ValueError, match="^answer document is not canonical JSON: "):
             parse_answer_doc({"blocks": [[8, 4], [12, bad]]}, gf13)
 
 
 def test_parse_answer_doc_rejects_wrong_shape(gf13):
-    for doc in ({}, {"blocks": [[1]], "p": 13}, [[1]], {"blocks": 1}, {"blocks": [1, 2]}):
+    for doc in ({}, {"blocks": [[1]], "p": 13}, [[1]], {"blocks": 1}, {"blocks": [1, 2]},
+                {"blocks": []}, {"blocks": [[]]}, {"blocks": [[1], []]}):
         with pytest.raises(ValueError):
             parse_answer_doc(doc, gf13)
+
+
+def test_only_the_canonical_bytes_of_an_answer_are_read(gf13):
+    text = b'{"blocks":[[8,4],[12,0]]}'
+    assert wire.parse_answer_bytes(text, gf13) == ((8, 4), (12, 0))
+    for form in (b'{"blocks": [[8, 4], [12, 0]]}', text + b"\n", b'{"\\u0062locks":[[8,4],[12,0]]}',
+                 b'{"blocks":[[8,04],[12,0]]}', b'{"blocks":[[8,4],[12,0]],"p":13}'):
+        with pytest.raises(ValueError, match="^answer document is not canonical JSON: "):
+            wire.parse_answer_bytes(form, gf13)
 
 
 # ---------------------------------------------------------------------------
@@ -218,76 +382,82 @@ def test_parse_answer_doc_rejects_wrong_shape(gf13):
 # answered exactly as plain integer sums over the database, or refused with
 # ValueError; no other exception may escape.
 
-JUNK = [True, False, 1.5, 2.0, "2", "", None, -1, 0, 14, 10**30, [], {}, [1], 13]
+JUNK = [True, False, 1.5, 2.0, 3.0, "2", "", None, -1, 0, 14, 10**30, [], {}, [1], 13, "AA==", "QR=="]
 
 
-def _is_valid(doc):
-    """An independent statement of which query documents the worked database serves."""
-    if type(doc) is not dict or set(doc) != {"version", "p", "blocks"}:
-        return False
-    if type(doc["version"]) is not int or doc["version"] != 2:
-        return False
+def _supports(doc):
+    """An independent reading of which query documents the worked database serves: their supports, or None."""
+    if type(doc) is not dict or set(doc) != {"labels", "p", "rows", "version"}:
+        return None
+    if type(doc["version"]) is not int or doc["version"] != 3:
+        return None
     if type(doc["p"]) is not int or doc["p"] != 13:
-        return False
-    blocks = doc["blocks"]
-    if type(blocks) is not list or not blocks:
-        return False
-    used = []
-    for block in blocks:
-        if type(block) is not dict or set(block) != {"support", "r"}:
-            return False
-        support, r = block["support"], block["r"]
-        if type(support) is not list or any(type(i) is not int for i in support):
-            return False
-        if type(r) is not int or not 1 <= r <= len(support) <= 12:
-            return False
-        if support != sorted(set(support)) or not 1 <= support[0] <= support[-1] <= WORKED_K:
-            return False
-        used += support
-    return len(used) == len(set(used))
+        return None
+    labels, rows = doc["labels"], doc["rows"]
+    if type(rows) is not list or not rows or any(type(r) is not int for r in rows):
+        return None
+    if type(labels) is not str or labels.strip("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/="):
+        return None
+    try:
+        raw = base64.b64decode(labels, validate=True)
+    except ValueError:
+        return None
+    if base64.b64encode(raw).decode("ascii") != labels or len(raw) != WORKED_K:  # one byte a label here
+        return None
+    if max(raw) >= len(rows):
+        return None
+    supports = reference_query_supports(labels, len(rows))
+    if not all(1 <= r <= len(support) <= 12 for support, r in zip(supports, rows)):
+        return None
+    return supports
 
 
-def _expected_answer(doc):
+def _expected_answer(doc, supports):
     return {
         "blocks": [
-            [sum(pow(j + 1, row, 13) * WORKED_VALUES[idx] for j, idx in enumerate(b["support"])) % 13
-             for row in range(b["r"])]
-            for b in doc["blocks"]
+            [sum(pow(j + 1, row, 13) * WORKED_VALUES[idx] for j, idx in enumerate(support)) % 13
+             for row in range(r)]
+            for support, r in zip(supports, doc["rows"])
         ]
     }
 
 
-def _nodes(doc):
-    """(container, key) for every slot in the document, the root's keys included."""
-    stack = [doc]
-    while stack:
-        node = stack.pop()
-        keys = node.keys() if type(node) is dict else range(len(node)) if type(node) is list else ()
-        for key in list(keys):
-            yield node, key
-            stack.append(node[key])
-
-
 def _mutate(doc, rng):
-    """One random edit: drop, add or replace a key or item, nudge an int, or copy an index across supports."""
-    node, key = rng.choice(list(_nodes(doc)))
-    value = node[key]
-    move = rng.randrange(7)
-    if move == 0 and type(node) is dict:
-        del node[key]
-    elif move == 1 and type(node) is dict:
-        node[rng.choice(["entries", "extra", "r", "support", "version", "p"])] = rng.choice(JUNK)
-    elif move == 2:
-        node[key] = rng.choice(JUNK)
-    elif move == 3 and type(value) is int:
-        node[key] = value + rng.choice([-1, 1])
-    elif move == 4 and type(value) is list and value:
-        value.insert(rng.randrange(len(value) + 1), rng.choice(value))
-    elif move == 5 and type(value) is list and value:
-        value.pop(rng.randrange(len(value)))
-    elif move == 6 and type(value) is list and value and type(node) is dict and key == "support":
-        # Another block's index, in order: an overlap that is sorted and distinct.
-        value[:] = sorted(set(value) | {rng.choice(WORKED_BLOCKS)[0]})
+    """One random edit: drop, add or replace a key or row, nudge an int, or edit the labels' text or bytes."""
+    move = rng.randrange(8)
+    key = rng.choice(list(doc)) if doc else "labels"
+    if move == 0 and doc:
+        del doc[key]
+    elif move == 1:
+        doc[rng.choice(["entries", "extra", "labels", "rows", "version", "p"])] = rng.choice(JUNK)
+    elif move == 2 and type(doc.get("rows")) is list and doc["rows"]:
+        rows = doc["rows"]
+        choice = rng.randrange(3)
+        if choice == 0:
+            rows.pop(rng.randrange(len(rows)))
+        elif choice == 1:
+            rows.insert(rng.randrange(len(rows) + 1), rng.choice([1, 2, 3, *JUNK]))
+        else:
+            rows[rng.randrange(len(rows))] += rng.choice([-1, 1])
+    elif move == 3 and type(doc.get(key)) is int:
+        doc[key] += rng.choice([-1, 1])
+    elif move in (4, 5) and type(doc.get("labels")) is str and doc["labels"]:
+        text = doc["labels"]
+        at = rng.randrange(len(text))
+        char = rng.choice("AQRBCg+/= \n-_")
+        doc["labels"] = text[:at] + (char if move == 4 else "") + text[at + (move == 5 or rng.random() < 0.5):]
+    elif move in (6, 7) and type(doc.get("labels")) is str:
+        try:
+            raw = bytearray(base64.b64decode(doc["labels"], validate=True))
+        except ValueError:
+            return
+        if move == 6 and raw:
+            raw[rng.randrange(len(raw))] = rng.choice([0, 1, 2, 3, 255])
+        elif rng.random() < 0.5 and raw:
+            del raw[rng.randrange(len(raw))]
+        else:
+            raw.insert(rng.randrange(len(raw) + 1), rng.randrange(4))
+        doc["labels"] = base64.b64encode(bytes(raw)).decode("ascii")
 
 
 def test_serve_query_bytes_fuzz(worked_query_doc, worked_db):
@@ -297,14 +467,35 @@ def test_serve_query_bytes_fuzz(worked_query_doc, worked_db):
         doc = copy.deepcopy(worked_query_doc)
         for _ in range(rng.randrange(1, 4)):
             _mutate(doc, rng)
+        supports = _supports(doc)
         try:
             got = serve(doc, worked_db)
         except ValueError:
-            assert not _is_valid(doc), doc
+            assert supports is None, doc
             refused += 1
             continue
-        assert _is_valid(doc), doc
-        assert got == _expected_answer(doc), doc
+        assert supports is not None, doc
+        assert got == _expected_answer(doc, supports), doc
         served += 1
     # Both outcomes are exercised, so neither branch is vacuous.
     assert served > 100 and refused > 1000, (served, refused)
+
+
+def test_served_query_bytes_are_the_canonical_bytes_of_their_query(worked_query_doc, worked_db):
+    # Single-byte edits of the canonical bytes: each is refused, or it is
+    # the canonical rendering of the query it parses to.
+    rng = random.Random(31)
+    text = canonical(worked_query_doc).encode("ascii")
+    alphabet = b' ,:"{}[]0123456789AQRgw+/=\n\\'
+    served = 0
+    for _ in range(3000):
+        at = rng.randrange(len(text))
+        byte = alphabet[rng.randrange(len(alphabet)):][:1]
+        edited = text[:at] + byte + text[at + rng.randrange(2):]
+        try:
+            query = wire.parse_query_bytes(edited)
+        except ValueError:
+            continue
+        assert canonical(query_doc(query)).encode("ascii") == edited, edited
+        served += 1
+    assert served > 50, served
