@@ -92,10 +92,6 @@ def _text(edit):
     return apply
 
 
-def _relabel(raw, old, new):
-    return raw.replace(bytes([old]), bytes([new]))
-
-
 def _alias(text):
     """The same bytes in non-canonical base64: the last digit's spare bits set, as QR== is QQ==."""
     data, pad = text.rstrip("="), "=" * (len(text) - len(text.rstrip("=")))
@@ -137,7 +133,7 @@ V2_REJECTIONS = {
     "r-zero": _rows(lambda rows: [0, *rows[1:]]),
     "r-above-support-size": _rows(lambda rows: [rows[0], 5, rows[2]]),
     "support-not-a-list": _edit("labels", 1),
-    "empty-support": _labels(lambda raw: _relabel(raw, 2, 1)),
+    "empty-support": _labels(lambda raw: raw.replace(b"\2", b"\1")),  # block 2's members moved to block 1
     # No index 0: a label slot for it, put first, shifts every index up by one.
     "index-zero": _labels(lambda raw: b"\0" + raw),
     # Labels are unsigned: byte 0xff, -1 as a signed byte, names block 255.
