@@ -149,12 +149,24 @@ CATALOGUE = [
            "search_sweep caps the tail by the window's largest quota, not its smallest"),
     Mutant("oracle.py", "k - w - n * n", "k - w - n",
            "search_sweep's window takes n slots of overhead, not n * n"),
-    Mutant("oracle.py", "sum(quotas[:n])", "sum(quotas[-n:])",
+    Mutant("oracle.py", "ws = sum(quotas[:n])", "ws = sum(quotas[-n:])",
            "the brute-force walk's window is the n smallest quotas, not the n largest"),
     Mutant("oracle.py", "map(operator.le, quotas, caps)", "map(operator.lt, quotas, caps)",
            "the brute-force walk refuses a quota equal to its part's cap"),
     Mutant("oracle.py", "range(caps[0], -1, -1)", "range(caps[0], 0, -1)",
            "the brute-force walk never tries quota 0"),
+    Mutant("oracle.py", "and sum(quotas[:n]) <= params.m", "and sum(quotas[-n:]) <= params.m",
+           "the plan check's window is the n smallest quotas, not the n largest"),
+    Mutant("oracle.py", "and quotas[-1] >= 0", "and True",
+           "the plan check passes a negative quota"),
+    Mutant("oracle.py", "map(operator.le, quotas, map(quota_cap", "map(operator.lt, quotas, map(quota_cap",
+           "the plan check refuses a quota equal to its block's cap"),
+    Mutant("cli.py", 'write("".join(lines))', 'write("".join(lines[:-1]))',
+           "oracle writes each (k, n) sweep's lines without the last one"),
+    Mutant("wire.py", "labels = [-1] * (k + 1)", "labels = [0] * (k + 1)",
+           "query_doc sends overlapping supports as another query: each gap reads as block 0"),
+    Mutant("wire.py", "if raw is None or sum(map(sum, supports)) != k * (k + 1) // 2:", "if raw is None:",
+           "query_doc sends index -j as index k + 1 - j"),
 ]
 
 

@@ -162,20 +162,23 @@ def _cmd_oracle(args) -> int:
         raise UsageError(f"--k-max must be in 1..{ORACLE_K_CAP}")
     failures = 0
     instances = 0
-    print("k m n oracle formula match")
+    write = sys.stdout.write
+    write("k m n oracle formula match\n")
     for k in range(1, args.k_max + 1):
         for n in range(1, k + 1):
+            lines = []  # the (k, n) sweep's lines, at most ORACLE_K_CAP, written at once
             for m, found in enumerate(search_sweep(k, n)):
-                params = ProblemParams(k=k, m=m, n=n)
+                params = ProblemParams(k, m, n)
                 plan = compute_plan(params)
                 r_star = plan.r_star
                 match = found == r_star and is_feasible_plan(
                     params, plan.size_profile, plan.side_profile
                 )
-                instances += 1
                 if not match:
                     failures += 1
-                print(f"{k} {m} {n} {found} {r_star} {'true' if match else 'false'}")
+                lines.append(f"{k} {m} {n} {found} {r_star} {'true' if match else 'false'}\n")
+            instances += len(lines)
+            write("".join(lines))
     print(f"checked {instances} instances, {failures} mismatches", file=sys.stderr)
     return 1 if failures else 0
 

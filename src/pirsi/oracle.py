@@ -20,7 +20,8 @@ each quota is at most the subspace's size excess over the demand count
 (:func:`pirsi.rate.quota_cap`), and since at most ``n`` subspaces ever
 serve demands, only the largest ``min(len(parts), n)`` quotas draw on the
 user's side information, so their sum (the vector's window sum) must not
-exceed ``m``.
+exceed ``m``.  :func:`is_feasible_plan` reads the cap and the window
+itself, so the sweep's check does not share the rule the program uses.
 
 The search rests on three lemmas.  First, some optimal plan gives each
 positive quota ``q`` a part of size exactly ``q + n``.  Leftover size can
@@ -65,9 +66,9 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterator, Sequence
 from functools import cache
-from itertools import accumulate, combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement, repeat
 
-from .rate import ProblemParams, admits_every_demand_set, quota_cap
+from .rate import ProblemParams, quota_cap
 
 K_CAP = 14
 
@@ -77,15 +78,20 @@ def is_feasible_plan(params: ProblemParams, sizes: Sequence[int], quotas: Sequen
 
     That is: positive, non-increasing sizes summing to k; non-increasing
     quotas; and the cap and window of
-    :func:`pirsi.rate.admits_every_demand_set`.  A plan passing this whose
-    cost is the minimum is one of the minimum's canonical achievers.
+    :func:`pirsi.rate.admits_every_demand_set`, read here on their own, not
+    through that function: once the quotas are found in order, their last
+    is the smallest and their first n are the window.  A plan passing this
+    whose cost is the minimum is one of the minimum's canonical achievers.
     """
     if len(sizes) != len(quotas) or sum(sizes) != params.k or min(sizes) < 1:
         return False
+    n = params.n
     return (
         list(sizes) == sorted(sizes, reverse=True)
         and list(quotas) == sorted(quotas, reverse=True)
-        and admits_every_demand_set(params, sizes, quotas)
+        and quotas[-1] >= 0
+        and all(map(operator.le, quotas, map(quota_cap, sizes, repeat(n))))
+        and sum(quotas[:n]) <= params.m
     )
 
 

@@ -162,7 +162,7 @@ def compute_plan(params: ProblemParams) -> RatePlan:
     l_formula = -(-(k - t) // (m_bar + n))
 
     if l_formula <= n:
-        return RatePlan(m_bar=m_bar, t=t, size_profile=(k,), side_profile=(m,), trivial=True)
+        return RatePlan(m_bar, t, (k,), (m,), True)  # positional: keywords cost the oracle sweep
 
     last_size = k - (l_formula - 1) * (m_bar + n) - t
     sizes = (
@@ -176,4 +176,4 @@ def compute_plan(params: ProblemParams) -> RatePlan:
         + (max(last_size - n, 0),)
     )
     # The sizes sum to k, so the cost equals k - m exactly when the quotas sum to m.
-    return RatePlan(m_bar=m_bar, t=t, size_profile=sizes, side_profile=side, trivial=sum(side) == m)
+    return RatePlan(m_bar, t, sizes, side, sum(side) == m)

@@ -102,15 +102,27 @@ def query_doc(query: Query) -> dict:
 
     Label i is the number of index i's block, big-endian in ``label_width``
     bytes; the labels of 1..k, in order, are sent in base64.  The supports
-    must partition 1..k, as a ``Layout``'s do.
+    must partition 1..k, as a ``Layout``'s do, where k is their total
+    length; any other query (an overlap, a gap, an index outside 1..k)
+    raises ValueError, since its labels would name a different query.
     """
     width = label_width(len(query.blocks))
-    labels = [0] * (1 + sum(len(support) for support, _ in query.blocks))  # slot 0 unused
-    for label, (support, _) in enumerate(query.blocks):
-        for index in support:
-            labels[index] = label
-    del labels[0]
-    raw = bytes(labels) if width == 1 else b"".join(label.to_bytes(width, "big") for label in labels)
+    supports = [support for support, _ in query.blocks]
+    k = sum(map(len, supports))
+    labels = [-1] * (k + 1)  # slot 0 unused; -1 marks an index no block named
+    try:
+        for label, support in enumerate(supports):
+            for index in support:
+                labels[index] = label  # above k: IndexError; -j lands in slot k + 1 - j
+        del labels[0]
+        # A -1 left (a gap, so an overlap or index 0) fails the conversion.
+        raw = bytes(labels) if width == 1 else b"".join(label.to_bytes(width, "big") for label in labels)
+    except (IndexError, ValueError, OverflowError):
+        raw = None
+    # Past both, each index has a slot of its own, so the indices sum to
+    # k(k + 1) / 2 less k + 1 for each negative one.
+    if raw is None or sum(map(sum, supports)) != k * (k + 1) // 2:
+        raise ValueError(f"query supports do not partition 1..{k}")
     return {
         "labels": binascii.b2a_base64(raw, newline=False).decode("ascii"),
         "p": query.field.p,

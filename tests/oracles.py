@@ -16,7 +16,9 @@ compare the two:
   the single-subspace plan (``is_trivial_optimal``), and a memoised
   search over every quota vector the first lemma of ``pirsi.oracle``
   allows (``memo_search_sweep``), against which ``oracle.search_sweep``'s
-  one pass is checked.
+  one pass is checked; and the admit rule by its definition, every demand
+  profile in turn (``least_budget``), against which
+  ``rate.admits_every_demand_set`` is checked.
 * Privacy: the sampler as a per-index walk (``reference_draw_layout``),
   against which ``scheme.draw_layout``'s draws and layouts are checked;
   the layout law as an exact product (``layout_probability``), and the
@@ -300,6 +302,35 @@ def memo_search_sweep(k: int, n: int) -> list[int]:
         # The closure and its cache form a reference cycle; clearing the
         # cache frees the memo now instead of at the next collection.
         best.cache_clear()
+
+
+@lru_cache(maxsize=None)
+def _demand_profiles(sizes: tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+    """Every way to put n demands in blocks of these sizes, as per-block counts."""
+    return [d for d in product(*(range(min(size, n) + 1) for size in sizes)) if sum(d) == n]
+
+
+def least_budget(sizes: tuple[int, ...], quotas: Sequence[int], n: int) -> int | None:
+    """The least m at which blocks of these sizes and quotas serve every demand set, by definition.
+
+    A demand profile puts d_u of the n demands in block u, d_u <= size_u;
+    every demand set has one.  It is served when each block holding demands
+    keeps size_u - d_u >= q_u slots for side messages and the budget pays
+    those blocks' quotas.  Returns the largest such quota total over every
+    profile, or None when some profile cannot be served at any budget.
+    Quotas count side messages: each is 0 or more.  Exponential in the
+    block count: small k only.
+
+    >>> least_budget((5, 4, 4), (3, 2, 2), 2)
+    5
+    """
+    need = 0
+    for demands in _demand_profiles(sizes, n):
+        held = [u for u, d in enumerate(demands) if d]
+        if any(sizes[u] - demands[u] < quotas[u] for u in held):
+            return None
+        need = max(need, sum(quotas[u] for u in held))
+    return need
 
 
 def is_trivial_optimal(params: ProblemParams) -> bool:

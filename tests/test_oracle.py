@@ -13,6 +13,7 @@ from pirsi import (
     DemandSpec,
     PrimeField,
     ProblemParams,
+    admits_every_demand_set,
     build_layout,
     compute_plan,
     is_feasible_plan,
@@ -24,6 +25,7 @@ from oracles import (
     closed_form_r_star,
     hides_every_demand_set,
     is_trivial_optimal,
+    least_budget,
     memo_search_sweep,
     query_rows,
     row_reduce,
@@ -144,6 +146,29 @@ def test_plan_check_rejects_each_broken_condition():
     assert not is_feasible_plan(params, (5, 4, 3), (3, 2, 1))  # sizes sum to 12
     assert not is_feasible_plan(params, (9, 4, 0), (3, 2, 0))  # empty subspace
     assert not is_feasible_plan(params, (5, 4, 4), (3, 2))  # lengths differ
+
+
+def test_admit_rule_and_plan_check_match_the_definition():
+    # Every partition of k <= 8 into block sizes, every quota vector with
+    # quotas in 0..size (unsorted and over the cap included) and every
+    # (m, n): the admit rule holds iff every demand profile is served
+    # (least_budget), and the plan check, which reads the cap and the window
+    # on its own, is the order checks and the admit rule.  About 0.4 s.
+    cases = 0
+    for k in range(1, 9):
+        for sizes in _partitions(k, k):
+            for quotas in product(*(range(size + 1) for size in sizes)):
+                ordered = list(quotas) == sorted(quotas, reverse=True)
+                for n in range(1, k + 1):
+                    need = least_budget(sizes, quotas, n)
+                    for m in range(k - n + 1):
+                        params = ProblemParams(k, m, n)
+                        admits = admits_every_demand_set(params, sizes, quotas)
+                        case = (k, m, n, sizes, quotas)
+                        assert admits == (need is not None and need <= m), case
+                        assert is_feasible_plan(params, sizes, quotas) == (ordered and admits), case
+                        cases += 1
+    assert cases == 86_230
 
 
 def test_sweep_matches_naive_assignments():

@@ -257,6 +257,26 @@ def test_query_labels_agree_with_the_per_index_reference(blocks):
     assert wire.parse_query_bytes(sent) == query
 
 
+def test_query_doc_refuses_supports_that_do_not_partition():
+    # The first was once sent as labels AAEBAA==, which parse as the supports
+    # (1, 4) and (2, 3); the second's indices sum to 1 + 2 + 3 + 4.
+    for supports in (((1, 2), (2, 3)), ((2, 3), (2, 3))):
+        with pytest.raises(ValueError, match=r"^query supports do not partition 1\.\.4$"):
+            query_doc(Query(tuple((support, 1) for support in supports), PrimeField(13)))
+    # One-byte and two-byte labels: index k replaced by an overlap (leaving a
+    # gap at k), by 0, by -1 (which a list reads as index k) and by k + 1.
+    for blocks in (2, 257):
+        k = 2 * blocks
+        for bad in (1, 0, -1, k + 1):
+            supports = [(i, i + 1) for i in range(1, k - 1, 2)] + [(k - 1, bad)]
+            query = Query(tuple((support, 1) for support in supports), PrimeField(65537))
+            with pytest.raises(ValueError, match=rf"^query supports do not partition 1\.\.{k}$"):
+                query_doc(query)
+        supports[-1] = (k - 1, k)
+        query = Query(tuple((support, 1) for support in supports), PrimeField(65537))
+        assert wire.parse_query_bytes(canonical(query_doc(query)).encode()) == query
+
+
 def test_parse_query_doc_rejects_non_documents():
     for doc in (None, [], "query", 2):
         with pytest.raises(ValueError, match="query document"):
