@@ -17,7 +17,7 @@ Before any mutant runs, the census checks that every old text still
 occurs exactly once (a catalogue that has drifted from the code fails)
 and that the unmutated tree passes both passes.  It exits 0 when every
 mutant is killed or is a surviving equivalent, and 1 otherwise.  CI runs
-it as a step of its own, about five minutes on a 2-vCPU host with Python
+it as a step of its own, about ten minutes on a 2-vCPU host with Python
 3.11.7:
 
     python ci/mutants.py
