@@ -5,8 +5,9 @@ exactly once, its replacement, and what the change breaks.  For each
 mutant the tree is copied to a fresh temporary directory, the text is
 replaced there, and Tier-1 runs with ``-x``, without the golden tests,
 ``tests/test_readme.py`` and the drift test (``tests/test_census.py``,
-which every mutant fails by removing its own text).  A failure there is a
-kill.  Otherwise only the golden tests and ``tests/test_readme.py`` run:
+which every mutant fails by removing its own text): first the mutated
+module's own ``tests/test_<module>.py``, where most mutants die, then the
+rest.  A failure there is a kill.  Otherwise only the golden tests and ``tests/test_readme.py`` run:
 they pin output bytes, so a failure there is a weak kill, listed because
 regenerating the goldens would hide it.  A mutant that survives both
 passes fails the census unless the catalogue lists it as equivalent, with
@@ -76,8 +77,10 @@ CATALOGUE = [
            "index 0 stays in the mask, so stage 4 can deal it into a block"),
     Mutant("scheme.py", "if len(answer) != len(query.blocks):", "if False:",
            "client_decode ignores extra answer blocks"),
-    Mutant("scheme.py", "min(indices) >= 1", "min(indices) >= 0",
-           "require_indices passes index 0, so every lookup, the server's included, reads the padding"),
+    Mutant("scheme.py", "not (min(indices) >= 1 and", "not (min(indices) >= 0 and",
+           "require_indices passes index 0: a lookup reads the last message, a gather returns nothing"),
+    Mutant("scheme.py", "if indices and min(indices) >= 1:", "if indices and min(indices) >= 0:",
+           "gather reads index 0 off the padding, so the server codes a 0 for it"),
     Mutant("scheme.py", "(0,) + self.values", "self.values",
            "gather's 1-indexed view loses its padding: every gather, the server's included, is off by one"),
     Mutant("scheme.py", "if len(indices) > 1:", "if len(indices) > 0:",
@@ -103,8 +106,18 @@ CATALOGUE = [
     Mutant("wire.py", '{{"answer":{answer},"decoded":{decoded},"plan":{plan},"query":{query},',
            '{{"answer":{query},"decoded":{decoded},"plan":{plan},"query":{answer},',
            "the transcript swaps its query and answer sections"),
-    Mutant("wire.py", "if len(lines) > k:", "if len(lines) > k + 1:",
+    Mutant("wire.py", "if count > k:", "if count > k + 1:",
            "the database reader accepts one value after the k-th"),
+    Mutant("wire.py", 'count = body.count("\\n") + (body[-1:] not in ("", "\\n"))',
+           'count = body.count("\\n")',
+           "the database reader does not count an unterminated last line"),
+    Mutant("wire.py", "max(values) >= field.p", "max(values) > field.p",
+           "the database reader accepts a value equal to p"),
+    Mutant("wire.py", "translate(None, _DIGITS + sep.encode(\"ascii\"))", "translate(None, _DIGITS)",
+           "split_decimals refuses its separator: each database is read line by line, "
+           "each index list of two or more is refused"),
+    Mutant("wire.py", "if text and text.isascii()", "if text.isascii()",
+           "split_decimals reads an empty text as no fields: an empty index list, a database line \"\""),
     Mutant("wire.py", "if max(map(max, blocks)) >= field.p:", "if False:",
            "the answer parser accepts values outside [0, p)"),
     Mutant("field.py", "37, 41)", "37)",
@@ -167,6 +180,9 @@ CATALOGUE = [
            "query_doc sends overlapping supports as another query: each gap reads as block 0"),
     Mutant("wire.py", "if raw is None or sum(map(sum, supports)) != k * (k + 1) // 2:", "if raw is None:",
            "query_doc sends index -j as index k + 1 - j"),
+    Mutant("wire.py", "if not all(map(operator.eq, map(sorted, supports), map(list, supports))):",
+           "if False:",
+           "query_doc sends an unsorted support as the sorted one, whose coefficients differ"),
 ]
 
 
@@ -199,15 +215,22 @@ def run_pytest(tree: Path, selection: list[str]) -> tuple[bool, str]:
 def census(mutant: Mutant | None) -> tuple[str, str]:
     """("killed" | "weak" | "survived", first failing test) for one mutant on a fresh copy.
 
-    ``None`` runs the unmutated tree.
+    The semantic pass runs the mutated module's own ``tests/test_<module>.py``
+    first, then the rest: the same tests as one run, so the same verdict.
+    ``None`` runs the unmutated tree in one run.
     """
     with tempfile.TemporaryDirectory(prefix="pirsi-mutant-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=COPY_IGNORE)
-        if mutant is not None:
+        if mutant is None:
+            passed, killer = run_pytest(tree, SEMANTIC)
+        else:
             path = tree / "src" / "pirsi" / mutant.file
             path.write_text(path.read_text().replace(mutant.old, mutant.new))
-        passed, killer = run_pytest(tree, SEMANTIC)
+            own = f"tests/test_{Path(mutant.file).stem}.py"
+            passed, killer = run_pytest(tree, SEMANTIC + [own])
+            if passed:
+                passed, killer = run_pytest(tree, SEMANTIC + ["--ignore", own])
         if not passed:
             return "killed", killer
         passed, killer = run_pytest(tree, WEAK)

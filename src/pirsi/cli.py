@@ -9,8 +9,9 @@ output goes to stdout and is byte-identical across runs with the same flags
 diagnostics and timings go to stderr.  An argument that starts with ``@``
 names a file whose lines are read as arguments, one a line.  Exit codes: 0 success, 1 violated
 invariant (a ``privacy-mc`` refusal and a closed stdout too), 2 usage error.
-The CLI reads numbers with ``wire.DECIMAL`` and leaves every check of the
-request to the library: a refusal is a usage error when it raises
+The CLI reads numbers with ``wire.DECIMAL`` and index lists with
+``wire.split_decimals``, and leaves every check of the request to the
+library: a refusal is a usage error when it raises
 ``rate.UsageError``; ``main`` maps exceptions to exit codes in one place.
 The library caps k and the ``privacy-exact`` table; the CLI caps ``--k-max``.
 """
@@ -38,7 +39,6 @@ from .scheme import DemandSpec, build_layout
 ORACLE_K_CAP = 300
 
 _DECIMAL = re.compile(wire.DECIMAL)
-_INDICES = re.compile(rf"(?:{wire.DECIMAL})(?:,(?:{wire.DECIMAL}))*")
 
 
 def _decimal(text: str) -> int:
@@ -49,10 +49,11 @@ def _decimal(text: str) -> int:
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
-    """Comma-separated canonical decimals; ``DemandSpec`` refuses repeats."""
-    if not _INDICES.fullmatch(text):
+    """Comma-separated canonical decimals, at least one; ``DemandSpec`` refuses repeats."""
+    indices = wire.split_decimals(text, ",")
+    if indices is None:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    return tuple(map(int, text.split(",")))
+    return tuple(indices)
 
 
 def _add_instance_flags(sub):

@@ -171,18 +171,25 @@ class Database(record("Database", "values field")):
         return self.values[index - 1]
 
     def gather(self, indices: Sequence[int]) -> tuple[int, ...]:
-        """The values at ``indices``, in order: one range check, then one C-level lookup.
+        """The values at ``indices``, in order: one ``min`` pass, then one C-level lookup.
 
         Refuses as ``__getitem__`` does, naming the first index outside 1..k
-        in the order given.  Each call pads the values once, O(k), so a
-        reader of many indices gathers them in one call.
+        in the order given: an index below 1 fails the ``min``, one above k
+        the lookup, and either sends the indices to ``require_indices``.
+        Each call pads the values once, O(k), so a reader of many indices
+        gathers them in one call.
         """
+        if indices and min(indices) >= 1:
+            padded = (0,) + self.values  # index i at position i
+            try:
+                if len(indices) > 1:
+                    return operator.itemgetter(*indices)(padded)
+                # itemgetter of a single key returns the entry itself, not a 1-tuple
+                return tuple(padded[i] for i in indices)
+            except IndexError:
+                pass
         require_indices(indices, self.k)
-        padded = (0,) + self.values  # index i at position i
-        if len(indices) > 1:
-            return operator.itemgetter(*indices)(padded)
-        # itemgetter of a single key returns the entry itself, not a 1-tuple
-        return tuple(padded[i] for i in indices)
+        return ()  # reached with no indices only: require_indices raised otherwise
 
 
 def build_layout(params: ProblemParams, spec: DemandSpec, rng: random.Random) -> Layout:

@@ -14,6 +14,13 @@ query's labels must also be canonical base64.  The labels make every
 query a partition of 1..k by construction.  Any other bytes raise
 ValueError.
 
+A database file is a header line, then one canonical decimal a line.
+``read_db`` counts the lines and reads the values without a string per
+line or a backtracking regex: ``split_decimals`` proves the body is
+digits and line ends, then one ``json.loads`` converts it.  The CLI's
+index lists take the same route with commas.  Only a refused body is
+read line by line, to name the first line at fault.
+
 The client/server split is realised as two roles exchanging these
 documents as bytes: the server role reads a query document and writes an
 answer document, seeing nothing else.  ``simulate_round`` runs one whole
@@ -27,6 +34,7 @@ from __future__ import annotations
 
 import binascii
 import json
+import operator
 import random
 import re
 from fractions import Fraction
@@ -58,7 +66,7 @@ HEADER_QUOTE_CAP = 64
 DECIMAL = "0|[1-9][0-9]*"
 _DB_HEADER = re.compile(rf"{DB_MAGIC} {DB_VERSION} p=({DECIMAL}) k=({DECIMAL})")
 _DB_VALUE = re.compile(DECIMAL)
-_DB_VALUES = re.compile(rf"(?:(?:{DECIMAL})\n)*(?:{DECIMAL})\n?")
+_DIGITS = b"0123456789"
 # The one byte string per document that canonical() writes; base64 with its padding.
 _QUERY = re.compile(
     rf'\{{"labels":"([A-Za-z0-9+/]*={{0,2}})","p":({DECIMAL}),'
@@ -103,8 +111,9 @@ def query_doc(query: Query) -> dict:
     Label i is the number of index i's block, big-endian in ``label_width``
     bytes; the labels of 1..k, in order, are sent in base64.  The supports
     must partition 1..k, as a ``Layout``'s do, where k is their total
-    length; any other query (an overlap, a gap, an index outside 1..k)
-    raises ValueError, since its labels would name a different query.
+    length, and each must be in ascending order; any other query (an
+    overlap, a gap, an index outside 1..k, an unsorted support) raises
+    ValueError, since its labels would name a different query.
     """
     width = label_width(len(query.blocks))
     supports = [support for support, _ in query.blocks]
@@ -123,6 +132,9 @@ def query_doc(query: Query) -> dict:
     # k(k + 1) / 2 less k + 1 for each negative one.
     if raw is None or sum(map(sum, supports)) != k * (k + 1) // 2:
         raise ValueError(f"query supports do not partition 1..{k}")
+    # The labels carry no order, so an unsorted support would be read back sorted.
+    if not all(map(operator.eq, map(sorted, supports), map(list, supports))):
+        raise ValueError("query supports are not each in ascending order")
     return {
         "labels": binascii.b2a_base64(raw, newline=False).decode("ascii"),
         "p": query.field.p,
@@ -284,6 +296,24 @@ def write_db(stream, db: Database) -> None:
         stream.write(f"{value}\n")
 
 
+def split_decimals(text: str, sep: str) -> list[int] | None:
+    """``text`` split at ``sep`` as ints, if every field is a canonical decimal; else None.
+
+    Two C-level passes and no per-field strings: the ASCII text must hold
+    only digits and ``sep``, and ``json.loads`` must accept it as an array
+    once each ``sep`` is read as a comma.  JSON refuses an empty entry and
+    a leading zero, so together they accept exactly one canonical decimal
+    a field.  An empty ``text`` is None.  A field past Python's digit
+    limit for ``int`` raises that limit's ValueError.
+    """
+    if text and text.isascii() and not text.encode("ascii").translate(None, _DIGITS + sep.encode("ascii")):
+        try:
+            return json.loads(f"[{text.replace(sep, ',')}]")
+        except json.JSONDecodeError:
+            pass
+    return None
+
+
 def read_db(stream) -> Database:
     """A database file, or ValueError.
 
@@ -291,13 +321,15 @@ def read_db(stream) -> Database:
     leading zeros, no spaces or underscores), one value per line, with
     k >= 1 values in [0, p) and nothing after the k-th.  The stream is read
     in one call, so a byte that an ASCII stream cannot decode is named with
-    its offset in the file.
+    its offset in the file.  The lines are counted, not split, and the
+    values read by ``split_decimals`` and one ``max``; only a refused body
+    is split into lines, to name the first bad one.  Each check is made
+    here, once, so the ``Database`` is built without repeating them.
     """
     try:
-        text = stream.read()
+        header, _, body = stream.read().partition("\n")
     except UnicodeDecodeError as err:
         raise _not_ascii("database file", err) from None
-    header, _, body = text.partition("\n")
     match = _DB_HEADER.fullmatch(header)
     if match is None:
         cut = "…" if len(header) > HEADER_QUOTE_CAP else ""
@@ -306,17 +338,47 @@ def read_db(stream) -> Database:
     k = int(match[2])
     if k < 1:
         raise ValueError("database needs k >= 1 values")
+    # One line per "\n", and one more for an unterminated last line.
+    count = body.count("\n") + (body[-1:] not in ("", "\n"))
+    if count < k:
+        raise ValueError(f"database ends after {count} of {k} values")
+    if count > k:
+        raise ValueError(f"database has data after its {k} values")
+    try:
+        values = split_decimals(body[:-1] if body[-1:] == "\n" else body, "\n")
+    except ValueError:  # a value past int()'s digit limit
+        values = None
+    if values is None or max(values) >= field.p:
+        values = _line_values(body, field)
+    # tuple.__new__: Database.__new__ would check the values a second time.
+    return tuple.__new__(Database, (tuple(values), field))
+
+
+def _line_values(body: str, field: PrimeField) -> list[int]:
+    """The database body read line by line, refusing the first line at fault.
+
+    ``read_db``'s second route, taken only when its first refuses: the
+    first line that is not a canonical decimal is named, then the first
+    value that is not below p, in line order.
+    """
     lines = body.split("\n")
     if lines[-1] == "":
         lines.pop()
-    if len(lines) < k:
-        raise ValueError(f"database ends after {len(lines)} of {k} values")
-    if len(lines) > k:
-        raise ValueError(f"database has data after its {k} values")
-    if _DB_VALUES.fullmatch(body) is None:
-        bad = next(i for i, line in enumerate(lines) if _DB_VALUE.fullmatch(line) is None)
+    bad = next((i for i, line in enumerate(lines) if _DB_VALUE.fullmatch(line) is None), None)
+    if bad is not None:
         raise ValueError(f"database value {bad + 1} is not a canonical decimal: {lines[bad]!r}")
-    return Database(tuple(map(int, lines)), field)
+    values = []
+    for number, line in enumerate(lines, 1):
+        try:
+            value = int(line)
+        except ValueError:  # past int()'s digit limit, so far above any modulus
+            raise ValueError(
+                f"database value {number} is not below p = {field.p}: it has {len(line)} digits"
+            ) from None
+        if value >= field.p:
+            field.check((value,))  # raises, in the field's words
+        values.append(value)
+    return values
 
 
 # ---------------------------------------------------------------------------

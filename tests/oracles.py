@@ -28,7 +28,10 @@ compare the two:
 * Wire: the version-3 query's labels, one index at a time, with the label
   width found by counting bytes (``reference_query_bytes`` and
   ``reference_query_supports``), against which ``wire.query_doc`` and
-  ``wire.parse_query_bytes`` are checked.
+  ``wire.parse_query_bytes`` are checked; and the database file and the
+  CLI's index lists read one line or field at a time with a regex
+  (``reference_read_db`` and ``reference_parse_indices``), against which
+  ``wire.read_db`` and ``cli._parse_indices`` are checked.
 * The converse: whether a subspace of GF(q)^k is the row space of a
   W-private linear query (``hides_every_demand_set``), over every subspace
   of a given dimension (``subspaces``).
@@ -36,9 +39,11 @@ compare the two:
 
 from __future__ import annotations
 
+import argparse
 import base64
 import operator
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -48,7 +53,7 @@ from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from pirsi.field import PrimeField
 from pirsi.rate import ProblemParams, RatePlan, compute_plan, quota_cap, require_admissible
-from pirsi.scheme import DemandSpec, Layout, Query, draw_layout
+from pirsi.scheme import Database, DemandSpec, Layout, Query, draw_layout
 
 BRANCH_CAP = 1_000_000
 
@@ -87,6 +92,58 @@ def reference_query_supports(labels: str, blocks: int) -> list[list[int]]:
         label = int.from_bytes(raw[position * width:(position + 1) * width], "big")
         supports[label].append(position + 1)
     return supports
+
+
+# ---------------------------------------------------------------------------
+# The database file and the CLI's index lists
+
+_DECIMAL = "0|[1-9][0-9]*"
+_DB_HEADER = re.compile(rf"pir-db v1 p=({_DECIMAL}) k=({_DECIMAL})")
+_DB_VALUE = re.compile(_DECIMAL)
+_DB_VALUES = re.compile(rf"(?:(?:{_DECIMAL})\n)*(?:{_DECIMAL})\n?")
+_INDICES = re.compile(rf"(?:{_DECIMAL})(?:,(?:{_DECIMAL}))*")
+
+
+def reference_read_db(stream) -> Database:
+    """A database file read line by line: one ``str`` and one ``int`` a line, then ``Database``'s own check.
+
+    The same refusals, in the same words, as ``wire.read_db``, except for a
+    value past Python's digit limit for ``int``, which raises ``int``'s own
+    ValueError here.
+    """
+    try:
+        text = stream.read()
+    except UnicodeDecodeError as err:
+        raise ValueError(
+            f"database file is not ASCII: byte 0x{err.object[err.start]:02x} at offset {err.start}"
+        ) from None
+    header, _, body = text.partition("\n")
+    match = _DB_HEADER.fullmatch(header)
+    if match is None:
+        cut = "…" if len(header) > 64 else ""
+        raise ValueError(f"malformed database header: {header[:64]!r}{cut}")
+    field = PrimeField(int(match[1]))
+    k = int(match[2])
+    if k < 1:
+        raise ValueError("database needs k >= 1 values")
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < k:
+        raise ValueError(f"database ends after {len(lines)} of {k} values")
+    if len(lines) > k:
+        raise ValueError(f"database has data after its {k} values")
+    if _DB_VALUES.fullmatch(body) is None:
+        bad = next(i for i, line in enumerate(lines) if _DB_VALUE.fullmatch(line) is None)
+        raise ValueError(f"database value {bad + 1} is not a canonical decimal: {lines[bad]!r}")
+    return Database(tuple(map(int, lines)), field)
+
+
+def reference_parse_indices(text: str) -> tuple[int, ...]:
+    """Comma-separated canonical decimals, matched by one regex and split, as ``cli._parse_indices`` reads them."""
+    if not _INDICES.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return tuple(map(int, text.split(",")))
 
 
 # ---------------------------------------------------------------------------

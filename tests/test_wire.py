@@ -1,10 +1,13 @@
 """The server role and the document parsers it trusts."""
 
+import argparse
 import base64
 import copy
 import io
 import json
 import random
+import sys
+from itertools import product
 
 import pytest
 
@@ -19,9 +22,15 @@ from pirsi import (
     simulate_round,
 )
 from pirsi import wire
-from pirsi.wire import parse_answer_doc, parse_query_doc, query_doc
+from pirsi.cli import _parse_indices
+from pirsi.wire import parse_answer_doc, parse_query_doc, query_doc, read_db
 from conftest import WORKED_BLOCKS, WORKED_K, WORKED_VALUES
-from oracles import reference_query_bytes, reference_query_supports
+from oracles import (
+    reference_parse_indices,
+    reference_query_bytes,
+    reference_query_supports,
+    reference_read_db,
+)
 
 
 @pytest.fixture
@@ -277,6 +286,16 @@ def test_query_doc_refuses_supports_that_do_not_partition():
         assert wire.parse_query_bytes(canonical(query_doc(query)).encode()) == query
 
 
+def test_query_doc_refuses_an_unsorted_support():
+    # The labels carry no order: both of these were once sent as AAABAQ==,
+    # and the server reads coefficient column j against support[j].
+    gf = PrimeField(13)
+    assert query_doc(Query((((1, 2), 1), ((3, 4), 1)), gf))["labels"] == "AAABAQ=="
+    for supports in (((2, 1), (4, 3)), ((1, 2), (4, 3)), ((1, 3, 2), (4,))):
+        with pytest.raises(ValueError, match=r"^query supports are not each in ascending order$"):
+            query_doc(Query(tuple((support, 1) for support in supports), gf))
+
+
 def test_parse_query_doc_rejects_non_documents():
     for doc in (None, [], "query", 2):
         with pytest.raises(ValueError, match="query document"):
@@ -515,3 +534,100 @@ def test_served_query_bytes_are_the_canonical_bytes_of_their_query(worked_query_
         assert canonical(query_doc(query)).encode("ascii") == edited, edited
         served += 1
     assert served > 50, served
+
+
+# Digits, both separators, and what JSON or int() would read where a
+# canonical decimal cannot have it: a carriage return and a space (JSON
+# whitespace), a sign, a fraction and an exponent, and an Arabic-Indic
+# three (int() reads it as 3).
+READER_ALPHABET = "019\n,\r-+.e ٣"
+
+
+def outcome(read, arg):
+    """What ``read(arg)`` returns, or the type and the words of what it raises."""
+    try:
+        return read(arg)
+    except (ValueError, argparse.ArgumentTypeError) as err:
+        return type(err), str(err)
+
+
+def short_texts(length):
+    """Every text over ``READER_ALPHABET`` of at most ``length`` characters."""
+    for size in range(length + 1):
+        yield from map("".join, product(READER_ALPHABET, repeat=size))
+
+
+def read_db_mismatches(length, every_k_to):
+    """The (body, k) pairs on which ``read_db`` and ``reference_read_db`` differ, and the pairs tried.
+
+    Each body over ``READER_ALPHABET`` of at most ``length`` characters is
+    read at p = 13, at every k in 1..4 if it has at most ``every_k_to``
+    characters, else at k = its line count clamped to 1..4.  On a body the
+    reference accepts, ``split_decimals`` alone must accept it too: its
+    fallback would hide a refusal from ``read_db``'s output.
+    """
+    mismatches, tried = [], 0
+    for body in short_texts(length):
+        lines = body.split("\n")[:-1] if body.endswith("\n") or not body else body.split("\n")
+        ks = range(1, 5) if len(body) <= every_k_to else (min(4, max(1, len(lines))),)
+        for k in ks:
+            text = f"pir-db v1 p=13 k={k}\n{body}"
+            want = outcome(reference_read_db, io.StringIO(text))
+            got = outcome(read_db, io.StringIO(text))
+            if got == want and isinstance(want, Database):
+                got = wire.split_decimals(body.removesuffix("\n"), "\n")
+                want = list(want.values)
+            if got != want:
+                mismatches.append((body, k, got, want))
+            tried += 1
+    return mismatches, tried
+
+
+def test_read_db_reads_and_refuses_as_the_line_by_line_reference_does():
+    # Every body up to 4 characters at every k in 1..4, and every body of 5
+    # at its own line count, where the value checks run;
+    # ci/test_read_db_k1e6.py also runs the 5-character bodies at every k.
+    mismatches, tried = read_db_mismatches(5, every_k_to=4)
+    assert mismatches == [] and tried == 22_621 * 4 + 12**5
+    # One message at scale: the k-th of 5,000 lines is p itself.
+    rng = random.Random(5)
+    p = 2**31 - 1
+    values = [rng.randrange(p) for _ in range(4_999)]
+    for last, tail in ((p, "\n"), (p - 1, "\n"), (p - 1, ""), (0, "\n\n")):
+        text = f"pir-db v1 p={p} k=5000\n" + "".join(f"{v}\n" for v in values) + f"{last}{tail}"
+        want = outcome(reference_read_db, io.StringIO(text))
+        assert outcome(read_db, io.StringIO(text)) == want
+    assert want == (ValueError, "database has data after its 5000 values")
+    # Each fault on the last line, with and without a final newline.
+    for last in ("05", "-0", "", "٣", "13", "12"):
+        for tail in ("\n", ""):
+            text = f"pir-db v1 p=13 k=3\n5\n0\n{last}{tail}"
+            assert outcome(read_db, io.StringIO(text)) == outcome(reference_read_db, io.StringIO(text))
+    assert outcome(read_db, io.StringIO("pir-db v1 p=13 k=3\n5\n0\n٣\n")) == (
+        ValueError, "database value 3 is not a canonical decimal: '٣'")
+
+
+def test_parse_indices_reads_and_refuses_as_the_split_reference_does():
+    assert [
+        (text, got, want)
+        for text in short_texts(5)
+        if (got := outcome(_parse_indices, text)) != (want := outcome(reference_parse_indices, text))
+    ] == []
+    assert outcome(_parse_indices, "") == (
+        argparse.ArgumentTypeError, "expected comma-separated integers, got ''")
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0, reason="no digit limit for int()"
+)
+def test_read_db_names_a_value_past_the_int_digit_limit():
+    # int() refuses more than 4,300 digits with its own words; the value is
+    # far above p, so it is refused as one, naming its line.
+    huge = "9" * 5000
+    for body in (f"5\n{huge}\n0\n", f"5\n{huge}\n99\n", f"5\n0\n{huge}"):
+        line = body.split("\n").index(huge) + 1
+        with pytest.raises(ValueError, match=rf"^database value {line} is not below p = 13: it has 5000 digits$"):
+            read_db(io.StringIO(f"pir-db v1 p=13 k=3\n{body}"))
+    # A value above p on an earlier line is named first, in the field's words.
+    with pytest.raises(ValueError, match=r"^field value 99 is not an int in \[0, 13\)$"):
+        read_db(io.StringIO(f"pir-db v1 p=13 k=3\n99\n{huge}\n5\n"))
