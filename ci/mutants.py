@@ -113,7 +113,7 @@ CATALOGUE = [
            "the database reader does not count an unterminated last line"),
     Mutant("wire.py", "max(values) >= field.p", "max(values) > field.p",
            "the database reader accepts a value equal to p"),
-    Mutant("wire.py", "translate(None, _DIGITS + sep.encode(\"ascii\"))", "translate(None, _DIGITS)",
+    Mutant("wire.py", 'allowed = _DIGITS + sep.encode("ascii")', "allowed = _DIGITS",
            "split_decimals refuses its separator: each database is read line by line, "
            "each index list of two or more is refused"),
     Mutant("wire.py", "if text and text.isascii()", "if text.isascii()",

@@ -306,7 +306,8 @@ def split_decimals(text: str, sep: str) -> list[int] | None:
     a field.  An empty ``text`` is None.  A field past Python's digit
     limit for ``int`` raises that limit's ValueError.
     """
-    if text and text.isascii() and not text.encode("ascii").translate(None, _DIGITS + sep.encode("ascii")):
+    allowed = _DIGITS + sep.encode("ascii")
+    if text and text.isascii() and not text.encode("ascii").translate(None, allowed):
         try:
             return json.loads(f"[{text.replace(sep, ',')}]")
         except json.JSONDecodeError:

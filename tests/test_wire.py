@@ -589,15 +589,23 @@ def test_read_db_reads_and_refuses_as_the_line_by_line_reference_does():
     # ci/test_read_db_k1e6.py also runs the 5-character bodies at every k.
     mismatches, tried = read_db_mismatches(5, every_k_to=4)
     assert mismatches == [] and tried == 22_621 * 4 + 12**5
-    # One message at scale: the k-th of 5,000 lines is p itself.
+    # At scale: the k-th of 5,000 lines is p itself, or p - 1 with and
+    # without a final newline, or 0 and an empty line after it.
     rng = random.Random(5)
     p = 2**31 - 1
     values = [rng.randrange(p) for _ in range(4_999)]
+    seen = []
     for last, tail in ((p, "\n"), (p - 1, "\n"), (p - 1, ""), (0, "\n\n")):
         text = f"pir-db v1 p={p} k=5000\n" + "".join(f"{v}\n" for v in values) + f"{last}{tail}"
         want = outcome(reference_read_db, io.StringIO(text))
         assert outcome(read_db, io.StringIO(text)) == want
-    assert want == (ValueError, "database has data after its 5000 values")
+        seen.append("read" if isinstance(want, Database) else want)
+    assert seen == [
+        (ValueError, f"field value {p} is not an int in [0, {p})"),
+        "read",
+        "read",
+        (ValueError, "database has data after its 5000 values"),
+    ]
     # Each fault on the last line, with and without a final newline.
     for last in ("05", "-0", "", "٣", "13", "12"):
         for tail in ("\n", ""):
