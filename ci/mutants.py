@@ -7,18 +7,18 @@ replaced there, and Tier-1 runs with ``-x``, without the golden tests,
 ``tests/test_readme.py`` and the drift test (``tests/test_census.py``,
 which every mutant fails by removing its own text): first the mutated
 module's own ``tests/test_<module>.py``, where most mutants die, then the
-rest.  A failure there is a kill.  Otherwise only the golden tests and ``tests/test_readme.py`` run:
-they pin output bytes, so a failure there is a weak kill, listed because
-regenerating the goldens would hide it.  A mutant that survives both
-passes fails the census unless the catalogue lists it as equivalent, with
-the reason no test can tell it apart.  An equivalent that is killed fails
+rest.  A failure there is a kill.  Otherwise only the golden tests and
+``tests/test_readme.py`` run: they pin output bytes, so a failure there
+is a weak kill, listed because regenerating the goldens would hide it.
+A mutant that survives both passes fails the census unless the catalogue
+lists it as equivalent, with the reason no test can tell it apart.  An equivalent that is killed fails
 the census too: its reason is wrong.
 
 Before any mutant runs, the census checks that every old text still
 occurs exactly once (a catalogue that has drifted from the code fails)
 and that the unmutated tree passes both passes.  It exits 0 when every
 mutant is killed or is a surviving equivalent, and 1 otherwise.  CI runs
-it as a step of its own, about ten minutes on a 2-vCPU host with Python
+it as a step of its own, about four minutes on a 2-vCPU host with Python
 3.11.7:
 
     python ci/mutants.py

@@ -568,8 +568,8 @@ def read_db_mismatches(length, every_k_to):
     """
     mismatches, tried = [], 0
     for body in short_texts(length):
-        lines = body.split("\n")[:-1] if body.endswith("\n") or not body else body.split("\n")
-        ks = range(1, 5) if len(body) <= every_k_to else (min(4, max(1, len(lines))),)
+        count = len(body.removesuffix("\n").split("\n")) if body else 0
+        ks = range(1, 5) if len(body) <= every_k_to else (min(4, max(1, count)),)
         for k in ks:
             text = f"pir-db v1 p=13 k={k}\n{body}"
             want = outcome(reference_read_db, io.StringIO(text))
