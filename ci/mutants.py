@@ -114,12 +114,25 @@ CATALOGUE = [
     Mutant("wire.py", "max(values) >= field.p", "max(values) > field.p",
            "the database reader accepts a value equal to p"),
     Mutant("wire.py", 'allowed = _DIGITS + sep.encode("ascii")', "allowed = _DIGITS",
-           "split_decimals refuses its separator: each database is read line by line, "
-           "each index list of two or more is refused"),
+           "split_decimals refuses its separator: every database of two or more lines "
+           "and every index list of two or more is refused"),
     Mutant("wire.py", "if text and text.isascii()", "if text.isascii()",
            "split_decimals reads an empty text as no fields: an empty index list, a database line \"\""),
     Mutant("wire.py", "if max(map(max, blocks)) >= field.p:", "if False:",
            "the answer parser accepts values outside [0, p)"),
+    Mutant("wire.py", 'raise ValueError(f"value {at + 1} {fault}")', 'raise ValueError(f"value {at} {fault}")',
+           "split_decimals counts fields from 0: each refused line or field is named one too early"),
+    Mutant("wire.py", "at = next(i for i, field in enumerate(fields) if len(field) > limit)",
+           "at = max(range(len(fields)), key=lambda i: len(fields[i]))",
+           "split_decimals names the longest field past int's digit limit, not the first"),
+    Mutant("wire.py", "at = next(i for i, field in enumerate(fields) if len(field) > limit)",
+           "at = max(i for i, field in enumerate(fields) if len(field) > limit)",
+           "split_decimals names the last field past int's digit limit, not the first"),
+    Mutant("wire.py", "        field.check(values)", "        pass",
+           "the database reader accepts a value not below p"),
+    Mutant("wire.py", 'return f"{text[:QUOTE_CAP]!r}…" if len(text) > QUOTE_CAP else repr(text)',
+           "return repr(text)",
+           "quote echoes the whole text: a megabyte flag or line is printed whole"),
     Mutant("field.py", "37, 41)", "37)",
            "Miller-Rabin without the 13th witness, which 318665857834031151167461 needs"),
     Mutant("field.py", "if not is_prime(p):", "if is_prime(p) is None:",

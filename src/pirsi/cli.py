@@ -42,18 +42,21 @@ _DECIMAL = re.compile(wire.DECIMAL)
 
 
 def _decimal(text: str) -> int:
-    """A canonical decimal integer: no sign, spaces, ``_`` or leading zeros."""
-    if not _DECIMAL.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}")
-    return int(text)
+    """A canonical decimal integer within ``int``'s digit limit: no sign, spaces, ``_`` or leading zeros."""
+    if _DECIMAL.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # past int()'s digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"expected a decimal integer, got {wire.quote(text)}")
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
     """Comma-separated canonical decimals, at least one; ``DemandSpec`` refuses repeats."""
-    indices = wire.split_decimals(text, ",")
-    if indices is None:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    return tuple(indices)
+    try:
+        return tuple(wire.split_decimals(text, ","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {wire.quote(text)}") from None
 
 
 def _add_instance_flags(sub):

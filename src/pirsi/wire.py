@@ -15,11 +15,12 @@ query a partition of 1..k by construction.  Any other bytes raise
 ValueError.
 
 A database file is a header line, then one canonical decimal a line.
-``read_db`` counts the lines and reads the values without a string per
-line or a backtracking regex: ``split_decimals`` proves the body is
-digits and line ends, then one ``json.loads`` converts it.  The CLI's
-index lists take the same route with commas.  Only a refused body is
-read line by line, to name the first line at fault.
+``read_db`` counts the lines and reads the values with ``split_decimals``,
+the one reader of a decimal list: it proves the body is digits and line
+ends, then one ``json.loads`` converts it, with no string per line and
+no backtracking regex.  The CLI's index lists take the same route with
+commas.  Only a refused list is split into fields, to name the first
+field at fault.
 
 The client/server split is realised as two roles exchanging these
 documents as bytes: the server role reads a query document and writes an
@@ -37,8 +38,10 @@ import json
 import operator
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import chain
+from math import inf
 
 from .field import PrimeField
 from .privacy import PosteriorReport, TvdReport
@@ -58,14 +61,14 @@ from .scheme import (
 DB_MAGIC = "pir-db"
 DB_VERSION = "v1"
 QUERY_VERSION = 3
-# A malformed header is quoted up to this many characters: a file with no
-# "\n" is all header.
-HEADER_QUOTE_CAP = 64
+# A refused text is quoted up to this many characters: a file with no "\n"
+# is all header, and a flag or a line can be a megabyte long.
+QUOTE_CAP = 64
 
 # A canonical decimal, for the database file and the CLI's flags alike.
 DECIMAL = "0|[1-9][0-9]*"
 _DB_HEADER = re.compile(rf"{DB_MAGIC} {DB_VERSION} p=({DECIMAL}) k=({DECIMAL})")
-_DB_VALUE = re.compile(DECIMAL)
+_DECIMAL = re.compile(DECIMAL)
 _DIGITS = b"0123456789"
 # The one byte string per document that canonical() writes; base64 with its padding.
 _QUERY = re.compile(
@@ -84,6 +87,11 @@ def canonical(doc) -> str:
 
 def frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
+
+
+def quote(text: str) -> str:
+    """``repr(text)``, cut after ``QUOTE_CAP`` characters and marked "…" where cut."""
+    return f"{text[:QUOTE_CAP]!r}…" if len(text) > QUOTE_CAP else repr(text)
 
 
 def _not_ascii(what: str, err: UnicodeDecodeError) -> ValueError:
@@ -149,8 +157,7 @@ def _refusal(data: bytes, what: str, form: str) -> ValueError:
         text = data.decode("ascii")
     except UnicodeDecodeError as err:
         return _not_ascii(what, err)
-    cut = "…" if len(text) > HEADER_QUOTE_CAP else ""
-    return ValueError(f"{what} is not canonical {form}: {text[:HEADER_QUOTE_CAP]!r}{cut}")
+    return ValueError(f"{what} is not canonical {form}: {quote(text)}")
 
 
 def parse_query_bytes(data: bytes) -> Query:
@@ -282,7 +289,8 @@ def posterior_doc(report: PosteriorReport, layout: Layout) -> dict:
 
 # No longer a total-variation distance; perfbench's traced privacy-mc replay needs this name.
 def tvd_doc(report: TvdReport) -> dict:
-    return report._asdict()
+    """The report's fields, with an infinite ``max_z`` as None: JSON has no infinity."""
+    return report._asdict() | ({"max_z": None} if report.max_z == inf else {})
 
 
 # ---------------------------------------------------------------------------
@@ -296,23 +304,33 @@ def write_db(stream, db: Database) -> None:
         stream.write(f"{value}\n")
 
 
-def split_decimals(text: str, sep: str) -> list[int] | None:
-    """``text`` split at ``sep`` as ints, if every field is a canonical decimal; else None.
+def split_decimals(text: str, sep: str) -> list[int]:
+    """``text`` split at ``sep`` as ints, if every field is a canonical decimal; else ValueError.
 
     Two C-level passes and no per-field strings: the ASCII text must hold
     only digits and ``sep``, and ``json.loads`` must accept it as an array
     once each ``sep`` is read as a comma.  JSON refuses an empty entry and
     a leading zero, so together they accept exactly one canonical decimal
-    a field.  An empty ``text`` is None.  A field past Python's digit
-    limit for ``int`` raises that limit's ValueError.
+    a field.  A refused text is split once, and the error names a field,
+    counted from 1: the first that is not a canonical decimal (an empty
+    ``text`` is one empty field), or else the first past Python's digit
+    limit for ``int``, the one fault ``json.loads`` has left.
     """
     allowed = _DIGITS + sep.encode("ascii")
     if text and text.isascii() and not text.encode("ascii").translate(None, allowed):
         try:
             return json.loads(f"[{text.replace(sep, ',')}]")
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or a field past int()'s digit limit
             pass
-    return None
+    fields = text.split(sep)
+    at = next((i for i, field in enumerate(fields) if _DECIMAL.fullmatch(field) is None), None)
+    if at is not None:
+        fault = f"is not a canonical decimal: {quote(fields[at])}"
+    else:
+        limit = sys.get_int_max_str_digits()
+        at = next(i for i, field in enumerate(fields) if len(field) > limit)
+        fault = f"has {len(fields[at])} digits, past int's limit of {limit}"
+    raise ValueError(f"value {at + 1} {fault}")
 
 
 def read_db(stream) -> Database:
@@ -323,9 +341,12 @@ def read_db(stream) -> Database:
     k >= 1 values in [0, p) and nothing after the k-th.  The stream is read
     in one call, so a byte that an ASCII stream cannot decode is named with
     its offset in the file.  The lines are counted, not split, and the
-    values read by ``split_decimals`` and one ``max``; only a refused body
-    is split into lines, to name the first bad one.  Each check is made
-    here, once, so the ``Database`` is built without repeating them.
+    values read by ``split_decimals`` and one ``max``.  Faults are named in
+    this order: bytes that are not ASCII, the header, too few or too many
+    lines, then the first line that is not a canonical decimal, then the
+    first past ``int``'s digit limit, then the first value not below p, in
+    the field's words.  Each check is made here, once, so the
+    ``Database`` is built without repeating them.
     """
     try:
         header, _, body = stream.read().partition("\n")
@@ -333,8 +354,7 @@ def read_db(stream) -> Database:
         raise _not_ascii("database file", err) from None
     match = _DB_HEADER.fullmatch(header)
     if match is None:
-        cut = "…" if len(header) > HEADER_QUOTE_CAP else ""
-        raise ValueError(f"malformed database header: {header[:HEADER_QUOTE_CAP]!r}{cut}")
+        raise ValueError(f"malformed database header: {quote(header)}")
     field = PrimeField(int(match[1]))
     k = int(match[2])
     if k < 1:
@@ -347,39 +367,12 @@ def read_db(stream) -> Database:
         raise ValueError(f"database has data after its {k} values")
     try:
         values = split_decimals(body[:-1] if body[-1:] == "\n" else body, "\n")
-    except ValueError:  # a value past int()'s digit limit
-        values = None
-    if values is None or max(values) >= field.p:
-        values = _line_values(body, field)
+    except ValueError as err:  # worded for the file: "database value N ..."
+        raise ValueError(f"database {err}") from None
+    if max(values) >= field.p:
+        field.check(values)  # raises, naming the first value at fault
     # tuple.__new__: Database.__new__ would check the values a second time.
     return tuple.__new__(Database, (tuple(values), field))
-
-
-def _line_values(body: str, field: PrimeField) -> list[int]:
-    """The database body read line by line, refusing the first line at fault.
-
-    ``read_db``'s second route, taken only when its first refuses: the
-    first line that is not a canonical decimal is named, then the first
-    value that is not below p, in line order.
-    """
-    lines = body.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    bad = next((i for i, line in enumerate(lines) if _DB_VALUE.fullmatch(line) is None), None)
-    if bad is not None:
-        raise ValueError(f"database value {bad + 1} is not a canonical decimal: {lines[bad]!r}")
-    values = []
-    for number, line in enumerate(lines, 1):
-        try:
-            value = int(line)
-        except ValueError:  # past int()'s digit limit, so far above any modulus
-            raise ValueError(
-                f"database value {number} is not below p = {field.p}: it has {len(line)} digits"
-            ) from None
-        if value >= field.p:
-            field.check((value,))  # raises, in the field's words
-        values.append(value)
-    return values
 
 
 # ---------------------------------------------------------------------------

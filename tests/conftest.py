@@ -64,3 +64,14 @@ def leaky_draw_layout(plan, demands, side, rng):
             if idx in demands and trade is not None:
                 first[first.index(trade)], block[pos] = idx, trade
     return Layout(tuple(tuple(sorted(block)) for block in [first, *rest]), layout.plan)
+
+
+def demand_one_dropping_draw_layout(plan, demands, side, rng):
+    """The real sampler, then index 1 taken out of every block.
+
+    On a single-block plan every cell has zero variance, so a demand set
+    holding 1 misses its block cell's mean, and ``privacy-mc``'s worst
+    |z| is infinite.
+    """
+    layout = draw_layout(plan, demands, side, rng)
+    return Layout(tuple(tuple(i for i in block if i != 1) for block in layout.subspaces), layout.plan)

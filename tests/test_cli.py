@@ -26,7 +26,7 @@ from pirsi import (
 from pirsi.cli import build_parser, main
 from pirsi.rate import CODE_ENTRIES_CAP
 from pirsi.wire import read_db, transcript_doc, write_db
-from conftest import WORKED_VALUES, leaky_draw_layout
+from conftest import WORKED_VALUES, demand_one_dropping_draw_layout, leaky_draw_layout
 from oracles import reference_query_supports
 
 # Transcripts pinned byte for byte, so a given seed keeps its round across
@@ -68,6 +68,10 @@ USAGE = "usage: pirsi [-h] {rate,simulate,privacy-exact,privacy-mc,oracle} ...\n
 PRIVACY_MC_USAGE = (
     "usage: pirsi privacy-mc [-h] --k K --m M --n N --wa WA --wb WB\n"
     "                        [--trials TRIALS] [--seed SEED]\n"
+)
+SIMULATE_USAGE = (
+    "usage: pirsi simulate [-h] --k K --m M --n N --demands DEMANDS [--side SIDE]\n"
+    "                      --db DB [--seed SEED]\n"
 )
 
 
@@ -243,6 +247,42 @@ def test_simulate_validates_the_request_once(capsys, worked_db_file, monkeypatch
     )
     assert (code, out) == (0, GOLDEN_WORKED)
     assert len(calls) == 1
+
+
+def test_simulate_exits_1_naming_a_decode_mismatch(capsys, monkeypatch, worked_db_file):
+    decode = wire.client_decode
+
+    def off_by_one_at_5(query, answer, spec):
+        decoded = decode(query, answer, spec)
+        return decoded | {5: (decoded[5] + 1) % 13}
+
+    monkeypatch.setattr("pirsi.wire.client_decode", off_by_one_at_5)
+    code, out, err = run_cli(
+        capsys, "simulate", "--k", "13", "--m", "5", "--n", "2",
+        "--demands", "2,5", "--side", "1,4,6,7,9", "--db", worked_db_file, "--seed", "11",
+    )
+    assert code == 1
+    assert "decode mismatch at indices [5]\n" in err
+    golden = json.loads(GOLDEN_WORKED)
+    assert json.loads(out) == golden | {"decoded": {"2": 7, "5": (golden["decoded"]["5"] + 1) % 13}}
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0, reason="no digit limit for int()"
+)
+def test_flags_past_the_int_digit_limit_are_usage_errors(capsys, worked_db_file):
+    # A canonical decimal past int()'s limit: the flag is named, and at most
+    # 64 of its characters are quoted.
+    huge = "9" * 5000
+    quoted = f"'{huge[:64]}'…"
+    base = ["simulate", "--m", "5", "--n", "2", "--demands", "2,5", "--db", worked_db_file]
+    for argv, message in (
+        (base + ["--k", huge, "--side", "1,4,6,7,9"],
+         f"argument --k: expected a decimal integer, got {quoted}"),
+        (base + ["--k", "13", "--side", f"1,{huge}"],
+         f"argument --side: expected comma-separated integers, got '1,{huge[:62]}'…"),
+    ):
+        assert_usage_error(capsys, argv, message, usage=SIMULATE_USAGE, prog="pirsi simulate")
 
 
 def test_integer_flags_accept_only_canonical_decimals(capsys, worked_db_file):
@@ -662,6 +702,22 @@ def test_privacy_mc_refusal_exits_1(capsys, monkeypatch):
     doc = json.loads(out)
     assert doc["consistent"] is False and doc["max_z"] > doc["threshold"]
     assert "deviate from the uniform law" in err
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_privacy_mc_writes_an_infinite_max_z_as_null(capsys, monkeypatch):
+    monkeypatch.setattr("pirsi.scheme.draw_layout", demand_one_dropping_draw_layout)
+    code, out, err = run_cli(
+        capsys, "privacy-mc", "--k", "10", "--m", "2", "--n", "3",
+        "--wa", "1,2,3", "--wb", "4,5,6", "--trials", "50", "--seed", "1",
+    )
+    assert code == 1
+    doc = json.loads(out, parse_constant=refuse_constant)
+    assert doc["consistent"] is False and doc["max_z"] is None
+    assert "max |z| inf" in err
 
 
 def test_privacy_mc_validates_demand_sets(capsys):

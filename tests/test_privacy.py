@@ -24,7 +24,7 @@ from pirsi import (
     posterior,
 )
 import oracles
-from conftest import leaky_draw_layout
+from conftest import demand_one_dropping_draw_layout, leaky_draw_layout
 from oracles import _probability, enumerate_randomness, iter_layouts, layout_probability
 from pirsi.privacy import posterior_table_size
 from pirsi.rate import RatePlan, UsageError
@@ -669,6 +669,13 @@ def test_monte_carlo_refuses_a_plan_that_cannot_hide_the_demands(monkeypatch):
     with pytest.raises(ValueError, match=refusal) as raised:
         monte_carlo_tvd(ProblemParams(8, 3, 2), (1, 2), (7, 8), 100, random.Random(0))
     assert not isinstance(raised.value, UsageError)
+
+
+def test_monte_carlo_refuses_a_zero_variance_cell_off_its_mean(monkeypatch):
+    # (10, 2, 3) is one block: each cell must equal its mean exactly.
+    monkeypatch.setattr("pirsi.scheme.draw_layout", demand_one_dropping_draw_layout)
+    report = monte_carlo_tvd(ProblemParams(10, 2, 3), (1, 2, 3), (4, 5, 6), 50, random.Random(1))
+    assert report.consistent is False and report.max_z == float("inf")
 
 
 def test_monte_carlo_identical_demands_consistent():

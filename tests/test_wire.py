@@ -562,9 +562,7 @@ def read_db_mismatches(length, every_k_to):
 
     Each body over ``READER_ALPHABET`` of at most ``length`` characters is
     read at p = 13, at every k in 1..4 if it has at most ``every_k_to``
-    characters, else at k = its line count clamped to 1..4.  On a body the
-    reference accepts, ``split_decimals`` alone must accept it too: its
-    fallback would hide a refusal from ``read_db``'s output.
+    characters, else at k = its line count clamped to 1..4.
     """
     mismatches, tried = [], 0
     for body in short_texts(length):
@@ -574,9 +572,6 @@ def read_db_mismatches(length, every_k_to):
             text = f"pir-db v1 p=13 k={k}\n{body}"
             want = outcome(reference_read_db, io.StringIO(text))
             got = outcome(read_db, io.StringIO(text))
-            if got == want and isinstance(want, Database):
-                got = wire.split_decimals(body.removesuffix("\n"), "\n")
-                want = list(want.values)
             if got != want:
                 mismatches.append((body, k, got, want))
             tried += 1
@@ -629,13 +624,18 @@ def test_parse_indices_reads_and_refuses_as_the_split_reference_does():
     getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0, reason="no digit limit for int()"
 )
 def test_read_db_names_a_value_past_the_int_digit_limit():
-    # int() refuses more than 4,300 digits with its own words; the value is
-    # far above p, so it is refused as one, naming its line.
+    # int() refuses more than 4,300 digits with its own words; the reader
+    # names the line instead, in its own.
     huge = "9" * 5000
     for body in (f"5\n{huge}\n0\n", f"5\n{huge}\n99\n", f"5\n0\n{huge}"):
         line = body.split("\n").index(huge) + 1
-        with pytest.raises(ValueError, match=rf"^database value {line} is not below p = 13: it has 5000 digits$"):
+        with pytest.raises(ValueError, match=rf"^database value {line} has 5000 digits, past int's limit of 4300$"):
             read_db(io.StringIO(f"pir-db v1 p=13 k=3\n{body}"))
-    # A value above p on an earlier line is named first, in the field's words.
-    with pytest.raises(ValueError, match=r"^field value 99 is not an int in \[0, 13\)$"):
-        read_db(io.StringIO(f"pir-db v1 p=13 k=3\n99\n{huge}\n5\n"))
+    # The faults are named in order: a line that is not a canonical decimal
+    # (quoted up to 64 characters), then the first line past the digit limit,
+    # not the longest or the last, then a value not below p.
+    for body, message in (
+        (f"99\n{huge}\n9{huge}\n", "database value 2 has 5000 digits, past int's limit of 4300"),
+        (f"{huge}\n5\n0{huge}\n", f"database value 3 is not a canonical decimal: '0{huge[:63]}'…"),
+    ):
+        assert outcome(read_db, io.StringIO(f"pir-db v1 p=13 k=3\n{body}")) == (ValueError, message)
