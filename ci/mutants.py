@@ -18,7 +18,7 @@ Before any mutant runs, the census checks that every old text still
 occurs exactly once (a catalogue that has drifted from the code fails)
 and that the unmutated tree passes both passes.  It exits 0 when every
 mutant is killed or is a surviving equivalent, and 1 otherwise.  CI runs
-it as a step of its own, about four minutes on a 2-vCPU host with Python
+it as a step of its own, about five minutes on a 2-vCPU host with Python
 3.11.7:
 
     python ci/mutants.py
@@ -189,6 +189,14 @@ CATALOGUE = [
            "the plan check refuses a quota equal to its block's cap"),
     Mutant("cli.py", 'write("".join(lines))', 'write("".join(lines[:-1]))',
            "oracle writes each (k, n) sweep's lines without the last one"),
+    Mutant("wire.py", "list(map(str, range(1, k + 1)))", "list(map(str, range(k)))",
+           "posterior_doc's table keys count indices from 0"),
+    Mutant("wire.py", "if not report.uniform or len(", "if len(",
+           "posterior_doc renders a report that is not uniform as uniform"),
+    Mutant("wire.py", "len(report.probabilities) != comb(k, n)", "len(report.probabilities) > comb(k, n)",
+           "posterior_doc renders a table missing demand sets as the whole table"),
+    Mutant("wire.py", "dict.fromkeys(keys, prior)", "dict.fromkeys(keys, frac_str(report.max_deviation))",
+           "posterior_doc gives every demand set the deviation, 0/1, not the prior"),
     Mutant("wire.py", "labels = [-1] * (k + 1)", "labels = [0] * (k + 1)",
            "query_doc sends overlapping supports as another query: each gap reads as block 0"),
     Mutant("wire.py", "if raw is None or sum(map(sum, supports)) != k * (k + 1) // 2:", "if raw is None:",

@@ -39,6 +39,9 @@ with probability size_u / k, and two fixed indices share a block with probabilit
 
 ``posterior``'s table holds C(k, n) demand sets; ``posterior_table_size``
 refuses one over its caps from (k, n) alone, before a layout is drawn.
+Every entry is the prior, so ``wire.posterior_doc`` checks that the table
+is uniform and whole, then prints it from (k, n) and the one prior
+string without reading its entries.
 
 The independent checks live in the tests (``tests/oracles.py``): the
 product itself as an exact ``layout_probability``, and the law of the

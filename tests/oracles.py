@@ -28,10 +28,13 @@ compare the two:
 * Wire: the version-3 query's labels, one index at a time, with the label
   width found by counting bytes (``reference_query_bytes`` and
   ``reference_query_supports``), against which ``wire.query_doc`` and
-  ``wire.parse_query_bytes`` are checked; and the database file and the
+  ``wire.parse_query_bytes`` are checked; the database file and the
   CLI's index lists read one line or field at a time with a regex
   (``reference_read_db`` and ``reference_parse_indices``), against which
-  ``wire.read_db`` and ``cli._parse_indices`` are checked.
+  ``wire.read_db`` and ``cli._parse_indices`` are checked; and the
+  ``privacy-exact`` document rendered from the report one entry at a time
+  (``reference_posterior_doc``), against which ``wire.posterior_doc``'s
+  table, built without reading the report's, is checked.
 * The converse: whether a subspace of GF(q)^k is the row space of a
   W-private linear query (``hides_every_demand_set``), over every subspace
   of a given dimension (``subspaces``).
@@ -144,6 +147,24 @@ def reference_parse_indices(text: str) -> tuple[int, ...]:
     if not _INDICES.fullmatch(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     return tuple(map(int, text.split(",")))
+
+
+# ---------------------------------------------------------------------------
+# The privacy-exact document
+
+
+def reference_posterior_doc(report, layout: Layout) -> dict:
+    """``wire.posterior_doc`` entry by entry: each key joined from its set, each value its own fraction."""
+    return {
+        "layout": {"subspaces": [list(block) for block in layout.subspaces]},
+        "prior": f"{report.prior.numerator}/{report.prior.denominator}",
+        "posteriors": {
+            ",".join(str(i) for i in w): f"{p.numerator}/{p.denominator}"
+            for w, p in report.probabilities.items()
+        },
+        "max_deviation": f"{report.max_deviation.numerator}/{report.max_deviation.denominator}",
+        "uniform": report.uniform,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,15 @@ import pytest
 
 from pirsi import (
     Database,
+    DemandSpec,
     PrimeField,
+    ProblemParams,
     Query,
     UsageError,
+    build_layout,
     canonical,
     make_query,
+    posterior,
     serve_query_bytes,
     simulate_round,
 )
@@ -27,6 +31,7 @@ from pirsi.wire import parse_answer_doc, parse_query_doc, query_doc, read_db
 from conftest import WORKED_BLOCKS, WORKED_K, WORKED_VALUES
 from oracles import (
     reference_parse_indices,
+    reference_posterior_doc,
     reference_query_bytes,
     reference_query_supports,
     reference_read_db,
@@ -347,6 +352,36 @@ def test_transcript_text_needs_the_rounds_recorded_bytes(worked_params, worked_s
             wire.transcript_text(worked_params, 1, result._replace(**missing))
 
 
+def test_posterior_doc_prints_the_bytes_of_the_per_entry_reference(worked_params, worked_layout):
+    # One drawn layout of every (k, m, n) with k <= 14, all admissible:
+    # 560 instances, from n = 1 to n = k with prior 1/1, and at k >= 10,
+    # where canonical() sorts the key "1,10" before "1,2".
+    texts = {}
+    for k in range(1, 15):
+        for n in range(1, k + 1):
+            for m in range(k - n + 1):
+                params = ProblemParams(k, m, n)
+                rng = random.Random(f"posterior_doc {k} {m} {n}")
+                demands = tuple(sorted(rng.sample(range(1, k + 1), n)))
+                side = frozenset(rng.sample([i for i in range(1, k + 1) if i not in demands], m))
+                layout = build_layout(params, DemandSpec(demands, side), rng)
+                report = posterior(layout, params)
+                texts[k, m, n] = canonical(wire.posterior_doc(report, layout))
+                assert texts[k, m, n] == canonical(reference_posterior_doc(report, layout)), (k, m, n)
+    assert len(texts) == 560
+    assert '"posteriors":{"1,2,3":"1/1"},"prior":"1/1"' in texts[3, 0, 3]
+    assert texts[10, 3, 2].index('"1,10":"1/45","1,2":"1/45"') > 0
+    # A report that is not posterior's: not uniform, missing a set, or empty.
+    report = posterior(worked_layout, worked_params)
+    for bad in (
+        report._replace(uniform=False),
+        report._replace(probabilities=dict(list(report.probabilities.items())[1:])),
+        report._replace(probabilities={}),
+    ):
+        with pytest.raises(ValueError, match=r"^posterior_doc renders a uniform table of all C\(13,"):
+            wire.posterior_doc(bad, worked_layout)
+
+
 def test_serve_query_bytes_names_a_non_ascii_byte(worked_query_doc, worked_db):
     # A UTF-8 "é" inside the labels: the document and the offset of its
     # first byte are named, not just the codec.
@@ -579,13 +614,10 @@ def read_db_mismatches(length, every_k_to):
 
 
 def test_read_db_reads_and_refuses_as_the_line_by_line_reference_does():
-    # Every body up to 4 characters at every k in 1..4, and every body of 5
-    # at its own line count, where the value checks run;
-    # ci/test_read_db_k1e6.py also runs the 5-character bodies at every k.
-    mismatches, tried = read_db_mismatches(5, every_k_to=4)
-    assert mismatches == [] and tried == 22_621 * 4 + 12**5
-    # At scale: the k-th of 5,000 lines is p itself, or p - 1 with and
-    # without a final newline, or 0 and an empty line after it.
+    # The short cases run first, so a faulty reader fails in well under a
+    # second, before the exhaustive loop at the end.  At scale: the k-th of
+    # 5,000 lines is p itself, or p - 1 with and without a final newline, or
+    # 0 and an empty line after it.
     rng = random.Random(5)
     p = 2**31 - 1
     values = [rng.randrange(p) for _ in range(4_999)]
@@ -608,6 +640,11 @@ def test_read_db_reads_and_refuses_as_the_line_by_line_reference_does():
             assert outcome(read_db, io.StringIO(text)) == outcome(reference_read_db, io.StringIO(text))
     assert outcome(read_db, io.StringIO("pir-db v1 p=13 k=3\n5\n0\n٣\n")) == (
         ValueError, "database value 3 is not a canonical decimal: '٣'")
+    # Every body up to 4 characters at every k in 1..4, and every body of 5
+    # at its own line count, where the value checks run;
+    # ci/test_read_db_k1e6.py also runs the 5-character bodies at every k.
+    mismatches, tried = read_db_mismatches(5, every_k_to=4)
+    assert mismatches == [] and tried == 22_621 * 4 + 12**5
 
 
 def test_parse_indices_reads_and_refuses_as_the_split_reference_does():
