@@ -41,10 +41,10 @@ from oracles import reference_posterior_doc  # noqa: E402
 from test_cli import _module_env  # noqa: E402
 
 
-def timed_main(argv, capsys, runs=3):
-    """``main(argv)``'s stdout and its least wall time in ms over ``runs`` calls; each must exit 0."""
+def timed_main(argv, capsys):
+    """``main(argv)``'s stdout and its least wall time in ms over three calls; each must exit 0."""
     outs, times = set(), []
-    for _ in range(runs):
+    for _ in range(3):
         started = time.perf_counter()
         assert main(argv) == 0
         times.append((time.perf_counter() - started) * 1000)
