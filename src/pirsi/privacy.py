@@ -37,18 +37,19 @@ and tests the samples against two marginals of this law:
 block u is a uniform size_u-subset of 1..k, so a fixed index lies in it
 with probability size_u / k, and two fixed indices share a block with probability sum_u size_u (size_u - 1) / (k (k - 1)).
 
-``posterior``'s table holds C(k, n) demand sets; ``posterior_table_size``
-refuses one over its caps from (k, n) alone, before a layout is drawn.
-Every entry is the prior, so ``wire.posterior_doc`` checks that the table
-is uniform and whole, then prints it from (k, n) and the one prior
-string without reading its entries.
+The table ``privacy-exact`` prints holds C(k, n) demand sets;
+``posterior_table_size`` refuses one over its caps from (k, n) alone,
+before a layout is drawn.  Every entry is the prior, so ``posterior``
+builds no table: its report holds the instance and the prior, and
+``wire.posterior_doc`` prints the table from (k, n) and the one prior
+string.
 
 The independent checks live in the tests (``tests/oracles.py``): the
 product itself as an exact ``layout_probability``, and the law of the
 shipped sampler, found by driving ``scheme.draw_layout`` with a scripted
 generator once per sequence of draws.  The tests hold the two equal, and
 sum the product over every (demand set, side set) pair to check
-``posterior``'s table.
+``posterior``'s prior against every demand set's posterior.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ import random
 from collections import namedtuple
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import combinations
 from math import ceil, comb, inf, sqrt
 from statistics import NormalDist
 
@@ -67,18 +67,18 @@ from .scheme import DemandSpec, Layout
 
 ALPHA = 1e-6  # monte_carlo_tvd's chance of refusing an honest sampler
 MIN_EXPECTED = 5  # expected hits, and misses, that each varying cell needs
-EXACT_SETS_CAP = 20_000  # posterior's table holds at most this many demand sets
+EXACT_SETS_CAP = 20_000  # privacy-exact's table holds at most this many demand sets
 EXACT_INDICES_CAP = 1_000_000  # and this many indices in all
 
 
-class PosteriorReport(namedtuple("PosteriorReport", "probabilities prior max_deviation uniform")):
-    """Exact posterior over demand sets (ascending tuples) for one observed layout."""
+class PosteriorReport(namedtuple("PosteriorReport", "params prior max_deviation uniform")):
+    """One layout's exact posterior: ``prior`` for every n-subset of 1..k, with k and n from ``params``."""
 
     __slots__ = ()
 
 
 def posterior_table_size(params: ProblemParams) -> int:
-    """C(k, n), the size of ``posterior``'s table; ``rate.UsageError`` over the caps.
+    """C(k, n), the size of ``privacy-exact``'s table; ``rate.UsageError`` over the caps.
 
     With b the cap's bit length, C(k, i) >= C(2b, b) >= 2^b exceeds it for
     i = min(n, k - n) > b, and so does C(k, b): no larger binomial is taken.
@@ -100,8 +100,9 @@ def posterior(layout: Layout, params: ProblemParams) -> PosteriorReport:
     set's posterior is its layout probability summed over all side sets,
     normalised.  By the module docstring that sum is the same for every
     demand set exactly when the plan admits every demand set, which is
-    decided once for the plan in O(l log l); the table of priors then costs
-    O(C(k, n)), refused over the caps by ``posterior_table_size``.  Raises
+    decided once for the plan in O(l log l).  The report holds that common
+    posterior, the prior 1 / C(k, n), and no table; ``posterior_table_size``
+    refuses a (k, n) whose table ``privacy-exact`` could not print.  Raises
     ValueError if the layout was built for another plan, or if the plan
     cannot hide every demand set.
     """
@@ -110,12 +111,7 @@ def posterior(layout: Layout, params: ProblemParams) -> PosteriorReport:
     if layout.plan != plan:
         raise ValueError("layout was built for a different plan")
     require_admissible(params, plan)
-    return PosteriorReport(
-        probabilities=dict.fromkeys(combinations(range(1, params.k + 1), params.n), prior),
-        prior=prior,
-        max_deviation=Fraction(0),
-        uniform=True,
-    )
+    return PosteriorReport(params=params, prior=prior, max_deviation=Fraction(0), uniform=True)
 
 
 # No longer a total-variation distance.  perfbench never names this class; its

@@ -41,7 +41,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import chain, combinations
-from math import comb, inf
+from math import inf
 
 from .field import PrimeField
 from .privacy import PosteriorReport, TvdReport
@@ -275,24 +275,15 @@ def transcript_text(params: ProblemParams, seed: int, result: RoundResult) -> st
 
 
 def posterior_doc(report: PosteriorReport, layout: Layout) -> dict:
-    """The document ``privacy-exact`` prints: the layout and ``posterior``'s table.
+    """The document ``privacy-exact`` prints: the layout and the table of posteriors.
 
-    The report must be ``privacy.posterior``'s for this layout, so its table
-    maps every n-subset of 1..k, k the layout's index count, to
-    ``report.prior``.  The table is then rendered without reading it, in a
-    few C-level passes: the keys joined from the index strings of 1..k in
-    ``posterior``'s order, every value the one prior string.  Raises
-    ValueError, in one check, for a report that is not uniform or whose
-    table does not hold C(k, n) sets, n the length of its first key; an
-    empty table is refused.
+    ``report`` is ``privacy.posterior``'s for this layout, so every n-subset
+    of 1..k, with k and n from ``report.params``, has ``report.prior``.  The
+    table is rendered in a few C-level passes: the keys joined from the
+    index strings of 1..k in ``itertools.combinations`` order, every value
+    the one prior string.
     """
-    k = sum(map(len, layout.subspaces))
-    n = len(next(iter(report.probabilities), ()))
-    if not report.uniform or len(report.probabilities) != comb(k, n):
-        raise ValueError(
-            f"posterior_doc renders a uniform table of all C({k},{n}) demand sets, got "
-            f"uniform={report.uniform} with {len(report.probabilities)} sets"
-        )
+    k, n = report.params.k, report.params.n
     prior = frac_str(report.prior)
     # A list, not the bare map: combinations copies a list into a tuple of
     # its length, but from an iterator it grows a tuple, and at k = 13

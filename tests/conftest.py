@@ -8,7 +8,8 @@ expectations to this instance, so it lives in one place.
 
 import pytest
 
-from pirsi import Database, DemandSpec, Layout, PrimeField, ProblemParams, compute_plan, draw_layout
+from pirsi import Database, DemandSpec, Layout, PrimeField, ProblemParams, compute_plan
+from pirsi.scheme import draw_layout
 
 WORKED_K = 13
 WORKED_DEMANDS = (2, 5)

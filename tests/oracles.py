@@ -32,9 +32,9 @@ compare the two:
   CLI's index lists read one line or field at a time with a regex
   (``reference_read_db`` and ``reference_parse_indices``), against which
   ``wire.read_db`` and ``cli._parse_indices`` are checked; and the
-  ``privacy-exact`` document rendered from the report one entry at a time
+  ``privacy-exact`` document rendered one demand set at a time
   (``reference_posterior_doc``), against which ``wire.posterior_doc``'s
-  table, built without reading the report's, is checked.
+  table, built in C-level passes, is checked.
 * The converse: whether a subspace of GF(q)^k is the row space of a
   W-private linear query (``hides_every_demand_set``), over every subspace
   of a given dimension (``subspaces``).
@@ -154,13 +154,14 @@ def reference_parse_indices(text: str) -> tuple[int, ...]:
 
 
 def reference_posterior_doc(report, layout: Layout) -> dict:
-    """``wire.posterior_doc`` entry by entry: each key joined from its set, each value its own fraction."""
+    """``wire.posterior_doc`` entry by entry: each key joined from its set, each value the prior's fraction."""
+    k, n, prior = report.params.k, report.params.n, report.prior
     return {
         "layout": {"subspaces": [list(block) for block in layout.subspaces]},
-        "prior": f"{report.prior.numerator}/{report.prior.denominator}",
+        "prior": f"{prior.numerator}/{prior.denominator}",
         "posteriors": {
-            ",".join(str(i) for i in w): f"{p.numerator}/{p.denominator}"
-            for w, p in report.probabilities.items()
+            ",".join(str(i) for i in w): f"{prior.numerator}/{prior.denominator}"
+            for w in combinations(range(1, k + 1), n)
         },
         "max_deviation": f"{report.max_deviation.numerator}/{report.max_deviation.denominator}",
         "uniform": report.uniform,

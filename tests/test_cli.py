@@ -18,14 +18,13 @@ from pirsi import (
     ProblemParams,
     RatePlan,
     RoundResult,
-    canonical,
     compute_plan,
     simulate_round,
     wire,
 )
 from pirsi.cli import build_parser, main
 from pirsi.rate import CODE_ENTRIES_CAP
-from pirsi.wire import read_db, transcript_doc, write_db
+from pirsi.wire import canonical, read_db, transcript_doc, write_db
 from conftest import WORKED_VALUES, demand_one_dropping_draw_layout, leaky_draw_layout
 from oracles import reference_query_supports
 

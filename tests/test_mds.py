@@ -16,9 +16,9 @@ from itertools import combinations, count, product
 
 import pytest
 
-from pirsi import PrimeField, is_prime, mds, solve_vandermonde
+from pirsi import PrimeField, is_prime, mds
 from pirsi.field import MR_BOUND
-from pirsi.mds import _all_points, _packed_columns
+from pirsi.mds import _all_points, _packed_columns, solve_vandermonde
 from oracles import CodeMatrix, check_mds, decode, encode, vandermonde
 
 # The largest modulus the program accepts: slots of about 165 bits.

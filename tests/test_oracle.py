@@ -13,14 +13,13 @@ from pirsi import (
     DemandSpec,
     PrimeField,
     ProblemParams,
-    admits_every_demand_set,
     build_layout,
     compute_plan,
-    is_feasible_plan,
-    make_query,
     search_sweep,
 )
-from pirsi.oracle import brute_force_rate, brute_force_sweep
+from pirsi.oracle import brute_force_rate, brute_force_sweep, is_feasible_plan
+from pirsi.rate import admits_every_demand_set
+from pirsi.scheme import make_query
 from oracles import (
     closed_form_r_star,
     hides_every_demand_set,

@@ -15,19 +15,18 @@ from pirsi import (
     DemandSpec,
     Layout,
     ProblemParams,
-    admits_every_demand_set,
     build_layout,
     compute_plan,
-    draw_layout,
-    is_feasible_plan,
     monte_carlo_tvd,
     posterior,
 )
 import oracles
 from conftest import demand_one_dropping_draw_layout, leaky_draw_layout
 from oracles import _probability, enumerate_randomness, iter_layouts, layout_probability
+from pirsi.oracle import is_feasible_plan
 from pirsi.privacy import posterior_table_size
-from pirsi.rate import RatePlan, UsageError
+from pirsi.rate import RatePlan, UsageError, admits_every_demand_set
+from pirsi.scheme import draw_layout
 
 
 def demand_set_weights(layout, params):
@@ -67,8 +66,10 @@ def assert_posterior_matches_enumeration(layout, params):
     hand-made ``layout.plan`` needs that patched to return it.
     """
     report = posterior(layout, params)
-    assert report.probabilities == posterior_by_enumeration(layout, params)
-    assert sum(report.probabilities.values()) == 1
+    enumerated = posterior_by_enumeration(layout, params)
+    assert len(enumerated) == comb(params.k, params.n)
+    assert all(p == report.prior for p in enumerated.values())
+    assert report.params == params
     assert report.uniform and report.max_deviation == 0
     return report
 
@@ -255,11 +256,8 @@ def test_posterior_uniform_on_pinned_instances():
     for (k, m, n) in [(5, 1, 1), (6, 2, 1)]:
         params = ProblemParams(k=k, m=m, n=n)
         for layout in iter_layouts(params):
-            report = posterior(layout, params)
-            assert report.uniform, (k, m, n, layout.subspaces)
-            assert report.prior == Fraction(1, len(report.probabilities))
-            assert sum(report.probabilities.values()) == 1
-            assert report.max_deviation == 0
+            report = assert_posterior_matches_enumeration(layout, params)
+            assert report.prior == Fraction(1, comb(k, n)), (k, m, n, layout.subspaces)
 
 
 @pytest.mark.parametrize(
@@ -398,18 +396,15 @@ def test_posterior_uniform_sweep():
                 layout = build_layout(params, DemandSpec(demands, side), rng)
                 report = posterior(layout, params)
                 assert report.uniform, (k, m, n, layout.subspaces)
-                assert len(report.probabilities) == comb(k, n)
+                assert report.prior == Fraction(1, comb(k, n))
                 instances += 1
     assert instances == 2304
     assert time.perf_counter() - started < 20.0
 
 
 def test_posterior_on_worked_layout(worked_layout, worked_params):
-    report = posterior(worked_layout, worked_params)
-    assert report.uniform
+    report = assert_posterior_matches_enumeration(worked_layout, worked_params)
     assert report.prior == Fraction(1, 78)
-    assert report.probabilities[(2, 5)] == Fraction(1, 78)
-    assert len(report.probabilities) == 78
 
 
 def test_posterior_rejects_foreign_layout(worked_params):

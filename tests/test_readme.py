@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import pirsi
 from pirsi.cli import main
+from test_exports import UNCHECKED
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 README_TEXT = README.read_text(encoding="utf-8")
@@ -43,3 +45,9 @@ def test_console_example_prints_what_the_readme_shows(capsys, monkeypatch, tmp_p
     out = capsys.readouterr().out
     pattern = ".*?".join(map(re.escape, shown.split("...")))
     assert re.fullmatch(pattern, out, re.DOTALL), (command, out[:500])
+
+
+def test_the_entry_points_row_names_the_exports_that_check_their_input():
+    row = re.search(r"^\| library entry points \| ([^|]*) \|", README_TEXT, re.MULTILINE)[1]
+    named = {name.rsplit(".", 1)[-1] for name in re.findall(r"`([\w.]+)`", row)}
+    assert named == set(pirsi.__all__) - UNCHECKED.keys()

@@ -16,13 +16,10 @@ from pirsi import (
     RatePlan,
     UsageError,
     build_layout,
-    client_decode,
     compute_plan,
-    draw_layout,
-    make_query,
-    server_answer,
     simulate_round,
 )
+from pirsi.scheme import client_decode, draw_layout, make_query, server_answer
 from conftest import WORKED_SIDE, WORKED_VALUES
 from oracles import enumerate_randomness, query_rows, reference_draw_layout
 

@@ -19,15 +19,14 @@ from pirsi import (
     Query,
     UsageError,
     build_layout,
-    canonical,
-    make_query,
     posterior,
     serve_query_bytes,
     simulate_round,
 )
 from pirsi import wire
 from pirsi.cli import _parse_indices
-from pirsi.wire import parse_answer_doc, parse_query_doc, query_doc, read_db
+from pirsi.scheme import make_query
+from pirsi.wire import canonical, parse_answer_doc, parse_query_doc, query_doc, read_db
 from conftest import WORKED_BLOCKS, WORKED_K, WORKED_VALUES
 from oracles import (
     reference_parse_indices,
@@ -352,7 +351,7 @@ def test_transcript_text_needs_the_rounds_recorded_bytes(worked_params, worked_s
             wire.transcript_text(worked_params, 1, result._replace(**missing))
 
 
-def test_posterior_doc_prints_the_bytes_of_the_per_entry_reference(worked_params, worked_layout):
+def test_posterior_doc_prints_the_bytes_of_the_per_entry_reference():
     # One drawn layout of every (k, m, n) with k <= 14, all admissible:
     # 560 instances, from n = 1 to n = k with prior 1/1, and at k >= 10,
     # where canonical() sorts the key "1,10" before "1,2".
@@ -371,15 +370,6 @@ def test_posterior_doc_prints_the_bytes_of_the_per_entry_reference(worked_params
     assert len(texts) == 560
     assert '"posteriors":{"1,2,3":"1/1"},"prior":"1/1"' in texts[3, 0, 3]
     assert '"1,10":"1/45","1,2":"1/45"' in texts[10, 3, 2]
-    # A report that is not posterior's: not uniform, missing a set, or empty.
-    report = posterior(worked_layout, worked_params)
-    for bad in (
-        report._replace(uniform=False),
-        report._replace(probabilities=dict(list(report.probabilities.items())[1:])),
-        report._replace(probabilities={}),
-    ):
-        with pytest.raises(ValueError, match=r"^posterior_doc renders a uniform table of all C\(13,"):
-            wire.posterior_doc(bad, worked_layout)
 
 
 def test_serve_query_bytes_names_a_non_ascii_byte(worked_query_doc, worked_db):
@@ -613,6 +603,37 @@ def read_db_mismatches(length, every_k_to):
     return mismatches, tried
 
 
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0, reason="no digit limit for int()"
+)
+def test_read_db_names_a_value_past_the_int_digit_limit():
+    # int() refuses more than 4,300 digits with its own words; the reader
+    # names the line instead, in its own.
+    huge = "9" * 5000
+    for body in (f"5\n{huge}\n0\n", f"5\n{huge}\n99\n", f"5\n0\n{huge}"):
+        line = body.split("\n").index(huge) + 1
+        with pytest.raises(ValueError, match=rf"^database value {line} has 5000 digits, past int's limit of 4300$"):
+            read_db(io.StringIO(f"pir-db v1 p=13 k=3\n{body}"))
+    # The faults are named in order: a line that is not a canonical decimal
+    # (quoted up to 64 characters), then the first line past the digit limit,
+    # not the longest or the last, then a value not below p.
+    for body, message in (
+        (f"99\n{huge}\n9{huge}\n", "database value 2 has 5000 digits, past int's limit of 4300"),
+        (f"{huge}\n5\n0{huge}\n", f"database value 3 is not a canonical decimal: '0{huge[:63]}'…"),
+    ):
+        assert outcome(read_db, io.StringIO(f"pir-db v1 p=13 k=3\n{body}")) == (ValueError, message)
+
+
+def test_parse_indices_reads_and_refuses_as_the_split_reference_does():
+    assert outcome(_parse_indices, "") == (
+        argparse.ArgumentTypeError, "expected comma-separated integers, got ''")
+    assert [
+        (text, got, want)
+        for text in short_texts(5)
+        if (got := outcome(_parse_indices, text)) != (want := outcome(reference_parse_indices, text))
+    ] == []
+
+
 def test_read_db_reads_and_refuses_as_the_line_by_line_reference_does():
     # The short cases run first, so a faulty reader fails in well under a
     # second, before the exhaustive loop at the end.  At scale: the k-th of
@@ -645,34 +666,3 @@ def test_read_db_reads_and_refuses_as_the_line_by_line_reference_does():
     # ci/test_read_db_k1e6.py also runs the 5-character bodies at every k.
     mismatches, tried = read_db_mismatches(5, every_k_to=4)
     assert mismatches == [] and tried == 22_621 * 4 + 12**5
-
-
-def test_parse_indices_reads_and_refuses_as_the_split_reference_does():
-    assert [
-        (text, got, want)
-        for text in short_texts(5)
-        if (got := outcome(_parse_indices, text)) != (want := outcome(reference_parse_indices, text))
-    ] == []
-    assert outcome(_parse_indices, "") == (
-        argparse.ArgumentTypeError, "expected comma-separated integers, got ''")
-
-
-@pytest.mark.skipif(
-    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0, reason="no digit limit for int()"
-)
-def test_read_db_names_a_value_past_the_int_digit_limit():
-    # int() refuses more than 4,300 digits with its own words; the reader
-    # names the line instead, in its own.
-    huge = "9" * 5000
-    for body in (f"5\n{huge}\n0\n", f"5\n{huge}\n99\n", f"5\n0\n{huge}"):
-        line = body.split("\n").index(huge) + 1
-        with pytest.raises(ValueError, match=rf"^database value {line} has 5000 digits, past int's limit of 4300$"):
-            read_db(io.StringIO(f"pir-db v1 p=13 k=3\n{body}"))
-    # The faults are named in order: a line that is not a canonical decimal
-    # (quoted up to 64 characters), then the first line past the digit limit,
-    # not the longest or the last, then a value not below p.
-    for body, message in (
-        (f"99\n{huge}\n9{huge}\n", "database value 2 has 5000 digits, past int's limit of 4300"),
-        (f"{huge}\n5\n0{huge}\n", f"database value 3 is not a canonical decimal: '0{huge[:63]}'…"),
-    ):
-        assert outcome(read_db, io.StringIO(f"pir-db v1 p=13 k=3\n{body}")) == (ValueError, message)
