@@ -54,7 +54,6 @@ PARAMS = ProblemParams(13, 5, 2)
 DB = Database(range(13), GF13)
 SIDE = (1, 4, 6, 7, 9)
 SPEC = DemandSpec((2, 5), SIDE, {i: DB[i] for i in SIDE})
-LAYOUT = build_layout(PARAMS, SPEC, random.Random(3))
 ROUND = simulate_round(PARAMS, SPEC, DB, random.Random(3))
 QUERY, ANSWER = ROUND.query_bytes, ROUND.answer_bytes
 DB_TEXT = "pir-db v1 p=13 k=3\n5\n0\n12\n"
@@ -131,8 +130,8 @@ ROWS = {
         "bool side value": (PARAMS, spec((2, 5), SIDE, dict.fromkeys(SIDE, True)), DB, rng()),
         "negative side value": (PARAMS, spec((2, 5), SIDE, dict.fromkeys(SIDE, -1)), DB, rng()),
     }),
-    "posterior": Row((LAYOUT, PARAMS), {
-        "layout of another plan": (LAYOUT, ProblemParams(13, 3, 2)),
+    "posterior": Row((ROUND.layout, PARAMS), {
+        "layout of another plan": (ROUND.layout, ProblemParams(13, 3, 2)),
         "table over the cap": (build_layout(WIDE, DemandSpec(range(1, 11), ()), rng()), WIDE),
     }),
     "monte_carlo_tvd": Row((PARAMS, (2, 5), (1, 3), 60, rng()), {
