@@ -145,14 +145,18 @@ CATALOGUE = [
            "split_decimals reads an empty text as no fields: an empty index list, a database line \"\""),
     Mutant("wire.py", "if max(map(max, blocks)) >= field.p:", "if False:",
            "the answer parser accepts values outside [0, p)"),
-    Mutant("wire.py", 'raise ValueError(f"value {at + 1} {fault}")', 'raise ValueError(f"value {at} {fault}")',
+    Mutant("wire.py", 'ValueError(f"value {at + 1} is not', 'ValueError(f"value {at} is not',
            "split_decimals counts fields from 0: each refused line or field is named one too early"),
-    Mutant("wire.py", "at = next(i for i, field in enumerate(fields) if len(field) > limit)",
-           "at = max(range(len(fields)), key=lambda i: len(fields[i]))",
-           "split_decimals names the longest field past int's digit limit, not the first"),
-    Mutant("wire.py", "at = next(i for i, field in enumerate(fields) if len(field) > limit)",
-           "at = max(i for i, field in enumerate(fields) if len(field) > limit)",
-           "split_decimals names the last field past int's digit limit, not the first"),
+    Mutant("wire.py", 'DECIMAL = "0|[1-9][0-9]{0,639}"', 'DECIMAL = "0|[1-9][0-9]{0,640}"',
+           "every reader admits a number of 641 digits, which int's least digit limit refuses"),
+    Mutant("wire.py", 'DECIMAL = "0|[1-9][0-9]{0,639}"', 'DECIMAL = "0|[1-9][0-9]*"',
+           "the decimal grammar has no bound: what is refused, and in whose words, "
+           "depends on int's digit limit"),
+    Mutant("wire.py", "(-?[0-9]{{1,{QUOTE_CAP}}})(?![0-9])", "(-?[0-9]+)",
+           "the query's version is read unbounded: a version of 100,000 digits is echoed whole"),
+    Mutant("wire.py", "        if max(values) >= 10**640:", "        if False:",
+           "read_db refuses a line past 640 digits as a value not below p, echoed whole, "
+           "where int's digit limit lets json read it"),
     Mutant("wire.py", "        field.check(values)", "        pass",
            "the database reader accepts a value not below p"),
     Mutant("wire.py", 'return f"{text[:QUOTE_CAP]!r}…" if len(text) > QUOTE_CAP else repr(text)',
@@ -214,6 +218,19 @@ CATALOGUE = [
            "the plan check refuses a quota equal to its block's cap"),
     Mutant("cli.py", 'write("".join(lines))', 'write("".join(lines[:-1]))',
            "oracle writes each (k, n) sweep's lines without the last one"),
+    Mutant("cli.py", "if max(indices) < 10**640:", "if True:",
+           "an index list admits a field past 640 digits where int's digit limit lets json read it"),
+    Mutant("cli.py", "    require_code_fits(compute_plan(params))", "    pass",
+           "simulate opens the database before refusing a code over the cap"),
+    Mutant("cli.py", "1 <= args.k_max <= ORACLE_K_CAP:", "1 <= args.k_max <= ORACLE_K_CAP + 1:",
+           "oracle accepts --k-max 301, one past its cap"),
+    Mutant("cli.py", 'mismatch at indices {mismatches}", file=sys.stderr)\n        return 1',
+           'mismatch at indices {mismatches}", file=sys.stderr)\n        return 0',
+           "simulate exits 0 after a decode mismatch"),
+    Mutant("field.py", "if n >= MR_BOUND:", "if n > MR_BOUND:",
+           "is_prime takes MR_BOUND itself, a strong pseudoprime to all 13 witnesses, as prime"),
+    Mutant("field.py", "min(values) < 0", "min(values) < -1",
+           "check accepts the value -1"),
     Mutant("wire.py", "list(map(str, range(1, k + 1)))", "list(map(str, range(k)))",
            "posterior_doc's table keys count indices from 0"),
     Mutant("wire.py", "dict.fromkeys(keys, prior)", "dict.fromkeys(keys, frac_str(report.max_deviation))",
@@ -257,8 +274,17 @@ def run_pytest(tree: Path, selection: list[str]) -> tuple[bool, str]:
         return True, ""
     if done.returncode not in (1, 2):  # 1: tests failed, 2: collection interrupted
         raise SystemExit(f"pytest exited {done.returncode}:\n{done.stdout}{done.stderr}")
-    first = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
-    return False, first[1] if first else done.stdout.strip().splitlines()[-1]
+    return False, first_failure(done.stdout)
+
+
+def first_failure(stdout: str) -> str:
+    """The node id of the first failing test in pytest's summary, or else its last line.
+
+    The id runs up to pytest's " - " separator or the end of the line, so a
+    parametrized id keeps its spaces.
+    """
+    first = re.search(r"^(?:FAILED|ERROR) (.+?)(?= - |$)", stdout, re.MULTILINE)
+    return first[1] if first else stdout.strip().splitlines()[-1]
 
 
 def census(mutant: Mutant | None) -> tuple[str, str]:

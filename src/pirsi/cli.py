@@ -9,11 +9,11 @@ output goes to stdout and is byte-identical across runs with the same flags
 diagnostics and timings go to stderr.  An argument that starts with ``@``
 names a file whose lines are read as arguments, one a line.  Exit codes: 0 success, 1 violated
 invariant (a ``privacy-mc`` refusal and a closed stdout too), 2 usage error.
-The CLI reads numbers with ``wire.DECIMAL`` and index lists with
-``wire.split_decimals``, and leaves every check of the request to the
-library: a refusal is a usage error when it raises
-``rate.UsageError``; ``main`` maps exceptions to exit codes in one place.
-The library caps k and the ``privacy-exact`` table; the CLI caps ``--k-max``.
+The CLI reads numbers with ``wire.DECIMAL`` (at most 640 digits) and index
+lists with ``wire.split_decimals``, and leaves every check of the request to
+the library: a refusal is a usage error when it raises ``rate.UsageError``;
+``main`` maps exceptions to exit codes in one place.  The library caps k and
+the ``privacy-exact`` table; the CLI caps ``--k-max``.
 """
 
 from __future__ import annotations
@@ -42,21 +42,21 @@ _DECIMAL = re.compile(wire.DECIMAL)
 
 
 def _decimal(text: str) -> int:
-    """A canonical decimal integer within ``int``'s digit limit: no sign, spaces, ``_`` or leading zeros."""
+    """A canonical decimal integer of at most 640 digits: no sign, spaces, ``_`` or leading zeros."""
     if _DECIMAL.fullmatch(text):
-        try:
-            return int(text)
-        except ValueError:  # past int()'s digit limit
-            pass
+        return int(text)
     raise argparse.ArgumentTypeError(f"expected a decimal integer, got {wire.quote(text)}")
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
-    """Comma-separated canonical decimals, at least one; ``DemandSpec`` refuses repeats."""
+    """Comma-separated canonical decimals of at most 640 digits, at least one; ``DemandSpec`` refuses repeats."""
     try:
-        return tuple(wire.split_decimals(text, ","))
+        indices = tuple(wire.split_decimals(text, ","))
+        if max(indices) < 10**640:  # json reads a longer field where int's digit limit allows
+            return indices
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {wire.quote(text)}") from None
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {wire.quote(text)}")
 
 
 def _add_instance_flags(sub):

@@ -12,7 +12,8 @@ that cross to the server role or back are read in one byte form only,
 the one ``canonical`` writes: a regex matches the whole document, and a
 query's labels must also be canonical base64.  The labels make every
 query a partition of 1..k by construction.  Any other bytes raise
-ValueError.
+ValueError.  A number read anywhere, a database line or a CLI flag too, is
+a canonical decimal of at most 640 digits (``DECIMAL``); p and k need 25.
 
 A database file is a header line, then one canonical decimal a line.
 ``read_db`` counts the lines and reads the values with ``split_decimals``,
@@ -38,7 +39,6 @@ import json
 import operator
 import random
 import re
-import sys
 from fractions import Fraction
 from itertools import chain, combinations
 from math import inf
@@ -65,8 +65,9 @@ QUERY_VERSION = 3
 # is all header, and a flag or a line can be a megabyte long.
 QUOTE_CAP = 64
 
-# A canonical decimal, for the database file and the CLI's flags alike.
-DECIMAL = "0|[1-9][0-9]*"
+# A canonical decimal of at most 640 digits, CPython's least settable int digit
+# limit (sys.int_info.str_digits_check_threshold): it converts under any setting.
+DECIMAL = "0|[1-9][0-9]{0,639}"
 _DB_HEADER = re.compile(rf"{DB_MAGIC} {DB_VERSION} p=({DECIMAL}) k=({DECIMAL})")
 _DECIMAL = re.compile(DECIMAL)
 _DIGITS = b"0123456789"
@@ -75,7 +76,8 @@ _QUERY = re.compile(
     rf'\{{"labels":"([A-Za-z0-9+/]*={{0,2}})","p":({DECIMAL}),'
     rf'"rows":\[((?:{DECIMAL})(?:,(?:{DECIMAL}))*)\],"version":{QUERY_VERSION}\}}'.encode("ascii")
 )
-_VERSION_FIELD = re.compile(rb'"version":(-?[0-9]+)')
+# A longer version than QUOTE_CAP digits gets the generic refusal, which quotes it.
+_VERSION_FIELD = re.compile(rf'"version":(-?[0-9]{{1,{QUOTE_CAP}}})(?![0-9])'.encode("ascii"))
 _ANSWER_BLOCK = rf"\[(?:{DECIMAL})(?:,(?:{DECIMAL}))*\]"
 _ANSWER = re.compile(rf'\{{"blocks":\[{_ANSWER_BLOCK}(?:,{_ANSWER_BLOCK})*\]\}}'.encode("ascii"))
 
@@ -176,9 +178,7 @@ def parse_query_bytes(data: bytes) -> Query:
     if match is None:
         version = _VERSION_FIELD.search(data)
         if version is not None and version[1] != str(QUERY_VERSION).encode():
-            raise ValueError(
-                f"unsupported query version {version[1].decode()}, expected {QUERY_VERSION}"
-            )
+            raise ValueError(f"unsupported query version {version[1].decode()}, expected {QUERY_VERSION}")
         raise _refusal(data, "query document", f"version-{QUERY_VERSION} JSON")
     encoded, p, counts = match.groups()
     try:
@@ -322,43 +322,40 @@ def split_decimals(text: str, sep: str) -> list[int]:
     Two C-level passes and no per-field strings: the ASCII text must hold
     only digits and ``sep``, and ``json.loads`` must accept it as an array
     once each ``sep`` is read as a comma.  JSON refuses an empty entry and
-    a leading zero, so together they accept exactly one canonical decimal
-    a field.  A refused text is split once, and the error names a field,
-    counted from 1: the first that is not a canonical decimal (an empty
-    ``text`` is one empty field), or else the first past Python's digit
-    limit for ``int``, the one fault ``json.loads`` has left.
+    a leading zero, so together they accept one canonical decimal a field;
+    one past ``DECIMAL``'s 640 digits is read as far as ``int``'s limit
+    allows, for the caller to refuse.  A refused text is split once, and the
+    error names the first field, counted from 1, that ``DECIMAL`` does not
+    match (an empty ``text`` is one empty field).
     """
     allowed = _DIGITS + sep.encode("ascii")
     if text and text.isascii() and not text.encode("ascii").translate(None, allowed):
         try:
             return json.loads(f"[{text.replace(sep, ',')}]")
-        except ValueError:  # not JSON, or a field past int()'s digit limit
+        except ValueError:  # not JSON, or a field past int's digit limit and so past DECIMAL
             pass
-    fields = text.split(sep)
-    at = next((i for i, field in enumerate(fields) if _DECIMAL.fullmatch(field) is None), None)
-    if at is not None:
-        fault = f"is not a canonical decimal: {quote(fields[at])}"
-    else:
-        limit = sys.get_int_max_str_digits()
-        at = next(i for i, field in enumerate(fields) if len(field) > limit)
-        fault = f"has {len(fields[at])} digits, past int's limit of {limit}"
-    raise ValueError(f"value {at + 1} {fault}")
+    raise _not_canonical(text.split(sep))
+
+
+def _not_canonical(fields: list[str]) -> ValueError:
+    """The refusal naming the first of ``fields``, counted from 1, that ``DECIMAL`` does not match."""
+    at = next(i for i, field in enumerate(fields) if _DECIMAL.fullmatch(field) is None)
+    return ValueError(f"value {at + 1} is not a canonical decimal: {quote(fields[at])}")
 
 
 def read_db(stream) -> Database:
     """A database file, or ValueError.
 
-    The header and every value must be canonical decimals (no sign, no
-    leading zeros, no spaces or underscores), one value per line, with
-    k >= 1 values in [0, p) and nothing after the k-th.  The stream is read
-    in one call, so a byte that an ASCII stream cannot decode is named with
-    its offset in the file.  The lines are counted, not split, and the
-    values read by ``split_decimals`` and one ``max``.  Faults are named in
-    this order: bytes that are not ASCII, the header, too few or too many
-    lines, then the first line that is not a canonical decimal, then the
-    first past ``int``'s digit limit, then the first value not below p, in
-    the field's words.  Each check is made here, once, so the
-    ``Database`` is built without repeating them.
+    The header and every value must be canonical decimals of at most 640
+    digits (no sign, no leading zeros, no spaces or underscores), one value
+    per line, with k >= 1 values in [0, p) and nothing after the k-th.  The
+    stream is read in one call, so a byte that an ASCII stream cannot decode
+    is named with its offset in the file.  The lines are counted, not split,
+    and the values read by ``split_decimals`` and one ``max``.  Faults are
+    named in this order: bytes that are not ASCII, the header, too few or
+    too many lines, then the first line that is not such a decimal, then the
+    first value not below p, in the field's words.  Each check is made here,
+    once, so the ``Database`` is built without repeating them.
     """
     try:
         header, _, body = stream.read().partition("\n")
@@ -382,6 +379,8 @@ def read_db(stream) -> Database:
     except ValueError as err:  # worded for the file: "database value N ..."
         raise ValueError(f"database {err}") from None
     if max(values) >= field.p:
+        if max(values) >= 10**640:  # a line past DECIMAL, read by json as int's digit limit allows
+            raise ValueError(f"database {_not_canonical(body.splitlines())}")
         field.check(values)  # raises, naming the first value at fault
     # tuple.__new__: Database.__new__ would check the values a second time.
     return tuple.__new__(Database, (tuple(values), field))

@@ -100,7 +100,7 @@ def reference_query_supports(labels: str, blocks: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # The database file and the CLI's index lists
 
-_DECIMAL = "0|[1-9][0-9]*"
+_DECIMAL = "0|[1-9][0-9]{0,639}"  # at most 640 digits, as every reader holds a number
 _DB_HEADER = re.compile(rf"pir-db v1 p=({_DECIMAL}) k=({_DECIMAL})")
 _DB_VALUE = re.compile(_DECIMAL)
 _DB_VALUES = re.compile(rf"(?:(?:{_DECIMAL})\n)*(?:{_DECIMAL})\n?")
@@ -110,9 +110,8 @@ _INDICES = re.compile(rf"(?:{_DECIMAL})(?:,(?:{_DECIMAL}))*")
 def reference_read_db(stream) -> Database:
     """A database file read line by line: one ``str`` and one ``int`` a line, then ``Database``'s own check.
 
-    The same refusals, in the same words, as ``wire.read_db``, except for a
-    value past Python's digit limit for ``int``, which raises ``int``'s own
-    ValueError here.
+    The same refusals, in the same words, as ``wire.read_db``, except that
+    a line that is not a canonical decimal is quoted whole here.
     """
     try:
         text = stream.read()

@@ -266,22 +266,52 @@ def test_simulate_exits_1_naming_a_decode_mismatch(capsys, monkeypatch, worked_d
     assert json.loads(out) == golden | {"decoded": {"2": 7, "5": (golden["decoded"]["5"] + 1) % 13}}
 
 
-@pytest.mark.skipif(
-    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0, reason="no digit limit for int()"
-)
-def test_flags_past_the_int_digit_limit_are_usage_errors(capsys, worked_db_file):
-    # A canonical decimal past int()'s limit: the flag is named, and at most
-    # 64 of its characters are quoted.
-    huge = "9" * 5000
-    quoted = f"'{huge[:64]}'…"
+def test_flags_hold_every_number_to_640_digits(capsys, worked_db_file):
+    # 640 digits converts under any int digit limit: a seed of 640 digits
+    # runs, and an index of 640 digits reaches the library's range check.
+    # 641 digits, or 5,000, past int's default limit, is refused by its flag,
+    # and at most 64 of its characters are quoted.
+    at, past, huge = "9" * 640, "9" * 641, "9" * 5000
     base = ["simulate", "--m", "5", "--n", "2", "--demands", "2,5", "--db", worked_db_file]
-    for argv, message in (
-        (base + ["--k", huge, "--side", "1,4,6,7,9"],
-         f"argument --k: expected a decimal integer, got {quoted}"),
-        (base + ["--k", "13", "--side", f"1,{huge}"],
-         f"argument --side: expected comma-separated integers, got '1,{huge[:62]}'…"),
+    code, out, _ = run_cli(capsys, *base, "--k", "13", "--side", "1,4,6,7,9", "--seed", at)
+    assert code == 0 and json.loads(out)["seed"] == int(at)
+    assert_usage_error(capsys, base + ["--k", "13", "--side", f"1,4,6,7,{at}"], f"index {at} outside 1..13")
+    for number in (past, huge):
+        quoted = f"'{number[:64]}'…"
+        for argv, message in (
+            (base + ["--k", "13", "--side", "1,4,6,7,9", "--seed", number],
+             f"argument --seed: expected a decimal integer, got {quoted}"),
+            (base + ["--k", number, "--side", "1,4,6,7,9"],
+             f"argument --k: expected a decimal integer, got {quoted}"),
+            (base + ["--k", "13", "--side", f"1,{number}"],
+             f"argument --side: expected comma-separated integers, got '1,{number[:62]}'…"),
+        ):
+            assert_usage_error(capsys, argv, message, usage=SIMULATE_USAGE, prog="pirsi simulate")
+
+
+def test_refusals_past_640_digits_read_the_same_under_any_int_digit_limit(tmp_path):
+    # int's digit limit is a per-process setting; no refusal may depend on it.
+    # "" leaves the default (4,300), 640 is the least settable limit, 0 none.
+    path = tmp_path / "long-p.db"
+    path.write_text(f"pir-db v1 p={'9' * 641} k=1\n0\n", encoding="ascii")
+    for argv, code, tail in (
+        (["privacy-exact", "--k", "5", "--m", "1", "--n", "1", "--seed", "9" * 641], 2,
+         f"error: argument --seed: expected a decimal integer, got '{'9' * 64}'…\n"),
+        (["simulate", "--k", "1", "--m", "0", "--n", "1", "--demands", "1", "--db", str(path)], 1,
+         f"error: malformed database header: 'pir-db v1 p={'9' * 52}'…\n"),
     ):
-        assert_usage_error(capsys, argv, message, usage=SIMULATE_USAGE, prog="pirsi simulate")
+        runs = {
+            setting: subprocess.run(
+                [sys.executable, "-m", "pirsi.cli", *argv],
+                env=_module_env() | {"PYTHONINTMAXSTRDIGITS": setting},
+                capture_output=True, text=True, timeout=60, check=False,
+            )
+            for setting in ("", "640", "0")
+        }
+        outcomes = {(run.returncode, run.stdout, run.stderr) for run in runs.values()}
+        assert len(outcomes) == 1, runs
+        (got, out, err), = outcomes
+        assert (got, out) == (code, "") and err.endswith(tail), err
 
 
 def test_integer_flags_accept_only_canonical_decimals(capsys, worked_db_file):
@@ -810,7 +840,9 @@ def test_oracle_golden_tables(capsys):
     assert "checked 165 instances, 0 mismatches" in err
 
 
-def test_oracle_rejects_out_of_range(capsys):
+def test_oracle_rejects_out_of_range(capsys, monkeypatch):
+    # The refusal comes before any sweep: a sweep that ran would fail here.
+    monkeypatch.setattr("pirsi.cli.search_sweep", None)
     for bad in ("0", "301"):
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "--k-max", bad])

@@ -74,6 +74,15 @@ def test_check_accepts_exactly_canonical_ints():
             gf7.check([1, bad, 2])
 
 
+def test_copies_of_a_field_are_checked_as_it_is():
+    # _replace and _make call the constructor, so no copy holds a composite.
+    gf = PrimeField(13)
+    assert gf._replace(p=7) == PrimeField(7)
+    for copy in (lambda: gf._replace(p=12), lambda: PrimeField._make([12])):
+        with pytest.raises(ValueError, match="^modulus must be prime, got 12$"):
+            copy()
+
+
 def test_mismatched_moduli_raise():
     # Values are plain ints, so a residue of GF(13) is refused by GF(7)'s
     # boundary check rather than mixed in silently.

@@ -5,6 +5,7 @@ import re
 import pytest
 
 from pirsi import ProblemParams, UsageError, compute_plan
+from pirsi.rate import CODE_ENTRIES_CAP, require_code_fits
 from oracles import closed_form_r_star, is_trivial_optimal
 
 
@@ -103,6 +104,16 @@ def test_params_validation():
     ):
         with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
             ProblemParams(*args)
+
+
+def test_code_cap_is_inclusive():
+    # (2048, 0, 46) is one block coded with 2048 rows, r * s = 2^22: the cap
+    # itself, which fits; (2049, 0, 46) is one entry-row over it.
+    assert CODE_ENTRIES_CAP == 2048 * 2048
+    require_code_fits(plan_of(2048, 0, 46))
+    message = f"the widest block's code has r * s = 4198401 entries, over the cap of {CODE_ENTRIES_CAP} one round may build"
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        require_code_fits(plan_of(2049, 0, 46))
 
 
 def test_plan_invariants_sweep():

@@ -25,6 +25,7 @@ from pirsi import (
 )
 from pirsi import wire
 from pirsi.cli import _parse_indices
+from pirsi.field import MR_BOUND
 from pirsi.scheme import make_query
 from pirsi.wire import canonical, parse_answer_doc, parse_query_doc, query_doc, read_db
 from conftest import WORKED_BLOCKS, WORKED_K, WORKED_VALUES
@@ -603,25 +604,94 @@ def read_db_mismatches(length, every_k_to):
     return mismatches, tried
 
 
-@pytest.mark.skipif(
-    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0, reason="no digit limit for int()"
-)
-def test_read_db_names_a_value_past_the_int_digit_limit():
-    # int() refuses more than 4,300 digits with its own words; the reader
-    # names the line instead, in its own.
-    huge = "9" * 5000
-    for body in (f"5\n{huge}\n0\n", f"5\n{huge}\n99\n", f"5\n0\n{huge}"):
-        line = body.split("\n").index(huge) + 1
-        with pytest.raises(ValueError, match=rf"^database value {line} has 5000 digits, past int's limit of 4300$"):
-            read_db(io.StringIO(f"pir-db v1 p=13 k=3\n{body}"))
-    # The faults are named in order: a line that is not a canonical decimal
-    # (quoted up to 64 characters), then the first line past the digit limit,
-    # not the longest or the last, then a value not below p.
-    for body, message in (
-        (f"99\n{huge}\n9{huge}\n", "database value 2 has 5000 digits, past int's limit of 4300"),
-        (f"{huge}\n5\n0{huge}\n", f"database value 3 is not a canonical decimal: '0{huge[:63]}'…"),
+# A number of 640 digits, the most wire.DECIMAL admits, and one a digit longer.
+AT_BOUND, PAST_BOUND = "9" * 640, "9" * 641
+
+
+def test_decimal_bound_is_the_least_settable_int_digit_limit():
+    # Every text DECIMAL admits converts under any digit-limit setting, so no
+    # reader depends on the setting; CPython before 3.10.7 has no limit.
+    threshold = getattr(sys.int_info, "str_digits_check_threshold", 640)
+    assert wire._DECIMAL.fullmatch(AT_BOUND) and len(AT_BOUND) == threshold
+    assert wire._DECIMAL.fullmatch(PAST_BOUND) is None
+
+
+def test_read_db_holds_every_number_to_640_digits():
+    # 640 digits converts, to be refused as a number; 641 is not a canonical
+    # decimal, quoted up to 64 characters, whatever int's digit limit allows.
+    quoted = f"'{PAST_BOUND[:64]}'…"
+    for text, message in (
+        (f"pir-db v1 p={AT_BOUND} k=1\n0\n", f"primality is only proven below {MR_BOUND}, got {AT_BOUND}"),
+        (f"pir-db v1 p=13 k={AT_BOUND}\n0\n", f"database ends after 1 of {AT_BOUND} values"),
+        (f"pir-db v1 p=13 k=2\n5\n{AT_BOUND}\n", f"field value {AT_BOUND} is not an int in [0, 13)"),
+        (f"pir-db v1 p={PAST_BOUND} k=1\n0\n", f"malformed database header: 'pir-db v1 p={PAST_BOUND[:52]}'…"),
+        (f"pir-db v1 p=13 k={PAST_BOUND}\n0\n", f"malformed database header: 'pir-db v1 p=13 k={PAST_BOUND[:47]}'…"),
+        (f"pir-db v1 p=13 k=2\n5\n{PAST_BOUND}\n", f"database value 2 is not a canonical decimal: {quoted}"),
+        (f"pir-db v1 p=13 k=2\n{PAST_BOUND}\n5", f"database value 1 is not a canonical decimal: {quoted}"),
     ):
-        assert outcome(read_db, io.StringIO(f"pir-db v1 p=13 k=3\n{body}")) == (ValueError, message)
+        assert outcome(read_db, io.StringIO(text)) == (ValueError, message)
+    # The faults are named in order: the first line past the bound, not the
+    # longest or the last, and before a value not below p, which is checked
+    # only after every line is a canonical decimal; 5,000 digits is past
+    # int's default limit of 4,300 too.
+    huge = "9" * 5000
+    for body, line in ((f"99\n{PAST_BOUND}\n9{PAST_BOUND}\n", 2), (f"5\n{huge}\n{PAST_BOUND}\n", 2),
+                       (f"{huge}\n5\n0{huge}\n", 1), (f"5\n0\n{huge}", 3)):
+        fault = body.split("\n")[line - 1]
+        assert outcome(read_db, io.StringIO(f"pir-db v1 p=13 k=3\n{body}")) == (
+            ValueError, f"database value {line} is not a canonical decimal: '{fault[:64]}'…")
+
+
+def test_documents_hold_every_number_to_640_digits(worked_query_doc, worked_db, gf13):
+    # The query's p and a row count, and an answer value: 640 digits converts,
+    # to be refused as a number; 641 is not canonical, quoted up to 64 characters.
+    text = canonical(worked_query_doc)
+    at_p = text.replace('"p":13', f'"p":{AT_BOUND}').encode("ascii")
+    at_row = text.replace('"rows":[2,', f'"rows":[{AT_BOUND},').encode("ascii")
+    assert outcome(wire.parse_query_bytes, at_p) == (
+        ValueError, f"primality is only proven below {MR_BOUND}, got {AT_BOUND}")
+    assert outcome(wire.parse_query_bytes, at_row) == (
+        ValueError, f"need 1 <= r <= len(support) <= p - 1, got r={AT_BOUND}, len(support)=5, p=13")
+    for data in (at_p, at_row):
+        past = data.replace(AT_BOUND.encode(), PAST_BOUND.encode())
+        assert outcome(wire.parse_query_bytes, past) == (
+            ValueError, f"query document is not canonical version-3 JSON: '{past[:64].decode()}'…")
+    def parse_answer(data):
+        return wire.parse_answer_bytes(data, gf13)
+
+    assert outcome(parse_answer, f'{{"blocks":[[{AT_BOUND}]]}}'.encode()) == (
+        ValueError, f"field value {AT_BOUND} is not an int in [0, 13)")
+    past = f'{{"blocks":[[{PAST_BOUND}]]}}'
+    assert outcome(parse_answer, past.encode()) == (
+        ValueError, f"answer document is not canonical JSON: '{past[:64]}'…")
+    # A version is named up to QUOTE_CAP digits; a longer one gets the generic
+    # refusal, quoted, however long it is.
+    for digits in (64, 65, 100_000):
+        version = "9" * digits
+        data = text.replace('"version":3', f'"version":{version}').encode("ascii")
+        message = str(outcome(wire.parse_query_bytes, data)[1])
+        if digits <= wire.QUOTE_CAP:
+            assert message == f"unsupported query version {version}, expected 3"
+        else:
+            assert message == f"query document is not canonical version-3 JSON: '{data[:64].decode()}'…"
+
+
+def test_no_refusal_is_worded_by_int():
+    # Past int's default limit of 4,300 digits: every reader refuses in its
+    # own words, not in int's "Exceeds the limit".
+    huge = "9" * 5000
+    refusals = [
+        outcome(read_db, io.StringIO(text)) for text in (
+            f"pir-db v1 p={huge} k=1\n0\n", f"pir-db v1 p=13 k={huge}\n0\n", f"pir-db v1 p=13 k=1\n{huge}\n")
+    ] + [
+        outcome(wire.parse_query_bytes, f'{{"labels":"AA==","p":{p},"rows":[{r}],"version":3}}'.encode())
+        for p, r in ((huge, 1), (13, huge))
+    ] + [
+        outcome(lambda data: wire.parse_answer_bytes(data, PrimeField(13)), f'{{"blocks":[[{huge}]]}}'.encode()),
+        outcome(_parse_indices, f"1,{huge}"),
+    ]
+    assert all(error is ValueError or error is argparse.ArgumentTypeError for error, _ in refusals)
+    assert [message for _, message in refusals if "Exceeds" in message or len(message) > 120] == []
 
 
 def test_parse_indices_reads_and_refuses_as_the_split_reference_does():
