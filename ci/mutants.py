@@ -110,6 +110,17 @@ CATALOGUE = [
            "the division route divides out the point x = j, not x = j + 1"),
     Mutant("mds.py", "q[i - 1] = (poly[i] + x * q[i]) % p", "q[i - 1] = (poly[i] - x * q[i]) % p",
            "the quotient P / (t - x) is taken with the wrong sign"),
+    Mutant("mds.py", "inverse[j] * inverse[n - 1 - j] * (-1) ** (n - 1 - j) % p",
+           "inverse[j] * inverse[n - 1 - j] % p",
+           "the node weights drop their sign (-1)**(n - x)"),
+    Mutant("mds.py", "inverse[j] * inverse[n - 1 - j] *", "inverse[j] * inverse[n - 2 - j] *",
+           "the node weights read the inverse factorial one index off: 1 / (n - x - 1)!"),
+    Mutant("mds.py", "weights = _weights(n, p)", "weights = _weights(n - 1, p)",
+           "the division route reads the weight table of n - 1 nodes"),
+    Mutant("mds.py", "scales = [weights[j] * prod(map(j.__sub__, known)) for j in wanted]",
+           "scales = [weights[j] for j in wanted]",
+           "the division route takes the node weight among all n points as 1 / P'(x_l), "
+           "leaving out the known points' factor"),
     Mutant("mds.py", "if len(unknown) > r:", "if len(unknown) > r + 1:",
            "the decoder tries one unknown more than it has equations"),
     Mutant("mds.py", "if u * u <= len(known) * n:", "if u * u <= len(known) * n // 2:",
@@ -231,6 +242,11 @@ CATALOGUE = [
            "is_prime takes MR_BOUND itself, a strong pseudoprime to all 13 witnesses, as prime"),
     Mutant("field.py", "min(values) < 0", "min(values) < -1",
            "check accepts the value -1"),
+    Mutant("field.py", "-(10**QUOTE_CAP) < value < 10**QUOTE_CAP", "-(10**QUOTE_CAP) < value <= 10**QUOTE_CAP",
+           "quote_number prints 10**64, 65 digits, whole"),
+    Mutant("field.py", "return f\"{'-' * (value < 0)}{str(lead)[:QUOTE_CAP]}…\"",
+           "return f\"{str(lead)[:QUOTE_CAP]}…\"",
+           "quote_number drops the sign of a long negative number"),
     Mutant("wire.py", "list(map(str, range(1, k + 1)))", "list(map(str, range(k)))",
            "posterior_doc's table keys count indices from 0"),
     Mutant("wire.py", "dict.fromkeys(keys, prior)", "dict.fromkeys(keys, frac_str(report.max_deviation))",

@@ -13,12 +13,33 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 from functools import lru_cache
+from math import log10
 
 # Miller-Rabin with the first 13 primes as bases is deterministic below this
 # bound (Sorenson & Webster, 2015); with the first 12 it is not, since
 # 318665857834031151167461 is a strong pseudoprime to all of them.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_BOUND = 3317044064679887385961981
+# A refusal quotes a text up to this many characters, and a number up to this
+# many digits: a file with no "\n" is all header, and a flag or a line can be
+# a megabyte long.
+QUOTE_CAP = 64
+
+
+def quote_number(value) -> str:
+    """``repr(value)``, an ``int``'s digits cut after ``QUOTE_CAP`` and marked "…" where cut.
+
+    Only the leading digits of a longer int are converted, so a number of
+    any size prints, whatever int's digit limit allows.
+
+    >>> quote_number(-12), quote_number(True), quote_number(10**64 + 5)
+    ('-12', 'True', '1000000000000000000000000000000000000000000000000000000000000000…')
+    """
+    if type(value) is not int or -(10**QUOTE_CAP) < value < 10**QUOTE_CAP:
+        return repr(value)
+    size = abs(value)
+    lead = size // 10 ** (int(log10(size)) - QUOTE_CAP)  # QUOTE_CAP + 1 digits, give or take one
+    return f"{'-' * (value < 0)}{str(lead)[:QUOTE_CAP]}…"
 
 
 def is_prime(n: int) -> bool:
@@ -32,7 +53,7 @@ def is_prime(n: int) -> bool:
     if type(n) is not int:
         raise ValueError(f"modulus must be an int, got {n!r}")
     if n >= MR_BOUND:
-        raise ValueError(f"primality is only proven below {MR_BOUND}, got {n}")
+        raise ValueError(f"primality is only proven below {MR_BOUND}, got {quote_number(n)}")
     return _miller_rabin(n)
 
 
@@ -98,5 +119,5 @@ class PrimeField(record("PrimeField", "p")):
             set(map(type, values)) != {int} or min(values) < 0 or max(values) >= self.p
         ):
             bad = next(v for v in values if type(v) is not int or not 0 <= v < self.p)
-            raise ValueError(f"field value {bad!r} is not an int in [0, {self.p})")
+            raise ValueError(f"field value {quote_number(bad)} is not an int in [0, {self.p})")
         return values

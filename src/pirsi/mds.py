@@ -22,7 +22,13 @@ the master polynomial of the u unknown points (Bjorck & Pereyra,
 without inverting the matrix.  It gets that polynomial by the cheaper of
 two routes: multiplying in the unknown points, O(u^2), or dividing the
 known points out of the product over all n points, O(|known| * n), which
-is cached per (n, p) and built once in O(n^2).
+is cached per (n, p) and built once in O(n^2).  A wanted value is divided
+by P'(x_l) = prod (x_l - x_j) over the other unknown points.  Multiplying
+in, that product is formed and inverted.  Dividing, its inverse is the
+closed-form barycentric weight of x_l among the nodes 1..n (Berrut &
+Trefethen, "Barycentric Lagrange Interpolation", SIAM Review 46(3), 2004),
+cached per (n, p) and built in O(n), times prod (x_l - x_j) over the known
+points: no inverse per demand.
 
 The independent checks live in the tests (``tests/oracles.py``), since the
 program never runs them: the matrix as rows and a per-row product sum,
@@ -35,6 +41,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Mapping, Sequence
 from functools import lru_cache
+from math import factorial, prod
 
 from .field import PrimeField
 
@@ -130,6 +137,24 @@ def _all_points(n: int, p: int) -> tuple[int, ...]:
     return tuple(reversed(_from_roots(range(1, n + 1), p)))
 
 
+@lru_cache(maxsize=16)
+def _weights(n: int, p: int) -> tuple[int, ...]:
+    """The barycentric weights of the nodes 1..n mod p: entry j is 1 / prod_{y != j+1} (j + 1 - y).
+
+    At x = j + 1 the weight is (-1)**(n - x) / ((x - 1)! * (n - x)!)
+    (Berrut & Trefethen 2004), so the table takes factorials up to (n - 1)!,
+    one inverse and O(n) products.  ``solve_vandermonde``'s division route
+    reads it.  Requires n <= p - 1, so that (n - 1)! is not 0 mod p.
+
+    >>> _weights(3, 13)  # 1/2, -1, 1/2
+    (7, 12, 7)
+    """
+    inverse = [pow(factorial(n - 1), -1, p)] * n
+    for i in range(n - 1, 0, -1):
+        inverse[i - 1] = inverse[i] * i % p  # 1 / (i - 1)!
+    return tuple(inverse[j] * inverse[n - 1 - j] * (-1) ** (n - 1 - j) % p for j in range(n))
+
+
 def solve_vandermonde(
     codeword: Sequence[int],
     n: int,
@@ -146,7 +171,8 @@ def solve_vandermonde(
     contributions give b_i = sum_l x_l**i * z_l.  The master polynomial
     P(t) = prod_l (t - x_l) solves this: for an unknown column l,
     q = P / (t - x_l) vanishes on every other unknown point, so
-    z_l = <q, b> / q(x_l).  P also checks rows beyond the u-th:
+    z_l = <q, b> / q(x_l), with q(x_l) = P'(x_l) = prod (l - j) over the
+    other unknown columns j.  P also checks rows beyond the u-th:
     sum_k P_k * b[i + k] = 0 for i = 0..r-u-1, which holds exactly when the
     codeword is consistent with the known symbols.
 
@@ -155,8 +181,15 @@ def solve_vandermonde(
     in (t - x_l) for each unknown point, O(u^2), when u**2 <= len(known) * n,
     and otherwise by dividing (t - x_j) for each known point exactly out of
     prod_{x=1..n} (t - x), O(len(known) * n).  That product is cached per
-    (n, p); its first build costs O(n^2).  Both routes give the same P, so
-    the result does not depend on the route.
+    (n, p); its first build costs O(n^2).  Each route takes 1 / P'(x_l)
+    from the points it already walks.  Multiplying in, it inverts
+    prod (l - j) over the other unknown columns.  Dividing, it multiplies the
+    closed-form weight of the node x_l among 1..n,
+    1 / prod_{y != x_l} (x_l - y) (``_weights``, after Berrut & Trefethen,
+    "Barycentric Lagrange Interpolation", SIAM Review 46(3), 2004), by
+    prod (l - j) over the known columns j, and inverts nothing per demand.
+    Both routes give the same P and the same P'(x_l), so the result does not
+    depend on the route.
 
     Requires 1 <= r <= n <= p - 1, the shape ``_packed_columns`` requires,
     every key of ``known`` in 0..n-1, ``wanted`` a subset of the unknown
@@ -185,10 +218,14 @@ def solve_vandermonde(
     # P's coefficients, lowest degree first.  Either multiply in (t - x) per
     # unknown point, O(u^2), or divide (t - x) per known point exactly out of
     # the product over all n points, O(|known| * n): whichever is less work.
+    # Each route also forms 1 / P'(x_l) for the wanted l from the points it walks.
     u = len(unknown)
     if u * u <= len(known) * n:
         poly = _from_roots([j + 1 for j in unknown], p)
+        scales = [pow(prod(j - i for i in unknown if i != j), -1, p) for j in wanted]
     else:
+        weights = _weights(n, p)
+        scales = [weights[j] * prod(map(j.__sub__, known)) for j in wanted]
         high = _all_points(n, p)
         for j in known:
             # Synthetic division, highest degree first; x is a root, so the
@@ -204,14 +241,11 @@ def solve_vandermonde(
         raise ValueError("inconsistent codeword for the given known symbols")
 
     values = []
-    for j in wanted:
+    for j, scale in zip(wanted, scales):
         # Synthetic division: q_{u-1} = 1, q_{i-1} = P_i + x * q_i.
         x = j + 1
         q = [1] * u
         for i in range(u - 1, 0, -1):
             q[i - 1] = (poly[i] + x * q[i]) % p
-        at_x = 0
-        for coeff in reversed(q):
-            at_x = (at_x * x + coeff) % p
-        values.append(sum(map(operator.mul, q, rhs)) * pow(at_x, -1, p) % p)
+        values.append(sum(map(operator.mul, q, rhs)) * scale % p)
     return values

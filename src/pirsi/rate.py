@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .field import record
+from .field import quote_number, record
 
 INSTANCE_K_CAP = 1_000_000  # the plan alone holds a profile about k / (m_bar + n) long
 # The widest block's r x s code a round may build (``require_code_fits``).  Both
@@ -59,15 +59,18 @@ class ProblemParams(record("ProblemParams", "k m n")):
             name, value = next(p for p in zip(cls._fields, (k, m, n)) if type(p[1]) is not int)
             raise UsageError(f"{name} must be an int, got {value!r}")
         if k > INSTANCE_K_CAP:
-            raise UsageError(f"k must be at most {INSTANCE_K_CAP}, got {k}")
+            raise UsageError(f"k must be at most {INSTANCE_K_CAP}, got {quote_number(k)}")
         if k < 1:
-            raise UsageError(f"k must be positive, got {k}")
+            raise UsageError(f"k must be positive, got {quote_number(k)}")
         if n < 1:
-            raise UsageError(f"n must be positive, got {n}")
+            raise UsageError(f"n must be positive, got {quote_number(n)}")
         if m < 0:
-            raise UsageError(f"m must be nonnegative, got {m}")
+            raise UsageError(f"m must be nonnegative, got {quote_number(m)}")
         if n + m > k:
-            raise UsageError(f"demands plus side information exceed database: n={n}, m={m}, k={k}")
+            raise UsageError(
+                "demands plus side information exceed database: "
+                f"n={quote_number(n)}, m={quote_number(m)}, k={k}"
+            )
         return tuple.__new__(cls, (k, m, n))
 
 

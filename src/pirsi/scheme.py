@@ -60,7 +60,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, compress
 
 from . import mds
-from .field import PrimeField, record
+from .field import PrimeField, quote_number, record
 from .rate import (
     ProblemParams,
     RatePlan,
@@ -151,7 +151,7 @@ def require_indices(indices: Sequence[int], k: int) -> None:
     """Raise UsageError naming the first index outside 1..k, in the order given."""
     if indices and not (min(indices) >= 1 and max(indices) <= k):
         bad = next(idx for idx in indices if not 1 <= idx <= k)
-        raise UsageError(f"index {bad} outside 1..{k}")
+        raise UsageError(f"index {quote_number(bad)} outside 1..{k}")
 
 
 class Database(record("Database", "values field")):

@@ -43,7 +43,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 from math import inf
 
-from .field import PrimeField
+from .field import QUOTE_CAP, PrimeField, quote_number
 from .privacy import PosteriorReport, TvdReport
 from .rate import ProblemParams, RatePlan, UsageError
 from .scheme import (
@@ -61,9 +61,6 @@ from .scheme import (
 DB_MAGIC = "pir-db"
 DB_VERSION = "v1"
 QUERY_VERSION = 3
-# A refused text is quoted up to this many characters: a file with no "\n"
-# is all header, and a flag or a line can be a megabyte long.
-QUOTE_CAP = 64
 
 # A canonical decimal of at most 640 digits, CPython's least settable int digit
 # limit (sys.int_info.str_digits_check_threshold): it converts under any setting.
@@ -202,7 +199,7 @@ def parse_query_bytes(data: bytes) -> Query:
     for support, r in zip(supports, rows):
         if not 1 <= r <= len(support) <= field.p - 1:
             raise ValueError(
-                f"need 1 <= r <= len(support) <= p - 1, got r={r}, "
+                f"need 1 <= r <= len(support) <= p - 1, got r={quote_number(r)}, "
                 f"len(support)={len(support)}, p={field.p}"
             )
     return Query(tuple(zip(map(tuple, supports), rows)), field)
@@ -371,7 +368,7 @@ def read_db(stream) -> Database:
     # One line per "\n", and one more for an unterminated last line.
     count = body.count("\n") + (body[-1:] not in ("", "\n"))
     if count < k:
-        raise ValueError(f"database ends after {count} of {k} values")
+        raise ValueError(f"database ends after {count} of {quote_number(k)} values")
     if count > k:
         raise ValueError(f"database has data after its {k} values")
     try:

@@ -268,14 +268,17 @@ def test_simulate_exits_1_naming_a_decode_mismatch(capsys, monkeypatch, worked_d
 
 def test_flags_hold_every_number_to_640_digits(capsys, worked_db_file):
     # 640 digits converts under any int digit limit: a seed of 640 digits
-    # runs, and an index of 640 digits reaches the library's range check.
+    # runs, and an index of 640 digits reaches the library's range check,
+    # which echoes 64 of its digits.
     # 641 digits, or 5,000, past int's default limit, is refused by its flag,
     # and at most 64 of its characters are quoted.
     at, past, huge = "9" * 640, "9" * 641, "9" * 5000
     base = ["simulate", "--m", "5", "--n", "2", "--demands", "2,5", "--db", worked_db_file]
     code, out, _ = run_cli(capsys, *base, "--k", "13", "--side", "1,4,6,7,9", "--seed", at)
     assert code == 0 and json.loads(out)["seed"] == int(at)
-    assert_usage_error(capsys, base + ["--k", "13", "--side", f"1,4,6,7,{at}"], f"index {at} outside 1..13")
+    assert_usage_error(capsys, base + ["--k", "13", "--side", f"1,4,6,7,{at}"], f"index {at[:64]}… outside 1..13")
+    assert_usage_error(capsys, ["rate", "--k", at, "--m", "0", "--n", "1"],
+                       f"k must be at most 1000000, got {at[:64]}…")
     for number in (past, huge):
         quoted = f"'{number[:64]}'…"
         for argv, message in (

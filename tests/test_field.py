@@ -1,10 +1,12 @@
 """Prime fields: the primality proof, canonical values, and the boundary check."""
 
 
+import random
+
 import pytest
 
 from pirsi import Database, PrimeField, is_prime
-from pirsi.field import MR_BOUND, _miller_rabin
+from pirsi.field import MR_BOUND, QUOTE_CAP, _miller_rabin, quote_number
 
 
 def test_canonical_representatives():
@@ -72,6 +74,32 @@ def test_check_accepts_exactly_canonical_ints():
     for bad in (7, -1, 2.0, True, False, "3", None):
         with pytest.raises(ValueError, match=r"not an int in \[0, 7\)"):
             gf7.check([1, bad, 2])
+
+
+def test_refusals_echo_at_most_64_digits_of_a_number():
+    # A number of up to QUOTE_CAP digits prints whole; a longer one is cut
+    # after its first QUOTE_CAP digits and marked, on both sides of every
+    # power of ten up to 640 digits, where str() is the reference under any
+    # int digit limit.  Past that only the leading digits are converted.
+    assert QUOTE_CAP == 64
+    rng = random.Random(64)
+    for digits in range(1, 641):
+        for n in (10 ** (digits - 1), 10**digits - 1, rng.randrange(10 ** (digits - 1), 10**digits)):
+            text = str(n)
+            want = text if digits <= 64 else f"{text[:64]}…"
+            assert (quote_number(n), quote_number(-n)) == (want, f"-{want}"), n
+    for n, want in ((10**5000 - 1, "9" * 64), (7 * 10**5000, "7" + "0" * 63), (2**20000 + 1, "39802768")):
+        assert quote_number(n).startswith(want) and len(quote_number(n)) == 65
+    assert [quote_number(v) for v in (2.0, True, "3", None)] == ["2.0", "True", "'3'", "None"]
+    huge = 10**5000
+    for refuse, message in (
+        (lambda: is_prime(huge), f"primality is only proven below {MR_BOUND}, got 1{'0' * 63}…"),
+        (lambda: PrimeField(7).check([1, huge]), f"field value 1{'0' * 63}… is not an int in [0, 7)"),
+        (lambda: PrimeField(7).check([-huge]), f"field value -1{'0' * 63}… is not an int in [0, 7)"),
+    ):
+        with pytest.raises(ValueError) as err:
+            refuse()
+        assert str(err.value) == message
 
 
 def test_copies_of_a_field_are_checked_as_it_is():

@@ -13,16 +13,22 @@ subtraction in ``mds.solve_vandermonde`` read it.  The code as rows
 
 import random
 from itertools import combinations, count, product
+from math import prod
 
 import pytest
 
 from pirsi import PrimeField, is_prime, mds
 from pirsi.field import MR_BOUND
-from pirsi.mds import _all_points, _packed_columns, solve_vandermonde
+from pirsi.mds import _all_points, _packed_columns, _weights, solve_vandermonde
 from oracles import CodeMatrix, check_mds, decode, encode, vandermonde
 
 # The largest modulus the program accepts: slots of about 165 bits.
 LARGEST_PRIME = next(q for q in count(MR_BOUND - 1, -1) if is_prime(q))
+
+
+def least_prime_above(n):
+    """The smallest field with n distinct nonzero points."""
+    return next(q for q in count(n + 1) if is_prime(q))
 
 
 def unpacked_rows(r, n, field):
@@ -221,9 +227,54 @@ def test_decode_round_trip_randomized():
         assert decode(matrix, codeword, known) == msgs
 
 
-def _all_points_calls():
-    info = _all_points.cache_info()
+def _calls(cached):
+    info = cached.cache_info()
     return info.hits + info.misses
+
+
+def route(n, known_count):
+    """The master-polynomial route ``solve_vandermonde`` takes, by its size rule."""
+    u = n - known_count
+    return "division" if u * u > known_count * n else "multiply-in"
+
+
+def decode_mismatches(cases, field, rng):
+    """The cases (r, n, known columns) at which ``solve_vandermonde`` disagrees with ``decode``.
+
+    Each case encodes random messages and asks for every unknown column;
+    the answer must be Gauss-Jordan's, and only the division route may read
+    the cached product over all n points and the node weights.  With a
+    spare row, the codeword with its last symbol moved must be refused: the
+    unit vector e_{r-1} is outside the span of u < r Vandermonde columns,
+    whose top u rows are invertible.
+    """
+    p = field.p
+    bad = []
+    for r, n, known_cols in cases:
+        matrix = vandermonde(r, n, field)
+        msgs = [rng.randrange(p) for _ in range(n)]
+        codeword = encode(matrix, msgs)
+        known = {j: msgs[j] for j in known_cols}
+        wanted = [j for j in range(n) if j not in known]
+        division = route(n, len(known)) == "division"
+        reads = _calls(_all_points), _calls(_weights)
+        full = decode(matrix, codeword, known)
+        try:
+            ok = solve_vandermonde(codeword, n, known, wanted, field) == [full[j] for j in wanted]
+        except ValueError:
+            ok = False
+        ok = ok and (_calls(_all_points) > reads[0], _calls(_weights) > reads[1]) == (division,) * 2
+        if ok and len(wanted) < r:
+            moved = codeword[:-1] + [(codeword[-1] + 1) % p]
+            try:
+                solve_vandermonde(moved, n, known, wanted, field)
+            except ValueError as err:
+                ok = "inconsistent" in str(err)
+            else:
+                ok = False
+        if not ok:
+            bad.append((r, n, tuple(sorted(known_cols))))
+    return bad
 
 
 @pytest.mark.parametrize("p, n_max", [(13, 12), (2**31 - 1, 30)])
@@ -234,7 +285,8 @@ def test_solve_vandermonde_agrees_with_decode(p, n_max):
     # at most a quarter of the columns, often none: the division route, with
     # spare rows whenever some column is known.
     # Each master-polynomial route is tallied by whether it read the cached
-    # product over all n points, and must be the one the size rule picks.
+    # product over all n points and the node weights, and must be the one
+    # the size rule picks: the weights serve the division route alone.
     # "one known column" covers a subtraction over a single packed column.
     gf = PrimeField(p)
     rng = random.Random(p)
@@ -260,24 +312,62 @@ def test_solve_vandermonde_agrees_with_decode(p, n_max):
             codeword = encode(matrix, msgs)
         else:
             codeword = [rng.randrange(p) for _ in range(r)]
-        route = "division" if len(unknown) ** 2 > len(known) * n else "multiply-in"
-        calls = _all_points_calls()
+        taken = route(n, len(known))
+        calls, weight_calls = _calls(_all_points), _calls(_weights)
         try:
             full = decode(matrix, codeword, known)
         except ValueError:
             with pytest.raises(ValueError, match="inconsistent"):
                 solve_vandermonde(codeword, n, known, wanted, gf)
             shapes["refused"] += 1
-            shapes["refused, " + route] += 1
+            shapes["refused, " + taken] += 1
         else:
             assert solve_vandermonde(codeword, n, known, wanted, gf) == [full[j] for j in wanted]
             shapes["spare rows" if len(unknown) < r else "square"] += 1
             shapes["one wanted"] += len(wanted) == 1
             shapes["no known columns"] += not known
-        assert (_all_points_calls() > calls) == (route == "division")
-        shapes[route] += 1
+        assert (_calls(_all_points) > calls) == (taken == "division")
+        assert (_calls(_weights) > weight_calls) == (taken == "division")
+        shapes[taken] += 1
         shapes["one known column"] += len(known) == 1
     assert min(shapes.values()) >= 30, shapes
+
+
+def test_solve_vandermonde_at_the_edges_on_both_routes():
+    # Every row count at each edge of the known set: no known column (u = n,
+    # so always the division route), exactly one unknown, that is all but one
+    # known (multiplying in from n = 2, dividing at n = 1), and exactly one
+    # known (multiplying in at n <= 2, dividing from n = 3).
+    for p, n_max in ((13, 12), (2**31 - 1, 40)):
+        rng = random.Random(p)
+        cases = {}
+        for n in range(1, n_max + 1):
+            for edge, known_count in (("no known", 0), ("one unknown", n - 1), ("one known", 1)):
+                known_cols = rng.sample(range(n), min(known_count, n))
+                for r in range(max(n - len(known_cols), 1), n + 1):
+                    cases.setdefault((edge, route(n, len(known_cols))), []).append((r, n, known_cols))
+        assert sorted(cases) == [
+            ("no known", "division"), ("one known", "division"), ("one known", "multiply-in"),
+            ("one unknown", "division"), ("one unknown", "multiply-in"),
+        ]
+        for shapes in cases.values():
+            assert decode_mismatches(shapes, PrimeField(p), rng) == []
+
+
+def _node_weights(n, p):
+    """1 / prod_{y != x} (x - y) for each node x = 1..n, mod p, one product at a time."""
+    return tuple(pow(prod(x - y for y in range(1, n + 1) if y != x), -1, p) for x in range(1, n + 1))
+
+
+def test_weights_are_the_inverse_node_products():
+    # Every n at p = 13 and p = 2**31 - 1, and at the least prime above n,
+    # the smallest field n nodes fit in, where n = p - 1 takes the factorials
+    # up to (p - 2)!.
+    cases = [(n, 13) for n in range(1, 13)] + [(n, 2**31 - 1) for n in range(1, 61)]
+    cases += [(n, least_prime_above(n)) for n in range(1, 61)]
+    for n, p in cases:
+        assert _weights(n, p) == _node_weights(n, p), (n, p)
+    assert _weights.cache_info().maxsize == 16
 
 
 def test_solve_vandermonde_worked_block(gf13):

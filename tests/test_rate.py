@@ -95,6 +95,19 @@ def test_params_validation():
     for args in ((1_000_001, 0, 1), (1_000_001, 0, 0)):
         with pytest.raises(UsageError, match="^k must be at most 1000000, got 1000001$"):
             ProblemParams(*args)
+    # A number past QUOTE_CAP digits is echoed by its first 64 digits, at
+    # 640 digits (the most a CLI flag admits) and past int's digit limit.
+    cut = "9" * 64 + "…"
+    for big in (10**640 - 1, 10**5000 - 1):
+        for args, message in (
+            ((big, 0, 1), f"k must be at most 1000000, got {cut}"),
+            ((-big, 0, 1), f"k must be positive, got -{cut}"),
+            ((13, 0, -big), f"n must be positive, got -{cut}"),
+            ((13, -big, 1), f"m must be nonnegative, got -{cut}"),
+            ((13, big, big), f"demands plus side information exceed database: n={cut}, m={cut}, k=13"),
+        ):
+            with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+                ProblemParams(*args)
     # Exactly int: a float, a bool or a string never reaches compute_plan.
     for args, message in (
         ((13.0, 5, 2), "k must be an int, got 13.0"),

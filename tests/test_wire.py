@@ -617,13 +617,14 @@ def test_decimal_bound_is_the_least_settable_int_digit_limit():
 
 
 def test_read_db_holds_every_number_to_640_digits():
-    # 640 digits converts, to be refused as a number; 641 is not a canonical
-    # decimal, quoted up to 64 characters, whatever int's digit limit allows.
-    quoted = f"'{PAST_BOUND[:64]}'…"
+    # 640 digits converts, to be refused as a number, echoed up to 64 digits;
+    # 641 is not a canonical decimal, quoted up to 64 characters, whatever
+    # int's digit limit allows.
+    quoted, cut = f"'{PAST_BOUND[:64]}'…", f"{AT_BOUND[:64]}…"
     for text, message in (
-        (f"pir-db v1 p={AT_BOUND} k=1\n0\n", f"primality is only proven below {MR_BOUND}, got {AT_BOUND}"),
-        (f"pir-db v1 p=13 k={AT_BOUND}\n0\n", f"database ends after 1 of {AT_BOUND} values"),
-        (f"pir-db v1 p=13 k=2\n5\n{AT_BOUND}\n", f"field value {AT_BOUND} is not an int in [0, 13)"),
+        (f"pir-db v1 p={AT_BOUND} k=1\n0\n", f"primality is only proven below {MR_BOUND}, got {cut}"),
+        (f"pir-db v1 p=13 k={AT_BOUND}\n0\n", f"database ends after 1 of {cut} values"),
+        (f"pir-db v1 p=13 k=2\n5\n{AT_BOUND}\n", f"field value {cut} is not an int in [0, 13)"),
         (f"pir-db v1 p={PAST_BOUND} k=1\n0\n", f"malformed database header: 'pir-db v1 p={PAST_BOUND[:52]}'…"),
         (f"pir-db v1 p=13 k={PAST_BOUND}\n0\n", f"malformed database header: 'pir-db v1 p=13 k={PAST_BOUND[:47]}'…"),
         (f"pir-db v1 p=13 k=2\n5\n{PAST_BOUND}\n", f"database value 2 is not a canonical decimal: {quoted}"),
@@ -644,14 +645,15 @@ def test_read_db_holds_every_number_to_640_digits():
 
 def test_documents_hold_every_number_to_640_digits(worked_query_doc, worked_db, gf13):
     # The query's p and a row count, and an answer value: 640 digits converts,
-    # to be refused as a number; 641 is not canonical, quoted up to 64 characters.
+    # to be refused as a number, echoed up to 64 digits; 641 is not canonical,
+    # quoted up to 64 characters.
     text = canonical(worked_query_doc)
     at_p = text.replace('"p":13', f'"p":{AT_BOUND}').encode("ascii")
     at_row = text.replace('"rows":[2,', f'"rows":[{AT_BOUND},').encode("ascii")
     assert outcome(wire.parse_query_bytes, at_p) == (
-        ValueError, f"primality is only proven below {MR_BOUND}, got {AT_BOUND}")
+        ValueError, f"primality is only proven below {MR_BOUND}, got {AT_BOUND[:64]}…")
     assert outcome(wire.parse_query_bytes, at_row) == (
-        ValueError, f"need 1 <= r <= len(support) <= p - 1, got r={AT_BOUND}, len(support)=5, p=13")
+        ValueError, f"need 1 <= r <= len(support) <= p - 1, got r={AT_BOUND[:64]}…, len(support)=5, p=13")
     for data in (at_p, at_row):
         past = data.replace(AT_BOUND.encode(), PAST_BOUND.encode())
         assert outcome(wire.parse_query_bytes, past) == (
@@ -660,7 +662,7 @@ def test_documents_hold_every_number_to_640_digits(worked_query_doc, worked_db, 
         return wire.parse_answer_bytes(data, gf13)
 
     assert outcome(parse_answer, f'{{"blocks":[[{AT_BOUND}]]}}'.encode()) == (
-        ValueError, f"field value {AT_BOUND} is not an int in [0, 13)")
+        ValueError, f"field value {AT_BOUND[:64]}… is not an int in [0, 13)")
     past = f'{{"blocks":[[{PAST_BOUND}]]}}'
     assert outcome(parse_answer, past.encode()) == (
         ValueError, f"answer document is not canonical JSON: '{past[:64]}'…")
