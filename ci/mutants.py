@@ -137,8 +137,10 @@ CATALOGUE = [
            "the server answers a query whose labels cover only part of the database"),
     Mutant("rate.py", "if widest > CODE_ENTRIES_CAP:", "if widest >= CODE_ENTRIES_CAP:",
            "the code cap refuses a code of exactly CODE_ENTRIES_CAP entries"),
-    Mutant("rate.py", "widest = max((size - quota) * size", "widest = min((size - quota) * size",
+    Mutant("rate.py", "widest = max(map(operator.mul, rows, sizes))", "widest = min(map(operator.mul, rows, sizes))",
            "the code cap reads the smallest block, not the widest"),
+    Mutant("rate.py", "map(operator.sub, self.size_profile", "map(operator.add, self.size_profile",
+           "a plan's rows are size + quota: every block with a quota asks for more rows than it has columns"),
     Mutant("wire.py", '{{"answer":{answer},"decoded":{decoded},"plan":{plan},"query":{query},',
            '{{"answer":{query},"decoded":{decoded},"plan":{plan},"query":{answer},',
            "the transcript swaps its query and answer sections"),
@@ -147,7 +149,7 @@ CATALOGUE = [
     Mutant("wire.py", 'count = body.count("\\n") + (body[-1:] not in ("", "\\n"))',
            'count = body.count("\\n")',
            "the database reader does not count an unterminated last line"),
-    Mutant("wire.py", "max(values) >= field.p", "max(values) > field.p",
+    Mutant("wire.py", "if top >= field.p:", "if top > field.p:",
            "the database reader accepts a value equal to p"),
     Mutant("wire.py", 'allowed = _DIGITS + sep.encode("ascii")', "allowed = _DIGITS",
            "split_decimals refuses its separator: every database of two or more lines "
@@ -165,14 +167,16 @@ CATALOGUE = [
            "depends on int's digit limit"),
     Mutant("wire.py", "(-?[0-9]{{1,{QUOTE_CAP}}})(?![0-9])", "(-?[0-9]+)",
            "the query's version is read unbounded: a version of 100,000 digits is echoed whole"),
-    Mutant("wire.py", "        if max(values) >= 10**640:", "        if False:",
-           "read_db refuses a line past 640 digits as a value not below p, echoed whole, "
-           "where int's digit limit lets json read it"),
+    Mutant("wire.py", "            if top < 10**640:", "            if True:",
+           "split_decimals' 10**640 bound dropped: a database line or an index past 640 digits "
+           "is read where int's digit limit lets json read it"),
     Mutant("wire.py", "        field.check(values)", "        pass",
            "the database reader accepts a value not below p"),
-    Mutant("wire.py", 'return f"{text[:QUOTE_CAP]!r}…" if len(text) > QUOTE_CAP else repr(text)',
-           "return repr(text)",
+    Mutant("field.py", 'return f"{repr(value[:QUOTE_CAP])}…" if len(value) > QUOTE_CAP else repr(value)',
+           "return repr(value)",
            "quote echoes the whole text: a megabyte flag or line is printed whole"),
+    Mutant("field.py", 'return f"{text[:QUOTE_CAP]}…" if len(text) > QUOTE_CAP else text', "return text",
+           "quote returns a non-int's repr whole: a 50,000-element list is echoed whole"),
     Mutant("field.py", "37, 41)", "37)",
            "Miller-Rabin without the 13th witness, which 318665857834031151167461 needs"),
     Mutant("field.py", "if not is_prime(p):", "if is_prime(p) is None:",
@@ -229,9 +233,7 @@ CATALOGUE = [
            "the plan check refuses a quota equal to its block's cap"),
     Mutant("cli.py", 'write("".join(lines))', 'write("".join(lines[:-1]))',
            "oracle writes each (k, n) sweep's lines without the last one"),
-    Mutant("cli.py", "if max(indices) < 10**640:", "if True:",
-           "an index list admits a field past 640 digits where int's digit limit lets json read it"),
-    Mutant("cli.py", "    require_code_fits(compute_plan(params))", "    pass",
+    Mutant("cli.py", "    require_code_fits(plan.rows, plan.size_profile)", "    pass",
            "simulate opens the database before refusing a code over the cap"),
     Mutant("cli.py", "1 <= args.k_max <= ORACLE_K_CAP:", "1 <= args.k_max <= ORACLE_K_CAP + 1:",
            "oracle accepts --k-max 301, one past its cap"),
@@ -243,10 +245,10 @@ CATALOGUE = [
     Mutant("field.py", "min(values) < 0", "min(values) < -1",
            "check accepts the value -1"),
     Mutant("field.py", "-(10**QUOTE_CAP) < value < 10**QUOTE_CAP", "-(10**QUOTE_CAP) < value <= 10**QUOTE_CAP",
-           "quote_number prints 10**64, 65 digits, whole"),
+           "quote prints 10**64, 65 digits, whole"),
     Mutant("field.py", "return f\"{'-' * (value < 0)}{str(lead)[:QUOTE_CAP]}…\"",
            "return f\"{str(lead)[:QUOTE_CAP]}…\"",
-           "quote_number drops the sign of a long negative number"),
+           "quote drops the sign of a long negative number"),
     Mutant("wire.py", "list(map(str, range(1, k + 1)))", "list(map(str, range(k)))",
            "posterior_doc's table keys count indices from 0"),
     Mutant("wire.py", "dict.fromkeys(keys, prior)", "dict.fromkeys(keys, frac_str(report.max_deviation))",
@@ -262,6 +264,8 @@ CATALOGUE = [
            'from .scheme import draw_layout  # noqa: E402\n\n'
            '__all__.append("draw_layout")\n__version__ = "0.1.0"',
            "a stage that trusts its caller, draw_layout, is exported again"),
+    Mutant("wire.py", "    require_code_fits(rows, map(len, supports))", "    pass",
+           "parse_query_bytes skips the code cap: the server builds a 2,049 x 2,049 code for a 2,786-byte query"),
     Mutant("wire.py", "if len(raw) % width:", "if False:",
            "the query parser reads a trailing partial label as a short one: a 513-byte label string "
            "of 257 blocks is served, though no query is written so"),

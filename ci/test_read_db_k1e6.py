@@ -8,15 +8,22 @@ the whole body.  Here it peaked at 70 MB.  The same file with p on its
 last line must be refused, in the field's words, within 110 MB: the
 values ``split_decimals`` read are checked as they are, so the refusal
 peaks where the read does, at 70 MB here, where a second, per-line read
-of the body peaked at 155 MB.  Wall times are printed, not gated on:
-1.7 s each under ``tracemalloc``; without it, 0.3 s to read and 0.5 s to
-refuse (0.9 s with the per-line read).  The last test runs
+of the body peaked at 155 MB.  The same file with 641 digits on its last
+line must be refused by ``split_decimals`` alone, as ``database value
+1000000 is not a canonical decimal``, under the default digit limit,
+where json reads the line and the values' max is what refuses it; it
+too must stay within 110 MB.  It peaked at 88 MB here: the values are
+freed before the body is split to name the line, where with both alive
+it peaked at 127 MB.  Wall times are printed, not gated on: 1.3 s to
+read or refuse p and 6.5 s to refuse 641 digits under ``tracemalloc``;
+without it, 0.3 s to read, 0.5 s to refuse p and 0.6 s to refuse 641
+digits (0.9 s with the per-line read).  The last test runs
 ``tests/test_wire.py``'s comparison with ``tests/oracles.py``'s
 reference on every body of up to 5 characters at every k in 1..4;
 Tier-1 runs the 5-character bodies at their own line count only.  This
 file sits outside the ``testpaths`` in ``pyproject.toml``, so a plain
 ``pytest`` does not collect it.  CI runs it as a step of its own, about
-18 s on a 2-vCPU host with Python 3.11.7:
+25 s on a 2-vCPU host with Python 3.11.7:
 
     python -m pytest -q -s ci/test_read_db_k1e6.py
 """
@@ -29,6 +36,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
+from pirsi.field import PrimeField  # noqa: E402
 from pirsi.wire import read_db  # noqa: E402
 from test_wire import read_db_mismatches  # noqa: E402
 
@@ -77,6 +85,19 @@ def test_read_db_refuses_p_on_the_last_of_a_million_lines(tmp_path):
     err, elapsed, peak_mb = traced_read(path)
     print(f"read_db refusing line {K}: {elapsed:.2f} s under tracemalloc, peak {peak_mb:.1f} MB")
     assert str(err) == f"field value {P} is not an int in [0, {P})"
+    assert peak_mb <= REFUSED_PEAK_CAP_MB
+
+
+def test_read_db_refuses_641_digits_on_the_last_of_a_million_lines(tmp_path, monkeypatch):
+    # Under the default digit limit json reads the line; split_decimals'
+    # own bound refuses it, so the value check is never reached.
+    rng = random.Random(8)
+    path = tmp_path / "k1e6-641.db"
+    write_values(path, [rng.randrange(P) for _ in range(K - 1)] + ["9" * 641])
+    monkeypatch.setattr(PrimeField, "check", None)  # a call would raise TypeError, not ValueError
+    err, elapsed, peak_mb = traced_read(path)
+    print(f"read_db refusing 641 digits on line {K}: {elapsed:.2f} s under tracemalloc, peak {peak_mb:.1f} MB")
+    assert str(err) == f"database value {K} is not a canonical decimal: '{'9' * 64}'…"
     assert peak_mb <= REFUSED_PEAK_CAP_MB
 
 

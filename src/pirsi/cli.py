@@ -10,10 +10,13 @@ diagnostics and timings go to stderr.  An argument that starts with ``@``
 names a file whose lines are read as arguments, one a line.  Exit codes: 0 success, 1 violated
 invariant (a ``privacy-mc`` refusal and a closed stdout too), 2 usage error.
 The CLI reads numbers with ``wire.DECIMAL`` (at most 640 digits) and index
-lists with ``wire.split_decimals``, and leaves every check of the request to
-the library: a refusal is a usage error when it raises ``rate.UsageError``;
-``main`` maps exceptions to exit codes in one place.  The library caps k and
-the ``privacy-exact`` table; the CLI caps ``--k-max``.
+lists with ``wire.split_decimals``, which holds each field to the same 640
+digits, echoes a refused flag through ``field.quote``, and leaves every
+check of the request to the library: a refusal is a usage error when it
+raises ``rate.UsageError``; ``main`` maps exceptions to exit codes in one
+place.  The library caps k, the ``privacy-exact`` table and the widest
+code (``simulate`` asks ``rate.require_code_fits`` of the plan before it
+opens the database); the CLI caps ``--k-max``.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import time
 from functools import cache
 
 from . import wire
+from .field import quote
 from .oracle import is_feasible_plan, search_sweep
 from .privacy import monte_carlo_tvd, posterior, posterior_table_size
 from .rate import ProblemParams, UsageError, compute_plan, require_code_fits
@@ -45,18 +49,16 @@ def _decimal(text: str) -> int:
     """A canonical decimal integer of at most 640 digits: no sign, spaces, ``_`` or leading zeros."""
     if _DECIMAL.fullmatch(text):
         return int(text)
-    raise argparse.ArgumentTypeError(f"expected a decimal integer, got {wire.quote(text)}")
+    raise argparse.ArgumentTypeError(f"expected a decimal integer, got {quote(text)}")
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
     """Comma-separated canonical decimals of at most 640 digits, at least one; ``DemandSpec`` refuses repeats."""
     try:
-        indices = tuple(wire.split_decimals(text, ","))
-        if max(indices) < 10**640:  # json reads a longer field where int's digit limit allows
-            return indices
+        indices, _ = wire.split_decimals(text, ",")
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {wire.quote(text)}")
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {quote(text)}") from None
+    return tuple(indices)
 
 
 def _add_instance_flags(sub):
@@ -115,7 +117,8 @@ def _cmd_rate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     params = ProblemParams(args.k, args.m, args.n)
-    require_code_fits(compute_plan(params))  # before reading a database this round could not code
+    plan = compute_plan(params)
+    require_code_fits(plan.rows, plan.size_profile)  # before reading a database this round could not code
     try:
         # newline="" hands read_db the file's own line ends, so it refuses \r.
         with open(args.db, encoding="ascii", newline="") as fh:

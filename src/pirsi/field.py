@@ -26,20 +26,29 @@ MR_BOUND = 3317044064679887385961981
 QUOTE_CAP = 64
 
 
-def quote_number(value) -> str:
-    """``repr(value)``, an ``int``'s digits cut after ``QUOTE_CAP`` and marked "…" where cut.
+def quote(value) -> str:
+    """How a refusal echoes ``value``: at most ``QUOTE_CAP`` digits or characters, marked "…" where cut.
 
-    Only the leading digits of a longer int are converted, so a number of
-    any size prints, whatever int's digit limit allows.
+    An ``int`` keeps its first ``QUOTE_CAP`` digits, and only those are
+    converted, so a number of any size prints, whatever int's digit limit
+    allows.  A ``str`` is cut before its repr, so its quotes stay; any
+    other value's repr is cut after ``QUOTE_CAP`` characters.
 
-    >>> quote_number(-12), quote_number(True), quote_number(10**64 + 5)
+    >>> quote(-12), quote(True), quote(10**64 + 5)
     ('-12', 'True', '1000000000000000000000000000000000000000000000000000000000000000…')
+    >>> quote("ab"), quote(None), len(quote("9" * 100_000)), len(quote([0] * 50_000))
+    ("'ab'", 'None', 67, 65)
     """
-    if type(value) is not int or -(10**QUOTE_CAP) < value < 10**QUOTE_CAP:
-        return repr(value)
-    size = abs(value)
-    lead = size // 10 ** (int(log10(size)) - QUOTE_CAP)  # QUOTE_CAP + 1 digits, give or take one
-    return f"{'-' * (value < 0)}{str(lead)[:QUOTE_CAP]}…"
+    if type(value) is int:
+        if -(10**QUOTE_CAP) < value < 10**QUOTE_CAP:
+            return repr(value)
+        size = abs(value)
+        lead = size // 10 ** (int(log10(size)) - QUOTE_CAP)  # QUOTE_CAP + 1 digits, give or take one
+        return f"{'-' * (value < 0)}{str(lead)[:QUOTE_CAP]}…"
+    if isinstance(value, str):
+        return f"{repr(value[:QUOTE_CAP])}…" if len(value) > QUOTE_CAP else repr(value)
+    text = repr(value)
+    return f"{text[:QUOTE_CAP]}…" if len(text) > QUOTE_CAP else text
 
 
 def is_prime(n: int) -> bool:
@@ -51,9 +60,9 @@ def is_prime(n: int) -> bool:
     all.  Both checks run on every call, before the memoised test is asked.
     """
     if type(n) is not int:
-        raise ValueError(f"modulus must be an int, got {n!r}")
+        raise ValueError(f"modulus must be an int, got {quote(n)}")
     if n >= MR_BOUND:
-        raise ValueError(f"primality is only proven below {MR_BOUND}, got {quote_number(n)}")
+        raise ValueError(f"primality is only proven below {MR_BOUND}, got {quote(n)}")
     return _miller_rabin(n)
 
 
@@ -119,5 +128,5 @@ class PrimeField(record("PrimeField", "p")):
             set(map(type, values)) != {int} or min(values) < 0 or max(values) >= self.p
         ):
             bad = next(v for v in values if type(v) is not int or not 0 <= v < self.p)
-            raise ValueError(f"field value {quote_number(bad)} is not an int in [0, {self.p})")
+            raise ValueError(f"field value {quote(bad)} is not an int in [0, {self.p})")
         return values

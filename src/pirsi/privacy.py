@@ -62,6 +62,7 @@ from math import ceil, comb, inf, sqrt
 from statistics import NormalDist
 
 from . import scheme
+from .field import quote
 from .rate import ProblemParams, RatePlan, UsageError, compute_plan, require_admissible
 from .scheme import DemandSpec, Layout
 
@@ -174,7 +175,7 @@ def monte_carlo_tvd(
     every demand set.
     """
     if type(trials) is not int:
-        raise UsageError(f"trials must be an int, got {trials!r}")
+        raise UsageError(f"trials must be an int, got {quote(trials)}")
     if trials < 1:
         raise UsageError("trials must be positive")
     demand_sets = []

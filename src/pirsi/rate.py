@@ -20,16 +20,20 @@ coded symbols.  The minimum download ``r_star`` is read off the profile
 paper's closed-form expression for it is checked against the profile in
 the tests.  ``admits_every_demand_set`` decides whether a profile can
 serve, and so hide, every demand set; ``require_admissible`` refuses a
-plan that cannot.  ``ProblemParams`` refuses k above ``INSTANCE_K_CAP``, and
-``require_code_fits`` a plan whose widest code is over ``CODE_ENTRIES_CAP``.
+plan that cannot.  ``ProblemParams`` refuses k above ``INSTANCE_K_CAP``.
+``require_code_fits`` is the one rule over block shapes: it refuses any
+whose widest r x s code is over ``CODE_ENTRIES_CAP``, the client's plan
+(r read off ``RatePlan.rows``, the one place r = size - quota is taken)
+and the server's parsed query alike.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
-from .field import quote_number, record
+from .field import quote, record
 
 INSTANCE_K_CAP = 1_000_000  # the plan alone holds a profile about k / (m_bar + n) long
 # The widest block's r x s code a round may build (``require_code_fits``).  Both
@@ -57,19 +61,19 @@ class ProblemParams(record("ProblemParams", "k m n")):
         # Exactly int, as DemandSpec asks of indices: True and 13.0 are refused.
         if not type(k) is type(m) is type(n) is int:
             name, value = next(p for p in zip(cls._fields, (k, m, n)) if type(p[1]) is not int)
-            raise UsageError(f"{name} must be an int, got {value!r}")
+            raise UsageError(f"{name} must be an int, got {quote(value)}")
         if k > INSTANCE_K_CAP:
-            raise UsageError(f"k must be at most {INSTANCE_K_CAP}, got {quote_number(k)}")
+            raise UsageError(f"k must be at most {INSTANCE_K_CAP}, got {quote(k)}")
         if k < 1:
-            raise UsageError(f"k must be positive, got {quote_number(k)}")
+            raise UsageError(f"k must be positive, got {quote(k)}")
         if n < 1:
-            raise UsageError(f"n must be positive, got {quote_number(n)}")
+            raise UsageError(f"n must be positive, got {quote(n)}")
         if m < 0:
-            raise UsageError(f"m must be nonnegative, got {quote_number(m)}")
+            raise UsageError(f"m must be nonnegative, got {quote(m)}")
         if n + m > k:
             raise UsageError(
                 "demands plus side information exceed database: "
-                f"n={quote_number(n)}, m={quote_number(m)}, k={k}"
+                f"n={quote(n)}, m={quote(m)}, k={k}"
             )
         return tuple.__new__(cls, (k, m, n))
 
@@ -90,6 +94,11 @@ class RatePlan(namedtuple("RatePlan", "m_bar t size_profile side_profile trivial
     def l_star(self) -> int:
         """The number of subspaces."""
         return len(self.size_profile)
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """Each subspace's coded row count r = size - quota, in transmission order."""
+        return tuple(map(operator.sub, self.size_profile, self.side_profile))
 
     @property
     def r_star(self) -> int:
@@ -135,13 +144,15 @@ def require_admissible(params: ProblemParams, plan: RatePlan) -> None:
         )
 
 
-def require_code_fits(plan: RatePlan) -> None:
+def require_code_fits(rows: Iterable[int], sizes: Iterable[int]) -> None:
     """Raise UsageError unless the widest block's code, r * s entries, is within ``CODE_ENTRIES_CAP``.
 
-    A block of size s with quota q is coded with r = s - q rows, so the
-    bound is read off the plan alone, before any database is read.
+    ``rows`` and ``sizes`` give each block's r and s.  The client asks it of
+    a plan's ``rows`` and ``size_profile``, before any database is read;
+    the server of the shapes a query document names, before any code is
+    built.
     """
-    widest = max((size - quota) * size for size, quota in zip(plan.size_profile, plan.side_profile))
+    widest = max(map(operator.mul, rows, sizes))
     if widest > CODE_ENTRIES_CAP:
         raise UsageError(
             f"the widest block's code has r * s = {widest} entries, "

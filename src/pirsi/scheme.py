@@ -42,13 +42,14 @@ plan.
 Each condition is checked once, where it enters.  A ``Layout`` does not
 re-check the partition ``draw_layout`` drew, and ``mds`` does not re-check
 the block shapes and column positions this module hands it: ``make_query``
-refuses a field too small for the widest block and sets r = size - quota,
+reads r off ``RatePlan.rows`` and refuses a code over the cap
+(``rate.require_code_fits``) or a field too small for the widest block,
 ``client_decode`` passes positions it enumerated from the block's own
-support, and a query that arrives as bytes is held to the same shapes by
-``wire.parse_query_bytes``.  An index outside 1..k is refused by
-``require_indices`` alone, wherever it arrives: a client's spec
-(``DemandSpec.validate_against``), a database lookup, or a query block the
-server reads through ``Database.gather``.
+support, and a query that arrives as bytes is held to the same shapes and
+the same cap by ``wire.parse_query_bytes``.  An index outside 1..k is
+refused by ``require_indices`` alone, wherever it arrives: a client's
+spec (``DemandSpec.validate_against``), a database lookup, or a query
+block the server reads through ``Database.gather``.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, compress
 
 from . import mds
-from .field import PrimeField, quote_number, record
+from .field import PrimeField, quote, record
 from .rate import (
     ProblemParams,
     RatePlan,
@@ -90,7 +91,7 @@ class DemandSpec(record("DemandSpec", "demands side side_values")):
         # Exactly int, as PrimeField.check asks of values: True and 5.0 are refused.
         if {*map(type, demands), *map(type, side)} - {int}:
             bad = next(idx for idx in (*demands, *side) if type(idx) is not int)
-            raise UsageError(f"index {bad!r} is not an int")
+            raise UsageError(f"index {quote(bad)} is not an int")
         wanted, held = frozenset(demands), frozenset(side)
         if len(wanted) != len(demands):
             raise UsageError("duplicate demand indices")
@@ -151,7 +152,7 @@ def require_indices(indices: Sequence[int], k: int) -> None:
     """Raise UsageError naming the first index outside 1..k, in the order given."""
     if indices and not (min(indices) >= 1 and max(indices) <= k):
         bad = next(idx for idx in indices if not 1 <= idx <= k)
-        raise UsageError(f"index {quote_number(bad)} outside 1..{k}")
+        raise UsageError(f"index {quote(bad)} outside 1..{k}")
 
 
 class Database(record("Database", "values field")):
@@ -282,25 +283,22 @@ def draw_layout(
 def make_query(layout: Layout, field: PrimeField) -> Query:
     """Vandermonde query blocks for every subspace, demand-free by design.
 
-    Block i requests the first size_i - quota_i Vandermonde rows over its
-    subspace.  The coefficients depend only on the block shape and the
-    field, never on the demands, so the query reveals nothing beyond the
-    layout itself.  Refuses, as UsageError, a plan whose widest code is over
+    Block i requests the first r_i = size_i - quota_i Vandermonde rows over
+    its subspace, r_i read off ``RatePlan.rows``.  The coefficients depend
+    only on the block shape and the field, never on the demands, so the
+    query reveals nothing beyond the layout itself.  Refuses, as UsageError, a plan whose widest code is over
     ``rate.CODE_ENTRIES_CAP``, and, as ValueError, a field too small for
     the widest block.
     """
     plan = layout.plan
-    require_code_fits(plan)
+    rows = plan.rows
+    require_code_fits(rows, plan.size_profile)
     biggest = max(plan.size_profile)
     if field.p <= biggest:
         raise ValueError(
             f"field too small: subspace of size {biggest} needs p > {biggest}, got {field.p}"
         )
-    blocks = tuple(
-        (block, size - quota)
-        for block, size, quota in zip(layout.subspaces, plan.size_profile, plan.side_profile)
-    )
-    return Query(blocks, field)
+    return Query(tuple(zip(layout.subspaces, rows)), field)
 
 
 def server_answer(query: Query, db: Database) -> tuple[tuple[int, ...], ...]:

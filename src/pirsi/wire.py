@@ -12,16 +12,21 @@ that cross to the server role or back are read in one byte form only,
 the one ``canonical`` writes: a regex matches the whole document, and a
 query's labels must also be canonical base64.  The labels make every
 query a partition of 1..k by construction.  Any other bytes raise
-ValueError.  A number read anywhere, a database line or a CLI flag too, is
-a canonical decimal of at most 640 digits (``DECIMAL``); p and k need 25.
+ValueError, and so does a query whose widest block's code is over
+``rate.CODE_ENTRIES_CAP``: the server holds the shapes it parsed to the
+rule the client's plan meets (``rate.require_code_fits``), before it
+builds any code.  A number read anywhere, a database line or a CLI flag
+too, is a canonical decimal of at most 640 digits (``DECIMAL``); p and k
+need 25.  A refusal echoes what it refuses through ``field.quote``.
 
 A database file is a header line, then one canonical decimal a line.
 ``read_db`` counts the lines and reads the values with ``split_decimals``,
 the one reader of a decimal list: it proves the body is digits and line
 ends, then one ``json.loads`` converts it, with no string per line and
-no backtracking regex.  The CLI's index lists take the same route with
-commas.  Only a refused list is split into fields, to name the first
-field at fault.
+no backtracking regex, and the values' ``max``, which it returns, holds
+them to ``DECIMAL``'s 640 digits.  The CLI's index lists take the same
+route with commas.  Only a refused list is split into fields, to name
+the first field at fault.
 
 The client/server split is realised as two roles exchanging these
 documents as bytes: the server role reads a query document and writes an
@@ -43,9 +48,9 @@ from fractions import Fraction
 from itertools import chain, combinations
 from math import inf
 
-from .field import QUOTE_CAP, PrimeField, quote_number
+from .field import QUOTE_CAP, PrimeField, quote
 from .privacy import PosteriorReport, TvdReport
-from .rate import ProblemParams, RatePlan, UsageError
+from .rate import ProblemParams, RatePlan, UsageError, require_code_fits
 from .scheme import (
     Database,
     DemandSpec,
@@ -86,11 +91,6 @@ def canonical(doc) -> str:
 
 def frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
-
-
-def quote(text: str) -> str:
-    """``repr(text)``, cut after ``QUOTE_CAP`` characters and marked "…" where cut."""
-    return f"{text[:QUOTE_CAP]!r}…" if len(text) > QUOTE_CAP else repr(text)
 
 
 def _not_ascii(what: str, err: UnicodeDecodeError) -> ValueError:
@@ -168,7 +168,9 @@ def parse_query_bytes(data: bytes) -> Query:
     whole number of ``label_width(len(rows))``-byte labels, each naming a
     block.  One pass puts each index in its block, so the supports come out
     sorted, disjoint and covering 1..k, where k is the label count; each
-    block must then have 1 <= r <= len(support) <= p - 1.  A label count
+    block must then have 1 <= r <= len(support) <= p - 1, and the widest
+    block's code r * s entries within the cap (``rate.require_code_fits``,
+    a UsageError), so no code is built for a query over it.  A label count
     other than the database's is refused by the server (``server_answer``).
     """
     match = _QUERY.fullmatch(data)
@@ -199,9 +201,10 @@ def parse_query_bytes(data: bytes) -> Query:
     for support, r in zip(supports, rows):
         if not 1 <= r <= len(support) <= field.p - 1:
             raise ValueError(
-                f"need 1 <= r <= len(support) <= p - 1, got r={quote_number(r)}, "
+                f"need 1 <= r <= len(support) <= p - 1, got r={quote(r)}, "
                 f"len(support)={len(support)}, p={field.p}"
             )
+    require_code_fits(rows, map(len, supports))
     return Query(tuple(zip(map(tuple, supports), rows)), field)
 
 
@@ -313,31 +316,33 @@ def write_db(stream, db: Database) -> None:
         stream.write(f"{value}\n")
 
 
-def split_decimals(text: str, sep: str) -> list[int]:
-    """``text`` split at ``sep`` as ints, if every field is a canonical decimal; else ValueError.
+def split_decimals(text: str, sep: str) -> tuple[list[int], int]:
+    """``text`` split at ``sep`` as ints, and their max, if every field is a ``DECIMAL``; else ValueError.
 
-    Two C-level passes and no per-field strings: the ASCII text must hold
-    only digits and ``sep``, and ``json.loads`` must accept it as an array
-    once each ``sep`` is read as a comma.  JSON refuses an empty entry and
-    a leading zero, so together they accept one canonical decimal a field;
-    one past ``DECIMAL``'s 640 digits is read as far as ``int``'s limit
-    allows, for the caller to refuse.  A refused text is split once, and the
-    error names the first field, counted from 1, that ``DECIMAL`` does not
-    match (an empty ``text`` is one empty field).
+    Three C-level passes and no per-field strings: the ASCII text must hold
+    only digits and ``sep``, ``json.loads`` must accept it as an array
+    once each ``sep`` is read as a comma, and the values' max must be
+    below 10**640.  JSON refuses an empty entry and a leading zero, and the
+    max a field past ``DECIMAL``'s 640 digits that int's digit limit lets
+    json read, so together they accept one canonical decimal a field, under
+    any limit.  A refused text is split once, and the error names the first
+    field, counted from 1, that ``DECIMAL`` does not match (an empty
+    ``text`` is one empty field).
     """
     allowed = _DIGITS + sep.encode("ascii")
     if text and text.isascii() and not text.encode("ascii").translate(None, allowed):
         try:
-            return json.loads(f"[{text.replace(sep, ',')}]")
+            values = json.loads(f"[{text.replace(sep, ',')}]")
         except ValueError:  # not JSON, or a field past int's digit limit and so past DECIMAL
             pass
-    raise _not_canonical(text.split(sep))
-
-
-def _not_canonical(fields: list[str]) -> ValueError:
-    """The refusal naming the first of ``fields``, counted from 1, that ``DECIMAL`` does not match."""
+        else:
+            top = max(values)
+            if top < 10**640:
+                return values, top
+            del values  # freed before the split: at 10^6 lines the two peaked at 127 MB
+    fields = text.split(sep)
     at = next(i for i, field in enumerate(fields) if _DECIMAL.fullmatch(field) is None)
-    return ValueError(f"value {at + 1} is not a canonical decimal: {quote(fields[at])}")
+    raise ValueError(f"value {at + 1} is not a canonical decimal: {quote(fields[at])}")
 
 
 def read_db(stream) -> Database:
@@ -348,7 +353,7 @@ def read_db(stream) -> Database:
     per line, with k >= 1 values in [0, p) and nothing after the k-th.  The
     stream is read in one call, so a byte that an ASCII stream cannot decode
     is named with its offset in the file.  The lines are counted, not split,
-    and the values read by ``split_decimals`` and one ``max``.  Faults are
+    and the values and their max read by ``split_decimals``.  Faults are
     named in this order: bytes that are not ASCII, the header, too few or
     too many lines, then the first line that is not such a decimal, then the
     first value not below p, in the field's words.  Each check is made here,
@@ -368,16 +373,14 @@ def read_db(stream) -> Database:
     # One line per "\n", and one more for an unterminated last line.
     count = body.count("\n") + (body[-1:] not in ("", "\n"))
     if count < k:
-        raise ValueError(f"database ends after {count} of {quote_number(k)} values")
+        raise ValueError(f"database ends after {count} of {quote(k)} values")
     if count > k:
         raise ValueError(f"database has data after its {k} values")
     try:
-        values = split_decimals(body[:-1] if body[-1:] == "\n" else body, "\n")
+        values, top = split_decimals(body[:-1] if body[-1:] == "\n" else body, "\n")
     except ValueError as err:  # worded for the file: "database value N ..."
         raise ValueError(f"database {err}") from None
-    if max(values) >= field.p:
-        if max(values) >= 10**640:  # a line past DECIMAL, read by json as int's digit limit allows
-            raise ValueError(f"database {_not_canonical(body.splitlines())}")
+    if top >= field.p:
         field.check(values)  # raises, naming the first value at fault
     # tuple.__new__: Database.__new__ would check the values a second time.
     return tuple.__new__(Database, (tuple(values), field))

@@ -17,6 +17,10 @@ well-formed call.  Two arguments are duck-typed on purpose, and no row
 refuses them: the generator, of which the sampler asks only
 ``randrange`` and ``shuffle`` (``tests/oracles._Script`` has only those),
 and ``read_db``'s stream, which is any text stream.
+
+A refusal echoes what it refuses through ``field.quote``: each
+int-typed parameter given a 100,000-character str or a 50,000-element
+list is refused in at most 200 characters (``ECHOES``).
 """
 
 import base64
@@ -73,6 +77,11 @@ def short_last_label():
     raw = (256).to_bytes(2, "big") + b"".join(u.to_bytes(2, "big") for u in range(1, 256)) + b"\0"
     rows = ",".join(["1"] * 257)
     return f'{{"labels":"{base64.b64encode(raw).decode()}","p":13,"rows":[{rows}],"version":3}}'.encode()
+
+
+# One block of 2,049 labels coded with 2,049 rows: r * s = 4,198,401, over the code cap of 2^22.
+OVER_CAP = f'{{"labels":"{base64.b64encode(bytes(2049)).decode()}","p":2147483647,"rows":[2049],"version":3}}'.encode()
+DB_2049 = Database(range(2049), PrimeField(2**31 - 1))
 
 
 def spec(demands, side=SIDE, values=None):
@@ -165,6 +174,7 @@ ROWS = {
         "r past its support": (QUERY.replace(b'"rows":[2,', b'"rows":[6,'),),
         "another version": (QUERY.replace(b'"version":3', b'"version":2'),),
         "a short last label": (short_last_label(),),
+        "code over the cap": (OVER_CAP,),
     }),
     "parse_answer_bytes": Row((ANSWER, GF13), {
         "str": (ANSWER.decode("ascii"), GF13),
@@ -180,6 +190,7 @@ ROWS = {
         "database of k - 1": (QUERY, Database(range(12), GF13)),
         "database of k + 1": (QUERY, Database([0] * 14, GF13)),
         "r = 0": (QUERY.replace(b'"rows":[2,', b'"rows":[0,'), DB),
+        "code over the cap": (OVER_CAP, DB_2049),
     }),
 }
 
@@ -212,3 +223,29 @@ def test_the_well_formed_call_succeeds(name):
 def test_the_malformed_input_is_refused(name, args):
     with pytest.raises((ValueError, TypeError)):
         getattr(pirsi, name)(*args)
+
+
+# A 100,000-character str and a 50,000-element list, where an int is expected.
+LONG = {"str": "9" * 100_000, "list": [0] * 50_000}
+# Each int-typed parameter of a checking export, as a call on one long value.
+ECHOES = {
+    "ProblemParams.k": lambda v: ProblemParams(v, 0, 1),
+    "ProblemParams.m": lambda v: ProblemParams(13, v, 1),
+    "ProblemParams.n": lambda v: ProblemParams(13, 0, v),
+    "is_prime": pirsi.is_prime,
+    "DemandSpec.demands": lambda v: DemandSpec((v, 5), SIDE),
+    "DemandSpec.side": lambda v: DemandSpec((2, 5), (1, v)),
+    "monte_carlo_tvd.trials": lambda v: pirsi.monte_carlo_tvd(PARAMS, (2, 5), (1, 3), v, rng()),
+    "PrimeField.check": lambda v: GF13.check((1, v)),
+    "Database.values": lambda v: Database((1, v), GF13),
+}
+
+
+@pytest.mark.parametrize("kind", LONG)
+@pytest.mark.parametrize("call", ECHOES)
+def test_a_refusal_echoes_a_long_value_cut(call, kind):
+    # Every refusal echoes what it refuses through field.quote, so its text
+    # stays short however long the value is.
+    with pytest.raises(ValueError) as refused:
+        ECHOES[call](LONG[kind])
+    assert len(str(refused.value)) <= 200

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from pirsi import Database, PrimeField, is_prime
-from pirsi.field import MR_BOUND, QUOTE_CAP, _miller_rabin, quote_number
+from pirsi.field import MR_BOUND, QUOTE_CAP, _miller_rabin, quote
 
 
 def test_canonical_representatives():
@@ -87,10 +87,22 @@ def test_refusals_echo_at_most_64_digits_of_a_number():
         for n in (10 ** (digits - 1), 10**digits - 1, rng.randrange(10 ** (digits - 1), 10**digits)):
             text = str(n)
             want = text if digits <= 64 else f"{text[:64]}…"
-            assert (quote_number(n), quote_number(-n)) == (want, f"-{want}"), n
+            assert (quote(n), quote(-n)) == (want, f"-{want}"), n
     for n, want in ((10**5000 - 1, "9" * 64), (7 * 10**5000, "7" + "0" * 63), (2**20000 + 1, "39802768")):
-        assert quote_number(n).startswith(want) and len(quote_number(n)) == 65
-    assert [quote_number(v) for v in (2.0, True, "3", None)] == ["2.0", "True", "'3'", "None"]
+        assert quote(n).startswith(want) and len(quote(n)) == 65
+    assert [quote(v) for v in (2.0, True, "3", None)] == ["2.0", "True", "'3'", "None"]
+
+
+def test_refusals_echo_at_most_64_characters_of_any_other_value():
+    # A str is cut before its repr, so its quotes stay; any other value's
+    # repr is cut after QUOTE_CAP characters.  Each is marked where cut.
+    assert quote("9" * 64) == repr("9" * 64)
+    assert quote("9" * 100_000) == repr("9" * 64) + "…"
+    assert quote("\n" * 65) == repr("\n" * 64) + "…"
+    text = repr([0] * 50_000)
+    assert quote([0] * 50_000) == text[:64] + "…"
+    assert quote(b"a" * 61) == repr(b"a" * 61) and len(repr(b"a" * 61)) == 64
+    assert quote(b"a" * 62) == repr(b"a" * 62)[:64] + "…"
     huge = 10**5000
     for refuse, message in (
         (lambda: is_prime(huge), f"primality is only proven below {MR_BOUND}, got 1{'0' * 63}…"),

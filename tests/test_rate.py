@@ -21,6 +21,7 @@ def test_worked_example_plan():
     assert plan.size_profile == (5, 4, 4)
     assert plan.side_profile == (3, 2, 2)
     assert plan.r_star == 6
+    assert plan.rows == (2, 2, 2)  # each block's r = size - quota, summing to r_star
     assert not plan.trivial
 
 
@@ -123,10 +124,15 @@ def test_code_cap_is_inclusive():
     # (2048, 0, 46) is one block coded with 2048 rows, r * s = 2^22: the cap
     # itself, which fits; (2049, 0, 46) is one entry-row over it.
     assert CODE_ENTRIES_CAP == 2048 * 2048
-    require_code_fits(plan_of(2048, 0, 46))
+    at_cap, over = plan_of(2048, 0, 46), plan_of(2049, 0, 46)
+    require_code_fits(at_cap.rows, at_cap.size_profile)
     message = f"the widest block's code has r * s = 4198401 entries, over the cap of {CODE_ENTRIES_CAP} one round may build"
     with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
-        require_code_fits(plan_of(2049, 0, 46))
+        require_code_fits(over.rows, over.size_profile)
+    # The rule is over block shapes, the widest of them, whoever names them.
+    require_code_fits((2048, 1, 3), (2048, 2, 3))
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        require_code_fits((1, 2049, 3), (2, 2049, 3))
 
 
 def test_plan_invariants_sweep():

@@ -6,6 +6,7 @@ import copy
 import io
 import json
 import random
+import re
 import sys
 from itertools import product
 
@@ -23,7 +24,7 @@ from pirsi import (
     serve_query_bytes,
     simulate_round,
 )
-from pirsi import wire
+from pirsi import mds, wire
 from pirsi.cli import _parse_indices
 from pirsi.field import MR_BOUND
 from pirsi.scheme import make_query
@@ -222,6 +223,29 @@ def test_serve_query_bytes_refuses_a_label_count_other_than_k(worked_query_doc, 
     _labels(lambda raw: raw + b"\0")(more)
     with pytest.raises(UsageError, match=r"^index 14 outside 1\.\.13$"):
         serve(more, worked_db)
+
+
+def test_serve_query_bytes_refuses_a_code_over_the_cap_before_building_it():
+    # One block of 2,049 labels with r = 2,049, 2,786 bytes: r * s = 4,198,401,
+    # over 2^22.  The parser holds the shapes it read to the rule the
+    # client's plan meets, so the server builds no code for it.
+    p = 2**31 - 1
+    over = reference_query_bytes((range(1, 2050),), (2049,), p)
+    assert len(over) == 2786
+    db = Database(range(2049), PrimeField(p))
+    misses = mds._packed_columns.cache_info().misses
+    message = "the widest block's code has r * s = 4198401 entries, over the cap of 4194304 one round may build"
+    for refuse in (wire.parse_query_bytes, lambda data: serve_query_bytes(data, db)):
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            refuse(over)
+    assert mds._packed_columns.cache_info().misses == misses
+    # The cap itself, 2,048 x 2,048, parses; so does a narrower block
+    # beside it, and a wider one is refused by its own shape.
+    at_cap = reference_query_bytes((range(1, 2049),), (2048,), p)
+    assert wire.parse_query_bytes(at_cap).blocks[0][1] == 2048
+    two = reference_query_bytes((range(1, 4), range(4, 2053)), (3, 2049), p)
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        wire.parse_query_bytes(two)
 
 
 def test_serve_query_bytes_names_the_version_it_refuses(worked_db):
