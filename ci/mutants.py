@@ -21,7 +21,7 @@ occurs exactly once (a catalogue that has drifted from the code fails)
 and that the unmutated tree passes both passes.  It exits 0 when every
 mutant is killed or is a surviving equivalent, and 1 otherwise.  CI runs
 it as a step of its own, about five minutes on a 2-vCPU host with Python
-3.11.7:
+3.11.7 (98 mutants, 239–281 s):
 
     python ci/mutants.py
 """
@@ -177,6 +177,8 @@ CATALOGUE = [
            "quote echoes the whole text: a megabyte flag or line is printed whole"),
     Mutant("field.py", 'return f"{text[:QUOTE_CAP]}…" if len(text) > QUOTE_CAP else text', "return text",
            "quote returns a non-int's repr whole: a 50,000-element list is echoed whole"),
+    Mutant("field.py", "    try:\n        text = repr(value)\n    except ValueError:", "    text = repr(value)\n    if False:",
+           "quote builds a repr past int's digit limit: [10**5000] raises int's ValueError, not the refusal"),
     Mutant("field.py", "37, 41)", "37)",
            "Miller-Rabin without the 13th witness, which 318665857834031151167461 needs"),
     Mutant("field.py", "if not is_prime(p):", "if is_prime(p) is None:",
@@ -225,12 +227,18 @@ CATALOGUE = [
            "the brute-force walk refuses a quota equal to its part's cap"),
     Mutant("oracle.py", "range(caps[0], -1, -1)", "range(caps[0], 0, -1)",
            "the brute-force walk never tries quota 0"),
-    Mutant("oracle.py", "and sum(quotas[:n]) <= params.m", "and sum(quotas[-n:]) <= params.m",
+    Mutant("oracle.py", "and sum(quotas[:n]) <= m", "and sum(quotas[-n:]) <= m",
            "the plan check's window is the n smallest quotas, not the n largest"),
     Mutant("oracle.py", "and quotas[-1] >= 0", "and True",
            "the plan check passes a negative quota"),
-    Mutant("oracle.py", "map(operator.le, quotas, map(quota_cap", "map(operator.lt, quotas, map(quota_cap",
+    Mutant("oracle.py", "[q <= s - n or q == 0 for", "[q < s - n or q == 0 for",
            "the plan check refuses a quota equal to its block's cap"),
+    Mutant("oracle.py", "[q <= s - n or q == 0 for", "[q <= s - n for",
+           "the plan check's cap loses its q == 0 case: a block no larger than n is refused at quota 0"),
+    Mutant("oracle.py", "[q <= s - n or q == 0 for", "[q <= s - n + 1 or q == 0 for",
+           "the plan check's cap lets a quota take one of the demands' slots"),
+    Mutant("rate.py", "return max(size - n_demands, 0)", "return max(size - n_demands + 1, 0)",
+           "the admit rule's cap, quota_cap, lets a quota take one of the demands' slots"),
     Mutant("cli.py", 'write("".join(lines))', 'write("".join(lines[:-1]))',
            "oracle writes each (k, n) sweep's lines without the last one"),
     Mutant("cli.py", "    require_code_fits(plan.rows, plan.size_profile)", "    pass",

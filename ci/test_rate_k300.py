@@ -4,7 +4,7 @@ On every instance the paper's trivial-optimality condition must equal the
 plan's flag, and the paper's closed-form cost the plan's profile cost.
 Tier-1 runs the same loop up to k = 14.  This file sits outside the
 ``testpaths`` in ``pyproject.toml``, so a plain ``pytest`` does not collect
-it.  CI runs it as a step of its own, about 14 s on a 2-vCPU host with
+it.  CI runs it as a step of its own, about 10 s on a 2-vCPU host with
 Python 3.11.7:
 
     python -m pytest -q ci/test_rate_k300.py

@@ -7,8 +7,8 @@ k <= 80; Tier-1 runs the same comparison up to k = 40.  ``pirsi oracle
 a feasible plan on all 4,545,100 instances, and write a table of pinned
 length and SHA-256.  This file sits outside the
 ``testpaths`` in ``pyproject.toml``, so a plain ``pytest`` does not collect
-it.  CI runs it as a step of its own, about 60 s on a 2-vCPU host with
-Python 3.11.7 (30 s of it the memoised search):
+it.  CI runs it as a step of its own, 40–50 s on a 2-vCPU host with
+Python 3.11.7 (21–30 s of it the memoised search, 18 s the oracle):
 
     python -m pytest -q ci/test_search_sweep.py
 """

@@ -32,12 +32,16 @@ def quote(value) -> str:
     An ``int`` keeps its first ``QUOTE_CAP`` digits, and only those are
     converted, so a number of any size prints, whatever int's digit limit
     allows.  A ``str`` is cut before its repr, so its quotes stay; any
-    other value's repr is cut after ``QUOTE_CAP`` characters.
+    other value's repr is cut after ``QUOTE_CAP`` characters.  A repr that
+    int's digit limit refuses, such as that of ``[10**5000]``, is echoed as
+    the type name alone, so the refusal raised is the caller's, not int's.
 
     >>> quote(-12), quote(True), quote(10**64 + 5)
     ('-12', 'True', '1000000000000000000000000000000000000000000000000000000000000000…')
     >>> quote("ab"), quote(None), len(quote("9" * 100_000)), len(quote([0] * 50_000))
     ("'ab'", 'None', 67, 65)
+    >>> quote([10**5000]), quote((10**5000,))
+    ('<list>', '<tuple>')
     """
     if type(value) is int:
         if -(10**QUOTE_CAP) < value < 10**QUOTE_CAP:
@@ -47,7 +51,10 @@ def quote(value) -> str:
         return f"{'-' * (value < 0)}{str(lead)[:QUOTE_CAP]}…"
     if isinstance(value, str):
         return f"{repr(value[:QUOTE_CAP])}…" if len(value) > QUOTE_CAP else repr(value)
-    text = repr(value)
+    try:
+        text = repr(value)
+    except ValueError:  # an int inside it is past the digit limit: echo the type alone
+        return f"<{type(value).__name__}>"
     return f"{text[:QUOTE_CAP]}…" if len(text) > QUOTE_CAP else text
 
 

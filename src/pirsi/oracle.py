@@ -21,7 +21,14 @@ each quota is at most the subspace's size excess over the demand count
 serve demands, only the largest ``min(len(parts), n)`` quotas draw on the
 user's side information, so their sum (the vector's window sum) must not
 exceed ``m``.  :func:`is_feasible_plan` reads the cap and the window
-itself, so the sweep's check does not share the rule the program uses.
+itself, and calls nothing in :mod:`pirsi.rate`, so the sweep's check
+shares no code with the rule the program uses: it reads each quota ``q``
+of a block of size ``s`` as ``q <= s - n or q == 0``.  That is exactly
+``q <= quota_cap(s, n) = max(s - n, 0)`` for the quotas it reaches, which
+its order checks and ``quotas[-1] >= 0`` have shown to be at least 0:
+where ``s >= n`` the two read the same, and where ``s < n`` the cap is 0,
+which a quota of at least 0 meets iff it is 0.  ``quota_cap`` serves only
+the admit rule and the exhaustive walk.
 
 The search rests on three lemmas.  First, some optimal plan gives each
 positive quota ``q`` a part of size exactly ``q + n``.  Leftover size can
@@ -66,7 +73,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterator, Sequence
 from functools import cache
-from itertools import accumulate, combinations_with_replacement, repeat
+from itertools import accumulate, combinations_with_replacement
 
 from .rate import ProblemParams, quota_cap
 
@@ -78,20 +85,23 @@ def is_feasible_plan(params: ProblemParams, sizes: Sequence[int], quotas: Sequen
 
     That is: positive, non-increasing sizes summing to k; non-increasing
     quotas; and the cap and window of
-    :func:`pirsi.rate.admits_every_demand_set`, read here on their own, not
-    through that function: once the quotas are found in order, their last
-    is the smallest and their first n are the window.  A plan passing this
-    whose cost is the minimum is one of the minimum's canonical achievers.
+    :func:`pirsi.rate.admits_every_demand_set`, read here on their own, with
+    no call into :mod:`pirsi.rate`: once the quotas are found in order,
+    their last is the smallest and their first n are the window.  The cap
+    is read as ``q <= s - n or q == 0``, exact once ``quotas[-1] >= 0`` has
+    shown every quota to be at least 0: a block no larger than n has cap 0
+    (module docstring).  A plan passing this whose cost is the minimum is
+    one of the minimum's canonical achievers.
     """
-    if len(sizes) != len(quotas) or sum(sizes) != params.k or min(sizes) < 1:
+    k, m, n = params
+    if len(sizes) != len(quotas) or sum(sizes) != k or min(sizes) < 1:
         return False
-    n = params.n
     return (
         list(sizes) == sorted(sizes, reverse=True)
         and list(quotas) == sorted(quotas, reverse=True)
         and quotas[-1] >= 0
-        and all(map(operator.le, quotas, map(quota_cap, sizes, repeat(n))))
-        and sum(quotas[:n]) <= params.m
+        and all([q <= s - n or q == 0 for q, s in zip(quotas, sizes)])
+        and sum(quotas[:n]) <= m
     )
 
 

@@ -107,7 +107,11 @@ class RatePlan(namedtuple("RatePlan", "m_bar t size_profile side_profile trivial
 
 
 def quota_cap(size: int, n_demands: int) -> int:
-    """Most side-information messages a subspace of the given size can absorb."""
+    """Most side-information messages a subspace of the given size can absorb.
+
+    The admit rule and the exhaustive walk in :mod:`pirsi.oracle` read it;
+    the oracle's plan check reads the cap on its own.
+    """
     return max(size - n_demands, 0)
 
 
@@ -175,8 +179,11 @@ def compute_plan(params: ProblemParams) -> RatePlan:
     # Subspace count: ceil((k - t) / (m_bar + n)).
     l_formula = -(-(k - t) // (m_bar + n))
 
+    # tuple.__new__, as the validated records build theirs: RatePlan's
+    # generated __new__ is one more frame for each of the oracle sweep's
+    # millions of plans, and the fields here are right by construction.
     if l_formula <= n:
-        return RatePlan(m_bar, t, (k,), (m,), True)  # positional: keywords cost the oracle sweep
+        return tuple.__new__(RatePlan, (m_bar, t, (k,), (m,), True))
 
     last_size = k - (l_formula - 1) * (m_bar + n) - t
     sizes = (
@@ -190,4 +197,4 @@ def compute_plan(params: ProblemParams) -> RatePlan:
         + (max(last_size - n, 0),)
     )
     # The sizes sum to k, so the cost equals k - m exactly when the quotas sum to m.
-    return RatePlan(m_bar, t, sizes, side, sum(side) == m)
+    return tuple.__new__(RatePlan, (m_bar, t, sizes, side, sum(side) == m))

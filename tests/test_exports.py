@@ -19,8 +19,9 @@ refuses them: the generator, of which the sampler asks only
 and ``read_db``'s stream, which is any text stream.
 
 A refusal echoes what it refuses through ``field.quote``: each
-int-typed parameter given a 100,000-character str or a 50,000-element
-list is refused in at most 200 characters (``ECHOES``).
+int-typed parameter given a 100,000-character str, a 50,000-element
+list or a list holding an int past the digit limit is refused in at most
+200 characters, by its own refusal, which holds the echo (``ECHOES``).
 """
 
 import base64
@@ -40,7 +41,7 @@ from pirsi import (
     build_layout,
     simulate_round,
 )
-from pirsi.field import MR_BOUND
+from pirsi.field import MR_BOUND, quote
 
 # The names that check nothing, and why none needs to.
 UNCHECKED = {
@@ -225,8 +226,9 @@ def test_the_malformed_input_is_refused(name, args):
         getattr(pirsi, name)(*args)
 
 
-# A 100,000-character str and a 50,000-element list, where an int is expected.
-LONG = {"str": "9" * 100_000, "list": [0] * 50_000}
+# A 100,000-character str, a 50,000-element list and a list whose repr int's
+# digit limit refuses, where an int is expected.
+LONG = {"str": "9" * 100_000, "list": [0] * 50_000, "int-past-the-digit-limit": [10**5000]}
 # Each int-typed parameter of a checking export, as a call on one long value.
 ECHOES = {
     "ProblemParams.k": lambda v: ProblemParams(v, 0, 1),
@@ -245,7 +247,9 @@ ECHOES = {
 @pytest.mark.parametrize("call", ECHOES)
 def test_a_refusal_echoes_a_long_value_cut(call, kind):
     # Every refusal echoes what it refuses through field.quote, so its text
-    # stays short however long the value is.
+    # stays short however long the value is, and it is the call's own
+    # refusal: not int's, raised while the echo was built.
     with pytest.raises(ValueError) as refused:
         ECHOES[call](LONG[kind])
     assert len(str(refused.value)) <= 200
+    assert quote(LONG[kind]) in str(refused.value)

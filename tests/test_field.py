@@ -96,6 +96,8 @@ def test_refusals_echo_at_most_64_digits_of_a_number():
 def test_refusals_echo_at_most_64_characters_of_any_other_value():
     # A str is cut before its repr, so its quotes stay; any other value's
     # repr is cut after QUOTE_CAP characters.  Each is marked where cut.
+    # A repr that int's digit limit refuses, [10**5000]'s, is echoed as the
+    # type name, so the refusal raised is the caller's, not int's.
     assert quote("9" * 64) == repr("9" * 64)
     assert quote("9" * 100_000) == repr("9" * 64) + "…"
     assert quote("\n" * 65) == repr("\n" * 64) + "…"
@@ -104,7 +106,10 @@ def test_refusals_echo_at_most_64_characters_of_any_other_value():
     assert quote(b"a" * 61) == repr(b"a" * 61) and len(repr(b"a" * 61)) == 64
     assert quote(b"a" * 62) == repr(b"a" * 62)[:64] + "…"
     huge = 10**5000
+    assert (quote([huge]), quote((1, huge)), quote({huge})) == ("<list>", "<tuple>", "<set>")
     for refuse, message in (
+        (lambda: is_prime([huge]), "modulus must be an int, got <list>"),
+        (lambda: PrimeField(7).check([1, (huge,)]), "field value <tuple> is not an int in [0, 7)"),
         (lambda: is_prime(huge), f"primality is only proven below {MR_BOUND}, got 1{'0' * 63}…"),
         (lambda: PrimeField(7).check([1, huge]), f"field value 1{'0' * 63}… is not an int in [0, 7)"),
         (lambda: PrimeField(7).check([-huge]), f"field value -1{'0' * 63}… is not an int in [0, 7)"),

@@ -151,8 +151,10 @@ def test_admit_rule_and_plan_check_match_the_definition():
     # Every partition of k <= 8 into block sizes, every quota vector with
     # quotas in 0..size (unsorted and over the cap included) and every
     # (m, n): the admit rule holds iff every demand profile is served
-    # (least_budget), and the plan check, which reads the cap and the window
-    # on its own, is the order checks and the admit rule.  About 0.4 s.
+    # (least_budget), and the plan check iff the quotas are in order and
+    # every profile is served.  Each is held to the definition on its own,
+    # so each cap, rate.quota_cap and the plan check's own, is tested apart
+    # from the other.  About 0.4 s.
     cases = 0
     for k in range(1, 9):
         for sizes in _partitions(k, k):
@@ -162,12 +164,32 @@ def test_admit_rule_and_plan_check_match_the_definition():
                     need = least_budget(sizes, quotas, n)
                     for m in range(k - n + 1):
                         params = ProblemParams(k, m, n)
-                        admits = admits_every_demand_set(params, sizes, quotas)
+                        served = need is not None and need <= m
                         case = (k, m, n, sizes, quotas)
-                        assert admits == (need is not None and need <= m), case
-                        assert is_feasible_plan(params, sizes, quotas) == (ordered and admits), case
+                        assert admits_every_demand_set(params, sizes, quotas) == served, case
+                        assert is_feasible_plan(params, sizes, quotas) == (ordered and served), case
                         cases += 1
     assert cases == 86_230
+
+
+def test_plan_check_reads_no_cap_of_rates(monkeypatch):
+    # The plan check reads the cap as q <= s - n or q == 0 itself: with
+    # rate.quota_cap made to raise, it still passes each planned profile to
+    # k = 14 and refuses a quota over its cap, one block below n included.
+    def refuse(size, n_demands):
+        raise AssertionError("the plan check called quota_cap")
+
+    monkeypatch.setattr("pirsi.oracle.quota_cap", refuse)
+    for k in range(1, 15):
+        for n in range(1, k + 1):
+            for m in range(k - n + 1):
+                params = ProblemParams(k, m, n)
+                plan = compute_plan(params)
+                assert is_feasible_plan(params, plan.size_profile, plan.side_profile), (k, m, n)
+    params = ProblemParams(13, 5, 2)
+    assert is_feasible_plan(params, (5, 4, 2, 1, 1), (3, 2, 0, 0, 0))
+    assert not is_feasible_plan(params, (6, 4, 3), (3, 2, 2))  # 2 > cap 3 - 2
+    assert not is_feasible_plan(params, (11, 1, 1), (4, 1, 0))  # 1 > cap 0 of a block below n
 
 
 def test_sweep_matches_naive_assignments():

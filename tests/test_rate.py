@@ -5,7 +5,7 @@ import re
 import pytest
 
 from pirsi import ProblemParams, UsageError, compute_plan
-from pirsi.rate import CODE_ENTRIES_CAP, require_code_fits
+from pirsi.rate import CODE_ENTRIES_CAP, admits_every_demand_set, quota_cap, require_code_fits
 from oracles import closed_form_r_star, is_trivial_optimal
 
 
@@ -133,6 +133,17 @@ def test_code_cap_is_inclusive():
     require_code_fits((2048, 1, 3), (2048, 2, 3))
     with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
         require_code_fits((1, 2049, 3), (2, 2049, 3))
+
+
+def test_admit_rule_keeps_n_slots_of_each_block_for_demands():
+    # A block can hold n demands, so its quota cap is its size less n, and
+    # 0 for a block no larger than n.
+    assert [quota_cap(size, 2) for size in range(6)] == [0, 0, 0, 1, 2, 3]
+    params = ProblemParams(13, 5, 2)
+    assert admits_every_demand_set(params, (5, 4, 4), (3, 2, 2))
+    assert admits_every_demand_set(params, (5, 4, 2, 2), (3, 2, 0, 0))
+    assert not admits_every_demand_set(params, (6, 4, 3), (3, 2, 2))  # 2 > cap 3 - 2
+    assert not admits_every_demand_set(params, (11, 1, 1), (4, 0, 1))  # 1 > cap 0
 
 
 def test_plan_invariants_sweep():
