@@ -21,7 +21,7 @@ occurs exactly once (a catalogue that has drifted from the code fails)
 and that the unmutated tree passes both passes.  It exits 0 when every
 mutant is killed or is a surviving equivalent, and 1 otherwise.  CI runs
 it as a step of its own, about five minutes on a 2-vCPU host with Python
-3.11.7 (98 mutants, 239–281 s):
+3.11.7 (101 mutants, 239–281 s):
 
     python ci/mutants.py
 """
@@ -146,9 +146,11 @@ CATALOGUE = [
            "the transcript swaps its query and answer sections"),
     Mutant("wire.py", "if count > k:", "if count > k + 1:",
            "the database reader accepts one value after the k-th"),
-    Mutant("wire.py", 'count = body.count("\\n") + (body[-1:] not in ("", "\\n"))',
-           'count = body.count("\\n")',
-           "the database reader does not count an unterminated last line"),
+    Mutant("wire.py", """raise ValueError("database's last line does not end with a newline")""",
+           'body += "\\n"',
+           "the database reader accepts a last line without its newline again"),
+    Mutant("wire.py", 'if body and not body.endswith("\\n"):', 'if not body.endswith("\\n"):',
+           "a file with no line after its header is refused for its newline, not as short of values"),
     Mutant("wire.py", "if top >= field.p:", "if top > field.p:",
            "the database reader accepts a value equal to p"),
     Mutant("wire.py", 'allowed = _DIGITS + sep.encode("ascii")', "allowed = _DIGITS",
@@ -177,6 +179,8 @@ CATALOGUE = [
            "quote echoes the whole text: a megabyte flag or line is printed whole"),
     Mutant("field.py", 'return f"{text[:QUOTE_CAP]}…" if len(text) > QUOTE_CAP else text', "return text",
            "quote returns a non-int's repr whole: a 50,000-element list is echoed whole"),
+    Mutant("field.py", "value = value[:QUOTE_CAP + 1]", "value = value[:1]",
+           "quote cuts a long list or tuple to one element: its echo loses all but the first"),
     Mutant("field.py", "    try:\n        text = repr(value)\n    except ValueError:", "    text = repr(value)\n    if False:",
            "quote builds a repr past int's digit limit: [10**5000] raises int's ValueError, not the refusal"),
     Mutant("field.py", "37, 41)", "37)",
@@ -193,8 +197,10 @@ CATALOGUE = [
            "a database lookup reads the next message: off by one"),
     Mutant("scheme.py", "start += len(support)", "pass",
            "the server's one gather is split wrongly: every block encodes the first block's values"),
-    Mutant("privacy.py", "EXACT_SETS_CAP.bit_length()", "3",
+    Mutant("cli.py", "EXACT_SETS_CAP.bit_length()", "3",
            "posterior_table_size takes the binomial at 3, not at the cap's bit length"),
+    Mutant("privacy.py", "comb(params.k, params.n)", "comb(params.k, params.n - 1)",
+           "posterior certifies the prior 1 / C(k, n - 1), not 1 / C(k, n)"),
     Mutant("privacy.py", "spec.validate_against(ProblemParams(params.k, 0, params.n))", "pass",
            "monte_carlo_tvd samples demand sets outside 1..k or of the wrong size"),
     Mutant("privacy.py", "MIN_EXPECTED = 5", "MIN_EXPECTED = 1",
@@ -259,8 +265,8 @@ CATALOGUE = [
            "quote drops the sign of a long negative number"),
     Mutant("wire.py", "list(map(str, range(1, k + 1)))", "list(map(str, range(k)))",
            "posterior_doc's table keys count indices from 0"),
-    Mutant("wire.py", "dict.fromkeys(keys, prior)", "dict.fromkeys(keys, frac_str(report.max_deviation))",
-           "posterior_doc gives every demand set the deviation, 0/1, not the prior"),
+    Mutant("wire.py", "dict.fromkeys(keys, prior)", "dict.fromkeys(keys, frac_str(report.prior * 2))",
+           "posterior_doc gives every demand set twice the prior"),
     Mutant("wire.py", "labels = [-1] * (k + 1)", "labels = [0] * (k + 1)",
            "query_doc sends overlapping supports as another query: each gap reads as block 0"),
     Mutant("wire.py", "if raw is None or sum(map(sum, supports)) != k * (k + 1) // 2:", "if raw is None:",

@@ -14,9 +14,9 @@ lists with ``wire.split_decimals``, which holds each field to the same 640
 digits, echoes a refused flag through ``field.quote``, and leaves every
 check of the request to the library: a refusal is a usage error when it
 raises ``rate.UsageError``; ``main`` maps exceptions to exit codes in one
-place.  The library caps k, the ``privacy-exact`` table and the widest
-code (``simulate`` asks ``rate.require_code_fits`` of the plan before it
-opens the database); the CLI caps ``--k-max``.
+place.  The library caps k and the widest code (``simulate`` asks
+``rate.require_code_fits`` of the plan before it opens the database); the
+CLI caps what it prints: the ``privacy-exact`` table and ``--k-max``.
 """
 
 from __future__ import annotations
@@ -28,11 +28,12 @@ import re
 import sys
 import time
 from functools import cache
+from math import comb
 
 from . import wire
 from .field import quote
 from .oracle import is_feasible_plan, search_sweep
-from .privacy import monte_carlo_tvd, posterior, posterior_table_size
+from .privacy import monte_carlo_tvd, posterior
 from .rate import ProblemParams, UsageError, compute_plan, require_code_fits
 from .scheme import DemandSpec, build_layout
 
@@ -41,8 +42,26 @@ from .scheme import DemandSpec, build_layout
 # 3.11.7), about half of it in the plan check; the table is 103,555,199
 # bytes, written one (k, n) sweep at a time.
 ORACLE_K_CAP = 300
+EXACT_SETS_CAP = 20_000  # privacy-exact's table holds at most this many demand sets
+EXACT_INDICES_CAP = 1_000_000  # and this many indices in all
 
 _DECIMAL = re.compile(wire.DECIMAL)
+
+
+def posterior_table_size(params: ProblemParams) -> int:
+    """C(k, n), the size of ``privacy-exact``'s table; ``rate.UsageError`` over the caps.
+
+    With b the cap's bit length, C(k, i) >= C(2b, b) >= 2^b exceeds it for
+    i = min(n, k - n) > b, and so does C(k, b): no larger binomial is taken.
+    """
+    k, n = params.k, params.n
+    sets = comb(k, min(n, k - n, EXACT_SETS_CAP.bit_length()))
+    if sets > EXACT_SETS_CAP or sets * n > EXACT_INDICES_CAP:
+        raise UsageError(
+            f"exact mode prints all C({k},{n}) demand sets and is capped at {EXACT_SETS_CAP} "
+            f"sets and {EXACT_INDICES_CAP} printed indices; use privacy-mc for larger instances"
+        )
+    return sets
 
 
 def _decimal(text: str) -> int:

@@ -32,9 +32,12 @@ def quote(value) -> str:
     An ``int`` keeps its first ``QUOTE_CAP`` digits, and only those are
     converted, so a number of any size prints, whatever int's digit limit
     allows.  A ``str`` is cut before its repr, so its quotes stay; any
-    other value's repr is cut after ``QUOTE_CAP`` characters.  A repr that
-    int's digit limit refuses, such as that of ``[10**5000]``, is echoed as
-    the type name alone, so the refusal raised is the caller's, not int's.
+    other value's repr is cut after ``QUOTE_CAP`` characters.  A ``list`` or
+    ``tuple`` is cut to its first ``QUOTE_CAP + 1`` elements first, whose
+    repr is longer than ``QUOTE_CAP`` and begins as the whole one does, so
+    the work is bounded.  A repr that int's digit limit refuses, such as
+    that of ``[10**5000]``, is echoed as the type name alone, so the
+    refusal raised is the caller's, not int's.
 
     >>> quote(-12), quote(True), quote(10**64 + 5)
     ('-12', 'True', '1000000000000000000000000000000000000000000000000000000000000000…')
@@ -51,6 +54,8 @@ def quote(value) -> str:
         return f"{'-' * (value < 0)}{str(lead)[:QUOTE_CAP]}…"
     if isinstance(value, str):
         return f"{repr(value[:QUOTE_CAP])}…" if len(value) > QUOTE_CAP else repr(value)
+    if type(value) in (list, tuple) and len(value) > QUOTE_CAP:
+        value = value[:QUOTE_CAP + 1]
     try:
         text = repr(value)
     except ValueError:  # an int inside it is past the digit limit: echo the type alone

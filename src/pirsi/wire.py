@@ -19,14 +19,14 @@ builds any code.  A number read anywhere, a database line or a CLI flag
 too, is a canonical decimal of at most 640 digits (``DECIMAL``); p and k
 need 25.  A refusal echoes what it refuses through ``field.quote``.
 
-A database file is a header line, then one canonical decimal a line.
-``read_db`` counts the lines and reads the values with ``split_decimals``,
-the one reader of a decimal list: it proves the body is digits and line
-ends, then one ``json.loads`` converts it, with no string per line and
-no backtracking regex, and the values' ``max``, which it returns, holds
-them to ``DECIMAL``'s 640 digits.  The CLI's index lists take the same
-route with commas.  Only a refused list is split into fields, to name
-the first field at fault.
+A database file is a header line, then one canonical decimal a line, each
+line ended by "\n".  ``read_db`` counts the lines and reads the values with
+``split_decimals``, the one reader of a decimal list: it proves the body is
+digits and line ends, then one ``json.loads`` converts it, with no string
+per line and no backtracking regex, and the values' ``max``, which it
+returns, holds them to ``DECIMAL``'s 640 digits.  The CLI's index lists
+take the same route with commas.  Only a refused list is split into
+fields, to name the first field at fault.
 
 The client/server split is realised as two roles exchanging these
 documents as bytes: the server role reads a query document and writes an
@@ -294,7 +294,7 @@ def posterior_doc(report: PosteriorReport, layout: Layout) -> dict:
         "layout": {"subspaces": [list(block) for block in layout.subspaces]},
         "prior": prior,
         "posteriors": dict.fromkeys(keys, prior),
-        "max_deviation": frac_str(report.max_deviation),
+        "max_deviation": "0/1",  # every entry is the prior
         "uniform": report.uniform,
     }
 
@@ -350,14 +350,15 @@ def read_db(stream) -> Database:
 
     The header and every value must be canonical decimals of at most 640
     digits (no sign, no leading zeros, no spaces or underscores), one value
-    per line, with k >= 1 values in [0, p) and nothing after the k-th.  The
-    stream is read in one call, so a byte that an ASCII stream cannot decode
-    is named with its offset in the file.  The lines are counted, not split,
-    and the values and their max read by ``split_decimals``.  Faults are
-    named in this order: bytes that are not ASCII, the header, too few or
-    too many lines, then the first line that is not such a decimal, then the
-    first value not below p, in the field's words.  Each check is made here,
-    once, so the ``Database`` is built without repeating them.
+    per line ended by "\n", the last too, with k >= 1 values in [0, p) and
+    nothing after the k-th.  The stream is read in one call, so a byte that
+    an ASCII stream cannot decode is named with its offset in the file.  The
+    lines are counted, not split, and the values and their max read by
+    ``split_decimals``.  Faults are named in this order: bytes that are not
+    ASCII, the header, a last line without its "\n", too few or too many
+    lines, then the first line that is not such a decimal, then the first
+    value not below p, in the field's words.  Each check is made here, once,
+    so the ``Database`` is built without repeating them.
     """
     try:
         header, _, body = stream.read().partition("\n")
@@ -370,14 +371,15 @@ def read_db(stream) -> Database:
     k = int(match[2])
     if k < 1:
         raise ValueError("database needs k >= 1 values")
-    # One line per "\n", and one more for an unterminated last line.
-    count = body.count("\n") + (body[-1:] not in ("", "\n"))
+    if body and not body.endswith("\n"):
+        raise ValueError("database's last line does not end with a newline")
+    count = body.count("\n")
     if count < k:
         raise ValueError(f"database ends after {count} of {quote(k)} values")
     if count > k:
         raise ValueError(f"database has data after its {k} values")
     try:
-        values, top = split_decimals(body[:-1] if body[-1:] == "\n" else body, "\n")
+        values, top = split_decimals(body[:-1], "\n")
     except ValueError as err:  # worded for the file: "database value N ..."
         raise ValueError(f"database {err}") from None
     if top >= field.p:

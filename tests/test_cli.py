@@ -7,6 +7,8 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -22,10 +24,18 @@ from pirsi import (
     simulate_round,
     wire,
 )
-from pirsi.cli import build_parser, main
-from pirsi.rate import CODE_ENTRIES_CAP
+from pirsi.cli import build_parser, main, posterior_table_size
+from pirsi.rate import CODE_ENTRIES_CAP, UsageError
 from pirsi.wire import canonical, read_db, transcript_doc, write_db
 from conftest import WORKED_VALUES, demand_one_dropping_draw_layout, leaky_draw_layout
+from goldens import (
+    GOLDEN_ORACLE_K9_SHA256,
+    GOLDEN_ORACLE_K14_SHA256,
+    GOLDEN_PRIVACY_EXACT_SHA256,
+    GOLDEN_PRIVACY_MC_SHA256,
+    PRIVACY_EXACT_ARGV,
+    privacy_mc_argv,
+)
 from oracles import reference_query_supports
 
 # Transcripts pinned byte for byte, so a given seed keeps its round across
@@ -41,26 +51,6 @@ GOLDEN_WORKED = (
 GOLDEN_SINGLE_BLOCK_SHA256 = "c7456206a540e89ace1b64aa95a90ea1fa0fb30a9d59d2e3a61e07832fdbb9d9"
 # The paper's regime, (5000, 1000, 10): 46 subspaces, 460 symbols down.
 GOLDEN_PARTITIONED_SHA256 = "a685392970d923c049d68faf025d37426dc6af8fddbca1ec98bf7a0d13f2728e"
-# `privacy-exact --k 13 --m 5 --n 2 --seed 11`, as printed when the posterior
-# was still summed over every (demand set, side set) pair.
-GOLDEN_PRIVACY_EXACT_SHA256 = "c21c17e1721078ed29fd5a1a2b74efec2327e7a1c17afe9b648cd8d70b010428"
-# `oracle --k-max 14` and `oracle --k-max 9` (then with `--exhaustive`), as
-# printed when brute force still walked every quota vector once per (k, m, n).
-GOLDEN_ORACLE_K14_SHA256 = "512615bdb65d6ddd61fc6a501a30d4767643180360f08cf22821c4a8b434362b"
-GOLDEN_ORACLE_K9_SHA256 = "a89f30295144dfd45d8770a93476f5de7fb5b2d408787609ee017c24b1c3704c"
-# `privacy-mc` stdout, as printed when every trial still rebuilt its spec and
-# plan: the benchmark's instance, the README's example and the paper's regime.
-GOLDEN_PRIVACY_MC_SHA256 = {
-    ("13", "5", "2", "1,2", "12,13", "2000", "0"):
-        "d105731863f6503a3ed052f95e30eb6e810f0e0e5cf7eea7e023d025c5694665",
-    ("30", "10", "2", "1,2", "29,30", "2000", "11"):
-        "2dc1ff23910cec52721efd391065a060dd2ac050fe198f11fbfdbef7a8e50db6",
-    ("5000", "1000", "10", ",".join(map(str, range(1, 11))),
-     ",".join(map(str, range(4991, 5001))), "400", "3"):
-        "9f352fb0c698ae8863156b586debf8f99d7c094eaf3900a514485045571ed5d8",
-}
-
-
 # Usage errors print the parser's usage line, then the message; argparse wraps
 # usage at $COLUMNS, which ``fixed_width`` pins.
 USAGE = "usage: pirsi [-h] {rate,simulate,privacy-exact,privacy-mc,oracle} ...\n"
@@ -468,9 +458,7 @@ def test_privacy_exact_small_instance(capsys):
 
 
 def test_privacy_exact_golden_worked_instance(capsys):
-    code, out, _ = run_cli(
-        capsys, "privacy-exact", "--k", "13", "--m", "5", "--n", "2", "--seed", "11"
-    )
+    code, out, _ = run_cli(capsys, *PRIVACY_EXACT_ARGV)
     assert code == 0
     assert len(out.encode()) == 1192
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_PRIVACY_EXACT_SHA256
@@ -524,7 +512,7 @@ def _module_env():
 
 
 def test_console_entry_point_prints_what_main_prints(capsys):
-    argv = ("privacy-exact", "--k", "13", "--m", "5", "--n", "2", "--seed", "11")
+    argv = PRIVACY_EXACT_ARGV
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     fresh = subprocess.run(
@@ -581,6 +569,28 @@ def test_privacy_exact_enforces_cap(capsys):
             f"exact mode prints all C({k},{n}) demand sets and is capped at 20000 sets and "
             f"1000000 printed indices; use privacy-mc for larger instances",
         )
+
+
+def test_posterior_table_size_is_the_binomial_within_both_caps():
+    # Against math.comb on every (k, n) with k <= 400: each refusal names the
+    # table, and each acceptance is the exact count.  Both caps bind here:
+    # C(300, 2) = 44,850 sets, and C(200, 198) = 19,900 sets of 198 indices.
+    refusal = (
+        "exact mode prints all C({},{}) demand sets and is capped at 20000 sets and "
+        "1000000 printed indices; use privacy-mc for larger instances"
+    )
+    outcomes = Counter()
+    for k in range(1, 401):
+        for n in range(1, k + 1):
+            sets = comb(k, n)
+            over = "sets" if sets > 20_000 else "indices" if sets * n > 1_000_000 else ""
+            try:
+                got = posterior_table_size(ProblemParams(k, 0, n))
+            except UsageError as err:
+                got = str(err)
+            assert got == (refusal.format(k, n) if over else sets), (k, n)
+            outcomes[over] += 1
+    assert all(outcomes[over] for over in ("", "sets", "indices"))
 
 
 def test_privacy_exact_refuses_the_table_before_drawing(capsys, monkeypatch):
@@ -705,11 +715,7 @@ def test_privacy_mc_reports(capsys):
     "argv, digest", GOLDEN_PRIVACY_MC_SHA256.items(), ids=["13-5-2", "30-10-2", "5000-1000-10"]
 )
 def test_privacy_mc_golden(capsys, argv, digest):
-    k, m, n, wa, wb, trials, seed = argv
-    code, out, err = run_cli(
-        capsys, "privacy-mc", "--k", k, "--m", m, "--n", n, "--wa", wa, "--wb", wb,
-        "--trials", trials, "--seed", seed,
-    )
+    code, out, err = run_cli(capsys, *privacy_mc_argv(argv))
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

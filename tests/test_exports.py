@@ -38,7 +38,6 @@ from pirsi import (
     DemandSpec,
     PrimeField,
     ProblemParams,
-    build_layout,
     simulate_round,
 )
 from pirsi.field import MR_BOUND, quote
@@ -62,8 +61,6 @@ SPEC = DemandSpec((2, 5), SIDE, {i: DB[i] for i in SIDE})
 ROUND = simulate_round(PARAMS, SPEC, DB, random.Random(3))
 QUERY, ANSWER = ROUND.query_bytes, ROUND.answer_bytes
 DB_TEXT = "pir-db v1 p=13 k=3\n5\n0\n12\n"
-# A table of C(20, 10) = 184,756 demand sets, over privacy-exact's cap.
-WIDE = ProblemParams(20, 0, 10)
 
 
 def rng():
@@ -142,7 +139,6 @@ ROWS = {
     }),
     "posterior": Row((ROUND.layout, PARAMS), {
         "layout of another plan": (ROUND.layout, ProblemParams(13, 3, 2)),
-        "table over the cap": (build_layout(WIDE, DemandSpec(range(1, 11), ()), rng()), WIDE),
     }),
     "monte_carlo_tvd": Row((PARAMS, (2, 5), (1, 3), 60, rng()), {
         "bool trials": (PARAMS, (2, 5), (1, 3), True, rng()),
@@ -165,6 +161,7 @@ ROWS = {
         "no values": (io.StringIO("pir-db v1 p=13 k=0\n"),),
         "one value short": (io.StringIO("pir-db v1 p=13 k=3\n5\n0\n"),),
         "one value over": (io.StringIO(DB_TEXT + "1\n"),),
+        "last line without its newline": (io.StringIO(DB_TEXT[:-1]),),
         "not ASCII": (io.StringIO("pir-db v1 p=13 k=3\n5\n0\n١\n"),),
     }),
     "parse_query_bytes": Row((QUERY,), {

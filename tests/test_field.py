@@ -119,6 +119,32 @@ def test_refusals_echo_at_most_64_characters_of_any_other_value():
         assert str(err.value) == message
 
 
+def test_quote_converts_at_most_65_elements_of_a_list_or_tuple():
+    # The echo of a list or tuple is the repr of its first QUOTE_CAP + 1
+    # elements, cut, so its cost does not grow with the value: counted in
+    # element reprs, not timed.  A subclass, such as a record, and a set are
+    # converted whole.
+    calls = []
+
+    class Counted:
+        def __repr__(self):
+            calls.append(1)
+            return "c"
+
+    items = [Counted()] * 10_000
+    for value, reprs in ((items, 65), (tuple(items), 65), (items[:64], 64), (set(items), 1)):
+        calls.clear()
+        text = quote(value)
+        assert len(calls) == reprs, type(value)
+        assert text == repr(value)[:64] + "…" * (len(repr(value)) > 64)
+    # The cut keeps every echo's first 64 characters.  An int past the digit
+    # limit within the first 65 elements still falls back to the type name;
+    # past them it is not converted, so the echo is the elements before it.
+    assert quote([0] * 50_000) == repr([0] * 65)[:64] + "…"
+    assert quote([0] * 64 + [10**5000]) == "<list>"
+    assert quote([0] * 100 + [10**5000]) == repr([0] * 65)[:64] + "…"
+
+
 def test_copies_of_a_field_are_checked_as_it_is():
     # _replace and _make call the constructor, so no copy holds a composite.
     gf = PrimeField(13)

@@ -24,7 +24,6 @@ import oracles
 from conftest import demand_one_dropping_draw_layout, leaky_draw_layout
 from oracles import _probability, enumerate_randomness, iter_layouts, layout_probability
 from pirsi.oracle import is_feasible_plan
-from pirsi.privacy import posterior_table_size
 from pirsi.rate import RatePlan, UsageError, admits_every_demand_set
 from pirsi.scheme import draw_layout
 
@@ -70,7 +69,7 @@ def assert_posterior_matches_enumeration(layout, params):
     assert len(enumerated) == comb(params.k, params.n)
     assert all(p == report.prior for p in enumerated.values())
     assert report.params == params
-    assert report.uniform and report.max_deviation == 0
+    assert report.uniform
     return report
 
 
@@ -418,34 +417,18 @@ def test_posterior_rejects_foreign_layout(worked_params):
         posterior(foreign, worked_params)
 
 
-def test_posterior_table_size_is_the_binomial_within_both_caps():
-    # Against math.comb on every (k, n) with k <= 400: each refusal names the
-    # table, and each acceptance is the exact count.  Both caps bind here:
-    # C(300, 2) = 44,850 sets, and C(200, 198) = 19,900 sets of 198 indices.
-    refusal = (
-        "exact mode prints all C({},{}) demand sets and is capped at 20000 sets and "
-        "1000000 printed indices; use privacy-mc for larger instances"
-    )
-    outcomes = Counter()
-    for k in range(1, 401):
-        for n in range(1, k + 1):
-            sets = comb(k, n)
-            over = "sets" if sets > 20_000 else "indices" if sets * n > 1_000_000 else ""
-            try:
-                got = posterior_table_size(ProblemParams(k, 0, n))
-            except UsageError as err:
-                got = str(err)
-            assert got == (refusal.format(k, n) if over else sets), (k, n)
-            outcomes[over] += 1
-    assert all(outcomes[over] for over in ("", "sets", "indices"))
-
-
-def test_posterior_refuses_a_table_over_the_caps():
-    # C(20, 10) = 184,756 demand sets: refused, not built.
-    params = ProblemParams(20, 0, 10)
-    layout = build_layout(params, DemandSpec(tuple(range(1, 11)), frozenset()), random.Random(0))
-    with pytest.raises(UsageError, match=r"C\(20,10\) demand sets and is capped at 20000 sets"):
-        posterior(layout, params)
+def test_posterior_certifies_past_the_printed_tables_caps():
+    # The caps bound the table privacy-exact prints, not the certificate:
+    # C(20, 10) = 184,756 demand sets, and C(10^5, 10), about 2.75 * 10^43,
+    # each get the exact prior, with no table built.
+    for (k, m, n), prior in (
+        ((20, 0, 10), Fraction(1, 184_756)),
+        ((100_000, 20_000, 10), Fraction(1, 27_544_920_827_561_470_257_469_913_571_105_409_574_990_000)),
+    ):
+        params = ProblemParams(k, m, n)
+        spec = DemandSpec(tuple(range(1, n + 1)), frozenset(range(n + 1, n + m + 1)))
+        layout = build_layout(params, spec, random.Random(0))
+        assert posterior(layout, params) == (params, prior, True), (k, m, n)
 
 
 def placing_sampler(place):

@@ -652,7 +652,7 @@ def test_read_db_holds_every_number_to_640_digits():
         (f"pir-db v1 p={PAST_BOUND} k=1\n0\n", f"malformed database header: 'pir-db v1 p={PAST_BOUND[:52]}'…"),
         (f"pir-db v1 p=13 k={PAST_BOUND}\n0\n", f"malformed database header: 'pir-db v1 p=13 k={PAST_BOUND[:47]}'…"),
         (f"pir-db v1 p=13 k=2\n5\n{PAST_BOUND}\n", f"database value 2 is not a canonical decimal: {quoted}"),
-        (f"pir-db v1 p=13 k=2\n{PAST_BOUND}\n5", f"database value 1 is not a canonical decimal: {quoted}"),
+        (f"pir-db v1 p=13 k=2\n{PAST_BOUND}\n5\n", f"database value 1 is not a canonical decimal: {quoted}"),
     ):
         assert outcome(read_db, io.StringIO(text)) == (ValueError, message)
     # The faults are named in order: the first line past the bound, not the
@@ -661,7 +661,7 @@ def test_read_db_holds_every_number_to_640_digits():
     # int's default limit of 4,300 too.
     huge = "9" * 5000
     for body, line in ((f"99\n{PAST_BOUND}\n9{PAST_BOUND}\n", 2), (f"5\n{huge}\n{PAST_BOUND}\n", 2),
-                       (f"{huge}\n5\n0{huge}\n", 1), (f"5\n0\n{huge}", 3)):
+                       (f"{huge}\n5\n0{huge}\n", 1), (f"5\n0\n{huge}\n", 3)):
         fault = body.split("\n")[line - 1]
         assert outcome(read_db, io.StringIO(f"pir-db v1 p=13 k=3\n{body}")) == (
             ValueError, f"database value {line} is not a canonical decimal: '{fault[:64]}'…")
@@ -730,11 +730,25 @@ def test_parse_indices_reads_and_refuses_as_the_split_reference_does():
     ] == []
 
 
+def test_read_db_refuses_a_last_line_without_its_newline():
+    # One byte form: the writer ends every line in "\n", the last one too.
+    # The missing newline is named after the header and k, before the line
+    # count and the values; a file with no line after its header is only
+    # short of values.
+    no_newline = (ValueError, "database's last line does not end with a newline")
+    for body in ("5\n0\n12", "5\n0", "5\n0\n12\n7", "5\n0\n13", "5\n-0\n12", "\n\n\n\n1"):
+        assert outcome(read_db, io.StringIO(f"pir-db v1 p=13 k=3\n{body}")) == no_newline, body
+    assert outcome(read_db, io.StringIO("pir-db v1 p=13 k=0\n5")) == (ValueError, "database needs k >= 1 values")
+    assert outcome(read_db, io.StringIO("pir-db v1 p=15 k=1\n5"))[1] == "modulus must be prime, got 15"
+    assert outcome(read_db, io.StringIO("pir-db v1 p=13 k=3")) == (ValueError, "database ends after 0 of 3 values")
+    assert outcome(read_db, io.StringIO("pir-db v1 p=13 k=3\n5\n0\n12\n")).values == (5, 0, 12)
+
+
 def test_read_db_reads_and_refuses_as_the_line_by_line_reference_does():
     # The short cases run first, so a faulty reader fails in well under a
     # second, before the exhaustive loop at the end.  At scale: the k-th of
-    # 5,000 lines is p itself, or p - 1 with and without a final newline, or
-    # 0 and an empty line after it.
+    # 5,000 lines is p itself, or p - 1 with and without its final newline,
+    # or 0 and an empty line after it.
     rng = random.Random(5)
     p = 2**31 - 1
     values = [rng.randrange(p) for _ in range(4_999)]
@@ -747,10 +761,11 @@ def test_read_db_reads_and_refuses_as_the_line_by_line_reference_does():
     assert seen == [
         (ValueError, f"field value {p} is not an int in [0, {p})"),
         "read",
-        "read",
+        (ValueError, "database's last line does not end with a newline"),
         (ValueError, "database has data after its 5000 values"),
     ]
-    # Each fault on the last line, with and without a final newline.
+    # Each fault on the last line, with and without a final newline: without
+    # it, the newline is the fault named, before any count or value.
     for last in ("05", "-0", "", "٣", "13", "12"):
         for tail in ("\n", ""):
             text = f"pir-db v1 p=13 k=3\n5\n0\n{last}{tail}"
