@@ -21,7 +21,7 @@ occurs exactly once (a catalogue that has drifted from the code fails)
 and that the unmutated tree passes both passes.  It exits 0 when every
 mutant is killed or is a surviving equivalent, and 1 otherwise.  CI runs
 it as a step of its own, about five minutes on a 2-vCPU host with Python
-3.11.7 (101 mutants, 239–281 s):
+3.11.7 (104 mutants, 309 s):
 
     python ci/mutants.py
 """
@@ -278,8 +278,15 @@ CATALOGUE = [
            'from .scheme import draw_layout  # noqa: E402\n\n'
            '__all__.append("draw_layout")\n__version__ = "0.1.0"',
            "a stage that trusts its caller, draw_layout, is exported again"),
-    Mutant("wire.py", "    require_code_fits(rows, map(len, supports))", "    pass",
+    Mutant("wire.py", "    require_code_fits(rows, map(len, supports))\n    return Query(",
+           "    pass\n    return Query(",
            "parse_query_bytes skips the code cap: the server builds a 2,049 x 2,049 code for a 2,786-byte query"),
+    Mutant("wire.py", "len(support) <= field.p - 1:", "len(support) <= field.p:",
+           "parse_query_bytes accepts a block of p members, whose last evaluation point is 0"),
+    Mutant("wire.py", "if 1 <= r <= len(support):", "if 1 <= r <= len(support) + 1:",
+           "parse_query_bytes refuses a block with one row more than members as a field too small"),
+    Mutant("wire.py", "require_code_fits(rows, map(len, supports))\n                size", "size",
+           "a block too wide for p and over the code cap is refused as a field too small, not as a usage error"),
     Mutant("wire.py", "if len(raw) % width:", "if False:",
            "the query parser reads a trailing partial label as a short one: a 513-byte label string "
            "of 257 blocks is served, though no query is written so"),

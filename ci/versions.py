@@ -1,22 +1,24 @@
 """Run the CLI's goldens under each interpreter given, and print a version x check table.
 
 Seeded output rests on ``random``'s streams and on JSON rendering, which
-are per-interpreter facts, so each golden of ``tests/goldens.py`` (the
-ones that need no database file) runs under every interpreter named on
-the command line:
+are per-interpreter facts, so each golden of ``tests/goldens.py`` runs
+under every interpreter named on the command line:
 
     python ci/versions.py /path/to/python3.10 /path/to/python3.13 ...
 
 Each interpreter runs this file with ``--child`` and ``src`` and ``tests``
-on its path.  The child calls ``pirsi.cli.main`` on each golden's argument
-list, stdout captured, and prints one JSON object: its version, and per
-check the SHA-256 of stdout, or the exit code or exception when the call
-fails (the traceback goes to stderr, which the parent passes on).  The
-parent prints one row per check and one column per interpreter, ``ok``
-where the digest is the golden and ``DIFF`` elsewhere, and exits 1 on any
-difference.  Standard library only, so it runs where
-pytest is not installed; it searches no directory, and runs only the
-interpreters it is given.
+on its path.  The child writes each ``simulate`` golden's database into a
+temporary directory in the ``pir-db v1`` format (``goldens.db_text``, not
+``wire.write_db``), calls ``pirsi.cli.main`` on each golden's argument
+list, with ``--db`` where it reads a database, stdout captured, and
+prints one JSON object: its version, and per check the SHA-256 of
+stdout, or the exit code or exception when the call fails (the
+traceback goes to stderr, which the parent passes on).  The parent
+prints one row per check and one column per interpreter, ``ok`` where
+the digest is the golden and ``DIFF`` elsewhere, and exits 1 on any
+difference.  Standard library only, so it runs where pytest is not
+installed; it searches no directory, and runs only the interpreters it
+is given.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import os
 import platform
 import subprocess
 import sys
+import tempfile
 import traceback
 from pathlib import Path
 
@@ -39,22 +42,29 @@ CHILD_TIMEOUT_S = 600
 
 def run_goldens() -> dict[str, str]:
     """Each golden's name -> the SHA-256 of its stdout, or what went wrong, in this interpreter."""
-    from goldens import GOLDENS
+    from goldens import GOLDEN_DBS, GOLDENS, db_text
     from pirsi.cli import main
 
     results = {}
-    for name, (argv, _) in GOLDENS.items():
-        out = io.StringIO()
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-                code = main(list(argv))
-        except SystemExit as exc:
-            code = exc.code
-        except Exception as exc:  # a DIFF under this interpreter; the other goldens still run
-            traceback.print_exc()
-            results[name] = type(exc).__name__
-            continue
-        results[name] = hashlib.sha256(out.getvalue().encode()).hexdigest() if code == 0 else f"exit {code}"
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (argv, _) in GOLDENS.items():
+            argv = list(argv)
+            if name in GOLDEN_DBS:
+                path = os.path.join(tmp, f"{len(results)}.db")
+                with open(path, "w", encoding="ascii") as fh:
+                    fh.write(db_text(*GOLDEN_DBS[name]))
+                argv += ["--db", path]
+            out = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception as exc:  # a DIFF under this interpreter; the other goldens still run
+                traceback.print_exc()
+                results[name] = type(exc).__name__
+                continue
+            results[name] = hashlib.sha256(out.getvalue().encode()).hexdigest() if code == 0 else f"exit {code}"
     return results
 
 

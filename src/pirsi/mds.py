@@ -60,11 +60,10 @@ def _packed_columns(r: int, n: int, field: PrimeField) -> tuple[int, tuple[int, 
     so on: ceil(log2(r)) passes, each over n columns.
 
     Requires 1 <= r <= n <= p - 1, so that the n points are distinct and
-    nonzero; it is not re-checked here.  A block's shape comes from
-    ``scheme.make_query``, which refuses a field too small for the widest
-    block and sets r = size - quota within the cap ``build_layout``
-    admitted, or from ``wire.parse_query_bytes``, which refuses any other
-    shape.
+    nonzero; it is not re-checked here.  Every shape coded in a round has
+    passed ``wire.parse_query_bytes``: the server encodes the query it
+    parsed, and the client decodes only after the server has answered the
+    same bytes.
 
     >>> _packed_columns(2, 3, PrimeField(7))  # rows (1, 1, 1) and (1, 2, 3)
     (8, (257, 513, 769))
@@ -194,10 +193,11 @@ def solve_vandermonde(
     Requires 1 <= r <= n <= p - 1, the shape ``_packed_columns`` requires,
     every key of ``known`` in 0..n-1, ``wanted`` a subset of the unknown
     positions, and every known value an int in [0, p); none is re-checked
-    here.  ``scheme.client_decode`` checks that r is the block's row count
-    and that the held values are field elements, and enumerates the
-    positions from the block's own support: the wanted ones are its
-    demands, which are never side positions.
+    here.  The shape has passed ``wire.parse_query_bytes`` in the bytes the
+    server answered first.  ``scheme.client_decode`` checks that r is the
+    block's row count and that the held values are field elements, and
+    enumerates the positions from the block's own support: the wanted ones
+    are its demands, which are never side positions.
 
     Raises ValueError if fewer than n - r symbols are known or if the inputs
     are inconsistent with any codeword.

@@ -21,10 +21,10 @@ paper's closed-form expression for it is checked against the profile in
 the tests.  ``admits_every_demand_set`` decides whether a profile can
 serve, and so hide, every demand set; ``require_admissible`` refuses a
 plan that cannot.  ``ProblemParams`` refuses k above ``INSTANCE_K_CAP``.
-``require_code_fits`` is the one rule over block shapes: it refuses any
-whose widest r x s code is over ``CODE_ENTRIES_CAP``, the client's plan
-(r read off ``RatePlan.rows``, the one place r = size - quota is taken)
-and the server's parsed query alike.
+``require_code_fits`` refuses block shapes whose widest r x s code is
+over ``CODE_ENTRIES_CAP``: a query's, in ``wire.parse_query_bytes``, and
+a plan's (r read off ``RatePlan.rows``, the one place r = size - quota is
+taken), in ``pirsi simulate`` before it opens a database.
 """
 
 from __future__ import annotations
@@ -151,10 +151,10 @@ def require_admissible(params: ProblemParams, plan: RatePlan) -> None:
 def require_code_fits(rows: Iterable[int], sizes: Iterable[int]) -> None:
     """Raise UsageError unless the widest block's code, r * s entries, is within ``CODE_ENTRIES_CAP``.
 
-    ``rows`` and ``sizes`` give each block's r and s.  The client asks it of
-    a plan's ``rows`` and ``size_profile``, before any database is read;
-    the server of the shapes a query document names, before any code is
-    built.
+    ``rows`` and ``sizes`` give each block's r and s.  ``wire.parse_query_bytes``
+    asks it of the shapes a query document names, before any code is built;
+    ``pirsi simulate`` of a plan's ``rows`` and ``size_profile``, before it
+    reads a database.
     """
     widest = max(map(operator.mul, rows, sizes))
     if widest > CODE_ENTRIES_CAP:

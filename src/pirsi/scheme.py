@@ -41,12 +41,12 @@ plan.
 
 Each condition is checked once, where it enters.  A ``Layout`` does not
 re-check the partition ``draw_layout`` drew, and ``mds`` does not re-check
-the block shapes and column positions this module hands it: ``make_query``
-reads r off ``RatePlan.rows`` and refuses a code over the cap
-(``rate.require_code_fits``) or a field too small for the widest block,
-``client_decode`` passes positions it enumerated from the block's own
-support, and a query that arrives as bytes is held to the same shapes and
-the same cap by ``wire.parse_query_bytes``.  An index outside 1..k is
+the block shapes and column positions this module hands it: every shape
+``mds`` codes in a round has passed ``wire.parse_query_bytes``, which
+refuses a code over the cap and a field too small for a block, since the
+client decodes ``make_query``'s query only after the server has parsed
+and answered its bytes; ``client_decode`` passes positions it enumerated
+from the block's own support.  An index outside 1..k is
 refused by ``require_indices`` alone, wherever it arrives: a client's
 spec (``DemandSpec.validate_against``), a database lookup, or a query
 block the server reads through ``Database.gather``.
@@ -68,7 +68,6 @@ from .rate import (
     UsageError,
     compute_plan,
     require_admissible,
-    require_code_fits,
 )
 
 
@@ -286,19 +285,11 @@ def make_query(layout: Layout, field: PrimeField) -> Query:
     Block i requests the first r_i = size_i - quota_i Vandermonde rows over
     its subspace, r_i read off ``RatePlan.rows``.  The coefficients depend
     only on the block shape and the field, never on the demands, so the
-    query reveals nothing beyond the layout itself.  Refuses, as UsageError, a plan whose widest code is over
-    ``rate.CODE_ENTRIES_CAP``, and, as ValueError, a field too small for
-    the widest block.
+    query reveals nothing beyond the layout itself.  Refuses nothing: a
+    round's server parses the query's bytes (``wire.parse_query_bytes``),
+    which judges each block's shape, before any code is built.
     """
-    plan = layout.plan
-    rows = plan.rows
-    require_code_fits(rows, plan.size_profile)
-    biggest = max(plan.size_profile)
-    if field.p <= biggest:
-        raise ValueError(
-            f"field too small: subspace of size {biggest} needs p > {biggest}, got {field.p}"
-        )
-    return Query(tuple(zip(layout.subspaces, rows)), field)
+    return Query(tuple(zip(layout.subspaces, layout.plan.rows)), field)
 
 
 def server_answer(query: Query, db: Database) -> tuple[tuple[int, ...], ...]:

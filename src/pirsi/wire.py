@@ -12,10 +12,10 @@ that cross to the server role or back are read in one byte form only,
 the one ``canonical`` writes: a regex matches the whole document, and a
 query's labels must also be canonical base64.  The labels make every
 query a partition of 1..k by construction.  Any other bytes raise
-ValueError, and so does a query whose widest block's code is over
-``rate.CODE_ENTRIES_CAP``: the server holds the shapes it parsed to the
-rule the client's plan meets (``rate.require_code_fits``), before it
-builds any code.  A number read anywhere, a database line or a CLI flag
+ValueError, and so does a query with a block of p or more members or
+whose widest block's code is over ``rate.CODE_ENTRIES_CAP``: the parser
+is the one judge of a block's shape, before the server builds any code.
+A number read anywhere, a database line or a CLI flag
 too, is a canonical decimal of at most 640 digits (``DECIMAL``); p and k
 need 25.  A refusal echoes what it refuses through ``field.quote``.
 
@@ -170,8 +170,10 @@ def parse_query_bytes(data: bytes) -> Query:
     sorted, disjoint and covering 1..k, where k is the label count; each
     block must then have 1 <= r <= len(support) <= p - 1, and the widest
     block's code r * s entries within the cap (``rate.require_code_fits``,
-    a UsageError), so no code is built for a query over it.  A label count
-    other than the database's is refused by the server (``server_answer``).
+    a UsageError), so no code is built for a query over it.  The first
+    block at fault is named, a support of p or more members, after the
+    cap, as "field too small".  A label count other than the database's is
+    refused by the server (``server_answer``).
     """
     match = _QUERY.fullmatch(data)
     if match is None:
@@ -200,6 +202,10 @@ def parse_query_bytes(data: bytes) -> Query:
         supports[label].append(index)
     for support, r in zip(supports, rows):
         if not 1 <= r <= len(support) <= field.p - 1:
+            if 1 <= r <= len(support):  # too wide for p; the cap first, as `simulate` checks it first
+                require_code_fits(rows, map(len, supports))
+                size = len(support)
+                raise ValueError(f"field too small: subspace of size {size} needs p > {size}, got {field.p}")
             raise ValueError(
                 f"need 1 <= r <= len(support) <= p - 1, got r={quote(r)}, "
                 f"len(support)={len(support)}, p={field.p}"

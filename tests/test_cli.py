@@ -29,28 +29,20 @@ from pirsi.rate import CODE_ENTRIES_CAP, UsageError
 from pirsi.wire import canonical, read_db, transcript_doc, write_db
 from conftest import WORKED_VALUES, demand_one_dropping_draw_layout, leaky_draw_layout
 from goldens import (
+    GOLDEN_DBS,
     GOLDEN_ORACLE_K9_SHA256,
     GOLDEN_ORACLE_K14_SHA256,
+    GOLDEN_PARTITIONED_SHA256,
     GOLDEN_PRIVACY_EXACT_SHA256,
     GOLDEN_PRIVACY_MC_SHA256,
+    GOLDEN_SINGLE_BLOCK_SHA256,
+    GOLDEN_WORKED,
+    GOLDENS,
     PRIVACY_EXACT_ARGV,
+    db_text,
     privacy_mc_argv,
 )
 from oracles import reference_query_supports
-
-# Transcripts pinned byte for byte, so a given seed keeps its round across
-# refactors: plan, query (a version-3 document whose labels are the layout),
-# answer and decoded values.  The version-3 query changed only the query
-# section of each golden; every other byte is as version 2 printed it.
-GOLDEN_WORKED = (
-    '{"answer":{"blocks":[[8,4],[12,0],[6,2]]},"decoded":{"2":7,"5":9},'
-    '"plan":{"k":13,"l_star":3,"m":5,"m_bar":2,"n":2,"r_star":6,"side_profile":[3,2,2],'
-    '"size_profile":[5,4,4],"t":1,"trivial":false},'
-    '"query":{"labels":"AgEAAgICAQABAAEAAA==","p":13,"rows":[2,2,2],"version":3},"seed":11}\n'
-)
-GOLDEN_SINGLE_BLOCK_SHA256 = "c7456206a540e89ace1b64aa95a90ea1fa0fb30a9d59d2e3a61e07832fdbb9d9"
-# The paper's regime, (5000, 1000, 10): 46 subspaces, 460 symbols down.
-GOLDEN_PARTITIONED_SHA256 = "a685392970d923c049d68faf025d37426dc6af8fddbca1ec98bf7a0d13f2728e"
 # Usage errors print the parser's usage line, then the message; argparse wraps
 # usage at $COLUMNS, which ``fixed_width`` pins.
 USAGE = "usage: pirsi [-h] {rate,simulate,privacy-exact,privacy-mc,oracle} ...\n"
@@ -335,11 +327,15 @@ def test_integer_flags_accept_only_canonical_decimals(capsys, worked_db_file):
     assert exc.value.code == 2
 
 
-def test_simulate_golden_worked_transcript(capsys, worked_db_file):
-    code, out, _ = run_cli(
-        capsys, "simulate", "--k", "13", "--m", "5", "--n", "2",
-        "--demands", "2,5", "--side", "1,4,6,7,9", "--db", worked_db_file, "--seed", "11",
-    )
+def golden_argv(tmp_path, name):
+    """A ``simulate`` golden's argument list with ``--db``, its database written under ``tmp_path``."""
+    path = tmp_path / "golden.db"
+    path.write_text(db_text(*GOLDEN_DBS[name]), encoding="ascii")
+    return [*GOLDENS[name][0], "--db", str(path)]
+
+
+def test_simulate_golden_worked_transcript(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, *golden_argv(tmp_path, "simulate 13 5 2"))
     assert code == 0
     assert out == GOLDEN_WORKED
 
@@ -355,30 +351,9 @@ def test_transcript_has_five_sections_and_its_query_carries_the_layout(worked_db
     assert canonical(doc) + "\n" == GOLDEN_WORKED
 
 
-def worked_argv(tmp_path):
-    path = db_file(tmp_path, "worked.db", (WORKED_VALUES[i] for i in range(1, 14)), PrimeField(13))
-    return [
-        "--k", "13", "--m", "5", "--n", "2",
-        "--demands", "2,5", "--side", "1,4,6,7,9", "--db", path, "--seed", "11",
-    ]
-
-
-def partitioned_argv(tmp_path):
-    """The paper's regime, (5000, 1000, 10), over a seeded GF(2^31 - 1) database."""
-    field = PrimeField(2**31 - 1)
-    rng = random.Random("golden-partitioned")
-    path = db_file(tmp_path, "partitioned.db", [rng.randrange(field.p) for _ in range(5000)], field)
-    return [
-        "--k", "5000", "--m", "1000", "--n", "10",
-        "--demands", ",".join(str(i) for i in range(1, 5000, 500)),
-        "--side", ",".join(str(i) for i in range(3, 5001, 5)),
-        "--db", path, "--seed", "12",
-    ]
-
-
-@pytest.mark.parametrize("instance", [worked_argv, partitioned_argv], ids=["13-5-2", "5000-1000-10"])
-def test_simulate_prints_the_bytes_that_crossed(capsys, tmp_path, monkeypatch, instance):
-    argv = instance(tmp_path)
+@pytest.mark.parametrize("name", ["simulate 13 5 2", "simulate 5000 1000 10"], ids=["13-5-2", "5000-1000-10"])
+def test_simulate_prints_the_bytes_that_crossed(capsys, tmp_path, monkeypatch, name):
+    argv = golden_argv(tmp_path, name)[1:]
     crossed = []
     serve = wire.serve_query_bytes
 
@@ -408,21 +383,14 @@ def test_simulate_prints_the_bytes_that_crossed(capsys, tmp_path, monkeypatch, i
 
 
 def test_simulate_golden_single_block_transcript(capsys, tmp_path):
-    field = PrimeField(2**31 - 1)
-    rng = random.Random("golden")
-    path = db_file(tmp_path, "single.db", [rng.randrange(field.p) for _ in range(56)], field)
-    code, out, _ = run_cli(
-        capsys, "simulate", "--k", "56", "--m", "7", "--n", "7",
-        "--demands", "1,9,17,25,33,41,49", "--side", "2,10,18,26,34,42,50",
-        "--db", path, "--seed", "3",
-    )
+    code, out, _ = run_cli(capsys, *golden_argv(tmp_path, "simulate 56 7 7"))
     assert code == 0
     assert len(out.encode()) == 930
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SINGLE_BLOCK_SHA256
 
 
 def test_simulate_golden_partitioned_transcript(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "simulate", *partitioned_argv(tmp_path))
+    code, out, _ = run_cli(capsys, *golden_argv(tmp_path, "simulate 5000 1000 10"))
     assert code == 0
     doc = json.loads(out)
     assert len(doc["query"]["rows"]) == 46
@@ -433,7 +401,7 @@ def test_simulate_golden_partitioned_transcript(capsys, tmp_path):
 
 def test_simulate_field_too_small_is_runtime_error(capsys, tmp_path):
     # The widest (13,5,2) subspace has 5 members, so GF(5) lacks the
-    # evaluation points; make_query refuses and the CLI exits 1.
+    # evaluation points; the server's query parser refuses and the CLI exits 1.
     path = db_file(tmp_path, "small.db", [i % 5 for i in range(13)], PrimeField(5))
     code, out, err = run_cli(
         capsys, "simulate", "--k", "13", "--m", "5", "--n", "2",

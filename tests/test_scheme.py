@@ -9,16 +9,15 @@ import pytest
 from pirsi import (
     Database,
     DemandSpec,
-    Layout,
     PrimeField,
     ProblemParams,
     Query,
-    RatePlan,
     UsageError,
     build_layout,
     compute_plan,
     simulate_round,
 )
+from pirsi import mds
 from pirsi.scheme import client_decode, draw_layout, make_query, server_answer
 from conftest import WORKED_SIDE, WORKED_VALUES
 from oracles import enumerate_randomness, query_rows, reference_draw_layout
@@ -229,12 +228,22 @@ def test_make_query_worked_example(worked_layout, gf13):
     )
 
 
-def test_make_query_needs_large_enough_field(worked_layout):
-    # A database over too small a field is a runtime refusal, not a usage error.
-    with pytest.raises(ValueError, match="field too small") as refusal:
-        make_query(worked_layout, PrimeField(5))
+def test_simulate_round_needs_a_field_wider_than_every_block(worked_params):
+    # The widest (13,5,2) block has 5 members and GF(5) only 4 nonzero
+    # evaluation points.  The server's parser refuses the query before any
+    # code is built, as a runtime refusal, not a usage error.
+    def round_over(field):
+        db = Database((WORKED_VALUES[i] % field.p for i in range(1, 14)), field)
+        spec = DemandSpec((2, 5), WORKED_SIDE, {i: db[i] for i in WORKED_SIDE})
+        return db, simulate_round(worked_params, spec, db, random.Random(11))
+
+    misses = mds._packed_columns.cache_info().misses
+    with pytest.raises(ValueError, match="^field too small: subspace of size 5 needs p > 5, got 5$") as refusal:
+        round_over(PrimeField(5))
     assert not isinstance(refusal.value, UsageError)
-    assert make_query(worked_layout, PrimeField(7)).total_rows == 6
+    assert mds._packed_columns.cache_info().misses == misses
+    db, result = round_over(PrimeField(7))
+    assert result.decoded == {2: db[2], 5: db[5]}
 
 
 def test_server_answer_worked_example(worked_layout, worked_db, gf13):
@@ -290,28 +299,6 @@ def test_server_answer_refuses_a_query_that_does_not_cover_the_database(worked_d
     blocks = ((1, 2, 4, 6, 8), (3, 10, 11, 13), (5, 7, 9))
     with pytest.raises(ValueError, match="^query covers 12 indices, the database holds 13$"):
         server_answer(Query(tuple((block, 2) for block in blocks), gf13), worked_db)
-
-
-def _one_block_layout(sizes, quotas):
-    """A layout of 1..k in blocks of these sizes, under a plan with these quotas."""
-    plan = RatePlan(m_bar=0, t=0, size_profile=sizes, side_profile=quotas, trivial=False)
-    blocks, start = [], 1
-    for size in sizes:
-        blocks.append(tuple(range(start, start + size)))
-        start += size
-    return Layout(tuple(blocks), plan)
-
-
-def test_make_query_refuses_a_code_over_the_cap_by_its_widest_block():
-    field = PrimeField(2**31 - 1)
-    # r * s = 2048 * 2048 is the cap itself, and is built.
-    assert make_query(_one_block_layout((2048,), (0,)), field).total_rows == 2048
-    # One column over it, with r = 2048 rows, whether or not smaller blocks sit beside it.
-    for sizes, quotas in (((2049,), (1,)), ((3, 2049, 1), (0, 1, 0))):
-        with pytest.raises(UsageError, match=r"^the widest block's code has r \* s = 4196352 entries"):
-            make_query(_one_block_layout(sizes, quotas), field)
-    # A quota shortens r: 2047 * 2049 is under the cap.
-    assert make_query(_one_block_layout((2049,), (2,)), field).total_rows == 2047
 
 
 def test_client_decode_worked_example(worked_layout, worked_db, worked_spec, gf13):

@@ -248,6 +248,33 @@ def test_serve_query_bytes_refuses_a_code_over_the_cap_before_building_it():
         wire.parse_query_bytes(two)
 
 
+def test_parse_query_bytes_names_the_first_block_at_fault():
+    # The one judge of a block's shape: r must be in 1..len(support), and a
+    # support of p or more members is a field too small for it, refused
+    # after the code cap, which the client's plan meets first.
+    def need(r, size):
+        return ValueError, f"need 1 <= r <= len(support) <= p - 1, got r={r}, len(support)={size}, p=13"
+
+    def too_small(size):
+        return ValueError, f"field too small: subspace of size {size} needs p > {size}, got 13"
+
+    cap = "the widest block's code has r * s = 4198401 entries, over the cap of 4194304 one round may build"
+    for supports, rows, refusal in (
+        ((range(1, 13),), (12,), None),  # p - 1 members, every row
+        ((range(1, 14),), (13,), too_small(13)),
+        ((range(1, 14),), (1,), too_small(13)),
+        ((range(1, 4),), (0,), need(0, 3)),
+        ((range(1, 4), range(4, 17)), (4, 2), need(4, 3)),  # one row past its block, then one too wide
+        ((range(1, 17), range(17, 20)), (2, 4), too_small(16)),  # too wide, then one row past its block
+        ((range(1, 2050),), (2049,), (UsageError, cap)),  # too wide and over the cap
+    ):
+        data = reference_query_bytes(supports, rows, 13)
+        if refusal is None:
+            assert wire.parse_query_bytes(data).blocks == tuple((tuple(s), r) for s, r in zip(supports, rows))
+        else:
+            assert outcome(wire.parse_query_bytes, data) == refusal, (supports, rows)
+
+
 def test_serve_query_bytes_names_the_version_it_refuses(worked_db):
     # The version-2 form of the worked query.
     v2 = {"blocks": [{"r": 2, "support": list(block)} for block in WORKED_BLOCKS], "p": 13, "version": 2}
